@@ -19,6 +19,7 @@ from .errors import FarFieldViolation, GeometryError, NumericsError
 from .quantities import db_to_transmittance
 
 EARTH_RADIUS_M = 6_371_000.0
+ATMOSPHERE_THICKNESS_M = 20_000.0
 
 # Tolerated floating-point overshoot of |arcsin argument| beyond 1 (noise at
 # zenith), and the eigen-angle at which the overshoot becomes a real error.
@@ -36,7 +37,7 @@ class LinkGeometry:
     satellite_altitude_m: float
     elevation_deg: float
     ogs_altitude_m: float = 0.0
-    atmosphere_thickness_m: float = 20_000.0
+    atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,37 +17,14 @@ from typing import Iterable, Sequence
 
 from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
-from .finite_size import FiniteSizeParams
+from .finite_size import MD, MLC_MSD, FiniteSizeParams
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import LinkSetup, PointResult, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point
+from .pipeline import CSV_COLUMNS, LinkSetup, PointResult, ProtocolSpec, \
+    ReconciliationSpec, evaluate_point
 
-SWEEP_COLUMNS = (
-    "protocol",
-    "detection",
-    "modulation_variance_snu",
-    "altitude_km",
-    "elevation_deg",
-    "l_tot_km",
-    "l_atm_eff_km",
-    "a_geo_db",
-    "a_scat_db",
-    "a_sci_db",
-    "a_tot_db",
-    "transmittance",
-    "snr_db",
-    "beta",
-    "beta_valid",
-    "fer",
-    "fer_raw",
-    "i_ab_bits_per_pulse",
-    "s_be_bits_per_pulse",
-    "privacy_bits_per_pulse",
-    "skr_bits_per_pulse",
-    "skr_bits_per_second",
-    "far_field_ok",
-    "status",
-)
+_CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
+_CSV_FIELDS = operator.attrgetter(*(name for _, name, _ in CSV_COLUMNS))
+_CSV_SCALED = tuple((i, div) for i, (_, _, div) in enumerate(CSV_COLUMNS) if div)
 
 
 def _fmt(value) -> str:
@@ -59,34 +37,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(point: PointResult) -> str:
-    values = (
-        point.protocol,
-        point.detection,
-        point.modulation_variance,
-        point.altitude_m / 1000.0,
-        point.elevation_deg,
-        None if point.l_tot_m is None else point.l_tot_m / 1000.0,
-        None if point.l_atm_eff_m is None else point.l_atm_eff_m / 1000.0,
-        point.a_geo_db,
-        point.a_scat_db,
-        point.a_sci_db,
-        point.a_tot_db,
-        point.transmittance,
-        point.snr_db,
-        point.beta_value,
-        point.beta_valid,
-        point.fer_value,
-        point.fer_raw,
-        point.mutual_information,
-        point.holevo,
-        point.privacy,
-        point.skr_asymptotic_per_pulse,
-        point.skr_bits_per_second,
-        point.far_field_ok,
-        point.status,
-    )
-    return ",".join(_fmt(v) for v in values)
+def _csv_row(point: PointResult) -> str:
+    values = list(_CSV_FIELDS(point))
+    for i, divisor in _CSV_SCALED:
+        if values[i] is not None:
+            values[i] /= divisor
+    return ",".join(map(_fmt, values))
 
 
 def _worker_count() -> int:
@@ -100,9 +56,8 @@ def _worker_count() -> int:
     return count
 
 
-def _config_echo_lines(resolved: dict) -> list[str]:
-    payload = json.dumps(resolved, sort_keys=True)
-    return [f"# satcvqkd config {payload}"]
+def _echo_line(plan: config_mod.RunPlan) -> str:
+    return f"# satcvqkd config {json.dumps(plan.resolved, sort_keys=True)}"
 
 
 def _evaluate_points(
@@ -146,9 +101,8 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
         for spec in plan.protocols
     ]
     points = _evaluate_points(plan.setup, tasks, plan.reconciliation, plan.finite)
-    lines = _config_echo_lines(plan.resolved)
-    lines.append(",".join(SWEEP_COLUMNS))
-    lines.extend(_row(p) for p in points)
+    lines = [_echo_line(plan), _CSV_HEADER]
+    lines.extend(map(_csv_row, points))
     _emit(lines, output)
 
 
@@ -169,12 +123,7 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
 
     if plan.reconciliation.kind == "finite":
         # Always report both fitted models so the summaries are comparable.
-        from .finite_size import MD, MLC_MSD
-
-        reconciliations = [
-            ReconciliationSpec(kind="finite", model=MD),
-            ReconciliationSpec(kind="finite", model=MLC_MSD),
-        ]
+        reconciliations = [ReconciliationSpec(kind="finite", model=m) for m in (MD, MLC_MSD)]
     else:
         reconciliations = [plan.reconciliation]
     result = integrate_key_bits(
@@ -188,24 +137,23 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
         keyhole_ceiling_deg=pass_spec.keyhole_ceiling_deg,
     )
 
-    lines = _config_echo_lines(plan.resolved)
-    for name, model in sorted(result.models.items()):
+    models = sorted(result.models.items())
+    lines = [_echo_line(plan)]
+    for name, model in models:
         lines.append(
             f"# summary model={name} total_key_bits={model.total_key_bits!r} "
             f"excluded_bins={len(model.excluded_bins_deg)}"
         )
     lines.append("time_s,elevation_deg," + ",".join(
-        f"skr_bits_per_second[{name}]" for name in sorted(result.models)
+        f"skr_bits_per_second[{name}]" for name, _ in models
     ))
-    n = len(profile.times_s)
-    series = {name: dict(model.skr_series) for name, model in result.models.items()}
-    if n >= 2:
-        for t, e in zip(profile.times_s, profile.elevations_deg):
-            row = [repr(float(t)), repr(float(e))]
-            row.extend(repr(float(series[name].get(t, 0.0))) for name in sorted(series))
-            lines.append(",".join(row))
+    # Each model's series holds one (time, rate) pair per sample, in order.
+    series = [model.skr_series for _, model in models]
+    for t, e, *rates in zip(profile.times_s, profile.elevations_deg, *series):
+        lines.append(",".join([repr(float(t)), repr(float(e))]
+                              + [repr(float(rate)) for _, rate in rates]))
     _emit(lines, output)
-    for name, model in sorted(result.models.items()):
+    for name, model in models:
         if model.excluded_bins_deg:
             print(
                 f"note: {name}: {len(model.excluded_bins_deg)} elevation bins excluded "
@@ -235,24 +183,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
 
     args = parser.parse_args(argv)
-    need = {"sweep": "sweep", "pass": "pass", "compare": "compare",
-            "validate-config": "sweep"}[args.command]
 
     try:
         if args.command == "validate-config":
-            # Accept any run type: try sweep first, then pass, then compare.
-            last_error: ConfigError | None = None
-            for candidate in ("sweep", "pass", "compare"):
-                try:
-                    plan = config_mod.load(args.config, candidate)
-                    break
-                except ConfigError as exc:
-                    last_error = exc
-            else:
-                raise last_error
+            plan = config_mod.load(args.config)  # run type inferred from the keys
             print(json.dumps(plan.resolved, sort_keys=True, indent=2))
             return 0
-        plan = config_mod.load(args.config, need)
+        plan = config_mod.load(args.config, args.command)
         if args.command == "pass":
             _run_pass(plan, args.output)
         else:  # sweep and compare share the grid runner

@@ -1,17 +1,21 @@
 """JSON run-configuration schema with the reference link parameters baked in.
 
 A minimal config only picks a protocol and a sweep; every other knob
-defaults to the reference values (1550 nm, 0.3 m / 1 m apertures, 0.9
-optics efficiencies, 0.1 pointing loss, 20 km atmosphere, daylight noise
-budget, 50 MHz repetition rate, N = 1e11, good atmosphere).
+defaults to the reference values held by the library's dataclasses (1550
+nm, 0.3 m / 1 m apertures, 0.9 optics efficiencies, 0.1 pointing loss,
+20 km atmosphere, daylight noise budget, 50 MHz repetition rate, N = 1e11,
+good atmosphere).  Each section is read through one key table and echoed
+through the same table, so a default or a unit is written once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Any
+import sys
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, NamedTuple
 
 from .channel import AtmosphericConditions, OpticalTerminals
 from .errors import ConfigError
@@ -33,6 +37,8 @@ DEFAULT_DETECTION = {
 }
 
 _PROTOCOL_SHORTHAND = re.compile(r"^(gm|psk(2|4|8)|qam(16|64|256))$")
+_FITTED_MODELS = {"md": MD, "mlc_msd": MLC_MSD}
+_ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
 
 
 @dataclass(frozen=True)
@@ -43,13 +49,17 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class PassSpec:
-    satellite_altitude_m: float
+    satellite_altitude_m: float = 417_500.0
     profile_path: str | None = None
-    synth_max_elevation_deg: float | None = None
+    synth_max_elevation_deg: float = 87.6
     synth_sample_dt_s: float = 1.0
     ogs_altitude_m: float = 0.0
     keyhole_ceiling_deg: float | None = None
     bin_width_deg: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.synth_sample_dt_s <= 0.0 or self.bin_width_deg <= 0.0:
+            raise ConfigError("pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0")
 
     @property
     def synthesized(self) -> bool:
@@ -66,7 +76,58 @@ class RunPlan:
     finite: FiniteSizeParams
     sweep: SweepSpec | None = None
     pass_spec: PassSpec | None = None
-    resolved: dict[str, Any] = field(default_factory=dict)  # canonical echo
+
+    @property
+    def resolved(self) -> dict[str, Any]:
+        """Canonical JSON-ready echo, read back through the resolve tables."""
+        return _echo(self)
+
+
+class _Unit(NamedTuple):
+    to_si: Callable[[float], float]
+    from_si: Callable[[float], float]
+
+
+_KM = _Unit(lambda km: km * 1000.0, lambda m: m / 1000.0)
+# Dividing maps 1550 nm exactly onto the library's 1550e-9; 1550 * 1e-9 does not.
+_NM = _Unit(lambda nm: nm / 1e9, lambda m: m * 1e9)
+
+
+def _keys(cls: type, *renamed: tuple[str, str, _Unit | None]) -> dict:
+    """Config key -> (field, unit) for each float/int field; ``renamed`` lists
+    the keys whose name or unit differ from their field."""
+    table = {f.name: (f.name, None) for f in fields(cls) if f.type in ("float", "int")}
+    for key, name, unit in renamed:
+        del table[name]
+        table[key] = (name, unit)
+    return table
+
+
+_TERMINALS = _keys(OpticalTerminals, ("wavelength_nm", "wavelength_m", _NM))
+_CONDITIONS = _keys(AtmosphericConditions)
+_NOISE = _keys(
+    NoiseBudget,
+    ("channel_excess_snu", "channel_excess", None),
+    ("detector_excess_snu", "detector_excess", None),
+)
+_GEOMETRY = _keys(
+    LinkSetup,
+    ("ogs_altitude_km", "ogs_altitude_m", _KM),
+    ("atmosphere_thickness_km", "atmosphere_thickness_m", _KM),
+    ("earth_radius_km", "earth_radius_m", _KM),
+)
+_FINITE = _keys(FiniteSizeParams)
+_PASS = {
+    "altitude_km": ("satellite_altitude_m", _KM),
+    "ogs_altitude_km": ("ogs_altitude_m", _KM),
+    "keyhole_ceiling_deg": ("keyhole_ceiling_deg", None),
+    "bin_width_deg": ("bin_width_deg", None),
+}
+# synthesize also accepts altitude_km; the echo keeps it at pass level.
+_SYNTHESIZE = {
+    "max_elevation_deg": ("synth_max_elevation_deg", None),
+    "sample_dt_s": ("synth_sample_dt_s", None),
+}
 
 
 def _expect_mapping(value: Any, where: str) -> dict:
@@ -75,11 +136,47 @@ def _expect_mapping(value: Any, where: str) -> dict:
     return value
 
 
-def _get_number(mapping: dict, key: str, default: float, where: str) -> float:
-    value = mapping.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+def _reject_unknown(mapping: dict, known, where: str) -> None:
+    unknown = set(mapping) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value: Any, where: str, integer: bool = False) -> float | int:
+    """The checked reader for every numeric leaf: finite, not bool, integral if asked."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if not integer:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _section(base: Any, raw: Any, keys: dict, where: str) -> Any:
+    """``base`` with the values of config section ``raw`` written over it."""
+    if raw is None:
+        return base
+    mapping = _expect_mapping(raw, where)
+    _reject_unknown(mapping, keys, where)
+    overrides = {}
+    for key, value in mapping.items():
+        name, unit = keys[key]
+        default = getattr(base, name)
+        if value is None and default is None:
+            continue  # optional field left unset
+        number = _number(value, f"{where}.{key}", isinstance(default, int))
+        overrides[name] = number if unit is None else unit.to_si(number)
+    return replace(base, **overrides)
+
+
+def _echo_section(obj: Any, keys: dict) -> dict[str, Any]:
+    out = {}
+    for key, (name, unit) in keys.items():
+        value = getattr(obj, name)
+        out[key] = value if unit is None or value is None else unit.from_si(value)
+    return out
 
 
 def _parse_protocol(raw: Any) -> ProtocolSpec:
@@ -92,51 +189,50 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
             )
         if token == "gm":
             raw = {"kind": "gm"}
-        elif token.startswith("psk"):
-            raw = {"kind": "psk", "states": int(token[3:])}
         else:
-            m_total = int(token[3:])
-            raw = {"kind": "qam", "states": m_total}
+            raw = {"kind": token[:3], "states": int(token[3:])}
     mapping = _expect_mapping(raw, "protocol")
+    _reject_unknown(
+        mapping,
+        ("kind", "detection", "modulation_variance_snu", "states", "side", "distribution"),
+        "protocol",
+    )
     kind = mapping.get("kind")
     if kind not in ("gm", "psk", "qam"):
         raise ConfigError(f"protocol.kind must be gm/psk/qam, got {kind!r}")
 
     detection_raw = mapping.get("detection")
-    if detection_raw is None:
-        detection = DEFAULT_DETECTION[kind]
-    else:
-        try:
-            detection = Detection(detection_raw)
-        except ValueError:
-            raise ConfigError(f"protocol.detection must be homodyne/heterodyne, got {detection_raw!r}")
-    v_a = _get_number(
-        mapping, "modulation_variance_snu", DEFAULT_MODULATION_VARIANCE[kind], "protocol"
+    try:
+        detection = DEFAULT_DETECTION[kind] if detection_raw is None else Detection(detection_raw)
+    except ValueError:
+        raise ConfigError(f"protocol.detection must be homodyne/heterodyne, got {detection_raw!r}")
+    v_a = _number(
+        mapping.get("modulation_variance_snu", DEFAULT_MODULATION_VARIANCE[kind]),
+        "protocol.modulation_variance_snu",
     )
 
     if kind == "gm":
         return ProtocolSpec(kind="gm", detection=detection, modulation_variance=v_a)
     if kind == "psk":
-        states = mapping.get("states")
-        if states not in (2, 4, 8):
-            raise ConfigError(f"protocol.states must be 2, 4 or 8 for psk, got {states!r}")
+        states = _number(mapping.get("states"), "protocol.states", integer=True)
         return ProtocolSpec(
             kind="psk", detection=detection, modulation_variance=v_a, psk_states=states
         )
-    states = mapping.get("states")
-    if states is not None:
-        side = int(round(states**0.5))
-        if side * side != states or side < 2:
+    if mapping.get("states") is not None:
+        states = _number(mapping["states"], "protocol.states", integer=True)
+        if states < 4 or math.isqrt(states) ** 2 != states:
             raise ConfigError(f"protocol.states must be a square >= 4 for qam, got {states!r}")
+        side = math.isqrt(states)
     else:
-        side = mapping.get("side")
-        if not isinstance(side, int) or side < 2:
-            raise ConfigError("qam protocol needs states (square) or side >= 2")
+        side = _number(mapping.get("side"), "protocol.side", integer=True)
     dist_raw = mapping.get("distribution", "binomial")
     if dist_raw == "binomial":
         distribution: Any = Binomial()
     elif isinstance(dist_raw, dict) and dist_raw.get("kind") == "discrete_gaussian":
-        distribution = DiscreteGaussian(nu=_get_number(dist_raw, "nu", 1.0, "distribution"))
+        _reject_unknown(dist_raw, ("kind", "nu"), "protocol.distribution")
+        distribution = DiscreteGaussian(
+            nu=_number(dist_raw.get("nu", 1.0), "protocol.distribution.nu")
+        )
     else:
         raise ConfigError(
             f"protocol.distribution must be 'binomial' or "
@@ -152,124 +248,53 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
 
 
 def _parse_conditions(raw: Any) -> AtmosphericConditions:
-    if raw is None or raw == "good":
-        return GOOD_CONDITIONS
     if raw == "bad":
         return BAD_CONDITIONS
-    mapping = _expect_mapping(raw, "conditions")
-    try:
-        return AtmosphericConditions(
-            visibility_km=_get_number(mapping, "visibility_km", 200.0, "conditions"),
-            cn2=_get_number(mapping, "cn2", 1e-16, "conditions"),
-            outage_probability=_get_number(
-                mapping, "outage_probability", 1e-6, "conditions"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _parse_terminals(raw: Any) -> OpticalTerminals:
-    if raw is None:
-        return OpticalTerminals()
-    mapping = _expect_mapping(raw, "terminals")
-    try:
-        return OpticalTerminals(
-            wavelength_m=_get_number(mapping, "wavelength_nm", 1550.0, "terminals") * 1e-9,
-            transmitter_aperture_m=_get_number(
-                mapping, "transmitter_aperture_m", 0.3, "terminals"
-            ),
-            receiver_aperture_m=_get_number(
-                mapping, "receiver_aperture_m", 1.0, "terminals"
-            ),
-            transmitter_efficiency=_get_number(
-                mapping, "transmitter_efficiency", 0.9, "terminals"
-            ),
-            receiver_efficiency=_get_number(
-                mapping, "receiver_efficiency", 0.9, "terminals"
-            ),
-            pointing_loss=_get_number(mapping, "pointing_loss", 0.1, "terminals"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _parse_noise(raw: Any) -> NoiseBudget:
-    if raw is None:
-        return DAYLIGHT_NOISE
-    mapping = _expect_mapping(raw, "noise")
-    try:
-        return NoiseBudget(
-            channel_excess=_get_number(
-                mapping, "channel_excess_snu", DAYLIGHT_NOISE.channel_excess, "noise"
-            ),
-            detector_excess=_get_number(
-                mapping, "detector_excess_snu", DAYLIGHT_NOISE.detector_excess, "noise"
-            ),
-            detector_efficiency=_get_number(mapping, "detector_efficiency", 1.0, "noise"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return _section(GOOD_CONDITIONS, None if raw == "good" else raw, _CONDITIONS, "conditions")
 
 
 def _parse_reconciliation(raw: Any) -> ReconciliationSpec:
-    if raw is None:
-        return ReconciliationSpec(kind="asymptotic", beta_asymptotic=0.9)
     if isinstance(raw, str):
         raw = {"kind": raw}
-    mapping = _expect_mapping(raw, "reconciliation")
+    mapping = _expect_mapping({} if raw is None else raw, "reconciliation")
+    _reject_unknown(mapping, ("kind", "beta"), "reconciliation")
     kind = str(mapping.get("kind", "asymptotic")).lower().replace("-", "_")
     if kind == "asymptotic":
-        return ReconciliationSpec(
-            kind="asymptotic",
-            beta_asymptotic=_get_number(mapping, "beta", 0.9, "reconciliation"),
-        )
-    if kind == "md":
-        return ReconciliationSpec(kind="finite", model=MD)
-    if kind == "mlc_msd":
-        return ReconciliationSpec(kind="finite", model=MLC_MSD)
+        spec = ReconciliationSpec(kind="asymptotic")
+        if "beta" in mapping:
+            spec = replace(spec, beta_asymptotic=_number(mapping["beta"], "reconciliation.beta"))
+        return spec
+    if kind in _FITTED_MODELS:
+        return ReconciliationSpec(kind="finite", model=_FITTED_MODELS[kind])
     raise ConfigError(
         f"reconciliation.kind must be asymptotic/md/mlc_msd, got {mapping.get('kind')!r}"
     )
 
 
-def _parse_finite(raw: Any) -> FiniteSizeParams:
-    if raw is None:
-        return FiniteSizeParams()
-    mapping = _expect_mapping(raw, "finite_size")
-    try:
-        return FiniteSizeParams(
-            repetition_rate_hz=_get_number(mapping, "repetition_rate_hz", 50e6, "finite_size"),
-            discretisation=int(_get_number(mapping, "discretisation", 5, "finite_size")),
-            smoothing=_get_number(mapping, "smoothing", 2e-10, "finite_size"),
-            security=_get_number(mapping, "security", 1e-9, "finite_size"),
-            total_symbols=_get_number(mapping, "total_symbols", 1e11, "finite_size"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _parse_sweep(raw: Any) -> SweepSpec:
     mapping = _expect_mapping(raw, "sweep")
+    _reject_unknown(mapping, ("altitude_km", "elevation_deg"), "sweep")
     alt_raw = mapping.get("altitude_km")
-    if isinstance(alt_raw, list):
-        altitudes_km = [float(a) for a in alt_raw]
+    if isinstance(alt_raw, list) and alt_raw:
+        altitudes_km = [_number(a, "sweep.altitude_km[]") for a in alt_raw]
     elif isinstance(alt_raw, dict):
-        start = _get_number(alt_raw, "start", 200.0, "sweep.altitude_km")
-        stop = _get_number(alt_raw, "stop", 1000.0, "sweep.altitude_km")
-        step = _get_number(alt_raw, "step", 50.0, "sweep.altitude_km")
+        _reject_unknown(alt_raw, _ALTITUDE_RANGE, "sweep.altitude_km")
+        start, stop, step = (
+            _number(alt_raw.get(key, default), f"sweep.altitude_km.{key}")
+            for key, default in _ALTITUDE_RANGE.items()
+        )
         if step <= 0.0 or stop < start:
             raise ConfigError("sweep.altitude_km needs step > 0 and stop >= start")
         count = int((stop - start) / step + 1e-9) + 1
         altitudes_km = [start + i * step for i in range(count)]
     else:
-        raise ConfigError("sweep.altitude_km must be a list or {start, stop, step}")
+        raise ConfigError("sweep.altitude_km must be a non-empty list or {start, stop, step}")
     elevations = mapping.get("elevation_deg", [90.0])
     if not isinstance(elevations, list) or not elevations:
         raise ConfigError("sweep.elevation_deg must be a non-empty list")
     return SweepSpec(
-        altitudes_m=tuple(a * 1000.0 for a in altitudes_km),
-        elevations_deg=tuple(float(e) for e in elevations),
+        altitudes_m=tuple(_KM.to_si(a) for a in altitudes_km),
+        elevations_deg=tuple(_number(e, "sweep.elevation_deg[]") for e in elevations),
     )
 
 
@@ -279,54 +304,50 @@ def _parse_pass(raw: Any) -> PassSpec:
     synth = mapping.get("synthesize")
     if (profile_path is None) == (synth is None):
         raise ConfigError("pass needs exactly one of profile_csv or synthesize")
-    keyhole = mapping.get("keyhole_ceiling_deg")
-    if keyhole is not None:
-        keyhole = float(keyhole)
-    ogs_km = _get_number(mapping, "ogs_altitude_km", 0.0, "pass")
-    bin_width = _get_number(mapping, "bin_width_deg", 1.0, "pass")
+    own = {k: v for k, v in mapping.items() if k not in ("profile_csv", "synthesize")}
+    spec = _section(PassSpec(), own, _PASS, "pass")
     if synth is not None:
-        synth = _expect_mapping(synth, "pass.synthesize")
-        return PassSpec(
-            satellite_altitude_m=_get_number(
-                synth, "altitude_km", 417.5, "pass.synthesize"
-            ) * 1000.0,
-            synth_max_elevation_deg=_get_number(
-                synth, "max_elevation_deg", 87.6, "pass.synthesize"
-            ),
-            synth_sample_dt_s=_get_number(synth, "sample_dt_s", 1.0, "pass.synthesize"),
-            ogs_altitude_m=ogs_km * 1000.0,
-            keyhole_ceiling_deg=keyhole,
-            bin_width_deg=bin_width,
-        )
+        keys = {**_SYNTHESIZE, "altitude_km": _PASS["altitude_km"]}
+        return _section(spec, _expect_mapping(synth, "pass.synthesize"), keys, "pass.synthesize")
     if "altitude_km" not in mapping:
         raise ConfigError("pass over a measured profile needs pass.altitude_km")
-    return PassSpec(
-        satellite_altitude_m=_get_number(mapping, "altitude_km", 0.0, "pass") * 1000.0,
-        profile_path=str(profile_path),
-        ogs_altitude_m=ogs_km * 1000.0,
-        keyhole_ceiling_deg=keyhole,
-        bin_width_deg=bin_width,
-    )
+    if not isinstance(profile_path, str):
+        raise ConfigError(f"pass.profile_csv must be a path, got {profile_path!r}")
+    return replace(spec, profile_path=profile_path)
 
 
-def resolve(config: dict[str, Any], need: str) -> RunPlan:
+def _run_type(config: Any) -> str:
+    """The run a config describes: compare, pass or sweep."""
+    if not isinstance(config, dict):
+        raise ConfigError("configuration must be a JSON object")
+    if "protocols" in config:
+        return "compare"
+    return "pass" if "pass" in config and "sweep" not in config else "sweep"
+
+
+def resolve(config: dict[str, Any], need: str | None = None) -> RunPlan:
     """Validate a configuration mapping and fill in all defaults.
 
     ``need`` is "sweep", "pass" or "compare" and controls which sections are
-    required.
+    required; ``None`` takes the run type from the keys present.  Every grid
+    corner and pass peak is checked against the link geometry here, so a
+    plan that resolves does not fail on its configuration at run time.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("configuration must be a JSON object")
+    try:
+        return _resolve(config, need or _run_type(config))
+    except ValueError as exc:  # a library dataclass or the link geometry refused a value
+        raise ConfigError(str(exc)) from None
+
+
+def _resolve(config: dict[str, Any], need: str) -> RunPlan:
     version = config.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     known = {
         "schema_version", "protocol", "protocols", "conditions", "terminals",
         "noise", "geometry", "reconciliation", "finite_size", "sweep", "pass",
     }
-    unknown = set(config) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    _reject_unknown(config, known, "configuration")
 
     if need == "compare":
         raw_protocols = config.get("protocols")
@@ -338,19 +359,14 @@ def resolve(config: dict[str, Any], need: str) -> RunPlan:
             raise ConfigError("configuration needs a 'protocol'")
         protocols = (_parse_protocol(config["protocol"]),)
 
-    geometry = _expect_mapping(config.get("geometry", {}), "geometry")
-    setup = LinkSetup(
-        terminals=_parse_terminals(config.get("terminals")),
+    link = LinkSetup(
+        terminals=_section(OpticalTerminals(), config.get("terminals"), _TERMINALS, "terminals"),
         conditions=_parse_conditions(config.get("conditions")),
-        noise=_parse_noise(config.get("noise")),
-        ogs_altitude_m=_get_number(geometry, "ogs_altitude_km", 0.0, "geometry") * 1000.0,
-        atmosphere_thickness_m=_get_number(
-            geometry, "atmosphere_thickness_km", 20.0, "geometry"
-        ) * 1000.0,
-        earth_radius_m=_get_number(geometry, "earth_radius_km", 6371.0, "geometry") * 1000.0,
+        noise=_section(DAYLIGHT_NOISE, config.get("noise"), _NOISE, "noise"),
     )
+    setup = _section(link, config.get("geometry"), _GEOMETRY, "geometry")
     reconciliation = _parse_reconciliation(config.get("reconciliation"))
-    finite = _parse_finite(config.get("finite_size"))
+    finite = _section(FiniteSizeParams(), config.get("finite_size"), _FINITE, "finite_size")
 
     if reconciliation.kind == "finite":
         for protocol in protocols:
@@ -366,27 +382,23 @@ def resolve(config: dict[str, Any], need: str) -> RunPlan:
         if "sweep" not in config:
             raise ConfigError(f"{need} needs a 'sweep' section")
         sweep = _parse_sweep(config["sweep"])
+        for elevation in sweep.elevations_deg:
+            setup.geometry(min(sweep.altitudes_m), elevation)
     if need == "pass":
         if "pass" not in config:
             raise ConfigError("pass needs a 'pass' section")
         pass_spec = _parse_pass(config["pass"])
         if len(protocols) != 1:
             raise ConfigError("pass supports a single protocol")
+        replace(setup, ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(
+            pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
+        )
 
-    resolved = _echo(protocols, setup, reconciliation, finite, sweep, pass_spec)
-    return RunPlan(
-        protocols=protocols,
-        setup=setup,
-        reconciliation=reconciliation,
-        finite=finite,
-        sweep=sweep,
-        pass_spec=pass_spec,
-        resolved=resolved,
-    )
+    return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
 
 
-def _echo(protocols, setup, reconciliation, finite, sweep, pass_spec) -> dict[str, Any]:
-    """Canonical JSON-ready snapshot of the resolved configuration."""
+def _echo(plan: RunPlan) -> dict[str, Any]:
+    setup, reconciliation, pass_spec = plan.setup, plan.reconciliation, plan.pass_spec
     out: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "protocols": [
@@ -399,76 +411,45 @@ def _echo(protocols, setup, reconciliation, finite, sweep, pass_spec) -> dict[st
                     p.qam_side**2 if p.kind == "qam" else None
                 ),
             }
-            for p in protocols
+            for p in plan.protocols
         ],
-        "terminals": {
-            "wavelength_nm": round(setup.terminals.wavelength_m * 1e9, 6),
-            "transmitter_aperture_m": setup.terminals.transmitter_aperture_m,
-            "receiver_aperture_m": setup.terminals.receiver_aperture_m,
-            "transmitter_efficiency": setup.terminals.transmitter_efficiency,
-            "receiver_efficiency": setup.terminals.receiver_efficiency,
-            "pointing_loss": setup.terminals.pointing_loss,
-        },
-        "conditions": {
-            "visibility_km": setup.conditions.visibility_km,
-            "cn2": setup.conditions.cn2,
-            "outage_probability": setup.conditions.outage_probability,
-        },
-        "noise": {
-            "channel_excess_snu": setup.noise.channel_excess,
-            "detector_excess_snu": setup.noise.detector_excess,
-            "detector_efficiency": setup.noise.detector_efficiency,
-        },
-        "geometry": {
-            "ogs_altitude_km": setup.ogs_altitude_m / 1000.0,
-            "atmosphere_thickness_km": setup.atmosphere_thickness_m / 1000.0,
-            "earth_radius_km": setup.earth_radius_m / 1000.0,
-        },
+        "terminals": _echo_section(setup.terminals, _TERMINALS),
+        "conditions": _echo_section(setup.conditions, _CONDITIONS),
+        "noise": _echo_section(setup.noise, _NOISE),
+        "geometry": _echo_section(setup, _GEOMETRY),
         "reconciliation": (
             {"kind": "asymptotic", "beta": reconciliation.beta_asymptotic}
             if reconciliation.kind == "asymptotic"
             else {"kind": reconciliation.model.name}
         ),
         "finite_size": {
-            "repetition_rate_hz": finite.repetition_rate_hz,
-            "discretisation": finite.discretisation,
-            "smoothing": finite.smoothing,
-            "security": finite.security,
-            "total_symbols": finite.total_symbols,
+            **_echo_section(plan.finite, _FINITE),
             "fit_block_length_note": "efficiency/FER fits obtained at N=1e6",
         },
     }
-    if sweep is not None:
+    if plan.sweep is not None:
         out["sweep"] = {
-            "altitude_km": [a / 1000.0 for a in sweep.altitudes_m],
-            "elevation_deg": list(sweep.elevations_deg),
+            "altitude_km": [_KM.from_si(a) for a in plan.sweep.altitudes_m],
+            "elevation_deg": list(plan.sweep.elevations_deg),
         }
     if pass_spec is not None:
         out["pass"] = {
             "profile_csv": pass_spec.profile_path,
-            "altitude_km": pass_spec.satellite_altitude_m / 1000.0,
+            **_echo_section(pass_spec, _PASS),
             "synthesize": (
-                None
-                if not pass_spec.synthesized
-                else {
-                    "max_elevation_deg": pass_spec.synth_max_elevation_deg,
-                    "sample_dt_s": pass_spec.synth_sample_dt_s,
-                }
+                _echo_section(pass_spec, _SYNTHESIZE) if pass_spec.synthesized else None
             ),
-            "ogs_altitude_km": pass_spec.ogs_altitude_m / 1000.0,
-            "keyhole_ceiling_deg": pass_spec.keyhole_ceiling_deg,
-            "bin_width_deg": pass_spec.bin_width_deg,
         }
     return out
 
 
-def load(path: str, need: str) -> RunPlan:
+def load(path: str, need: str | None = None) -> RunPlan:
     """Read and resolve a JSON configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     return resolve(raw, need)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ReconciliationModel:
@@ -76,23 +74,9 @@ class FerFit(NamedTuple):
     clamped: bool
 
 
-def beta(snr: float, model: ReconciliationModel, form: str = "two_exponential") -> BetaFit:
-    """Reconciliation efficiency at the given SNR (dB).
-
-    ``form="power"`` evaluates the fit as nested powers instead of the
-    two-exponential shape; with negative coefficients this is undefined over
-    the reals and surfaces as NaN (flagged invalid).  It exists for audit
-    only.
-    """
-    if form == "two_exponential":
-        value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
-    elif form == "power":
-        with np.errstate(invalid="ignore"):
-            value = float(
-                np.power(model.c1, model.c2 * snr) - np.power(model.c3, model.c4 * snr)
-            )
-    else:
-        raise ValueError(f"unknown beta form {form!r}")
+def beta(snr: float, model: ReconciliationModel) -> BetaFit:
+    """Reconciliation efficiency at the given SNR (dB)."""
+    value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
     valid = math.isfinite(value) and 0.0 <= value <= 1.0
     return BetaFit(value=value, valid=valid)
 
@@ -108,12 +92,10 @@ def fer(snr: float, model: ReconciliationModel) -> FerFit:
     return FerFit(value=value, raw=raw, clamped=value != raw)
 
 
-def privacy_penalty(params: FiniteSizeParams, final_term: str = "as_fitted") -> float:
+def privacy_penalty(params: FiniteSizeParams) -> float:
     """Finite-size privacy penalty in bits per pulse.
 
-    ``final_term="as_fitted"`` keeps the last term's double 1/sqrt(N)
-    scaling (net 1/N); ``"single_sqrt"`` switches it to a lone 1/sqrt(N)
-    for sensitivity runs.
+    The last term keeps the fitted double 1/sqrt(N) scaling (net 1/N).
     """
     d = float(params.discretisation)
     eps_s = params.smoothing
@@ -123,11 +105,7 @@ def privacy_penalty(params: FiniteSizeParams, final_term: str = "as_fitted") -> 
     first = (d + 1.0) ** 2 / sqrt_n
     second = 4.0 * (d + 1.0) * math.sqrt(math.log2(2.0 / eps_s)) / sqrt_n
     third = 2.0 * math.log2(2.0 / (eps**2 * eps_s)) / sqrt_n
-    last = 4.0 * eps_s * d / (eps * sqrt_n)
-    if final_term == "as_fitted":
-        last /= sqrt_n
-    elif final_term != "single_sqrt":
-        raise ValueError(f"unknown final-term variant {final_term!r}")
+    last = 4.0 * eps_s * d / (eps * sqrt_n) / sqrt_n
     return first + second + third + last
 
 
@@ -138,34 +116,15 @@ def skr_finite(
     mutual_information: float,
     holevo: float,
     privacy: float,
-    variant: str = "amended",
-    estimation_fraction: float | None = None,
 ) -> float:
     """Finite-size secret key rate in bits per second (may be negative).
 
-    The amended form charges frame losses against the corrected information
-    only; the legacy form additionally reserves a fraction of symbols for
-    parameter estimation.
+    Frame losses are charged against the corrected information only.
     """
     if not 0.0 <= frame_error_rate <= 1.0:
         raise ValueError("frame error rate must be in [0, 1]")
-    if variant == "amended":
-        return repetition_rate_hz * (
-            (1.0 - frame_error_rate) * reconciliation_efficiency * mutual_information
-            - holevo
-            - privacy
-        )
-    if variant == "legacy":
-        if estimation_fraction is None or not 0.0 <= estimation_fraction <= 1.0:
-            raise ValueError("legacy variant needs an estimation fraction in [0, 1]")
-        return (
-            repetition_rate_hz
-            * (1.0 - frame_error_rate)
-            * (1.0 - estimation_fraction)
-            * (
-                reconciliation_efficiency * mutual_information
-                - holevo
-                - privacy
-            )
-        )
-    raise ValueError(f"unknown finite-size variant {variant!r}")
+    return repetition_rate_hz * (
+        (1.0 - frame_error_rate) * reconciliation_efficiency * mutual_information
+        - holevo
+        - privacy
+    )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
+from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams
 from .pipeline import LinkSetup, PointResult, ProtocolSpec, ReconciliationSpec, \
@@ -95,7 +96,7 @@ def synthesize_circular_pass(
     max_elevation_deg: float,
     sample_dt_s: float,
     ogs_altitude_m: float = 0.0,
-    earth_radius_m: float = 6_371_000.0,
+    earth_radius_m: float = EARTH_RADIUS_M,
 ) -> PassProfile:
     """Elevation profile of a circular-orbit pass over a spherical Earth.
 
@@ -188,14 +189,7 @@ def integrate_key_bits(
     """
     if bin_width_deg <= 0.0:
         raise ValueError("bin width must be positive")
-    setup = LinkSetup(
-        terminals=setup.terminals,
-        conditions=setup.conditions,
-        noise=setup.noise,
-        ogs_altitude_m=profile.ogs_altitude_m,
-        atmosphere_thickness_m=setup.atmosphere_thickness_m,
-        earth_radius_m=setup.earth_radius_m,
-    )
+    setup = replace(setup, ogs_altitude_m=profile.ogs_altitude_m)
     dwell = _dwell_map(profile, bin_width_deg)
 
     models: dict[str, ModelPassResult] = {}

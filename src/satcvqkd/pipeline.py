@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import qam
-from .channel import AtmosphericConditions, LinkBudget, LinkGeometry, \
-    OpticalTerminals, link_budget
+from .channel import ATMOSPHERE_THICKNESS_M, EARTH_RADIUS_M, AtmosphericConditions, \
+    LinkGeometry, OpticalTerminals, link_budget, slant_path
 from .errors import ConfigError, FarFieldViolation
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
@@ -28,8 +28,8 @@ class LinkSetup:
     conditions: AtmosphericConditions
     noise: NoiseBudget
     ogs_altitude_m: float = 0.0
-    atmosphere_thickness_m: float = 20_000.0
-    earth_radius_m: float = 6_371_000.0
+    atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
+    earth_radius_m: float = EARTH_RADIUS_M
 
     def geometry(self, satellite_altitude_m: float, elevation_deg: float) -> LinkGeometry:
         return LinkGeometry(
@@ -126,6 +126,36 @@ class PointResult:
     symplectic_eigenvalues: tuple[float, ...] = field(default_factory=tuple)
 
 
+# CSV layout: (column, PointResult field, divisor); the divisor turns metres
+# into the kilometres the column names promise.
+CSV_COLUMNS = (
+    ("protocol", "protocol", None),
+    ("detection", "detection", None),
+    ("modulation_variance_snu", "modulation_variance", None),
+    ("altitude_km", "altitude_m", 1000.0),
+    ("elevation_deg", "elevation_deg", None),
+    ("l_tot_km", "l_tot_m", 1000.0),
+    ("l_atm_eff_km", "l_atm_eff_m", 1000.0),
+    ("a_geo_db", "a_geo_db", None),
+    ("a_scat_db", "a_scat_db", None),
+    ("a_sci_db", "a_sci_db", None),
+    ("a_tot_db", "a_tot_db", None),
+    ("transmittance", "transmittance", None),
+    ("snr_db", "snr_db", None),
+    ("beta", "beta_value", None),
+    ("beta_valid", "beta_valid", None),
+    ("fer", "fer_value", None),
+    ("fer_raw", "fer_raw", None),
+    ("i_ab_bits_per_pulse", "mutual_information", None),
+    ("s_be_bits_per_pulse", "holevo", None),
+    ("privacy_bits_per_pulse", "privacy", None),
+    ("skr_bits_per_pulse", "skr_asymptotic_per_pulse", None),
+    ("skr_bits_per_second", "skr_bits_per_second", None),
+    ("far_field_ok", "far_field_ok", None),
+    ("status", "status", None),
+)
+
+
 def protocol_security(
     spec: ProtocolSpec,
     transmittance: float,
@@ -184,19 +214,17 @@ def evaluate_point(
     )
     geometry = setup.geometry(altitude_m, elevation_deg)
     try:
-        budget: LinkBudget = link_budget(geometry, setup.terminals, setup.conditions)
+        budget = link_budget(geometry, setup.terminals, setup.conditions)
+        path = budget.slant
     except FarFieldViolation:
-        from .channel import slant_path
-
-        path = slant_path(geometry)
-        result.l_tot_m = path.total_distance_m
-        result.l_atm_eff_m = path.effective_atmosphere_m
+        budget, path = None, slant_path(geometry)
+    result.l_tot_m = path.total_distance_m
+    result.l_atm_eff_m = path.effective_atmosphere_m
+    if budget is None:
         result.far_field_ok = False
         result.status = "far_field_excluded"
         return result
 
-    result.l_tot_m = budget.slant.total_distance_m
-    result.l_atm_eff_m = budget.slant.effective_atmosphere_m
     result.a_geo_db = budget.geometric_db
     result.a_scat_db = budget.scattering_db
     result.a_sci_db = budget.scintillation_db
@@ -204,60 +232,37 @@ def evaluate_point(
     transmittance = budget.transmittance
     result.transmittance = transmittance
 
-    if reconciliation.kind == "asymptotic":
-        security = protocol_security(
-            spec, transmittance, setup.noise, reconciliation.beta_asymptotic
+    if spec.kind != "qam":
+        noise_state = channel_noise(transmittance, setup.noise, spec.detection)
+        result.snr_db = snr_db(
+            math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
         )
-        result.beta_value = reconciliation.beta_asymptotic
-        result.beta_valid = True
-        result.mutual_information = security.mutual_information
-        result.holevo = security.holevo
-        result.skr_asymptotic_per_pulse = security.skr_asymptotic
-        result.symplectic_eigenvalues = security.symplectic_eigenvalues
-        if spec.kind != "qam":
-            noise_state = channel_noise(transmittance, setup.noise, spec.detection)
-            result.snr_db = snr_db(
-                math.sqrt(spec.modulation_variance / 2.0),
-                transmittance,
-                noise_state.chi_total,
-            )
-        if finite_params is not None:
-            result.skr_bits_per_second = (
-                finite_params.repetition_rate_hz * security.skr_asymptotic
-            )
-        return result
+    if reconciliation.kind == "asymptotic":
+        result.beta_value, result.beta_valid = reconciliation.beta_asymptotic, True
+    else:
+        # Finite-size: the fitted efficiency replaces the configured beta.
+        result.beta_value, result.beta_valid = beta(result.snr_db, reconciliation.model)
+        fer_fit = fer(result.snr_db, reconciliation.model)
+        result.fer_value, result.fer_raw = fer_fit.value, fer_fit.raw
+        result.privacy = privacy_penalty(finite_params)
+        if not result.beta_valid:
+            result.status = "no_key_beta_invalid"
+            return result
 
-    # Finite-size: the fitted efficiency replaces the configured beta.
-    model = reconciliation.model
-    noise_state = channel_noise(transmittance, setup.noise, spec.detection)
-    snr = snr_db(
-        math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
-    )
-    beta_fit = beta(snr, model)
-    fer_fit = fer(snr, model)
-    penalty = privacy_penalty(finite_params)
-    result.snr_db = snr
-    result.beta_value = beta_fit.value
-    result.beta_valid = beta_fit.valid
-    result.fer_value = fer_fit.value
-    result.fer_raw = fer_fit.raw
-    result.privacy = penalty
-
-    if not beta_fit.valid:
-        result.status = "no_key_beta_invalid"
-        return result
-
-    security = protocol_security(spec, transmittance, setup.noise, beta_fit.value)
+    security = protocol_security(spec, transmittance, setup.noise, result.beta_value)
     result.mutual_information = security.mutual_information
     result.holevo = security.holevo
     result.skr_asymptotic_per_pulse = security.skr_asymptotic
     result.symplectic_eigenvalues = security.symplectic_eigenvalues
-    result.skr_bits_per_second = skr_finite(
-        finite_params.repetition_rate_hz,
-        fer_fit.value,
-        beta_fit.value,
-        security.mutual_information,
-        security.holevo,
-        penalty,
-    )
+    if reconciliation.kind == "finite":
+        result.skr_bits_per_second = skr_finite(
+            finite_params.repetition_rate_hz,
+            result.fer_value,
+            result.beta_value,
+            security.mutual_information,
+            security.holevo,
+            result.privacy,
+        )
+    elif finite_params is not None:
+        result.skr_bits_per_second = finite_params.repetition_rate_hz * security.skr_asymptotic
     return result

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -174,8 +175,6 @@ class FockWorkspace:
     """Eigendecomposed modulation density matrix at one Fock cutoff."""
 
     cutoff: int
-    tau: np.ndarray
-    tau_sqrt: np.ndarray
     annihilation: np.ndarray
     eigenvalues: np.ndarray  # clamped, renormalized, ascending
     eigenvectors: np.ndarray
@@ -203,12 +202,8 @@ def _finalize_workspace(
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     eigenvalues = eigenvalues / eigenvalues.sum()
-    tau = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    tau_sqrt = (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.conj().T
     return FockWorkspace(
         cutoff=cutoff,
-        tau=tau,
-        tau_sqrt=tau_sqrt,
         annihilation=annihilation_operator(cutoff),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -296,13 +291,19 @@ def _z_star(term1: float, w: float, transmittance: float, excess_noise: float) -
     )
 
 
-def _rebuild(workspace: FockWorkspace, constellation: Constellation | None,
-             cutoff: int) -> FockWorkspace:
-    if workspace.point_vectors is not None:
-        if constellation is None:
-            raise ValueError("constellation required to rebuild the workspace")
-        return modulation_density_matrix(constellation, cutoff)
-    return thermal_workspace(workspace.thermal_mean_photons, cutoff)
+def _cutoff_gate(
+    coarse: FockWorkspace,
+    build: Callable[[int], FockWorkspace],
+    transmittance: float,
+    excess_noise: float,
+) -> tuple[tuple[float, float], float]:
+    """Moments one cutoff step above ``coarse`` and how far that step moves Z*."""
+    refined = _moments(build(coarse.cutoff + _CUTOFF_STEP))
+    moved = abs(
+        _z_star(*refined, transmittance, excess_noise)
+        - _z_star(*_moments(coarse), transmittance, excess_noise)
+    )
+    return refined, moved
 
 
 def correlation_lower_bound(
@@ -320,15 +321,19 @@ def correlation_lower_bound(
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
     if excess_noise < 0.0:
         raise ValueError("excess noise must be >= 0")
-    coarse = _z_star(*_moments(workspace), transmittance, excess_noise)
-    refined_ws = _rebuild(workspace, constellation, workspace.cutoff + _CUTOFF_STEP)
-    refined = _z_star(*_moments(refined_ws), transmittance, excess_noise)
-    if abs(refined - coarse) >= _ZSTAR_CONVERGENCE_TOL:
+    if workspace.point_vectors is None:
+        build = partial(thermal_workspace, workspace.thermal_mean_photons)
+    elif constellation is None:
+        raise ValueError("constellation required to rebuild the workspace")
+    else:
+        build = partial(modulation_density_matrix, constellation)
+    refined, moved = _cutoff_gate(workspace, build, transmittance, excess_noise)
+    if moved >= _ZSTAR_CONVERGENCE_TOL:
         raise ConvergenceError(
-            f"Z* moved by {abs(refined - coarse):.3e} between cutoffs "
-            f"{workspace.cutoff} and {refined_ws.cutoff}"
+            f"Z* moved by {moved:.3e} between cutoffs "
+            f"{workspace.cutoff} and {workspace.cutoff + _CUTOFF_STEP}"
         )
-    return refined
+    return _z_star(*refined, transmittance, excess_noise)
 
 
 # term1/w per constellation, converged across cutoffs; keyed by the
@@ -343,13 +348,12 @@ def _converged_moments(
     cached = _MOMENTS_CACHE.get(key)
     if cached is not None:
         return cached
+    build = partial(modulation_density_matrix, constellation)
     cutoff = default_cutoff(constellation)
     while cutoff <= _MAX_CUTOFF:
-        coarse = _moments(modulation_density_matrix(constellation, cutoff))
-        refined = _moments(modulation_density_matrix(constellation, cutoff + _CUTOFF_STEP))
         # Gate at T = 1: |Z*(T)| differences scale with sqrt(T) <= 1.
-        if abs(_z_star(*refined, 1.0, excess_noise)
-               - _z_star(*coarse, 1.0, excess_noise)) < _ZSTAR_CONVERGENCE_TOL:
+        refined, moved = _cutoff_gate(build(cutoff), build, 1.0, excess_noise)
+        if moved < _ZSTAR_CONVERGENCE_TOL:
             _MOMENTS_CACHE[key] = refined
             return refined
         cutoff *= 2

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcvqkd.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write_config(tmp_path, name, payload):
@@ -35,6 +44,36 @@ def test_validate_config_ok(tmp_path, capsys):
     assert echoed["protocols"][0]["label"] == "GM"
     assert echoed["protocols"][0]["modulation_variance_snu"] == 5.0
     assert echoed["finite_size"]["total_symbols"] == 1e11
+
+
+@pytest.mark.parametrize("name", ["minimal_sweep", "full_pass"])
+def test_validate_config_matches_golden(name, capsys):
+    # The golden files pin the echo of a minimal config and of one that sets
+    # every section, so a change to defaults or units shows up here.
+    assert main(["validate-config", "--config", str(DATA / f"{name}.json")]) == 0
+    golden = (DATA / f"{name}.resolved.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("command, name", [("sweep", "minimal_sweep"), ("pass", "full_pass")])
+def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
+    # A result file must be sufficient to rerun: its echo, turned back into a
+    # config, reproduces the same bytes.
+    first = tmp_path / "first.csv"
+    config = str(DATA / f"{name}.json")
+    assert main([command, "--config", config, "--output", str(first)]) == 0
+    echo_line = first.read_text(encoding="utf-8").splitlines()[0]
+    echo = json.loads(echo_line.removeprefix("# satcvqkd config "))
+    (protocol,) = echo.pop("protocols")
+    echo["protocol"] = {
+        key: value for key, value in protocol.items()
+        if key != "label" and value is not None
+    }
+    del echo["finite_size"]["fit_block_length_note"]
+    rerun = _write_config(tmp_path, "rerun.json", echo)
+    second = tmp_path / "second.csv"
+    assert main([command, "--config", rerun, "--output", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_validate_config_rejects_unknown_key(tmp_path, capsys):
@@ -193,3 +232,143 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "sweep" in result.stdout
+
+
+# --- malformed configurations: exit 1, one line, caught at resolve time ---------
+
+ONE_POINT = {"protocol": "gm", "sweep": {"altitude_km": [500], "elevation_deg": [90]}}
+SYNTH_PASS = {
+    "protocol": "gm",
+    "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 87.6,
+                            "sample_dt_s": 2.0}},
+}
+
+
+def _replaced(base, path, value):
+    config = json.loads(json.dumps(base))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+MALFORMED = {
+    "qam_states_string": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "qam", "states": "16"}), "protocol.states"),
+    "altitude_string": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "altitude_km"), ["x"]), "sweep.altitude_km"),
+    "elevation_string": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "elevation_deg"), ["a"]), "sweep.elevation_deg"),
+    "keyhole_string": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "keyhole_ceiling_deg"), "x"), "pass.keyhole_ceiling_deg"),
+    "peak_elevation_95": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "synthesize", "max_elevation_deg"), 95), "elevation"),
+    "sample_dt_zero": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "synthesize", "sample_dt_s"), 0), "sample_dt_s"),
+    "altitude_nan": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "altitude_km"), [float("nan")]), "finite number"),
+    "elevation_zero": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "elevation_deg"), [0]), "elevation"),
+    "altitude_below_atmosphere": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "altitude_km"), [15]), "atmosphere"),
+    "range_stop_below_start": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "altitude_km"), {"start": 500, "stop": 400, "step": 50}),
+        "stop >= start"),
+    "misspelled_section_key": ("sweep", _replaced(
+        ONE_POINT, ("terminals",), {"reciever_aperture_m": 2.0}), "reciever_aperture_m"),
+    "discretisation_fraction": ("sweep", _replaced(
+        ONE_POINT, ("finite_size",), {"discretisation": 5.7}), "integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
+    command, payload, message = MALFORMED[case]
+    path = _write_config(tmp_path, "bad.json", payload)
+    for argv in (["validate-config", "--config", path], [command, "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+
+
+@pytest.mark.parametrize("payload, run", [
+    ({**ONE_POINT, "protocols": ["gm", "psk8"]}, "compare"),
+    (SYNTH_PASS, "pass"),
+    ({**SYNTH_PASS, "sweep": ONE_POINT["sweep"]}, "sweep"),
+])
+def test_validate_config_infers_run_type(tmp_path, capsys, payload, run):
+    path = _write_config(tmp_path, "run.json", payload)
+    assert main(["validate-config", "--config", path]) == 0
+    echoed = json.loads(capsys.readouterr().out)
+    assert ("pass" in echoed) == (run == "pass")
+    assert len(echoed["protocols"]) == (2 if run == "compare" else 1)
+
+
+# Every numeric leaf of a one-point config that sets all sections; the fuzz
+# below swaps some of them for values no reader may accept.
+FUZZ_BASE = {
+    "schema_version": 1,
+    "protocols": [
+        {"kind": "gm", "modulation_variance_snu": 5.0},
+        {"kind": "psk", "states": 4, "modulation_variance_snu": 0.5},
+        {"kind": "qam", "states": 16, "modulation_variance_snu": 2.0,
+         "distribution": {"kind": "discrete_gaussian", "nu": 0.5}},
+    ],
+    "conditions": {"visibility_km": 200.0, "cn2": 1e-16, "outage_probability": 1e-6},
+    "terminals": {"wavelength_nm": 1550, "transmitter_aperture_m": 0.3,
+                  "receiver_aperture_m": 1.0, "transmitter_efficiency": 0.9,
+                  "receiver_efficiency": 0.9, "pointing_loss": 0.1},
+    "noise": {"channel_excess_snu": 0.0186, "detector_excess_snu": 0.0135,
+              "detector_efficiency": 1.0},
+    "geometry": {"ogs_altitude_km": 0.0, "atmosphere_thickness_km": 20.0,
+                 "earth_radius_km": 6371.0},
+    "reconciliation": {"kind": "asymptotic", "beta": 0.9},
+    "finite_size": {"repetition_rate_hz": 50e6, "discretisation": 5, "smoothing": 2e-10,
+                    "security": 1e-9, "total_symbols": 1e11},
+    "sweep": {"altitude_km": [500.0], "elevation_deg": [90.0]},
+}
+
+
+def _numeric_leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+FUZZ_LEAVES = sorted(_numeric_leaves(FUZZ_BASE), key=str)
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+def test_fuzz_base_config_is_valid(tmp_path, capsys):
+    path = _write_config(tmp_path, "base.json", FUZZ_BASE)
+    assert main(["validate-config", "--config", path]) == 0
+    assert len(json.loads(capsys.readouterr().out)["protocols"]) == 3
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_LEAVES), NOT_A_NUMBER),
+                min_size=1, max_size=3))
+def test_fuzzed_leaves_are_one_line_config_errors(tmp_path_factory, replacements):
+    config = FUZZ_BASE
+    for path, value in replacements:
+        config = _replaced(config, path, value)
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["compare", "--config", str(path)])
+    assert code == 1
+    assert err.getvalue().startswith("config error: ")
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

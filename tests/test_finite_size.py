@@ -54,12 +54,6 @@ def test_beta_invalid_outside_unit_interval():
     assert beta(-5.0, MLC_MSD).valid
 
 
-def test_beta_printed_power_form_is_flagged():
-    fit = beta(1.0, MD, form="power")
-    assert math.isnan(fit.value)
-    assert not fit.valid
-
-
 def test_beta_validity_windows():
     # MLC-MSD usable only above ~ -13.5 dB; MD from very low SNR up to ~13.5 dB
     assert not beta(-14.0, MLC_MSD).valid
@@ -137,15 +131,6 @@ def test_privacy_penalty_strictly_decreasing():
     assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
 
 
-def test_privacy_penalty_single_sqrt_variant():
-    params = FiniteSizeParams()
-    t = _penalty_terms(5, 2e-10, 1e-9, 1e11)
-    expected = float(t[0] + t[1] + t[2] + t[3] * mpmath.sqrt(1e11))
-    assert privacy_penalty(params, final_term="single_sqrt") == pytest.approx(
-        expected, rel=1e-12
-    )
-
-
 # --- finite-size rate -----------------------------------------------------------------
 
 
@@ -164,15 +149,6 @@ def test_amended_bounded_by_asymptotic():
     for fer_value in (0.0, 0.2, 0.9):
         amended = skr_finite(50e6, fer_value, 0.9, 0.5, 0.2, 1e-3)
         assert amended <= 50e6 * (0.9 * 0.5 - 0.2) + 1e-9
-
-
-def test_legacy_variant():
-    rate = skr_finite(
-        1e6, 0.1, 0.9, 0.5, 0.2, 1e-3, variant="legacy", estimation_fraction=0.5
-    )
-    assert rate == pytest.approx(1e6 * 0.9 * 0.5 * (0.45 - 0.2 - 1e-3), rel=1e-12)
-    with pytest.raises(ValueError):
-        skr_finite(1e6, 0.1, 0.9, 0.5, 0.2, 1e-3, variant="legacy")
 
 
 def test_md_usable_wherever_mlc_msd_is():
