@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from statistics import NormalDist
 
-from scipy.integrate import quad
-from scipy.special import erfinv
-
-from .errors import FarFieldViolation, GeometryError, NumericsError
+from .errors import FarFieldViolation, GeometryError
 from .quantities import db_to_transmittance
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -210,37 +207,15 @@ def scattering_coefficient_db_per_km(wavelength_m: float, visibility_km: float) 
     )
 
 
-def rytov_variance(
-    effective_atmosphere_m: float,
-    cn2: float | Callable[[float], float],
-    wavelength_m: float,
-) -> float:
-    """Rytov variance over the in-atmosphere path.
+def rytov_variance(effective_atmosphere_m: float, cn2: float, wavelength_m: float) -> float:
+    """Rytov variance over the in-atmosphere path for a constant Cn^2.
 
-    ``cn2`` may be a constant or a callable profile Cn^2(z) with z the
-    distance from the ground station in metres.  The path integral is done
-    by adaptive quadrature.
+    The path integral of Cn^2 (L - z)^(5/6) over [0, L] is (6/11) Cn^2 L^(11/6).
     """
     if effective_atmosphere_m <= 0.0 or wavelength_m <= 0.0:
         raise ValueError("path length and wavelength must be positive")
-    length = effective_atmosphere_m
-    profile = cn2 if callable(cn2) else (lambda _z: cn2)
     k = 2.0 * math.pi / wavelength_m
-
-    result, abserr = quad(
-        lambda z: profile(z) * (length - z) ** (5.0 / 6.0),
-        0.0,
-        length,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if result != 0.0 and abserr > 1e-9 * abs(result):
-        raise NumericsError(
-            f"turbulence path integral did not converge: value {result}, "
-            f"estimated error {abserr}"
-        )
-    return 2.25 * k ** (7.0 / 6.0) * result
+    return 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * effective_atmosphere_m ** (11.0 / 6.0)
 
 
 def scintillation_index(
@@ -280,7 +255,7 @@ def scintillation_loss_db(scint_index: float, outage_probability: float) -> floa
         )
     log_term = math.log1p(scint_index)
     return 4.343 * (
-        float(erfinv(2.0 * outage_probability - 1.0)) * math.sqrt(2.0 * log_term)
+        NormalDist().inv_cdf(outage_probability) * math.sqrt(log_term)
         - 0.5 * log_term
     )
 

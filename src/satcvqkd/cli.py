@@ -1,8 +1,7 @@
 """Command-line front end: sweeps, pass budgets and protocol comparisons.
 
 Output is CSV with a '#'-prefixed echo of the resolved configuration;
-identical configs produce byte-identical files regardless of worker count.
-The SATCVQKD_WORKERS environment variable is the only out-of-config knob.
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,17 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import operator
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
-from .finite_size import MD, MLC_MSD, FiniteSizeParams
+from .finite_size import MD, MLC_MSD
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import CSV_COLUMNS, LinkSetup, PointResult, ProtocolSpec, \
-    ReconciliationSpec, evaluate_point
+from .pipeline import CSV_COLUMNS, PointResult, ReconciliationSpec, evaluate_point
 
 _CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
 _CSV_FIELDS = operator.attrgetter(*(name for _, name, _ in CSV_COLUMNS))
@@ -45,42 +41,8 @@ def _csv_row(point: PointResult) -> str:
     return ",".join(map(_fmt, values))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SATCVQKD_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"SATCVQKD_WORKERS must be an integer, got {raw!r}")
-    if count < 1:
-        raise ConfigError(f"SATCVQKD_WORKERS must be >= 1, got {count}")
-    return count
-
-
 def _echo_line(plan: config_mod.RunPlan) -> str:
     return f"# satcvqkd config {json.dumps(plan.resolved, sort_keys=True)}"
-
-
-def _evaluate_points(
-    setup: LinkSetup,
-    tasks: Sequence[tuple[ProtocolSpec, float, float]],
-    reconciliation: ReconciliationSpec,
-    finite: FiniteSizeParams,
-) -> Iterable[PointResult]:
-    def run(task: tuple[ProtocolSpec, float, float]) -> PointResult:
-        spec, altitude_m, elevation = task
-        return evaluate_point(setup, spec, altitude_m, elevation, reconciliation, finite)
-
-    workers = _worker_count()
-    if workers == 1:
-        return [run(task) for task in tasks]
-    # Warm per-constellation caches serially so parallel workers reuse them.
-    seen: set[str] = set()
-    for task in tasks:
-        if task[0].kind == "qam" and task[0].label not in seen:
-            seen.add(task[0].label)
-            run(task)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, tasks))
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
@@ -93,16 +55,15 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 
 def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
+    setup, reconciliation, finite = plan.setup, plan.reconciliation, plan.finite
+    lines = [_echo_line(plan), _CSV_HEADER]
     # Row order is deterministic: altitude major, elevation minor, protocol last.
-    tasks = [
-        (spec, altitude, elevation)
+    lines.extend(
+        _csv_row(evaluate_point(setup, spec, altitude, elevation, reconciliation, finite))
         for altitude in plan.sweep.altitudes_m
         for elevation in plan.sweep.elevations_deg
         for spec in plan.protocols
-    ]
-    points = _evaluate_points(plan.setup, tasks, plan.reconciliation, plan.finite)
-    lines = [_echo_line(plan), _CSV_HEADER]
-    lines.extend(map(_csv_row, points))
+    )
     _emit(lines, output)
 
 

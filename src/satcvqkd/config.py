@@ -397,6 +397,13 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
     return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
 
 
+def _echo_distribution(distribution: Any) -> Any:
+    """The QAM distribution in the form _parse_protocol reads."""
+    if isinstance(distribution, DiscreteGaussian):
+        return {"kind": "discrete_gaussian", "nu": distribution.nu}
+    return "binomial"
+
+
 def _echo(plan: RunPlan) -> dict[str, Any]:
     setup, reconciliation, pass_spec = plan.setup, plan.reconciliation, plan.pass_spec
     out: dict[str, Any] = {
@@ -410,6 +417,8 @@ def _echo(plan: RunPlan) -> dict[str, Any]:
                 "states": p.psk_states if p.kind == "psk" else (
                     p.qam_side**2 if p.kind == "qam" else None
                 ),
+                **({"distribution": _echo_distribution(p.qam_distribution)}
+                   if p.kind == "qam" else {}),
             }
             for p in plan.protocols
         ],

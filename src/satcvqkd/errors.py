@@ -42,7 +42,7 @@ class ConvergenceError(SatCvqkdError):
 
 
 class NumericsError(SatCvqkdError):
-    """A numerical result violated a sanity bound (quadrature, negative variance)."""
+    """A numerical result violated a sanity bound (e.g. a negative variance)."""
 
 
 class ProfileError(SatCvqkdError, ValueError):

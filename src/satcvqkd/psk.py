@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
     holevo_bound, mutual_information_gm, skr_asymptotic
@@ -36,7 +35,7 @@ def _sector_series(x: float, sector: int, states: int) -> float:
     total = 0.0
     n = sector
     while True:
-        term = math.exp(-x + n * math.log(x) - gammaln(n + 1.0))
+        term = math.exp(-x + n * math.log(x) - math.lgamma(n + 1.0))
         total += term
         if n > x and (term < total * 1e-18 or term == 0.0):
             break

@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError, \
     UnphysicalCovariance
@@ -104,7 +103,7 @@ def build_constellation(
     if isinstance(distribution, Binomial):
         # log C(side-1, k), normalized by the closed-form 2^(2(side-1)) total
         log_binom = [
-            gammaln(side) - gammaln(k + 1) - gammaln(side - k)
+            math.lgamma(side) - math.lgamma(k + 1) - math.lgamma(side - k)
             for k in range(side)
         ]
         for k in range(side):
@@ -149,7 +148,11 @@ def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
         vec = np.zeros(cutoff + 1, dtype=complex)
         vec[0] = 1.0
         return vec
-    log_mag = -0.5 * mod**2 + n * math.log(mod) - 0.5 * gammaln(n + 1.0)
+    # log |<n|alpha>| from <n|alpha> = <n-1|alpha> * alpha / sqrt(n)
+    steps = np.empty(cutoff + 1)
+    steps[0] = -0.5 * mod**2
+    steps[1:] = math.log(mod) - 0.5 * np.log(n[1:])
+    log_mag = np.cumsum(steps)
     phase = np.exp(1j * n * np.angle(alpha))
     vec = np.exp(log_mag) * phase
     norm_sq = float(np.vdot(vec, vec).real)

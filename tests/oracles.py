@@ -3,8 +3,9 @@
 These deliberately avoid the package's closed-form routes: symplectic
 spectra come from eigenvalues of i*Omega*gamma, measurement conditioning is
 done at the covariance-matrix level with an explicit trusted-noise
-purification, slant ranges from 2-D vector geometry, and small-constellation
-moments from an arbitrary-precision Gram-matrix construction.
+purification, slant ranges from 2-D vector geometry, the Rytov path integral
+from arbitrary-precision quadrature, and small-constellation moments from an
+arbitrary-precision Gram-matrix construction.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 from mpmath import mp, mpc, mpf, matrix, eighe
-from mpmath import exp as mp_exp, fsum as mp_fsum, sqrt as mp_sqrt
+from mpmath import exp as mp_exp, fsum as mp_fsum, quad as mp_quad, sqrt as mp_sqrt
 
 _SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -162,6 +163,15 @@ def slant_range_2d(r_ogs_m: float, r_shell_m: float, elevation_deg: float) -> fl
     theta = math.radians(elevation_deg)
     s = r_ogs_m * math.sin(theta)
     return -s + math.sqrt(s * s + r_shell_m**2 - r_ogs_m**2)
+
+
+def rytov_variance_quad(length_m: float, cn2: float, wavelength_m: float) -> float:
+    """2.25 k^(7/6) * integral of Cn^2 (L - z)^(5/6) over [0, L], by mpmath quadrature."""
+    with mp.workdps(40):
+        length = mpf(length_m)
+        integral = mp_quad(lambda z: mpf(cn2) * (length - z) ** (mpf(5) / 6), [0, length])
+        k = 2 * mp.pi / mpf(wavelength_m)
+        return float(mpf("2.25") * k ** (mpf(7) / 6) * integral)
 
 
 def gram_moments(amplitudes, probabilities, dps: int = 50) -> tuple[float, float]:

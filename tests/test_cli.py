@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import satcvqkd
 from satcvqkd.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -55,7 +57,9 @@ def test_validate_config_matches_golden(name, capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("command, name", [("sweep", "minimal_sweep"), ("pass", "full_pass")])
+@pytest.mark.parametrize("command, name", [
+    ("sweep", "minimal_sweep"), ("pass", "full_pass"), ("compare", "shaped_compare"),
+])
 def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
     # A result file must be sufficient to rerun: its echo, turned back into a
     # config, reproduces the same bytes.
@@ -64,11 +68,14 @@ def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
     assert main([command, "--config", config, "--output", str(first)]) == 0
     echo_line = first.read_text(encoding="utf-8").splitlines()[0]
     echo = json.loads(echo_line.removeprefix("# satcvqkd config "))
-    (protocol,) = echo.pop("protocols")
-    echo["protocol"] = {
-        key: value for key, value in protocol.items()
-        if key != "label" and value is not None
-    }
+    protocols = [
+        {key: value for key, value in protocol.items() if key != "label" and value is not None}
+        for protocol in echo.pop("protocols")
+    ]
+    if command == "compare":
+        echo["protocols"] = protocols
+    else:
+        (echo["protocol"],) = protocols
     del echo["finite_size"]["fit_block_length_note"]
     rerun = _write_config(tmp_path, "rerun.json", echo)
     second = tmp_path / "second.csv"
@@ -206,7 +213,7 @@ def test_measured_profile_pass(tmp_path):
     assert "skr_bits_per_second[MD]" in header_line
 
 
-def test_determinism_across_worker_counts(tmp_path, monkeypatch):
+def test_determinism_across_worker_counts(tmp_path):
     payload = {
         **SWEEP_CONFIG,
         "reconciliation": {"kind": "md"},
@@ -217,12 +224,24 @@ def test_determinism_across_worker_counts(tmp_path, monkeypatch):
     }
     config = _write_config(tmp_path, "det.json", payload)
     outputs = []
-    for workers, name in (("1", "a.csv"), ("8", "b.csv"), ("8", "c.csv")):
-        monkeypatch.setenv("SATCVQKD_WORKERS", workers)
+    for name in ("a.csv", "b.csv", "c.csv"):
         out = tmp_path / name
         assert main(["sweep", "--config", config, "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter sees every import.
+    src = str(Path(satcvqkd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, satcvqkd.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():
