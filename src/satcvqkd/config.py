@@ -17,10 +17,13 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from .channel import AtmosphericConditions, OpticalTerminals
 from .errors import ConfigError
 from .finite_size import MD, MLC_MSD, FiniteSizeParams
 from .gaussian import DAYLIGHT_NOISE, Detection, NoiseBudget
+from .pass_analysis import circular_pass_arc
 from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec
 from .qam import Binomial, DiscreteGaussian
 
@@ -39,6 +42,9 @@ DEFAULT_DETECTION = {
 _PROTOCOL_SHORTHAND = re.compile(r"^(gm|psk(2|4|8)|qam(16|64|256))$")
 _FITTED_MODELS = {"md": MD, "mlc_msd": MLC_MSD}
 _ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
+# Work caps, checked before anything of that size is built.
+_MAX_ROWS = 1_000_000  # altitudes x elevations x protocols of a sweep or compare
+_MAX_PASS_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,12 @@ def _number(value: Any, where: str, integer: bool = False) -> float | int:
     if value != int(value):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _cap(what: str, count: float, cap: int) -> None:
+    """Reject a run of ``count`` rows or samples (inf if it overflowed) over ``cap``."""
+    if count > cap:
+        raise ConfigError(f"{what} would be {count:.0f}, over the cap of {cap}")
 
 
 def _section(base: Any, raw: Any, keys: dict, where: str) -> Any:
@@ -285,8 +297,9 @@ def _parse_sweep(raw: Any) -> SweepSpec:
         )
         if step <= 0.0 or stop < start:
             raise ConfigError("sweep.altitude_km needs step > 0 and stop >= start")
-        count = int((stop - start) / step + 1e-9) + 1
-        altitudes_km = [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9  # inf when the range overflows
+        _cap("sweep.altitude_km count", np.floor(span) + 1, _MAX_ROWS)
+        altitudes_km = [start + i * step for i in range(int(span) + 1)]
     else:
         raise ConfigError("sweep.altitude_km must be a non-empty list or {start, stop, step}")
     elevations = mapping.get("elevation_deg", [90.0])
@@ -382,6 +395,8 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         if "sweep" not in config:
             raise ConfigError(f"{need} needs a 'sweep' section")
         sweep = _parse_sweep(config["sweep"])
+        rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
+        _cap(f"{need} rows", rows, _MAX_ROWS)
         for elevation in sweep.elevations_deg:
             setup.geometry(min(sweep.altitudes_m), elevation)
     if need == "pass":
@@ -393,6 +408,13 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         replace(setup, ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(
             pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
         )
+        if pass_spec.synthesized:
+            half_duration_s = circular_pass_arc(
+                pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg,
+                pass_spec.ogs_altitude_m, setup.earth_radius_m,
+            )[-1]
+            steps = np.floor(half_duration_s / pass_spec.synth_sample_dt_s)  # as synthesized
+            _cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)
 
     return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
 

@@ -91,6 +91,28 @@ def _elevation_from_central_angle(gamma: float, radius_ratio: float) -> float:
     return math.degrees(math.atan2(math.cos(gamma) - radius_ratio, math.sin(gamma)))
 
 
+def circular_pass_arc(
+    altitude_m: float, max_elevation_deg: float, ogs_altitude_m: float, earth_radius_m: float
+) -> tuple[float, float, float, float]:
+    """(r_ogs/r_sat, peak central angle, orbital rate in rad/s, half duration in s) of a pass."""
+    r_ogs = earth_radius_m + ogs_altitude_m
+    r_sat = earth_radius_m + altitude_m
+    ratio = r_ogs / r_sat
+
+    if max_elevation_deg == 90.0:
+        gamma_min = 0.0
+    else:
+        t = math.tan(math.radians(max_elevation_deg))
+        gamma_min = math.acos(ratio / math.sqrt(1.0 + t * t)) - math.atan(t)
+    gamma_horizon = math.acos(ratio)
+
+    omega = math.sqrt(_MU_EARTH / r_sat**3)
+    half_arc = math.acos(
+        min(1.0, math.cos(gamma_horizon) / math.cos(gamma_min))
+    )
+    return ratio, gamma_min, omega, half_arc / omega
+
+
 def synthesize_circular_pass(
     altitude_m: float,
     max_elevation_deg: float,
@@ -108,23 +130,9 @@ def synthesize_circular_pass(
         raise ValueError("altitude and sample step must be positive")
     if not 0.0 < max_elevation_deg <= 90.0:
         raise ValueError("peak elevation must be in (0, 90] degrees")
-    r_ogs = earth_radius_m + ogs_altitude_m
-    r_sat = earth_radius_m + altitude_m
-    ratio = r_ogs / r_sat
-
-    if max_elevation_deg == 90.0:
-        gamma_min = 0.0
-    else:
-        t = math.tan(math.radians(max_elevation_deg))
-        gamma_min = math.acos(ratio / math.sqrt(1.0 + t * t)) - math.atan(t)
-    gamma_horizon = math.acos(ratio)
-
-    omega = math.sqrt(_MU_EARTH / r_sat**3)
-    half_arc = math.acos(
-        min(1.0, math.cos(gamma_horizon) / math.cos(gamma_min))
+    ratio, gamma_min, omega, half_duration = circular_pass_arc(
+        altitude_m, max_elevation_deg, ogs_altitude_m, earth_radius_m
     )
-    half_duration = half_arc / omega
-
     steps = int(math.floor(half_duration / sample_dt_s))
     times: list[float] = []
     elevations: list[float] = []
@@ -149,7 +157,6 @@ def synthesize_circular_pass(
 class ModelPassResult:
     """Per-reconciliation-model outcome of a pass."""
 
-    model_name: str
     total_key_bits: float
     skr_series: tuple[tuple[float, float], ...]  # (time_s, skr_bits_per_s), raw sign
     excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
@@ -157,11 +164,9 @@ class ModelPassResult:
 
 @dataclass(frozen=True)
 class PassResult:
-    """Pass totals per reconciliation model plus the shared dwell map."""
+    """Pass totals per reconciliation model."""
 
     models: dict[str, ModelPassResult]
-    dwell_by_bin_s: dict[int, float]
-    bin_width_deg: float
 
 
 def _dwell_map(profile: PassProfile, bin_width_deg: float) -> dict[int, float]:
@@ -229,9 +234,8 @@ def integrate_key_bits(
                 for t, e in zip(profile.times_s, profile.elevations_deg)
             )
         models[name] = ModelPassResult(
-            model_name=name,
             total_key_bits=total,
             skr_series=series,
             excluded_bins_deg=tuple(excluded),
         )
-    return PassResult(models=models, dwell_by_bin_s=dwell, bin_width_deg=bin_width_deg)
+    return PassResult(models=models)

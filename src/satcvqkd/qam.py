@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -97,31 +97,22 @@ def build_constellation(
         raise ValueError(f"alpha must be positive, got {alpha}")
     spacing = alpha * math.sqrt(2.0) / math.sqrt(side - 1.0)
     coords = [spacing * (k - (side - 1) / 2.0) for k in range(side)]
-
-    amplitudes = []
-    weights = []
+    grid = [(k, l) for k in range(side) for l in range(side)]
+    amplitudes = tuple(complex(coords[k], coords[l]) for k, l in grid)
     if isinstance(distribution, Binomial):
         # log C(side-1, k), normalized by the closed-form 2^(2(side-1)) total
         log_binom = [
             math.lgamma(side) - math.lgamma(k + 1) - math.lgamma(side - k)
             for k in range(side)
         ]
-        for k in range(side):
-            for l in range(side):
-                amplitudes.append(complex(coords[k], coords[l]))
-                weights.append(
-                    math.exp(log_binom[k] + log_binom[l] - 2.0 * (side - 1) * math.log(2.0))
-                )
+        log_norm = 2.0 * (side - 1) * math.log(2.0)
+        log_weights = [log_binom[k] + log_binom[l] - log_norm for k, l in grid]
     else:
-        for k in range(side):
-            for l in range(side):
-                amplitudes.append(complex(coords[k], coords[l]))
-                weights.append(
-                    math.exp(-distribution.nu * (coords[k] ** 2 + coords[l] ** 2))
-                )
+        log_weights = [-distribution.nu * (coords[k] ** 2 + coords[l] ** 2) for k, l in grid]
+    weights = [math.exp(x) for x in log_weights]
     total = math.fsum(weights)
     probabilities = tuple(w / total for w in weights)
-    return Constellation(amplitudes=tuple(amplitudes), probabilities=probabilities)
+    return Constellation(amplitudes=amplitudes, probabilities=probabilities)
 
 
 def _minimum_cutoff(mean_photons: float) -> int:
@@ -294,19 +285,20 @@ def _z_star(term1: float, w: float, transmittance: float, excess_noise: float) -
     )
 
 
-def _cutoff_gate(
-    coarse: FockWorkspace,
-    build: Callable[[int], FockWorkspace],
-    transmittance: float,
-    excess_noise: float,
-) -> tuple[tuple[float, float], float]:
-    """Moments one cutoff step above ``coarse`` and how far that step moves Z*."""
-    refined = _moments(build(coarse.cutoff + _CUTOFF_STEP))
-    moved = abs(
-        _z_star(*refined, transmittance, excess_noise)
-        - _z_star(*_moments(coarse), transmittance, excess_noise)
-    )
-    return refined, moved
+def _converged_moments(
+    build: Callable[[int], FockWorkspace], cutoff: int, excess_noise: float
+) -> tuple[float, float]:
+    """(term1, w) at cutoff + 10 for the first cutoff, doubling from ``cutoff``, at
+    which that step of 10 moves Z* by less than 1e-9.  The gate runs at T = 1 and
+    holds for every T, since Z*(T) = sqrt(T) Z*(1)."""
+    while cutoff <= _MAX_CUTOFF:
+        coarse = _moments(build(cutoff))
+        refined = _moments(build(cutoff + _CUTOFF_STEP))
+        moved = abs(_z_star(*refined, 1.0, excess_noise) - _z_star(*coarse, 1.0, excess_noise))
+        if moved < _ZSTAR_CONVERGENCE_TOL:
+            return refined
+        cutoff *= 2
+    raise ConvergenceError(f"Z* did not stabilize below cutoff {_MAX_CUTOFF}")
 
 
 def correlation_lower_bound(
@@ -317,8 +309,8 @@ def correlation_lower_bound(
 ) -> float:
     """Lower bound Z* on the Alice-Bob correlation for arbitrary modulation.
 
-    The value is recomputed with the cutoff increased by 10 and accepted
-    only when the two agree to 1e-9.
+    The moments are taken from the workspace's cutoff upwards, through the
+    same convergence gate as every QAM key rate.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
@@ -330,40 +322,26 @@ def correlation_lower_bound(
         raise ValueError("constellation required to rebuild the workspace")
     else:
         build = partial(modulation_density_matrix, constellation)
-    refined, moved = _cutoff_gate(workspace, build, transmittance, excess_noise)
-    if moved >= _ZSTAR_CONVERGENCE_TOL:
-        raise ConvergenceError(
-            f"Z* moved by {moved:.3e} between cutoffs "
-            f"{workspace.cutoff} and {workspace.cutoff + _CUTOFF_STEP}"
-        )
-    return _z_star(*refined, transmittance, excess_noise)
+    moments = _converged_moments(build, workspace.cutoff, excess_noise)
+    return _z_star(*moments, transmittance, excess_noise)
 
 
-# term1/w per constellation, converged across cutoffs; keyed by the
-# constellation contents and the excess noise entering the gate.
-_MOMENTS_CACHE: dict[tuple, tuple[float, float]] = {}
+# QAM settings whose converged moments are kept; a compare listing more QAM
+# settings than this would rebuild the Fock space at every grid point.
+_MOMENTS_CACHE_SIZE = 1024
 
 
-def _converged_moments(
-    constellation: Constellation, excess_noise: float
-) -> tuple[float, float]:
-    key = (constellation.amplitudes, constellation.probabilities, round(excess_noise, 12))
-    cached = _MOMENTS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    build = partial(modulation_density_matrix, constellation)
-    cutoff = default_cutoff(constellation)
-    while cutoff <= _MAX_CUTOFF:
-        # Gate at T = 1: |Z*(T)| differences scale with sqrt(T) <= 1.
-        refined, moved = _cutoff_gate(build(cutoff), build, 1.0, excess_noise)
-        if moved < _ZSTAR_CONVERGENCE_TOL:
-            _MOMENTS_CACHE[key] = refined
-            return refined
-        cutoff *= 2
-    raise ConvergenceError(
-        f"Z* did not stabilize below cutoff {_MAX_CUTOFF} for a "
-        f"{len(constellation.amplitudes)}-point constellation"
+@lru_cache(maxsize=_MOMENTS_CACHE_SIZE)
+def _setting_moments(
+    side: int, modulation_variance: float, distribution: QamDistribution, excess_noise: float
+) -> tuple[float, float, float]:
+    """Realized ensemble variance, term1 and w of one QAM setting; none depends on T."""
+    constellation = build_constellation(
+        side, math.sqrt(modulation_variance / 2.0), distribution
     )
+    build = partial(modulation_density_matrix, constellation)
+    term1, w = _converged_moments(build, default_cutoff(constellation), excess_noise)
+    return constellation.modulation_variance, term1, w
 
 
 def mutual_information_qam(
@@ -452,12 +430,8 @@ def qam_security(
     correlation bound is floored at zero (it carries no correlation
     information and only certifies the absence of key).
     """
-    constellation = build_constellation(
-        side, math.sqrt(modulation_variance / 2.0), distribution
-    )
-    term1, w = _converged_moments(constellation, excess_noise)
+    v_eff, term1, w = _setting_moments(side, modulation_variance, distribution, excess_noise)
     z_star = max(_z_star(term1, w, transmittance, excess_noise), 0.0)
-    v_eff = constellation.modulation_variance
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
     s_be, lambdas = holevo_qam(v_eff, transmittance, excess_noise, z_star, kind)
     return SecurityResult(

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import satcvqkd
+from satcvqkd import ConfigError, synthesize_circular_pass
+from satcvqkd import config as config_mod
 from satcvqkd.cli import main
+from satcvqkd.pass_analysis import circular_pass_arc
 
 DATA = Path(__file__).parent / "data"
 
@@ -310,6 +313,57 @@ def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+
+
+# --- work caps: checked at resolve time, before anything is allocated ------------
+# Only validate-config runs these: a run without the caps would try to build
+# a million-row grid or about 1e9 pass samples.
+
+OVER_CAP = {
+    "altitude_range_1000001": (_replaced(
+        ONE_POINT, ("sweep", "altitude_km"), {"start": 200, "stop": 1200, "step": 0.001}),
+        "sweep.altitude_km count would be 1000001, over the cap of 1000000"),
+    "altitude_step_subnormal": (_replaced(
+        ONE_POINT, ("sweep", "altitude_km"), {"start": 200, "stop": 1200, "step": 1e-320}),
+        "sweep.altitude_km count would be inf, over the cap of 1000000"),
+    "pass_sample_dt_1e-9": (_replaced(
+        SYNTH_PASS, ("pass", "synthesize", "sample_dt_s"), 1e-9),
+        "pass samples would be "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP))
+def test_work_over_a_cap_is_a_config_error(tmp_path, capsys, case):
+    payload, message = OVER_CAP[case]
+    path = _write_config(tmp_path, "big.json", payload)
+    assert main(["validate-config", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err and err.rstrip().endswith("over the cap of 1000000")
+
+
+def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):
+    monkeypatch.setattr(config_mod, "_MAX_ROWS", 12)
+    grid = {"altitude_km": {"start": 500, "stop": 700, "step": 100}, "elevation_deg": [60, 90]}
+    config_mod.resolve({"protocols": ["gm", "psk8"], "sweep": grid})  # 3 x 2 x 2 = 12
+    with pytest.raises(ConfigError, match="compare rows would be 18, over the cap of 12"):
+        config_mod.resolve({"protocols": ["gm", "psk8", "qam16"], "sweep": grid})
+    config_mod.resolve({"protocol": "gm", "sweep": {"altitude_km": {
+        "start": 500, "stop": 1600, "step": 100}}})  # 12 altitudes
+    with pytest.raises(ConfigError, match="altitude_km count would be 13, over the cap of 12"):
+        config_mod.resolve({"protocol": "gm", "sweep": {"altitude_km": {
+            "start": 500, "stop": 1700, "step": 100}}})
+
+
+def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
+    arc = circular_pass_arc(417.5e3, 87.6, 0.0, 6_371_000.0)
+    count = 2 * math.floor(arc[-1] / 2.0) + 1
+    assert len(synthesize_circular_pass(417.5e3, 87.6, 2.0).times_s) == count
+    monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count)
+    config_mod.resolve(SYNTH_PASS)
+    monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count - 1)
+    with pytest.raises(ConfigError, match=f"pass samples would be {count}, over the cap"):
+        config_mod.resolve(SYNTH_PASS)
 
 
 @pytest.mark.parametrize("payload, run", [

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcvqkd import (
     AtmosphericConditions,
@@ -127,3 +128,24 @@ def test_asymptotic_rate_scaled_by_repetition_rate():
     assert point.skr_bits_per_second == pytest.approx(
         50e6 * point.skr_asymptotic_per_pulse, rel=1e-12
     )
+
+
+# --- physics properties ------------------------------------------------------------
+
+BETA_95 = ReconciliationSpec(kind="asymptotic", beta_asymptotic=0.95)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    low_km=st.floats(200.0, 1999.0),
+    rise_km=st.floats(1.0, 1800.0),
+    elevation=st.floats(5.0, 90.0),
+)
+def test_gm_asymptotic_rate_does_not_increase_with_altitude(low_km, rise_km, elevation):
+    # a rise of at least 1 km keeps the change far above float rounding
+    high_km = min(low_km + rise_km, 2000.0)
+    low, high = (
+        evaluate_point(SETUP, GM, km * 1e3, elevation, BETA_95).skr_asymptotic_per_pulse
+        for km in (low_km, high_km)
+    )
+    assert high <= low

@@ -362,3 +362,54 @@ def test_overconcentrated_shape_kills_the_key():
         Detection.HETERODYNE, 0.9,
     ).skr_asymptotic
     assert rate <= 0.0
+
+
+# --- per-setting moments cache ------------------------------------------------------
+
+
+def test_one_constellation_build_serves_every_transmittance(monkeypatch):
+    import satcvqkd.qam as qam_mod
+
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return build_constellation(*args)
+
+    monkeypatch.setattr(qam_mod, "build_constellation", counting_build)
+    qam_mod._setting_moments.cache_clear()
+    for t in (0.132, 0.0284):
+        qam_security(4, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+    assert len(built) == 1
+
+
+def test_moments_cache_is_bounded():
+    import satcvqkd.qam as qam_mod
+
+    maxsize = qam_mod._setting_moments.cache_info().maxsize
+    assert maxsize == qam_mod._MOMENTS_CACHE_SIZE
+    assert isinstance(maxsize, int) and maxsize > 0  # None would be unbounded
+
+
+@pytest.mark.parametrize("side, distribution, transmittance", [
+    (4, Binomial(), 0.0656),
+    (8, DiscreteGaussian(nu=0.4), 0.132),
+])
+def test_correlation_bound_is_the_key_rate_correlation(
+    monkeypatch, side, distribution, transmittance
+):
+    import satcvqkd.qam as qam_mod
+
+    used = []
+
+    def spy(v_a, t, eps, z_star, kind):
+        used.append(z_star)
+        return holevo_qam(v_a, t, eps, z_star, kind)
+
+    monkeypatch.setattr(qam_mod, "holevo_qam", spy)
+    qam_security(side, 2.0, distribution, transmittance, QAM_EXCESS,
+                 Detection.HETERODYNE, 0.9)
+    c = build_constellation(side, 1.0, distribution)  # alpha = sqrt(V_A / 2)
+    z = correlation_lower_bound(modulation_density_matrix(c), c, transmittance, QAM_EXCESS)
+    assert used[0] > 0.0
+    assert z == used[0]
