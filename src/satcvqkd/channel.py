@@ -3,7 +3,8 @@
 Three attenuation mechanisms are modelled: diffraction-limited geometric
 loss, Mie scattering (Kruse/Kim visibility model) and scintillation with
 aperture averaging.  Clouds and precipitation are intentionally absent:
-they block the channel outright instead of attenuating it.
+they block the channel outright instead of attenuating it.  Altitudes,
+elevations and path lengths may be floats or arrays of points.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+import numpy as np
+
 from .errors import FarFieldViolation, GeometryError
-from .quantities import db_to_transmittance
+from .quantities import db_to_transmittance, offending
 
 EARTH_RADIUS_M = 6_371_000.0
 ATMOSPHERE_THICKNESS_M = 20_000.0
@@ -25,10 +28,11 @@ _ASIN_CLAMP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Positions defining one satellite-to-ground line of sight.
+    """Positions defining satellite-to-ground lines of sight.
 
     ``satellite_altitude_m`` is the orbit altitude at zenith; the elevation
-    angle is measured at the ground station from the local horizon.
+    angle is measured at the ground station from the local horizon.  Both
+    may be arrays that broadcast together, one line of sight per element.
     """
 
     satellite_altitude_m: float
@@ -38,19 +42,21 @@ class LinkGeometry:
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.elevation_deg <= 90.0:
+        elevation = np.asarray(self.elevation_deg)
+        bad = ~((0.0 < elevation) & (elevation <= 90.0))
+        if np.any(bad):
             raise GeometryError(
-                f"elevation must be in (0, 90] degrees, got {self.elevation_deg}"
+                f"elevation must be in (0, 90] degrees, got {offending(elevation, bad)}"
             )
-        if not (
-            self.satellite_altitude_m
-            > self.atmosphere_thickness_m
-            > self.ogs_altitude_m
-            >= 0.0
-        ):
+        satellite = np.asarray(self.satellite_altitude_m)
+        bad = ~(
+            (satellite > self.atmosphere_thickness_m)
+            & (self.atmosphere_thickness_m > self.ogs_altitude_m >= 0.0)
+        )
+        if np.any(bad):
             raise GeometryError(
                 "altitudes must satisfy satellite > atmosphere thickness "
-                f"> OGS >= 0, got {self.satellite_altitude_m}, "
+                f"> OGS >= 0, got {offending(satellite, bad)}, "
                 f"{self.atmosphere_thickness_m}, {self.ogs_altitude_m}"
             )
         if self.earth_radius_m <= 0.0:
@@ -61,8 +67,8 @@ class LinkGeometry:
 class SlantPath:
     """Total line-of-sight distance and the portion inside the atmosphere."""
 
-    total_distance_m: float
-    effective_atmosphere_m: float
+    total_distance_m: float | np.ndarray
+    effective_atmosphere_m: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,25 +111,24 @@ class AtmosphericConditions:
             )
 
 
-def _oblique_range(r_ogs_m: float, r_shell_m: float, elevation_deg: float) -> float:
+def _oblique_range(r_ogs_m, r_shell_m, elevation_deg):
     """Distance from the ground station to a spherical shell along the line of sight.
 
     Triangle (Earth centre, OGS, shell intersection): the angle at the shell
     follows from the sine rule; the central angle closes the triangle and the
     law of cosines yields the range.
     """
-    theta = math.radians(elevation_deg)
-    arg = math.cos(theta) * r_ogs_m / r_shell_m
-    if abs(arg) > 1.0:
-        if abs(arg) - 1.0 > _ASIN_CLAMP_TOL:
-            raise GeometryError(
-                f"arcsin argument {arg} outside [-1, 1]: line of sight does not "
-                "reach the target shell"
-            )
-        arg = math.copysign(1.0, arg)
-    central = (math.pi / 2.0 - theta) - math.asin(arg)
-    return math.sqrt(
-        r_shell_m**2 + r_ogs_m**2 - 2.0 * r_shell_m * r_ogs_m * math.cos(central)
+    theta = np.radians(elevation_deg)
+    arg = np.cos(theta) * r_ogs_m / r_shell_m
+    overshoot = np.abs(arg) - 1.0 > _ASIN_CLAMP_TOL
+    if np.any(overshoot):
+        raise GeometryError(
+            f"arcsin argument {offending(arg, overshoot)} outside [-1, 1]: line of "
+            "sight does not reach the target shell"
+        )
+    central = (np.pi / 2.0 - theta) - np.arcsin(np.clip(arg, -1.0, 1.0))
+    return np.sqrt(
+        r_shell_m**2 + r_ogs_m**2 - 2.0 * r_shell_m * r_ogs_m * np.cos(central)
     )
 
 
@@ -152,15 +157,16 @@ def far_field_bound_m(terminals: OpticalTerminals) -> float:
     )
 
 
-def geometric_loss_db(path: SlantPath, terminals: OpticalTerminals) -> float:
+def geometric_loss_db(path: SlantPath, terminals: OpticalTerminals):
     """Diffraction-limited geometric loss of the link in dB.
 
-    Raises :class:`FarFieldViolation` when the receiver is closer than
+    Raises :class:`FarFieldViolation` when a receiver is closer than
     D_r*D_t/wavelength; callers must skip such configurations.
     """
     bound = far_field_bound_m(terminals)
-    if path.total_distance_m < bound:
-        raise FarFieldViolation(path.total_distance_m, bound)
+    near = path.total_distance_m < bound
+    if np.any(near):
+        raise FarFieldViolation(float(offending(path.total_distance_m, near)), bound)
     spread = (
         path.total_distance_m
         * terminals.wavelength_m
@@ -173,7 +179,7 @@ def geometric_loss_db(path: SlantPath, terminals: OpticalTerminals) -> float:
     )
     if optics <= 0.0:
         raise ValueError("terminal efficiencies leave no transmitted power")
-    return 10.0 * math.log10(spread / optics)
+    return 10.0 * np.log10(spread / optics)
 
 
 def _kruse_kim_exponent(visibility_km: float) -> float:
@@ -207,12 +213,12 @@ def scattering_coefficient_db_per_km(wavelength_m: float, visibility_km: float) 
     )
 
 
-def rytov_variance(effective_atmosphere_m: float, cn2: float, wavelength_m: float) -> float:
+def rytov_variance(effective_atmosphere_m, cn2: float, wavelength_m: float):
     """Rytov variance over the in-atmosphere path for a constant Cn^2.
 
     The path integral of Cn^2 (L - z)^(5/6) over [0, L] is (6/11) Cn^2 L^(11/6).
     """
-    if effective_atmosphere_m <= 0.0 or wavelength_m <= 0.0:
+    if np.any(effective_atmosphere_m <= 0.0) or wavelength_m <= 0.0:
         raise ValueError("path length and wavelength must be positive")
     k = 2.0 * math.pi / wavelength_m
     return 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * effective_atmosphere_m ** (11.0 / 6.0)
@@ -221,16 +227,15 @@ def rytov_variance(effective_atmosphere_m: float, cn2: float, wavelength_m: floa
 def scintillation_index(
     receiver_aperture_m: float,
     wavelength_m: float,
-    effective_atmosphere_m: float,
-    rytov_var: float,
-) -> float:
-    """Aperture-averaged scintillation index for a spherical wave."""
-    if receiver_aperture_m <= 0.0 or wavelength_m <= 0.0 or effective_atmosphere_m <= 0.0:
+    effective_atmosphere_m,
+    rytov_var,
+):
+    """Aperture-averaged scintillation index for a spherical wave (0 without turbulence)."""
+    if receiver_aperture_m <= 0.0 or wavelength_m <= 0.0 \
+            or np.any(effective_atmosphere_m <= 0.0):
         raise ValueError("aperture, wavelength and path length must be positive")
-    if rytov_var < 0.0:
+    if np.any(rytov_var < 0.0):
         raise ValueError("Rytov variance must be >= 0")
-    if rytov_var == 0.0:
-        return 0.0
     d_sq = receiver_aperture_m**2 * math.pi / (2.0 * wavelength_m * effective_atmosphere_m)
     s65 = rytov_var ** (6.0 / 5.0)
     first = 0.20 * rytov_var / (1.0 + 0.18 * d_sq + 0.20 * s65) ** (7.0 / 6.0)
@@ -238,24 +243,24 @@ def scintillation_index(
         0.21 * rytov_var * (1.0 + 0.24 * s65) ** (-5.0 / 6.0)
         / (1.0 + 0.90 * d_sq + 0.21 * d_sq * s65)
     )
-    return math.expm1(first + second)
+    return np.expm1(first + second)
 
 
-def scintillation_loss_db(scint_index: float, outage_probability: float) -> float:
+def scintillation_loss_db(scint_index, outage_probability: float):
     """Scintillation fade in dB at the given outage probability.
 
     The value is negative for small outage probabilities (a fade margin);
     the link budget applies its magnitude as attenuation.
     """
-    if scint_index < 0.0:
+    if np.any(scint_index < 0.0):
         raise ValueError("scintillation index must be >= 0")
     if not 0.0 < outage_probability < 0.5:
         raise ValueError(
             f"outage probability must be in (0, 0.5), got {outage_probability}"
         )
-    log_term = math.log1p(scint_index)
+    log_term = np.log1p(scint_index)
     return 4.343 * (
-        NormalDist().inv_cdf(outage_probability) * math.sqrt(log_term)
+        NormalDist().inv_cdf(outage_probability) * np.sqrt(log_term)
         - 0.5 * log_term
     )
 
@@ -264,17 +269,16 @@ def scintillation_loss_db(scint_index: float, outage_probability: float) -> floa
 class LinkBudget:
     """Per-mechanism attenuations (dB) and the resulting transmittance."""
 
-    slant: SlantPath
-    geometric_db: float
-    scattering_db: float  # per-km coefficient multiplied by the in-atmosphere path
-    scintillation_db: float  # magnitude of the scintillation fade, applied as loss
+    geometric_db: float | np.ndarray
+    scattering_db: float | np.ndarray  # per-km coefficient times the in-atmosphere path
+    scintillation_db: float | np.ndarray  # magnitude of the scintillation fade, as loss
 
     @property
-    def total_db(self) -> float:
+    def total_db(self):
         return self.geometric_db + self.scattering_db + self.scintillation_db
 
     @property
-    def transmittance(self) -> float:
+    def transmittance(self):
         return db_to_transmittance(self.total_db)
 
 
@@ -283,7 +287,7 @@ def link_budget(
     terminals: OpticalTerminals,
     conditions: AtmosphericConditions,
 ) -> LinkBudget:
-    """Full attenuation budget for one line of sight."""
+    """Full attenuation budget for the geometry's lines of sight."""
     path = slant_path(geometry)
     a_geo = geometric_loss_db(path, terminals)
     a_scat = (
@@ -300,9 +304,8 @@ def link_budget(
         path.effective_atmosphere_m,
         sigma_r2,
     )
-    a_sci = abs(scintillation_loss_db(sigma_i2, conditions.outage_probability))
+    a_sci = np.abs(scintillation_loss_db(sigma_i2, conditions.outage_probability))
     return LinkBudget(
-        slant=path,
         geometric_db=a_geo,
         scattering_db=a_scat,
         scintillation_db=a_sci,
@@ -313,6 +316,6 @@ def total_transmittance(
     geometry: LinkGeometry,
     terminals: OpticalTerminals,
     conditions: AtmosphericConditions,
-) -> float:
+):
     """Overall power transmittance of the link."""
     return link_budget(geometry, terminals, conditions).transmittance

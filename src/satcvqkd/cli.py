@@ -1,70 +1,89 @@
 """Command-line front end: sweeps, pass budgets and protocol comparisons.
 
 Output is CSV with a '#'-prefixed echo of the resolved configuration;
-identical configs produce byte-identical files.
+identical configs produce byte-identical files.  All numerical work is done
+before the output is opened, so a numerical failure writes nothing; rows are
+then formatted and written one block at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import operator
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
 from .finite_size import MD, MLC_MSD
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import CSV_COLUMNS, PointResult, ReconciliationSpec, evaluate_point
+from .pipeline import CSV_COLUMNS, ReconciliationSpec, evaluate_point
 
 _CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
-_CSV_FIELDS = operator.attrgetter(*(name for _, name, _ in CSV_COLUMNS))
-_CSV_SCALED = tuple((i, div) for i, (_, _, div) in enumerate(CSV_COLUMNS) if div)
+_BLOCK_ROWS = 512  # rows formatted and written at a time
+_FLAG_TEXT = {True: "true", False: "false", None: ""}
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _texts(value, block: slice, count: int) -> list[str]:
+    """CSV fields of one column over a block of ``count`` rows.
 
-
-def _csv_row(point: PointResult) -> str:
-    values = list(_CSV_FIELDS(point))
-    for i, divisor in _CSV_SCALED:
-        if values[i] is not None:
-            values[i] /= divisor
-    return ",".join(map(_fmt, values))
+    ``value`` is a per-run constant (str, float or None) or an array with
+    one element per row: numbers (NaN where a row has none), flags (None
+    where a row has none) or strings.
+    """
+    if not isinstance(value, np.ndarray):
+        return [repr(value) if isinstance(value, float) else _FLAG_TEXT.get(value, value)] * count
+    values = value[block]
+    if values.dtype.kind != "f":
+        return [_FLAG_TEXT.get(v, v) for v in values.tolist()]
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        texts[i] = ""
+    return texts
 
 
 def _echo_line(plan: config_mod.RunPlan) -> str:
     return f"# satcvqkd config {json.dumps(plan.resolved, sort_keys=True)}"
 
 
-def _emit(lines: Iterable[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+def _write(
+    output: str | None, head: Sequence[str], blocks: Iterable[Iterable[Sequence[str]]]
+) -> None:
+    """Write the ``head`` lines, then each block of rows of CSV fields."""
+    with contextlib.nullcontext(sys.stdout) if output is None \
+            else open(output, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("".join(line + "\n" for line in head))
+        for rows in blocks:
+            handle.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
-    setup, reconciliation, finite = plan.setup, plan.reconciliation, plan.finite
-    lines = [_echo_line(plan), _CSV_HEADER]
+    altitudes_m, elevations_deg = plan.sweep.altitudes_m, plan.sweep.elevations_deg
     # Row order is deterministic: altitude major, elevation minor, protocol last.
-    lines.extend(
-        _csv_row(evaluate_point(setup, spec, altitude, elevation, reconciliation, finite))
-        for altitude in plan.sweep.altitudes_m
-        for elevation in plan.sweep.elevations_deg
-        for spec in plan.protocols
-    )
-    _emit(lines, output)
+    altitudes = np.repeat(altitudes_m, len(elevations_deg))
+    elevations = np.tile(elevations_deg, len(altitudes_m))
+    columns = []  # per protocol, each CSV column's value over the grid's points
+    for spec in plan.protocols:
+        point = evaluate_point(
+            plan.setup, spec, altitudes, elevations, plan.reconciliation, plan.finite
+        )
+        columns.append([getattr(point, name) / divisor if divisor else getattr(point, name)
+                        for _, name, divisor in CSV_COLUMNS])
+
+    points = altitudes.size
+    step = max(1, _BLOCK_ROWS // len(columns))
+
+    def blocks() -> Iterator[Iterable[Sequence[str]]]:
+        for start in range(0, points, step):
+            block = slice(start, min(start + step, points))
+            count = block.stop - start
+            per_protocol = [zip(*(_texts(v, block, count) for v in values)) for values in columns]
+            yield (row for rows in zip(*per_protocol) for row in rows)
+
+    _write(output, [_echo_line(plan), _CSV_HEADER], blocks())
 
 
 def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
@@ -99,21 +118,29 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
     )
 
     models = sorted(result.models.items())
-    lines = [_echo_line(plan)]
+    head = [_echo_line(plan)]
     for name, model in models:
-        lines.append(
+        head.append(
             f"# summary model={name} total_key_bits={model.total_key_bits!r} "
             f"excluded_bins={len(model.excluded_bins_deg)}"
         )
-    lines.append("time_s,elevation_deg," + ",".join(
+    head.append("time_s,elevation_deg," + ",".join(
         f"skr_bits_per_second[{name}]" for name, _ in models
     ))
-    # Each model's series holds one (time, rate) pair per sample, in order.
-    series = [model.skr_series for _, model in models]
-    for t, e, *rates in zip(profile.times_s, profile.elevations_deg, *series):
-        lines.append(",".join([repr(float(t)), repr(float(e))]
-                              + [repr(float(rate)) for _, rate in rates]))
-    _emit(lines, output)
+    bin_texts = [list(map(repr, model.bin_rates.tolist())) for _, model in models]
+    samples = len(models[0][1].sample_bins)
+
+    def blocks() -> Iterator[Iterable[Sequence[str]]]:
+        for start in range(0, samples, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            yield zip(
+                map(repr, map(float, profile.times_s[block])),
+                map(repr, map(float, profile.elevations_deg[block])),
+                *(map(texts.__getitem__, model.sample_bins[block].tolist())
+                  for texts, (_, model) in zip(bin_texts, models)),
+            )
+
+    _write(output, head, blocks())
     for name, model in models:
         if model.excluded_bins_deg:
             print(

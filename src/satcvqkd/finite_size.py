@@ -3,7 +3,8 @@ error rate, the privacy penalty, and the amended finite-size SKR.
 
 The efficiency/FER fits were obtained at a 10^6 block length; FER falls
 with block length, so using them at the default 10^11 symbols is a
-conservatism that downstream reports should carry as metadata.
+conservatism that downstream reports should carry as metadata.  SNRs,
+transmittances and rates may be arrays of points.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,44 +54,45 @@ class FiniteSizeParams:
             raise ValueError("smoothing and security parameters must be in (0, 1)")
 
 
-def snr_db(alpha: float, transmittance: float, chi_total: float) -> float:
+def snr_db(alpha: float, transmittance, chi_total):
     """Signal-to-noise ratio in dB for coherent amplitude ``alpha``."""
     photons = abs(alpha) ** 2
     if photons <= 0.0:
         raise ValueError("signal amplitude must be non-zero")
-    if not 0.0 < transmittance <= 1.0 or chi_total < 0.0:
+    t = np.asarray(transmittance)
+    if np.any(~((0.0 < t) & (t <= 1.0))) or np.any(chi_total < 0.0):
         raise ValueError("need transmittance in (0, 1] and noise >= 0")
-    return 10.0 * math.log10(
+    return 10.0 * np.log10(
         transmittance * photons / (photons + (1.0 - transmittance) * chi_total)
     )
 
 
 class BetaFit(NamedTuple):
-    value: float
-    valid: bool  # the fit only holds for values inside [0, 1]
+    value: float | np.ndarray
+    valid: bool | np.ndarray  # the fit only holds for values inside [0, 1]
 
 
 class FerFit(NamedTuple):
-    value: float  # clamped to [0, 1]
-    raw: float
-    clamped: bool
+    value: float | np.ndarray  # clamped to [0, 1]
+    raw: float | np.ndarray
+    clamped: bool | np.ndarray
 
 
-def beta(snr: float, model: ReconciliationModel) -> BetaFit:
+def beta(snr, model: ReconciliationModel) -> BetaFit:
     """Reconciliation efficiency at the given SNR (dB)."""
-    value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
-    valid = math.isfinite(value) and 0.0 <= value <= 1.0
+    value = model.c1 * np.exp(model.c2 * snr) + model.c3 * np.exp(model.c4 * snr)
+    valid = np.isfinite(value) & (0.0 <= value) & (value <= 1.0)
     return BetaFit(value=value, valid=valid)
 
 
-def fer(snr: float, model: ReconciliationModel) -> FerFit:
+def fer(snr, model: ReconciliationModel) -> FerFit:
     """Frame error rate at the given SNR (dB), clamped to [0, 1].
 
     The arctan fit saturates outside the transition region; the clamp flag
     is informational, clamped values remain usable.
     """
-    raw = 0.5 * (1.0 + model.m1 * math.atan(model.m2 * snr + model.m3))
-    value = min(max(raw, 0.0), 1.0)
+    raw = 0.5 * (1.0 + model.m1 * np.arctan(model.m2 * snr + model.m3))
+    value = np.clip(raw, 0.0, 1.0)
     return FerFit(value=value, raw=raw, clamped=value != raw)
 
 
@@ -111,17 +115,18 @@ def privacy_penalty(params: FiniteSizeParams) -> float:
 
 def skr_finite(
     repetition_rate_hz: float,
-    frame_error_rate: float,
-    reconciliation_efficiency: float,
-    mutual_information: float,
-    holevo: float,
+    frame_error_rate,
+    reconciliation_efficiency,
+    mutual_information,
+    holevo,
     privacy: float,
-) -> float:
+):
     """Finite-size secret key rate in bits per second (may be negative).
 
     Frame losses are charged against the corrected information only.
     """
-    if not 0.0 <= frame_error_rate <= 1.0:
+    rate = np.asarray(frame_error_rate)
+    if np.any(~((0.0 <= rate) & (rate <= 1.0))):
         raise ValueError("frame error rate must be in [0, 1]")
     return repetition_rate_hz * (
         (1.0 - frame_error_rate) * reconciliation_efficiency * mutual_information

@@ -3,6 +3,7 @@
 Mutual information and the Holevo bound are evaluated from the two-mode
 covariance matrix in closed form; the symplectic eigenvalues come out of
 the usual quadratic in A, B (channel) and C, D (after Bob's measurement).
+Transmittances (and the quantities derived from them) may be arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UnphysicalCovariance
+from .quantities import offending
 
 # Eigenvalues may undershoot 1 by this much before the state is called unphysical.
 _EIGENVALUE_TOL = 1e-9
@@ -57,10 +61,10 @@ DAYLIGHT_NOISE = NoiseBudget(
 class ChannelNoiseState:
     """Channel-referred noise terms for one transmittance/detector pairing."""
 
-    transmittance: float
-    chi_line: float
+    transmittance: float | np.ndarray
+    chi_line: float | np.ndarray
     chi_detector: float
-    chi_total: float
+    chi_total: float | np.ndarray
 
 
 def gaussian_correlation(modulation_variance: float) -> float:
@@ -70,13 +74,13 @@ def gaussian_correlation(modulation_variance: float) -> float:
     return math.sqrt(modulation_variance**2 + 2.0 * modulation_variance)
 
 
-def channel_noise(
-    transmittance: float, budget: NoiseBudget, kind: Detection
-) -> ChannelNoiseState:
+def channel_noise(transmittance, budget: NoiseBudget, kind: Detection) -> ChannelNoiseState:
     """Line, detector and total added noise in shot-noise units."""
-    if not 0.0 < transmittance <= 1.0:
+    t = np.asarray(transmittance)
+    bad = ~((0.0 < t) & (t <= 1.0))
+    if np.any(bad):
         raise ValueError(
-            f"transmittance must be in (0, 1], got {transmittance}; "
+            f"transmittance must be in (0, 1], got {offending(t, bad)}; "
             "the line noise diverges for a fully blocked channel"
         )
     eta = budget.detector_efficiency
@@ -93,66 +97,73 @@ def channel_noise(
     )
 
 
-def g_function(x: float) -> float:
+def g_function(x):
     """Bosonic entropy function (x+1)log2(x+1) - x log2 x, with G(0) = 0."""
-    if x < 0.0:
-        raise ValueError(f"entropy argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    x = np.asarray(x)
+    negative = x < 0.0
+    if np.any(negative):
+        raise ValueError(f"entropy argument must be >= 0, got {offending(x, negative)}")
+    positive = x > 0.0
+    x_log = np.where(positive, x, 1.0)  # log2(1) = 0 keeps G(0) = 0 without a log2(0)
+    return np.where(positive, (x + 1.0) * np.log2(x + 1.0) - x_log * np.log2(x_log), 0.0)[()]
 
 
-def mutual_information_gm(
-    modulation_variance: float, chi_total: float, kind: Detection
-) -> float:
+def mutual_information_gm(modulation_variance: float, chi_total, kind: Detection):
     """Alice-Bob mutual information in bits per pulse."""
-    if modulation_variance < 0.0 or chi_total < 0.0:
+    if modulation_variance < 0.0 or np.any(chi_total < 0.0):
         raise ValueError("modulation variance and total noise must be >= 0")
-    half = 0.5 * math.log2(
+    half = 0.5 * np.log2(
         (modulation_variance + 1.0 + chi_total) / (1.0 + chi_total)
     )
     return half if kind is Detection.HOMODYNE else 2.0 * half
 
 
-def _sqrt_eigenvalue(mean: float, product_root: float, label: str) -> tuple[float, float]:
+def _sqrt_eigenvalue(mean, product_root, label: str, disc_tol: float = _DISCRIMINANT_TOL):
     """Eigenvalue pair from lam^2 quadratic with sum `mean`, product `product_root`^2.
 
     The smaller eigenvalue comes from the product identity
     lam+ * lam- = product_root instead of the subtractive discriminant,
     which loses half the digits near degeneracy.
     """
-    if mean <= 0.0:
-        raise UnphysicalCovariance(f"non-positive eigenvalue sum {mean} in {label}")
+    bad = mean <= 0.0
+    if np.any(bad):
+        raise UnphysicalCovariance(f"non-positive eigenvalue sum {offending(mean, bad)} in {label}")
     disc = mean**2 - 4.0 * product_root**2
-    if disc < -_DISCRIMINANT_TOL:
+    bad = disc < -disc_tol
+    if np.any(bad):
         raise UnphysicalCovariance(
-            f"negative discriminant in {label} eigenvalues: {disc}"
+            f"negative discriminant in {label} eigenvalues: {offending(disc, bad)}"
         )
-    if disc < 1e-13 * mean**2:
-        # below the rounding floor of the discriminant the +/- split is
-        # noise; the degenerate point is the faithful value
-        lam = math.sqrt(mean / 2.0)
-        lam_plus = lam_minus = lam
-    else:
-        lam_plus = math.sqrt((mean + math.sqrt(disc)) / 2.0)
-        lam_minus = product_root / lam_plus
+    # below the rounding floor of the discriminant the +/- split is noise;
+    # the degenerate point is the faithful value
+    degenerate = disc < 1e-13 * mean**2
+    lam_plus = np.where(
+        degenerate, np.sqrt(mean / 2.0), np.sqrt((mean + np.sqrt(np.maximum(disc, 0.0))) / 2.0)
+    )[()]
+    lam_minus = np.where(degenerate, lam_plus, product_root / lam_plus)[()]
     for lam in (lam_plus, lam_minus):
-        if lam < 1.0 - _EIGENVALUE_TOL:
+        bad = lam < 1.0 - _EIGENVALUE_TOL
+        if np.any(bad):
             raise UnphysicalCovariance(
-                f"symplectic eigenvalue {lam} < 1 in {label} "
-                f"(sum {mean}, product {product_root**2})"
+                f"symplectic eigenvalue {offending(lam, bad)} < 1 in {label} "
+                f"(sum {offending(mean, bad)}, product {offending(product_root, bad)**2})"
             )
     return lam_plus, lam_minus
 
 
+def _entropy(lam):
+    """G((lam - 1) / 2): the entropy one symplectic eigenvalue contributes."""
+    return g_function(np.maximum(0.0, (lam - 1.0) / 2.0))
+
+
 def holevo_bound(
     modulation_variance: float,
-    transmittance: float,
-    chi_line: float,
+    transmittance,
+    chi_line,
     chi_detector: float,
     correlation: float,
     kind: Detection,
-) -> tuple[float, tuple[float, float, float, float]]:
+):
     """Holevo information bound S_BE and the four symplectic eigenvalues.
 
     ``correlation`` is the Z term of the covariance matrix: the Gaussian
@@ -171,7 +182,7 @@ def holevo_bound(
     denom = t * (v + chi_tot)
     if kind is Detection.HOMODYNE:
         c_term = (a_term * chi_detector + v * sqrt_b + t * (v + chi_line)) / denom
-        sqrt_d = math.sqrt(sqrt_b * (v + sqrt_b * chi_detector) / denom)
+        sqrt_d = np.sqrt(sqrt_b * (v + sqrt_b * chi_detector) / denom)
     else:
         c_term = (
             a_term * chi_detector**2
@@ -183,46 +194,38 @@ def holevo_bound(
         sqrt_d = (v + sqrt_b * chi_detector) / denom
     lam3, lam4 = _sqrt_eigenvalue(c_term, sqrt_d, "conditional")
 
-    s_be = (
-        g_function(max(0.0, (lam1 - 1.0) / 2.0))
-        + g_function(max(0.0, (lam2 - 1.0) / 2.0))
-        - g_function(max(0.0, (lam3 - 1.0) / 2.0))
-        - g_function(max(0.0, (lam4 - 1.0) / 2.0))
-    )
+    s_be = _entropy(lam1) + _entropy(lam2) - _entropy(lam3) - _entropy(lam4)
     return s_be, (lam1, lam2, lam3, lam4)
 
 
-def skr_asymptotic(
-    reconciliation_efficiency: float, mutual_information: float, holevo: float
-) -> float:
+def skr_asymptotic(reconciliation_efficiency, mutual_information, holevo):
     """Asymptotic secret key rate in bits per pulse (may be negative)."""
-    if not 0.0 <= reconciliation_efficiency <= 1.0:
+    efficiency = np.asarray(reconciliation_efficiency)
+    if np.any(~((0.0 <= efficiency) & (efficiency <= 1.0))):
         raise ValueError("reconciliation efficiency must be in [0, 1]")
-    return reconciliation_efficiency * mutual_information - holevo
+    return efficiency * mutual_information - holevo
 
 
 @dataclass(frozen=True)
 class SecurityResult:
-    """One protocol evaluation at a fixed channel transmittance."""
+    """A protocol evaluated at the channel transmittance(s) it was given."""
 
-    mutual_information: float  # bits/pulse
-    holevo: float  # bits/pulse
-    skr_asymptotic: float  # bits/pulse, negative means no key
-    symplectic_eigenvalues: tuple[float, ...]
-    noise: ChannelNoiseState | None = None
+    mutual_information: float | np.ndarray  # bits/pulse
+    holevo: float | np.ndarray  # bits/pulse
+    skr_asymptotic: float | np.ndarray  # bits/pulse, negative means no key
 
 
 def gm_security(
     modulation_variance: float,
-    transmittance: float,
+    transmittance,
     budget: NoiseBudget,
     kind: Detection,
-    reconciliation_efficiency: float,
+    reconciliation_efficiency,
 ) -> SecurityResult:
-    """Full Gaussian-modulation pipeline at one link transmittance."""
+    """Full Gaussian-modulation pipeline at the given link transmittance(s)."""
     noise = channel_noise(transmittance, budget, kind)
     i_ab = mutual_information_gm(modulation_variance, noise.chi_total, kind)
-    s_be, lambdas = holevo_bound(
+    s_be, _ = holevo_bound(
         modulation_variance,
         transmittance,
         noise.chi_line,
@@ -234,6 +237,4 @@ def gm_security(
         mutual_information=i_ab,
         holevo=s_be,
         skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
-        symplectic_eigenvalues=lambdas,
-        noise=noise,
     )

@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams
-from .pipeline import LinkSetup, PointResult, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point
+from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_point
 
 _MU_EARTH = 3.986004418e14  # m^3/s^2
 
@@ -34,20 +35,28 @@ class PassProfile:
     def __post_init__(self) -> None:
         if len(self.times_s) != len(self.elevations_deg) or not self.times_s:
             raise ProfileError("profile must contain at least one (time, elevation) sample")
-        for i in range(1, len(self.times_s)):
-            if self.times_s[i] <= self.times_s[i - 1]:
-                raise ProfileError(
-                    f"sample times must be strictly increasing (index {i})"
-                )
-        for i, elevation in enumerate(self.elevations_deg):
-            if not 0.0 < elevation <= 90.0:
-                raise ProfileError(
-                    f"elevation {elevation} out of (0, 90] at sample {i}"
-                )
+        times = np.asarray(self.times_s, dtype=float)
+        elevations = np.asarray(self.elevations_deg, dtype=float)
+        bad_elevation = ~((0.0 < elevations) & (elevations <= 90.0))
+        bad_time = np.insert(times[1:] <= times[:-1], 0, False)
+        bad = np.flatnonzero(bad_elevation | bad_time)
+        if bad.size:
+            i = int(bad[0])
+            raise _BadSample(i, f"elevation {self.elevations_deg[i]} out of (0, 90]"
+                             if bad_elevation[i]
+                             else f"time {self.times_s[i]} not after {self.times_s[i - 1]}")
 
     @property
     def duration_s(self) -> float:
         return self.times_s[-1] - self.times_s[0]
+
+
+class _BadSample(ProfileError):
+    """The sample at ``index`` is out of range or out of order."""
+
+    def __init__(self, index: int, what: str):
+        self.index, self.what = index, what
+        super().__init__(f"sample {index}: {what}")
 
 
 def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> PassProfile:
@@ -58,9 +67,11 @@ def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> Pa
 
     times: list[float] = []
     elevations: list[float] = []
+    skipped: list[int] = []  # blank lines and the header, to name a sample's line
     reader = csv.reader(source)
     for line_no, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
+            skipped.append(line_no)
             continue
         if len(row) < 2:
             raise ProfileError(f"line {line_no}: expected two columns, got {len(row)}")
@@ -69,21 +80,24 @@ def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> Pa
             e = float(row[1])
         except ValueError:
             if line_no == 1:
+                skipped.append(line_no)
                 continue  # header
             raise ProfileError(f"line {line_no}: cannot parse {row[:2]!r} as numbers")
-        if not 0.0 < e <= 90.0:
-            raise ProfileError(f"line {line_no}: elevation {e} out of (0, 90]")
-        if times and t <= times[-1]:
-            raise ProfileError(f"line {line_no}: time {t} not after {times[-1]}")
         times.append(t)
         elevations.append(e)
     if not times:
         raise ProfileError("profile stream contains no samples")
-    return PassProfile(
-        times_s=tuple(times),
-        elevations_deg=tuple(elevations),
-        ogs_altitude_m=ogs_altitude_m,
-    )
+    try:
+        return PassProfile(
+            times_s=tuple(times),
+            elevations_deg=tuple(elevations),
+            ogs_altitude_m=ogs_altitude_m,
+        )
+    except _BadSample as bad:
+        line_no = bad.index + 1
+        for skipped_no in skipped:  # ascending
+            line_no += skipped_no <= line_no
+        raise ProfileError(f"line {line_no}: {bad.what}") from None
 
 
 def _elevation_from_central_angle(gamma: float, radius_ratio: float) -> float:
@@ -158,8 +172,15 @@ class ModelPassResult:
     """Per-reconciliation-model outcome of a pass."""
 
     total_key_bits: float
-    skr_series: tuple[tuple[float, float], ...]  # (time_s, skr_bits_per_s), raw sign
     excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
+    bin_rates: np.ndarray  # skr_bits_per_s per elevation bin a sample falls in, raw sign
+    sample_bins: np.ndarray  # each sample's index into bin_rates; empty for one sample
+    times_s: tuple[float, ...]
+
+    @property
+    def skr_series(self) -> tuple[tuple[float, float], ...]:
+        """(time_s, skr_bits_per_s) per sample, raw sign."""
+        return tuple(zip(self.times_s, self.bin_rates[self.sample_bins].tolist()))
 
 
 @dataclass(frozen=True)
@@ -167,15 +188,6 @@ class PassResult:
     """Pass totals per reconciliation model."""
 
     models: dict[str, ModelPassResult]
-
-
-def _dwell_map(profile: PassProfile, bin_width_deg: float) -> dict[int, float]:
-    dwell: dict[int, float] = {}
-    for i in range(len(profile.times_s) - 1):
-        dt = profile.times_s[i + 1] - profile.times_s[i]
-        index = int(profile.elevations_deg[i] // bin_width_deg)
-        dwell[index] = dwell.get(index, 0.0) + dt
-    return dwell
 
 
 def integrate_key_bits(
@@ -190,12 +202,26 @@ def integrate_key_bits(
 ) -> PassResult:
     """Accumulate secret key bits over a pass for each reconciliation model.
 
+    A sample's dwell (the time to the next sample) goes to its elevation bin;
+    each model evaluates all occupied bins at their centres in one grid call.
     The link setup's OGS altitude is overridden by the profile's.
     """
     if bin_width_deg <= 0.0:
         raise ValueError("bin width must be positive")
     setup = replace(setup, ogs_altitude_m=profile.ogs_altitude_m)
-    dwell = _dwell_map(profile, bin_width_deg)
+    bins, sample_bins = np.unique(
+        (np.asarray(profile.elevations_deg) // bin_width_deg).astype(int), return_inverse=True
+    )
+    dwell = np.bincount(
+        sample_bins[:-1], weights=np.diff(profile.times_s), minlength=bins.size
+    )
+    occupied = np.bincount(sample_bins[:-1], minlength=bins.size) > 0
+    centres = np.minimum((bins + 0.5) * bin_width_deg, 90.0)
+    keyhole = centres > keyhole_ceiling_deg if keyhole_ceiling_deg is not None \
+        else np.zeros(bins.size, dtype=bool)
+    evaluated = np.flatnonzero(occupied & ~keyhole)
+    if len(profile.times_s) < 2:
+        sample_bins = sample_bins[:0]
 
     models: dict[str, ModelPassResult] = {}
     for reconciliation in reconciliations:
@@ -204,38 +230,20 @@ def integrate_key_bits(
             if reconciliation.kind == "finite"
             else f"asymptotic(beta={reconciliation.beta_asymptotic:g})"
         )
-        skr_by_bin: dict[int, float] = {}
-        excluded: list[float] = []
-        for index in sorted(dwell):
-            centre = min((index + 0.5) * bin_width_deg, 90.0)
-            if keyhole_ceiling_deg is not None and centre > keyhole_ceiling_deg:
-                skr_by_bin[index] = 0.0
-                excluded.append(centre)
-                continue
-            point: PointResult = evaluate_point(
-                setup, spec, satellite_altitude_m, centre, reconciliation, finite_params
-            )
-            if not point.far_field_ok:
-                skr_by_bin[index] = 0.0
-                excluded.append(centre)
-            elif point.skr_bits_per_second is None:
-                skr_by_bin[index] = 0.0  # no key at this bin (invalid beta)
-            else:
-                skr_by_bin[index] = point.skr_bits_per_second
-
-        total = math.fsum(
-            max(skr_by_bin[index], 0.0) * seconds for index, seconds in dwell.items()
+        point = evaluate_point(
+            setup, spec, satellite_altitude_m, centres[evaluated], reconciliation, finite_params
         )
-        if len(profile.times_s) < 2:
-            series: tuple[tuple[float, float], ...] = ()
-        else:
-            series = tuple(
-                (t, skr_by_bin.get(int(e // bin_width_deg), 0.0))
-                for t, e in zip(profile.times_s, profile.elevations_deg)
-            )
+        far_field_ok = np.broadcast_to(point.far_field_ok, evaluated.shape)
+        rates = np.asarray(point.skr_bits_per_second, dtype=float)  # NaN: no key (invalid beta)
+        bin_rates = np.zeros(bins.size)
+        bin_rates[evaluated] = np.where(far_field_ok & ~np.isnan(rates), rates, 0.0)
+        excluded = occupied & keyhole
+        excluded[evaluated[~far_field_ok]] = True
         models[name] = ModelPassResult(
-            total_key_bits=total,
-            skr_series=series,
-            excluded_bins_deg=tuple(excluded),
+            total_key_bits=math.fsum((np.maximum(bin_rates, 0.0) * dwell).tolist()),
+            excluded_bins_deg=tuple(centres[excluded].tolist()),
+            bin_rates=bin_rates,
+            sample_bins=sample_bins,
+            times_s=profile.times_s,
         )
     return PassResult(models=models)

@@ -1,18 +1,21 @@
-"""End-to-end evaluation of one link configuration.
+"""End-to-end evaluation of link configurations.
 
 Bridges the channel model to the protocol security calculations and the
-finite-size layer, producing flat records suitable for CSV emission.
+finite-size layer, producing flat records (or columns of them, for a grid
+of points) suitable for CSV emission.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import qam
 from .channel import ATMOSPHERE_THICKNESS_M, EARTH_RADIUS_M, AtmosphericConditions, \
-    LinkGeometry, OpticalTerminals, link_budget, slant_path
-from .errors import ConfigError, FarFieldViolation
+    LinkGeometry, OpticalTerminals, far_field_bound_m, link_budget, slant_path
+from .errors import ConfigError
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
@@ -31,7 +34,7 @@ class LinkSetup:
     atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
     earth_radius_m: float = EARTH_RADIUS_M
 
-    def geometry(self, satellite_altitude_m: float, elevation_deg: float) -> LinkGeometry:
+    def geometry(self, satellite_altitude_m, elevation_deg) -> LinkGeometry:
         return LinkGeometry(
             satellite_altitude_m=satellite_altitude_m,
             elevation_deg=elevation_deg,
@@ -97,7 +100,11 @@ class ReconciliationSpec:
 
 @dataclass
 class PointResult:
-    """Flat record for one (protocol, altitude, elevation) evaluation."""
+    """Flat record for one (protocol, altitude, elevation) evaluation.
+
+    For a grid of points each per-point field holds an array over the grid,
+    with NaN (numbers) or None (flags) where a point has no value.
+    """
 
     protocol: str
     detection: str
@@ -123,7 +130,6 @@ class PointResult:
     fer_raw: float | None = None
     privacy: float | None = None
     skr_bits_per_second: float | None = None
-    symplectic_eigenvalues: tuple[float, ...] = field(default_factory=tuple)
 
 
 # CSV layout: (column, PointResult field, divisor); the divisor turns metres
@@ -187,15 +193,35 @@ def protocol_security(
     )
 
 
+def _spread(values, rows: np.ndarray, size: int) -> np.ndarray | None:
+    """``values`` at the flat ``rows`` of ``size`` points; the other points hold
+    the mark of a missing value, NaN for numbers and None for flags."""
+    if values is None:
+        return None
+    values = np.asarray(values)
+    if rows.size == size:  # every point has a value
+        return np.full(size, values) if values.ndim == 0 else values
+    out = np.full(size, np.nan) if values.dtype.kind == "f" else np.full(size, None, dtype=object)
+    out[rows] = values
+    return out
+
+
 def evaluate_point(
     setup: LinkSetup,
     spec: ProtocolSpec,
-    altitude_m: float,
-    elevation_deg: float,
+    altitude_m,
+    elevation_deg,
     reconciliation: ReconciliationSpec,
     finite_params: FiniteSizeParams | None = None,
 ) -> PointResult:
-    """Channel + security + (optionally) finite-size layer for one point."""
+    """Channel + security + (optionally) finite-size layer for one point or a grid.
+
+    ``altitude_m`` and ``elevation_deg`` are floats, or arrays that broadcast
+    together into a grid.  For a grid each per-point field is an array over it:
+    a far-field point has no link budget and no key, and a point whose fitted
+    beta is invalid has no key; those values are NaN, or None for a flag.  For
+    one point the fields hold plain values and a missing one is None.
+    """
     if reconciliation.kind == "finite":
         if spec.kind != "gm":
             raise ConfigError(
@@ -205,64 +231,86 @@ def evaluate_point(
         if finite_params is None:
             raise ConfigError("finite-size reconciliation needs finite-size parameters")
 
+    altitudes, elevations = np.broadcast_arrays(
+        np.asarray(altitude_m, dtype=float), np.asarray(elevation_deg, dtype=float)
+    )
+    shape, size = altitudes.shape, altitudes.size
+    altitudes, elevations = altitudes.ravel(), elevations.ravel()
+    geometry = setup.geometry(altitudes, elevations)
+    path = slant_path(geometry)
+    far_field_ok = ~(path.total_distance_m < far_field_bound_m(setup.terminals))
+    linked = np.flatnonzero(far_field_ok)
+    if linked.size < size:
+        geometry = setup.geometry(altitudes[linked], elevations[linked])
+    budget = link_budget(geometry, setup.terminals, setup.conditions)
+    transmittance = budget.transmittance
+
+    snr = fer_value = fer_raw = privacy = None
+    if spec.kind != "qam":
+        noise_state = channel_noise(transmittance, setup.noise, spec.detection)
+        snr = snr_db(
+            math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
+        )
+    if reconciliation.kind == "asymptotic":
+        efficiency = np.full(linked.size, reconciliation.beta_asymptotic)
+        beta_valid = np.full(linked.size, True)
+    else:
+        # Finite-size: the fitted efficiency replaces the configured beta.
+        efficiency, beta_valid = beta(snr, reconciliation.model)
+        fer_value, fer_raw, _ = fer(snr, reconciliation.model)
+        privacy = privacy_penalty(finite_params)
+
+    if np.any(beta_valid):
+        security = protocol_security(
+            spec, transmittance[beta_valid], setup.noise, efficiency[beta_valid]
+        )
+    else:  # no point to secure: no protocol constants are computed either
+        security = SecurityResult(*[np.empty(0)] * 3)
+    skr_per_second = None
+    if reconciliation.kind == "finite":
+        skr_per_second = skr_finite(
+            finite_params.repetition_rate_hz,
+            fer_value[beta_valid],
+            efficiency[beta_valid],
+            security.mutual_information,
+            security.holevo,
+            privacy,
+        )
+    elif finite_params is not None:
+        skr_per_second = finite_params.repetition_rate_hz * security.skr_asymptotic
+
+    status = np.full(size, "far_field_excluded", dtype=object)
+    status[linked] = "ok"
+    status[linked[~beta_valid]] = "no_key_beta_invalid"
+    link_values = dict(
+        a_geo_db=budget.geometric_db, a_scat_db=budget.scattering_db,
+        a_sci_db=budget.scintillation_db, a_tot_db=budget.total_db,
+        transmittance=transmittance, snr_db=snr, beta_value=efficiency, beta_valid=beta_valid,
+        fer_value=fer_value, fer_raw=fer_raw, privacy=privacy,
+    )
+    key_values = dict(
+        mutual_information=security.mutual_information, holevo=security.holevo,
+        skr_asymptotic_per_pulse=security.skr_asymptotic, skr_bits_per_second=skr_per_second,
+    )
     result = PointResult(
         protocol=spec.label,
         detection=spec.detection.value,
         modulation_variance=spec.modulation_variance,
-        altitude_m=altitude_m,
-        elevation_deg=elevation_deg,
+        altitude_m=altitudes,
+        elevation_deg=elevations,
+        status=status,
+        l_tot_m=path.total_distance_m,
+        l_atm_eff_m=path.effective_atmosphere_m,
+        far_field_ok=far_field_ok,
+        **{name: _spread(v, linked, size) for name, v in link_values.items()},
+        **{name: _spread(v, linked[beta_valid], size) for name, v in key_values.items()},
     )
-    geometry = setup.geometry(altitude_m, elevation_deg)
-    try:
-        budget = link_budget(geometry, setup.terminals, setup.conditions)
-        path = budget.slant
-    except FarFieldViolation:
-        budget, path = None, slant_path(geometry)
-    result.l_tot_m = path.total_distance_m
-    result.l_atm_eff_m = path.effective_atmosphere_m
-    if budget is None:
-        result.far_field_ok = False
-        result.status = "far_field_excluded"
-        return result
-
-    result.a_geo_db = budget.geometric_db
-    result.a_scat_db = budget.scattering_db
-    result.a_sci_db = budget.scintillation_db
-    result.a_tot_db = budget.total_db
-    transmittance = budget.transmittance
-    result.transmittance = transmittance
-
-    if spec.kind != "qam":
-        noise_state = channel_noise(transmittance, setup.noise, spec.detection)
-        result.snr_db = snr_db(
-            math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
-        )
-    if reconciliation.kind == "asymptotic":
-        result.beta_value, result.beta_valid = reconciliation.beta_asymptotic, True
-    else:
-        # Finite-size: the fitted efficiency replaces the configured beta.
-        result.beta_value, result.beta_valid = beta(result.snr_db, reconciliation.model)
-        fer_fit = fer(result.snr_db, reconciliation.model)
-        result.fer_value, result.fer_raw = fer_fit.value, fer_fit.raw
-        result.privacy = privacy_penalty(finite_params)
-        if not result.beta_valid:
-            result.status = "no_key_beta_invalid"
-            return result
-
-    security = protocol_security(spec, transmittance, setup.noise, result.beta_value)
-    result.mutual_information = security.mutual_information
-    result.holevo = security.holevo
-    result.skr_asymptotic_per_pulse = security.skr_asymptotic
-    result.symplectic_eigenvalues = security.symplectic_eigenvalues
-    if reconciliation.kind == "finite":
-        result.skr_bits_per_second = skr_finite(
-            finite_params.repetition_rate_hz,
-            result.fer_value,
-            result.beta_value,
-            security.mutual_information,
-            security.holevo,
-            result.privacy,
-        )
-    elif finite_params is not None:
-        result.skr_bits_per_second = finite_params.repetition_rate_hz * security.skr_asymptotic
+    for f in fields(PointResult):
+        value = getattr(result, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.reshape(shape)
+            if shape == ():
+                value = value.item()
+                value = None if value != value else value  # NaN marks a missing number
+            setattr(result, f.name, value)
     return result

@@ -142,16 +142,20 @@ def correlation_z(config: PskConfig) -> float:
 
 def psk_security(
     config: PskConfig,
-    transmittance: float,
+    transmittance,
     budget: NoiseBudget,
     kind: Detection,
-    reconciliation_efficiency: float,
+    reconciliation_efficiency,
 ) -> SecurityResult:
-    """Asymptotic M-PSK key rate via the shared covariance pipeline."""
+    """Asymptotic M-PSK key rate via the shared covariance pipeline.
+
+    Z_M depends on the ring alone, so one call over an array of
+    transmittances computes it once.
+    """
     v_a = config.modulation_variance
     noise = channel_noise(transmittance, budget, kind)
     i_ab = mutual_information_gm(v_a, noise.chi_total, kind)
-    s_be, lambdas = holevo_bound(
+    s_be, _ = holevo_bound(
         v_a,
         transmittance,
         noise.chi_line,
@@ -163,6 +167,4 @@ def psk_security(
         mutual_information=i_ab,
         holevo=s_be,
         skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
-        symplectic_eigenvalues=lambdas,
-        noise=noise,
     )

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError, \
     UnphysicalCovariance
-from .gaussian import Detection, SecurityResult, g_function, skr_asymptotic
+from .gaussian import Detection, SecurityResult, _entropy, _sqrt_eigenvalue, skr_asymptotic
+from .quantities import offending
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
 # outside the support; smaller thresholds admit noise-dominated directions
@@ -278,21 +279,24 @@ def _moments(workspace: FockWorkspace) -> tuple[float, float]:
     return term1, max(w, 0.0)
 
 
-def _z_star(term1: float, w: float, transmittance: float, excess_noise: float) -> float:
+def _z_star(term1: float, w: float, transmittance, excess_noise: float):
     return (
-        2.0 * math.sqrt(transmittance) * term1
-        - math.sqrt(2.0 * transmittance * excess_noise * w)
+        2.0 * np.sqrt(transmittance) * term1
+        - np.sqrt(2.0 * transmittance * excess_noise * w)
     )
 
 
 def _converged_moments(
-    build: Callable[[int], FockWorkspace], cutoff: int, excess_noise: float
+    build: Callable[[int], FockWorkspace], cutoff: int, excess_noise: float,
+    workspace: FockWorkspace | None = None,
 ) -> tuple[float, float]:
     """(term1, w) at cutoff + 10 for the first cutoff, doubling from ``cutoff``, at
     which that step of 10 moves Z* by less than 1e-9.  The gate runs at T = 1 and
-    holds for every T, since Z*(T) = sqrt(T) Z*(1)."""
+    holds for every T, since Z*(T) = sqrt(T) Z*(1).  ``workspace``, if given, is
+    the one ``build(cutoff)`` would return."""
     while cutoff <= _MAX_CUTOFF:
-        coarse = _moments(build(cutoff))
+        coarse = _moments(workspace if workspace is not None else build(cutoff))
+        workspace = None
         refined = _moments(build(cutoff + _CUTOFF_STEP))
         moved = abs(_z_star(*refined, 1.0, excess_noise) - _z_star(*coarse, 1.0, excess_noise))
         if moved < _ZSTAR_CONVERGENCE_TOL:
@@ -309,8 +313,8 @@ def correlation_lower_bound(
 ) -> float:
     """Lower bound Z* on the Alice-Bob correlation for arbitrary modulation.
 
-    The moments are taken from the workspace's cutoff upwards, through the
-    same convergence gate as every QAM key rate.
+    The workspace is the coarse level of the same convergence gate every
+    QAM key rate passes; higher cutoffs are built from the constellation.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
@@ -322,7 +326,7 @@ def correlation_lower_bound(
         raise ValueError("constellation required to rebuild the workspace")
     else:
         build = partial(modulation_density_matrix, constellation)
-    moments = _converged_moments(build, workspace.cutoff, excess_noise)
+    moments = _converged_moments(build, workspace.cutoff, excess_noise, workspace)
     return _z_star(*moments, transmittance, excess_noise)
 
 
@@ -346,16 +350,17 @@ def _setting_moments(
 
 def mutual_information_qam(
     modulation_variance: float,
-    transmittance: float,
+    transmittance,
     excess_noise: float,
     kind: Detection,
-) -> float:
+):
     """Alice-Bob mutual information of the arbitrary-modulation bound."""
     if modulation_variance < 0.0 or excess_noise < 0.0:
         raise ValueError("modulation variance and excess noise must be >= 0")
-    if not 0.0 <= transmittance <= 1.0:
+    t = np.asarray(transmittance)
+    if np.any(~((0.0 <= t) & (t <= 1.0))):
         raise ValueError("transmittance must be in [0, 1]")
-    half = 0.5 * math.log2(
+    half = 0.5 * np.log2(
         1.0
         + transmittance * modulation_variance / (2.0 + transmittance * excess_noise)
     )
@@ -364,13 +369,13 @@ def mutual_information_qam(
 
 def holevo_qam(
     modulation_variance: float,
-    transmittance: float,
+    transmittance,
     excess_noise: float,
-    z_star: float,
+    z_star,
     kind: Detection,
-) -> tuple[float, tuple[float, float, float]]:
+):
     """Holevo bound and the three symplectic eigenvalues of the QAM pipeline."""
-    if z_star < 0.0:
+    if np.any(z_star < 0.0):
         raise ValueError("correlation bound must be >= 0")
     x = modulation_variance + 1.0
     y = 1.0 + transmittance * modulation_variance + transmittance * excess_noise
@@ -378,51 +383,39 @@ def holevo_qam(
 
     delta = x**2 + y**2 - 2.0 * z_sq
     det_root = abs(x * y - z_sq)  # product of the two symplectic eigenvalues
-    if delta <= 0.0:
-        raise UnphysicalCovariance(f"non-positive eigenvalue sum {delta} in QAM covariance")
-    disc = delta**2 - 4.0 * det_root**2
-    if disc < _NEGATIVE_EIGENVALUE_TOL:
-        raise UnphysicalCovariance(f"negative discriminant {disc} in QAM covariance")
-    if disc < 1e-13 * delta**2:
-        # discriminant below its rounding floor: the pair is degenerate
-        lam1 = lam2 = math.sqrt(delta / 2.0)
-    else:
-        lam1 = math.sqrt((delta + math.sqrt(disc)) / 2.0)
-        lam2 = det_root / lam1
+    lam1, lam2 = _sqrt_eigenvalue(delta, det_root, "QAM covariance", -_NEGATIVE_EIGENVALUE_TOL)
 
     if kind is Detection.HOMODYNE:
         lam3_sq = x * (x - z_sq / y)
-        if lam3_sq < 0.0:
-            raise UnphysicalCovariance(f"negative conditional eigenvalue square {lam3_sq}")
-        lam3 = math.sqrt(lam3_sq)
+        bad = lam3_sq < 0.0
+        if np.any(bad):
+            raise UnphysicalCovariance(
+                f"negative conditional eigenvalue square {offending(lam3_sq, bad)}")
+        lam3 = np.sqrt(lam3_sq)
     else:
         lam3 = x - z_sq / (2.0 + transmittance * modulation_variance
                            + transmittance * excess_noise)
 
-    for lam in (lam1, lam2, lam3):
-        if lam < 1.0 - 1e-9:
-            raise UnphysicalCovariance(
-                f"symplectic eigenvalue {lam} < 1 in QAM pipeline "
-                f"(V={modulation_variance}, T={transmittance}, Z*={z_star})"
-            )
-    s_be = (
-        g_function(max(0.0, (lam1 - 1.0) / 2.0))
-        + g_function(max(0.0, (lam2 - 1.0) / 2.0))
-        - g_function(max(0.0, (lam3 - 1.0) / 2.0))
-    )
-    return s_be, (lam1, lam2, lam3)
+    bad = lam3 < 1.0 - 1e-9
+    if np.any(bad):
+        raise UnphysicalCovariance(
+            f"symplectic eigenvalue {offending(lam3, bad)} < 1 in QAM pipeline "
+            f"(V={modulation_variance}, T={offending(transmittance, bad)}, "
+            f"Z*={offending(z_star, bad)})"
+        )
+    return _entropy(lam1) + _entropy(lam2) - _entropy(lam3), (lam1, lam2, lam3)
 
 
 def qam_security(
     side: int,
     modulation_variance: float,
     distribution: QamDistribution,
-    transmittance: float,
+    transmittance,
     excess_noise: float,
     kind: Detection,
-    reconciliation_efficiency: float,
+    reconciliation_efficiency,
 ) -> SecurityResult:
-    """Asymptotic M-QAM key rate (M = side^2) at one link transmittance.
+    """Asymptotic M-QAM key rate (M = side^2) at the given link transmittance(s).
 
     The grid extent follows alpha = sqrt(V_A/2); the security formulas use
     the realized ensemble variance, which equals V_A exactly for binomial
@@ -431,14 +424,13 @@ def qam_security(
     information and only certifies the absence of key).
     """
     v_eff, term1, w = _setting_moments(side, modulation_variance, distribution, excess_noise)
-    z_star = max(_z_star(term1, w, transmittance, excess_noise), 0.0)
+    z_star = np.maximum(_z_star(term1, w, transmittance, excess_noise), 0.0)
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
-    s_be, lambdas = holevo_qam(v_eff, transmittance, excess_noise, z_star, kind)
+    s_be, _ = holevo_qam(v_eff, transmittance, excess_noise, z_star, kind)
     return SecurityResult(
         mutual_information=i_ab,
         holevo=s_be,
         skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
-        symplectic_eigenvalues=lambdas,
     )
 
 

@@ -5,7 +5,8 @@ spectra come from eigenvalues of i*Omega*gamma, measurement conditioning is
 done at the covariance-matrix level with an explicit trusted-noise
 purification, slant ranges from 2-D vector geometry, the Rytov path integral
 from arbitrary-precision quadrature, and small-constellation moments from an
-arbitrary-precision Gram-matrix construction.
+arbitrary-precision Gram-matrix construction.  ``reference_point`` is the
+per-point, ``math``-based evaluation the package's grid evaluator replaced.
 """
 
 from __future__ import annotations
@@ -217,3 +218,198 @@ def gram_moments(amplitudes, probabilities, dps: int = 50) -> tuple[float, float
     t1m = y * d_conj * gram
     term1 = mp_fsum(t1m[k, k].real for k in range(m))
     return float(term1), float(s1 - s2)
+
+
+# --- per-point scalar pipeline ------------------------------------------------------
+#
+# One point at a time through ``math``, as the package evaluated rows before
+# its closed-form functions took arrays.  Per-protocol constants (the PSK ring
+# correlation, the QAM moments, the privacy penalty) come from the package:
+# they are computed once per protocol or run on either path.
+
+
+def _oblique_range(r_ogs_m, r_shell_m, elevation_deg):
+    theta = math.radians(elevation_deg)
+    arg = math.cos(theta) * r_ogs_m / r_shell_m
+    if abs(arg) > 1.0:
+        if abs(arg) - 1.0 > 1e-9:
+            raise ValueError(f"arcsin argument {arg} outside [-1, 1]")
+        arg = math.copysign(1.0, arg)
+    central = (math.pi / 2.0 - theta) - math.asin(arg)
+    return math.sqrt(
+        r_shell_m**2 + r_ogs_m**2 - 2.0 * r_shell_m * r_ogs_m * math.cos(central)
+    )
+
+
+def _link_budget(setup, altitude_m, elevation_deg):
+    """(L_tot, L_atm, A_geo or None in the near field, A_scat, A_sci) in m and dB."""
+    from statistics import NormalDist
+
+    from satcvqkd.channel import scattering_coefficient_db_per_km
+
+    tx, cond = setup.terminals, setup.conditions
+    r_ogs = setup.earth_radius_m + setup.ogs_altitude_m
+    total = _oblique_range(r_ogs, setup.earth_radius_m + altitude_m, elevation_deg)
+    l_atm = _oblique_range(
+        r_ogs, setup.earth_radius_m + setup.atmosphere_thickness_m, elevation_deg
+    )
+    wl = tx.wavelength_m
+    if total < tx.receiver_aperture_m * tx.transmitter_aperture_m / wl:
+        return total, l_atm, None, None, None
+    spread = (total * wl / (tx.transmitter_aperture_m * tx.receiver_aperture_m)) ** 2
+    optics = tx.transmitter_efficiency * (1.0 - tx.pointing_loss) * tx.receiver_efficiency
+    a_geo = 10.0 * math.log10(spread / optics)
+    a_scat = scattering_coefficient_db_per_km(wl, cond.visibility_km) * l_atm / 1000.0
+    k = 2.0 * math.pi / wl
+    rytov = 2.25 * k ** (7.0 / 6.0) * cond.cn2 * (6.0 / 11.0) * l_atm ** (11.0 / 6.0)
+    d_sq = tx.receiver_aperture_m**2 * math.pi / (2.0 * wl * l_atm)
+    s65 = rytov ** (6.0 / 5.0)
+    first = 0.20 * rytov / (1.0 + 0.18 * d_sq + 0.20 * s65) ** (7.0 / 6.0)
+    second = (
+        0.21 * rytov * (1.0 + 0.24 * s65) ** (-5.0 / 6.0)
+        / (1.0 + 0.90 * d_sq + 0.21 * d_sq * s65)
+    )
+    log_term = math.log1p(math.expm1(first + second))
+    a_sci = abs(4.343 * (
+        NormalDist().inv_cdf(cond.outage_probability) * math.sqrt(log_term) - 0.5 * log_term
+    ))
+    return total, l_atm, a_geo, a_scat, a_sci
+
+
+def _sqrt_eigenvalue(mean, product_root, disc_tol):
+    if mean <= 0.0:
+        raise ValueError(f"non-positive eigenvalue sum {mean}")
+    disc = mean**2 - 4.0 * product_root**2
+    if disc < -disc_tol:
+        raise ValueError(f"negative discriminant {disc}")
+    if disc < 1e-13 * mean**2:
+        lam_plus = lam_minus = math.sqrt(mean / 2.0)
+    else:
+        lam_plus = math.sqrt((mean + math.sqrt(disc)) / 2.0)
+        lam_minus = product_root / lam_plus
+    return lam_plus, lam_minus
+
+
+def _entropy_terms(*lambdas):
+    return [_g(max(0.0, (lam - 1.0) / 2.0)) for lam in lambdas]
+
+
+def _gm_like_security(v_a, t, noise, homodyne, correlation):
+    """(I_AB, S_BE) of the Gaussian covariance pipeline with correlation Z."""
+    eta = noise.detector_efficiency
+    chi_line = 1.0 / t - 1.0 + noise.channel_excess
+    if homodyne:
+        chi_det = ((1.0 - eta) + noise.detector_excess) / eta
+    else:
+        chi_det = (1.0 + (1.0 - eta) + 2.0 * noise.detector_excess) / eta
+    chi_tot = chi_line + chi_det / t
+    half = 0.5 * math.log2((v_a + 1.0 + chi_tot) / (1.0 + chi_tot))
+    i_ab = half if homodyne else 2.0 * half
+
+    v = v_a + 1.0
+    z_sq = correlation**2
+    a_term = v**2 + t**2 * (v + chi_line) ** 2 - 2.0 * t * z_sq
+    sqrt_b = abs(t * v**2 + t * v * chi_line - t * z_sq)
+    lam1, lam2 = _sqrt_eigenvalue(a_term, sqrt_b, 1e-9)
+    denom = t * (v + chi_tot)
+    if homodyne:
+        c_term = (a_term * chi_det + v * sqrt_b + t * (v + chi_line)) / denom
+        sqrt_d = math.sqrt(sqrt_b * (v + sqrt_b * chi_det) / denom)
+    else:
+        c_term = (
+            a_term * chi_det**2 + sqrt_b**2 + 1.0 + 2.0 * t * z_sq
+            + 2.0 * chi_det * (v * sqrt_b + t * (v + chi_line))
+        ) / denom**2
+        sqrt_d = (v + sqrt_b * chi_det) / denom
+    lam3, lam4 = _sqrt_eigenvalue(c_term, sqrt_d, 1e-9)
+    g1, g2, g3, g4 = _entropy_terms(lam1, lam2, lam3, lam4)
+    return chi_tot, i_ab, g1 + g2 - g3 - g4
+
+
+def _qam_like_security(v_eff, t, excess, homodyne, z_star):
+    half = 0.5 * math.log2(1.0 + t * v_eff / (2.0 + t * excess))
+    i_ab = half if homodyne else 2.0 * half
+    x = v_eff + 1.0
+    y = 1.0 + t * v_eff + t * excess
+    z_sq = z_star**2
+    lam1, lam2 = _sqrt_eigenvalue(x**2 + y**2 - 2.0 * z_sq, abs(x * y - z_sq), 1e-10)
+    if homodyne:
+        lam3 = math.sqrt(x * (x - z_sq / y))
+    else:
+        lam3 = x - z_sq / (2.0 + t * v_eff + t * excess)
+    g1, g2, g3 = _entropy_terms(lam1, lam2, lam3)
+    return i_ab, g1 + g2 - g3
+
+
+def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, finite_params):
+    """One row of the package's CSV as a dict keyed by PointResult field name."""
+    from satcvqkd import qam
+    from satcvqkd.finite_size import privacy_penalty
+    from satcvqkd.gaussian import gaussian_correlation
+    from satcvqkd.psk import PskConfig, correlation_z
+
+    row = dict(
+        protocol=spec.label, detection=spec.detection.value,
+        modulation_variance=spec.modulation_variance, altitude_m=altitude_m,
+        elevation_deg=elevation_deg, status="ok", far_field_ok=True,
+        **dict.fromkeys((
+            "l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db", "a_sci_db", "a_tot_db",
+            "transmittance", "mutual_information", "holevo", "skr_asymptotic_per_pulse",
+            "snr_db", "beta_value", "beta_valid", "fer_value", "fer_raw", "privacy",
+            "skr_bits_per_second",
+        )),
+    )
+    total, l_atm, a_geo, a_scat, a_sci = _link_budget(setup, altitude_m, elevation_deg)
+    row.update(l_tot_m=total, l_atm_eff_m=l_atm)
+    if a_geo is None:
+        row.update(far_field_ok=False, status="far_field_excluded")
+        return row
+    a_tot = a_geo + a_scat + a_sci
+    t = 10.0 ** (-a_tot / 10.0)
+    row.update(a_geo_db=a_geo, a_scat_db=a_scat, a_sci_db=a_sci, a_tot_db=a_tot,
+               transmittance=t)
+
+    homodyne = spec.detection.value == "homodyne"
+    v_a = spec.modulation_variance
+    if spec.kind == "qam":
+        excess = setup.noise.channel_excess + setup.noise.detector_excess
+        v_eff, term1, w = qam._setting_moments(
+            spec.qam_side, v_a, spec.qam_distribution, excess
+        )
+        z_star = max(
+            2.0 * math.sqrt(t) * term1 - math.sqrt(2.0 * t * excess * w), 0.0
+        )
+        i_ab, s_be = _qam_like_security(v_eff, t, excess, homodyne, z_star)
+    else:
+        if spec.kind == "gm":
+            correlation = gaussian_correlation(v_a)
+        else:
+            correlation = correlation_z(PskConfig.from_modulation_variance(spec.psk_states, v_a))
+        chi_tot, i_ab, s_be = _gm_like_security(v_a, t, setup.noise, homodyne, correlation)
+        photons = abs(math.sqrt(v_a / 2.0)) ** 2
+        row["snr_db"] = 10.0 * math.log10(t * photons / (photons + (1.0 - t) * chi_tot))
+
+    if reconciliation.kind == "asymptotic":
+        row.update(beta_value=reconciliation.beta_asymptotic, beta_valid=True)
+    else:
+        model, snr = reconciliation.model, row["snr_db"]
+        value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
+        raw = 0.5 * (1.0 + model.m1 * math.atan(model.m2 * snr + model.m3))
+        row.update(
+            beta_value=value, beta_valid=math.isfinite(value) and 0.0 <= value <= 1.0,
+            fer_value=min(max(raw, 0.0), 1.0), fer_raw=raw,
+            privacy=privacy_penalty(finite_params),
+        )
+        if not row["beta_valid"]:
+            row["status"] = "no_key_beta_invalid"
+            return row
+
+    skr = row["beta_value"] * i_ab - s_be
+    row.update(mutual_information=i_ab, holevo=s_be, skr_asymptotic_per_pulse=skr)
+    if reconciliation.kind == "finite":
+        row["skr_bits_per_second"] = finite_params.repetition_rate_hz * (
+            (1.0 - row["fer_value"]) * row["beta_value"] * i_ab - s_be - row["privacy"]
+        )
+    elif finite_params is not None:
+        row["skr_bits_per_second"] = finite_params.repetition_rate_hz * skr
+    return row

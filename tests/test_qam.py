@@ -413,3 +413,27 @@ def test_correlation_bound_is_the_key_rate_correlation(
     z = correlation_lower_bound(modulation_density_matrix(c), c, transmittance, QAM_EXCESS)
     assert used[0] > 0.0
     assert z == used[0]
+
+
+def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):
+    import functools
+
+    import satcvqkd.qam as qam_mod
+
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return modulation_density_matrix(*args)
+
+    monkeypatch.setattr(qam_mod, "modulation_density_matrix", counting_build)
+    c = build_constellation(16, 1.0, Binomial())
+    workspace = modulation_density_matrix(c)
+    rebuilt = qam_mod._converged_moments(
+        functools.partial(counting_build, c), workspace.cutoff, QAM_EXCESS
+    )
+    rebuilds = len(built)
+    built.clear()
+    z = correlation_lower_bound(workspace, c, 0.132, QAM_EXCESS)
+    assert len(built) == rebuilds - 1
+    assert z == qam_mod._z_star(*rebuilt, 0.132, QAM_EXCESS)
