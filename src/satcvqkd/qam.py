@@ -7,6 +7,12 @@ only inverse (tau^(-1/2) acting on the constellation states) is damped by
 the overlap bound |<v_j|alpha_k>|^2 <= d_j / p_k and stays well conditioned.
 Results are accepted only when a cutoff increase of 10 moves Z* by less
 than 1e-9; otherwise the cutoff doubles.
+
+A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
+unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
+is symmetric under conjugation too), 2 for +-alpha pairs, 1 otherwise.  s is
+read off tau, each photon-number sector is diagonalized on its own, and as a
+maps sector r to sector r - 1 (mod s), the moments are sums of s block products.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ _SUPPORT_RTOL = 1e-10
 _NEGATIVE_EIGENVALUE_TOL = -1e-10
 _TRACE_DEFICIT_TOL = 1e-8
 _COHERENT_NORM_TOL = 1e-12
+# tau counts as block diagonal over n mod s (and a block as real) when the
+# Frobenius mass it would drop is below this fraction of ||tau||
+_SECTOR_RTOL = 1e-13
 _ZSTAR_CONVERGENCE_TOL = 1e-9
 _CUTOFF_STEP = 10
 _MAX_CUTOFF = 4096
@@ -130,31 +139,35 @@ def _minimum_cutoff(mean_photons: float) -> int:
     return n
 
 
-def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated, renormalized Fock expansion of a coherent state |alpha>."""
+def _coherent_columns(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
+    """Truncated, renormalized Fock expansions of |alpha_k>, one column per amplitude."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
-    mod = abs(alpha)
-    if mod == 0.0:
-        vec = np.zeros(cutoff + 1, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    # log |<n|alpha>| from <n|alpha> = <n-1|alpha> * alpha / sqrt(n)
-    steps = np.empty(cutoff + 1)
+    mod = np.abs(amplitudes)
+    # log |<n|alpha>| from <n|alpha> = <n-1|alpha> * alpha / sqrt(n); a zero
+    # amplitude gives log 0 = -inf above n = 0, so its column is exactly |0>
+    steps = np.empty((cutoff + 1, mod.size))
     steps[0] = -0.5 * mod**2
-    steps[1:] = math.log(mod) - 0.5 * np.log(n[1:])
-    log_mag = np.cumsum(steps)
-    phase = np.exp(1j * n * np.angle(alpha))
-    vec = np.exp(log_mag) * phase
-    norm_sq = float(np.vdot(vec, vec).real)
-    if norm_sq < 1.0 - _COHERENT_NORM_TOL:
+    with np.errstate(divide="ignore"):
+        steps[1:] = np.log(mod) - 0.5 * np.log(np.arange(1, cutoff + 1))[:, None]
+    phasors = np.ones((cutoff + 1, mod.size), dtype=complex)
+    phasors[1:] = np.divide(amplitudes, mod, out=np.ones_like(phasors[0]), where=mod > 0.0)
+    vectors = np.exp(np.cumsum(steps, axis=0)) * np.cumprod(phasors, axis=0)
+    norm_sq = np.sum(vectors.real**2 + vectors.imag**2, axis=0)
+    worst = int(np.argmin(norm_sq))
+    if norm_sq[worst] < 1.0 - _COHERENT_NORM_TOL:
+        required = _minimum_cutoff(float(mod.max()) ** 2)
         raise CutoffTooSmall(
-            f"cutoff {cutoff} keeps only {norm_sq:.15f} of |alpha|^2={mod**2:.3f}; "
-            f"need at least {_minimum_cutoff(mod**2)}",
-            required_cutoff=_minimum_cutoff(mod**2),
+            f"cutoff {cutoff} keeps only {norm_sq[worst]:.15f} of "
+            f"|alpha|^2={mod[worst]**2:.3f}; need at least {required}",
+            required_cutoff=required,
         )
-    return vec / math.sqrt(norm_sq)
+    return vectors / np.sqrt(norm_sq)
+
+
+def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Truncated, renormalized Fock expansion of a coherent state |alpha>."""
+    return _coherent_columns(np.array([complex(alpha)]), cutoff)[:, 0]
 
 
 def annihilation_operator(cutoff: int) -> np.ndarray:
@@ -167,45 +180,57 @@ def annihilation_operator(cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockWorkspace:
-    """Eigendecomposed modulation density matrix at one Fock cutoff."""
+    """Eigendecomposed modulation density matrix at one Fock cutoff.
+
+    ``sectors[r]`` holds the eigenvalues (clamped, renormalized over all sectors,
+    ascending) and eigenvectors of tau's block on the levels n = r (mod s).
+    """
 
     cutoff: int
-    annihilation: np.ndarray
-    eigenvalues: np.ndarray  # clamped, renormalized, ascending
-    eigenvectors: np.ndarray
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     point_vectors: np.ndarray | None = field(repr=False, default=None)
     probabilities: np.ndarray | None = None
     thermal_mean_photons: float | None = None
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues of tau, ascending."""
+        return np.sort(np.concatenate([d for d, _ in self.sectors]))
 
-def _finalize_workspace(
-    cutoff: int,
-    tau_raw: np.ndarray,
-    point_vectors: np.ndarray | None,
-    probabilities: np.ndarray | None,
-    thermal_mean_photons: float | None,
-) -> FockWorkspace:
-    trace = float(np.trace(tau_raw).real)
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Eigenvectors of tau in the number basis, in the order of ``eigenvalues``."""
+        count = len(self.sectors)
+        vectors = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
+        values = np.zeros(self.cutoff + 1)
+        for r, (d, v) in enumerate(self.sectors):
+            vectors[r::count, r::count], values[r::count] = v, d
+        return vectors[:, np.argsort(values, kind="stable")]
+
+
+def _sector_eigensystems(cutoff: int, tau: np.ndarray) -> tuple:
+    """Eigensystems of tau's sector blocks, for the most sectors (4, 2 or 1) tau allows."""
+    trace = float(np.trace(tau).real)
     if trace < 1.0 - _TRACE_DEFICIT_TOL:
         raise CutoffTooSmall(
             f"cutoff {cutoff} loses trace {1.0 - trace:.3e} of the modulation state"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh(tau_raw)
-    if eigenvalues[0] < _NEGATIVE_EIGENVALUE_TOL:
+    n = np.arange(cutoff + 1)
+    by_gap = np.bincount(  # squared Frobenius mass of tau by (m - n) mod 4
+        ((n[:, None] - n[None, :]) % 4).ravel(), weights=(np.abs(tau) ** 2).ravel())
+    limit = _SECTOR_RTOL**2 * by_gap.sum()
+    count = 4 if by_gap[1:].sum() <= limit else 2 if by_gap[1::2].sum() <= limit else 1
+    blocks = []
+    for r in range(count):
+        block = tau[r::count, r::count]
+        blocks.append(np.linalg.eigh(block.real if np.sum(block.imag**2) <= limit else block))
+    values = np.concatenate([d for d, _ in blocks])
+    if values.min() < _NEGATIVE_EIGENVALUE_TOL:
         raise NumericsError(
-            f"modulation density matrix has eigenvalue {eigenvalues[0]:.3e} < 0"
+            f"modulation density matrix has eigenvalue {values.min():.3e} < 0"
         )
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    eigenvalues = eigenvalues / eigenvalues.sum()
-    return FockWorkspace(
-        cutoff=cutoff,
-        annihilation=annihilation_operator(cutoff),
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        point_vectors=point_vectors,
-        probabilities=probabilities,
-        thermal_mean_photons=thermal_mean_photons,
-    )
+    total = np.clip(values, 0.0, None).sum()
+    return tuple((np.clip(d, 0.0, None) / total, v) for d, v in blocks)
 
 
 def default_cutoff(constellation: Constellation) -> int:
@@ -220,12 +245,10 @@ def modulation_density_matrix(
     """Assemble and diagonalize tau = sum_k p_k |alpha_k><alpha_k|."""
     if cutoff is None:
         cutoff = default_cutoff(constellation)
-    vectors = np.column_stack(
-        [coherent_state_vector(a, cutoff) for a in constellation.amplitudes]
-    )
+    vectors = _coherent_columns(np.asarray(constellation.amplitudes, dtype=complex), cutoff)
     probs = np.asarray(constellation.probabilities)
     tau_raw = (vectors * probs) @ vectors.conj().T
-    return _finalize_workspace(cutoff, tau_raw, vectors, probs, None)
+    return FockWorkspace(cutoff, _sector_eigensystems(cutoff, tau_raw), vectors, probs)
 
 
 def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWorkspace:
@@ -241,8 +264,8 @@ def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWor
         n * math.log(mean_photons / (1.0 + mean_photons))
         - math.log(1.0 + mean_photons)
     )
-    tau_raw = np.diag(weights).astype(complex)
-    return _finalize_workspace(cutoff, tau_raw, None, None, mean_photons)
+    sectors = _sector_eigensystems(cutoff, np.diag(weights))
+    return FockWorkspace(cutoff, sectors, thermal_mean_photons=mean_photons)
 
 
 def _moments(workspace: FockWorkspace) -> tuple[float, float]:
@@ -251,27 +274,36 @@ def _moments(workspace: FockWorkspace) -> tuple[float, float]:
     Both are transmittance- and noise-independent properties of the
     modulation state, so one evaluation serves a whole sweep.
     """
-    d = workspace.eigenvalues
-    support = d > d[-1] * _SUPPORT_RTOL
-    ds = d[support]
-    vs = workspace.eigenvectors[:, support]
-    sq = np.sqrt(ds)
+    count = len(workspace.sectors)
+    annihilation = annihilation_operator(workspace.cutoff)
+    floor = max(d.max(initial=0.0) for d, _ in workspace.sectors) * _SUPPORT_RTOL
+    support = [(np.sqrt(d[d > floor]), v[:, d > floor]) for d, v in workspace.sectors]
 
-    a_tilde = vs.conj().T @ workspace.annihilation @ vs
-    term1 = float(np.einsum("i,j,ij->", sq, sq, np.abs(a_tilde) ** 2).real)
-
+    # <v_i|a|v_j> from the support of sector r to that of sector r - 1; a
+    # negative index wraps, so support[r - 1] is sector r - 1 (mod s)
+    lowering = [
+        support[r - 1][1].conj().T @ annihilation[(r - 1) % count::count][:, r::count] @ vs
+        for r, (_, vs) in enumerate(support)
+    ]
+    term1 = sum(
+        float(support[r - 1][0] @ (np.abs(a) ** 2) @ support[r][0])
+        for r, a in enumerate(lowering)
+    )
     if workspace.point_vectors is None:
         # Thermal tau is the continuous-Gaussian ensemble: each coherent
         # state is an eigenstate of a_tau up to scale, so w vanishes.
         return term1, 0.0
 
-    coeff = vs.conj().T @ workspace.point_vectors  # <v_j|alpha_k>
-    inv_sandwich = coeff / sq[:, None]  # tau^(-1/2)|alpha_k> in the support basis
-    lowered = workspace.annihilation @ (vs @ inv_sandwich)
-    mapped = vs @ (sq[:, None] * (vs.conj().T @ lowered))  # a_tau |alpha_k>
-
-    second_moment = np.sum(np.abs(mapped) ** 2, axis=0)
-    first_moment = np.einsum("nk,nk->k", workspace.point_vectors.conj(), mapped)
+    coeff = [  # <v_j|alpha_k>
+        vs.conj().T @ workspace.point_vectors[r::count] for r, (_, vs) in enumerate(support)
+    ]
+    second_moment = first_moment = 0.0
+    for r, a in enumerate(lowering):
+        # a_tau |alpha_k> in the support basis of sector r - 1; the
+        # tau^(-1/2) factor is damped by |<v_j|alpha_k>|^2 <= d_j / p_k
+        mapped = support[r - 1][0][:, None] * (a @ (coeff[r] / support[r][0][:, None]))
+        second_moment = second_moment + np.sum(np.abs(mapped) ** 2, axis=0)
+        first_moment = first_moment + np.einsum("jk,jk->k", coeff[r - 1].conj(), mapped)
     per_point = second_moment - np.abs(first_moment) ** 2
     w = float(np.dot(workspace.probabilities, per_point).real)
     if w < _NEGATIVE_EIGENVALUE_TOL:

@@ -6,7 +6,9 @@ done at the covariance-matrix level with an explicit trusted-noise
 purification, slant ranges from 2-D vector geometry, the Rytov path integral
 from arbitrary-precision quadrature, and small-constellation moments from an
 arbitrary-precision Gram-matrix construction.  ``reference_point`` is the
-per-point, ``math``-based evaluation the package's grid evaluator replaced.
+per-point, ``math``-based evaluation the package's grid evaluator replaced,
+and ``dense_moments`` the dense Fock-space moments that the package's
+photon-number-sector moments replaced.
 """
 
 from __future__ import annotations
@@ -218,6 +220,39 @@ def gram_moments(amplitudes, probabilities, dps: int = 50) -> tuple[float, float
     t1m = y * d_conj * gram
     term1 = mp_fsum(t1m[k, k].real for k in range(m))
     return float(term1), float(s1 - s2)
+
+
+def dense_moments(constellation, cutoff: int) -> tuple[float, float]:
+    """(term1, w) from one dense eigendecomposition of tau and dense products.
+
+    The package's moments before they were split into photon-number
+    sectors, kept as the reference for that split; the coherent-state
+    vectors come from the package, one call per point.
+    """
+    from satcvqkd.qam import _SUPPORT_RTOL, annihilation_operator, coherent_state_vector
+
+    vectors = np.column_stack(
+        [coherent_state_vector(a, cutoff) for a in constellation.amplitudes])
+    probs = np.asarray(constellation.probabilities)
+    eigenvalues, eigenvectors = np.linalg.eigh((vectors * probs) @ vectors.conj().T)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    eigenvalues = eigenvalues / eigenvalues.sum()
+    annihilation = annihilation_operator(cutoff)
+
+    support = eigenvalues > eigenvalues[-1] * _SUPPORT_RTOL
+    sq = np.sqrt(eigenvalues[support])
+    vs = eigenvectors[:, support]
+    a_tilde = vs.conj().T @ annihilation @ vs
+    term1 = float(np.einsum("i,j,ij->", sq, sq, np.abs(a_tilde) ** 2).real)
+
+    coeff = vs.conj().T @ vectors  # <v_j|alpha_k>
+    inv_sandwich = coeff / sq[:, None]  # tau^(-1/2)|alpha_k> in the support basis
+    lowered = annihilation @ (vs @ inv_sandwich)
+    mapped = vs @ (sq[:, None] * (vs.conj().T @ lowered))  # a_tau |alpha_k>
+    second_moment = np.sum(np.abs(mapped) ** 2, axis=0)
+    first_moment = np.einsum("nk,nk->k", vectors.conj(), mapped)
+    per_point = second_moment - np.abs(first_moment) ** 2
+    return term1, max(float(np.dot(probs, per_point).real), 0.0)
 
 
 # --- per-point scalar pipeline ------------------------------------------------------

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcvqkd import (
     Binomial,
@@ -24,7 +26,7 @@ from satcvqkd import (
 from satcvqkd import DAYLIGHT_NOISE, PskConfig
 from satcvqkd.qam import _moments, annihilation_operator, default_cutoff
 
-from oracles import gram_moments, qam_matrix_oracle
+from oracles import dense_moments, gram_moments, qam_matrix_oracle
 
 QAM_EXCESS = DAYLIGHT_NOISE.channel_excess + DAYLIGHT_NOISE.detector_excess
 
@@ -195,6 +197,93 @@ def test_moments_match_high_precision_gram_oracle():
     term1_ref, w_ref = gram_moments(c.amplitudes, c.probabilities)
     assert term1 == pytest.approx(term1_ref, abs=1e-10)
     assert w == pytest.approx(w_ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("distribution", [Binomial(), DiscreteGaussian(nu=0.8881)])
+def test_moments_match_gram_oracle_to_rounding(distribution):
+    c = build_constellation(4, 1.0, distribution)
+    term1, w = _moments(modulation_density_matrix(c))
+    term1_ref, w_ref = gram_moments(c.amplitudes, c.probabilities)
+    assert abs(term1 - term1_ref) < 1e-13
+    assert abs(w - w_ref) < 1e-13
+
+
+def _turned(amplitudes, angle):
+    return tuple(a * cmath.rect(1.0, angle) for a in amplitudes)
+
+
+@st.composite
+def _turned_grids(draw):
+    """Square grids turned by an angle that leaves tau's sector blocks complex."""
+    distribution = draw(st.one_of(
+        st.just(Binomial()), st.builds(DiscreteGaussian, st.floats(0.05, 2.0))))
+    grid = build_constellation(draw(st.integers(2, 5)), draw(st.floats(0.3, 1.5)), distribution)
+    return Constellation(_turned(grid.amplitudes, draw(st.floats(0.1, 0.7))), grid.probabilities)
+
+
+@st.composite
+def _point_sets(draw, max_points, mirrored):
+    """Points with |alpha| <= 2, the first of a magnitude no other has, and with
+    ``mirrored`` each joined by -alpha at equal weight."""
+    count = draw(st.integers(1, max_points))
+    magnitudes = [draw(st.floats(0.1, 0.45))]
+    magnitudes += [draw(st.floats(0.5, 2.0)) for _ in range(count - 1)]
+    amplitudes = [cmath.rect(m, draw(st.floats(0.0, 2.0 * math.pi))) for m in magnitudes]
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    if mirrored:
+        amplitudes, weights = amplitudes + [-a for a in amplitudes], weights * 2
+    total = math.fsum(weights)
+    return Constellation(tuple(amplitudes), tuple(x / total for x in weights))
+
+
+_CONSTELLATIONS = {  # sector count -> constellations that have it
+    4: _turned_grids(),
+    2: _point_sets(3, mirrored=True),
+    1: _point_sets(6, mirrored=False),
+}
+
+
+@pytest.mark.parametrize("sectors", sorted(_CONSTELLATIONS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_sector_moments_match_dense_reference(sectors, data):
+    c = data.draw(_CONSTELLATIONS[sectors])
+    cutoff = default_cutoff(c)
+    ws = modulation_density_matrix(c, cutoff)
+    assert len(ws.sectors) == sectors
+    term1, w = _moments(ws)
+    term1_ref, w_ref = dense_moments(c, cutoff)
+    assert abs(term1 - term1_ref) < 1e-10
+    assert abs(w - w_ref) < 1e-10
+
+
+def test_square_grid_sectors_are_real_until_turned():
+    grid = build_constellation(8, 1.0, Binomial())
+    turned = Constellation(_turned(grid.amplitudes, 0.3), grid.probabilities)
+    for c, is_complex in ((grid, False), (turned, True)):
+        ws = modulation_density_matrix(c)
+        assert len(ws.sectors) == 4
+        assert all(np.iscomplexobj(v) == is_complex for _, v in ws.sectors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(c=st.one_of(*_CONSTELLATIONS.values()),
+       noises=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4))
+def test_correlation_bound_never_rises_with_excess_noise(c, noises):
+    ws = modulation_density_matrix(c)
+    values = [correlation_lower_bound(ws, c, 0.1, eps) for eps in sorted(noises)]
+    # each value is converged to the cutoff gate's 1e-9 on Z*
+    assert all(z2 <= z1 + 2e-9 for z1, z2 in zip(values, values[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(c=st.one_of(*_CONSTELLATIONS.values()),
+       transmittance=st.floats(1e-4, 1.0), eps=st.floats(0.0, 0.05))
+def test_correlation_bound_scales_with_root_transmittance(c, transmittance, eps):
+    ws = modulation_density_matrix(c)
+    z_one = correlation_lower_bound(ws, c, 1.0, eps)
+    z_t = correlation_lower_bound(ws, c, transmittance, eps)
+    assert z_t == pytest.approx(math.sqrt(transmittance) * z_one, rel=1e-12)
 
 
 def test_moments_match_psk_closed_form():
