@@ -52,12 +52,13 @@ def _echo_line(plan: config_mod.RunPlan) -> str:
 def _write(
     output: str | None, head: Sequence[str], blocks: Iterable[Iterable[Sequence[str]]]
 ) -> None:
-    """Write the ``head`` lines, then each block of rows of CSV fields."""
+    """Write the ``head`` lines, then each non-empty block of rows of CSV fields."""
     with contextlib.nullcontext(sys.stdout) if output is None \
             else open(output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("".join(line + "\n" for line in head))
         for rows in blocks:
-            handle.write("".join(",".join(row) + "\n" for row in rows))
+            handle.write("\n".join(map(",".join, rows)))
+            handle.write("\n")  # a separate write: no copy of the block's text
 
 
 def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
@@ -91,7 +92,10 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
     pass_spec = plan.pass_spec
     altitude_m = pass_spec.satellite_altitude_m
     if pass_spec.profile_path is not None:
-        profile = load_profile(pass_spec.profile_path, pass_spec.ogs_altitude_m)
+        try:
+            profile = load_profile(pass_spec.profile_path, pass_spec.ogs_altitude_m)
+        except OSError as exc:  # the file was checked at resolve time; reading it failed
+            raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
     else:
         profile = synthesize_circular_pass(
             altitude_m,
@@ -134,8 +138,8 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
         for start in range(0, samples, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             yield zip(
-                map(repr, map(float, profile.times_s[block])),
-                map(repr, map(float, profile.elevations_deg[block])),
+                map(repr, profile.times_s[block].tolist()),
+                map(repr, profile.elevations_deg[block].tolist()),
                 *(map(texts.__getitem__, model.sample_bins[block].tolist())
                   for texts, (_, model) in zip(bin_texts, models)),
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -326,6 +327,9 @@ def _parse_pass(raw: Any) -> PassSpec:
         raise ConfigError("pass over a measured profile needs pass.altitude_km")
     if not isinstance(profile_path, str):
         raise ConfigError(f"pass.profile_csv must be a path, got {profile_path!r}")
+    if not os.path.isfile(profile_path):
+        what = "is not a regular file" if os.path.exists(profile_path) else "does not exist"
+        raise ConfigError(f"pass.profile_csv {profile_path!r} {what}")
     return replace(spec, profile_path=profile_path)
 
 

@@ -9,7 +9,9 @@ to zero (no key is distilled from a negative bound).
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -24,53 +26,99 @@ from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_poin
 _MU_EARTH = 3.986004418e14  # m^3/s^2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassProfile:
-    """Strictly increasing sample times with elevations in (0, 90] degrees."""
+    """Finite, strictly increasing sample times with elevations in (0, 90] degrees.
 
-    times_s: tuple[float, ...]
-    elevations_deg: tuple[float, ...]
+    Both series are held as read-only float64 arrays.
+    """
+
+    times_s: np.ndarray
+    elevations_deg: np.ndarray
     ogs_altitude_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.times_s) != len(self.elevations_deg) or not self.times_s:
+        times = np.array(self.times_s, dtype=float)
+        elevations = np.array(self.elevations_deg, dtype=float)
+        if times.ndim != 1 or times.shape != elevations.shape or not times.size:
             raise ProfileError("profile must contain at least one (time, elevation) sample")
-        times = np.asarray(self.times_s, dtype=float)
-        elevations = np.asarray(self.elevations_deg, dtype=float)
+        for name, values in (("times_s", times), ("elevations_deg", elevations)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         bad_elevation = ~((0.0 < elevations) & (elevations <= 90.0))
-        bad_time = np.insert(times[1:] <= times[:-1], 0, False)
-        bad = np.flatnonzero(bad_elevation | bad_time)
+        bad_time = ~np.isfinite(times)
+        bad_order = np.insert(times[1:] <= times[:-1], 0, False)
+        bad = np.flatnonzero(bad_elevation | bad_time | bad_order)
         if bad.size:
             i = int(bad[0])
-            raise _BadSample(i, f"elevation {self.elevations_deg[i]} out of (0, 90]"
-                             if bad_elevation[i]
-                             else f"time {self.times_s[i]} not after {self.times_s[i - 1]}")
+            t = float(times[i])
+            raise _BadSample(i, f"elevation {float(elevations[i])} out of (0, 90]"
+                             if bad_elevation[i] else f"time {t} not finite" if bad_time[i]
+                             else f"time {t} not after {float(times[i - 1])}")
 
     @property
     def duration_s(self) -> float:
-        return self.times_s[-1] - self.times_s[0]
+        return float(self.times_s[-1] - self.times_s[0])
 
 
 class _BadSample(ProfileError):
-    """The sample at ``index`` is out of range or out of order."""
+    """The sample at ``index`` is out of range, not finite or out of order."""
 
     def __init__(self, index: int, what: str):
         self.index, self.what = index, what
         super().__init__(f"sample {index}: {what}")
 
 
+def _is_header(row: list[str]) -> bool:
+    """Whether a first CSV record is a header: two or more cells, not two numbers."""
+    if len(row) < 2:
+        return False
+    try:
+        float(row[0])
+        float(row[1])
+    except ValueError:
+        return True
+    return False
+
+
 def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> PassProfile:
-    """Parse a two-column comma-separated time_s, elevation_deg stream."""
+    """Parse a comma-separated time_s, elevation_deg stream.
+
+    Line 1 is a header when it is not two numbers; blank lines are skipped
+    and columns after the second are ignored.  One numpy call parses the
+    stream; only when it or the validation fails does a line-by-line scan
+    run, to name the offending CSV line.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return load_profile(handle, ogs_altitude_m)
+            try:
+                return load_profile(handle, ogs_altitude_m)
+            except UnicodeDecodeError as exc:
+                raise ProfileError(f"profile is not UTF-8 text: {exc}") from None
 
+    if not source.seekable():  # the scan after a failure reads the stream again
+        source = io.StringIO(source.read())
+    start = source.tell()
+    if not _is_header(next(csv.reader(source), [])):
+        source.seek(start)
+    try:
+        with warnings.catch_warnings():  # an empty stream is reported by the scan
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            samples = np.loadtxt(source, delimiter=",", usecols=(0, 1), comments=None,
+                                 ndmin=2, quotechar='"')
+        return PassProfile(samples[:, 0], samples[:, 1], ogs_altitude_m)
+    except ValueError:  # a line numpy cannot parse, or a bad sample
+        source.seek(start)
+        return _scan_profile(source, ogs_altitude_m)
+
+
+def _scan_profile(source: TextIO, ogs_altitude_m: float) -> PassProfile:
+    """``load_profile`` one CSV line at a time, so that an error names its line."""
     times: list[float] = []
     elevations: list[float] = []
     skipped: list[int] = []  # blank lines and the header, to name a sample's line
-    reader = csv.reader(source)
-    for line_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+    for line_no, row in enumerate(csv.reader(source), start=1):
+        if all(not cell.strip() for cell in row) or (line_no == 1 and _is_header(row)):
             skipped.append(line_no)
             continue
         if len(row) < 2:
@@ -79,20 +127,13 @@ def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> Pa
             t = float(row[0])
             e = float(row[1])
         except ValueError:
-            if line_no == 1:
-                skipped.append(line_no)
-                continue  # header
             raise ProfileError(f"line {line_no}: cannot parse {row[:2]!r} as numbers")
         times.append(t)
         elevations.append(e)
     if not times:
         raise ProfileError("profile stream contains no samples")
     try:
-        return PassProfile(
-            times_s=tuple(times),
-            elevations_deg=tuple(elevations),
-            ogs_altitude_m=ogs_altitude_m,
-        )
+        return PassProfile(times, elevations, ogs_altitude_m)
     except _BadSample as bad:
         line_no = bad.index + 1
         for skipped_no in skipped:  # ascending
@@ -160,14 +201,10 @@ def synthesize_circular_pass(
             continue
         times.append(offset + half_duration)
         elevations.append(min(elevation, 90.0))
-    return PassProfile(
-        times_s=tuple(times),
-        elevations_deg=tuple(elevations),
-        ogs_altitude_m=ogs_altitude_m,
-    )
+    return PassProfile(times, elevations, ogs_altitude_m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPassResult:
     """Per-reconciliation-model outcome of a pass."""
 
@@ -175,12 +212,12 @@ class ModelPassResult:
     excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
     bin_rates: np.ndarray  # skr_bits_per_s per elevation bin a sample falls in, raw sign
     sample_bins: np.ndarray  # each sample's index into bin_rates; empty for one sample
-    times_s: tuple[float, ...]
+    times_s: np.ndarray  # the profile's own array
 
     @property
     def skr_series(self) -> tuple[tuple[float, float], ...]:
         """(time_s, skr_bits_per_s) per sample, raw sign."""
-        return tuple(zip(self.times_s, self.bin_rates[self.sample_bins].tolist()))
+        return tuple(zip(self.times_s.tolist(), self.bin_rates[self.sample_bins].tolist()))
 
 
 @dataclass(frozen=True)
@@ -210,7 +247,7 @@ def integrate_key_bits(
         raise ValueError("bin width must be positive")
     setup = replace(setup, ogs_altitude_m=profile.ogs_altitude_m)
     bins, sample_bins = np.unique(
-        (np.asarray(profile.elevations_deg) // bin_width_deg).astype(int), return_inverse=True
+        (profile.elevations_deg // bin_width_deg).astype(int), return_inverse=True
     )
     dwell = np.bincount(
         sample_bins[:-1], weights=np.diff(profile.times_s), minlength=bins.size

@@ -7,12 +7,14 @@ purification, slant ranges from 2-D vector geometry, the Rytov path integral
 from arbitrary-precision quadrature, and small-constellation moments from an
 arbitrary-precision Gram-matrix construction.  ``reference_point`` is the
 per-point, ``math``-based evaluation the package's grid evaluator replaced,
-and ``dense_moments`` the dense Fock-space moments that the package's
-photon-number-sector moments replaced.
+``dense_moments`` the dense Fock-space moments that the package's
+photon-number-sector moments replaced, and ``reference_profile`` the
+``csv``-and-``float`` profile parser that the package's numpy parse replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -448,3 +450,42 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
     elif finite_params is not None:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * skr
     return row
+
+
+# --- measured pass profile ------------------------------------------------------------
+
+
+def reference_profile(source):
+    """(times, elevations) of a profile stream, read one ``csv`` row at a time.
+
+    Errors are ``ProfileError`` with the package's messages: a malformed line
+    first, then the first sample out of range or order, named by its line.
+    """
+    from satcvqkd.errors import ProfileError
+
+    samples = []  # (line number, time, elevation)
+    for line_no, row in enumerate(csv.reader(source), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < 2:
+            raise ProfileError(f"line {line_no}: expected two columns, got {len(row)}")
+        try:
+            t = float(row[0])
+            e = float(row[1])
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise ProfileError(f"line {line_no}: cannot parse {row[:2]!r} as numbers")
+        samples.append((line_no, t, e))
+    if not samples:
+        raise ProfileError("profile stream contains no samples")
+    previous = None
+    for line_no, t, e in samples:
+        if not 0.0 < e <= 90.0:
+            raise ProfileError(f"line {line_no}: elevation {e} out of (0, 90]")
+        if not math.isfinite(t):
+            raise ProfileError(f"line {line_no}: time {t} not finite")
+        if previous is not None and t <= previous:
+            raise ProfileError(f"line {line_no}: time {t} not after {previous}")
+        previous = t
+    return [t for _, t, _ in samples], [e for _, _, e in samples]

@@ -301,6 +301,12 @@ MALFORMED = {
         ONE_POINT, ("terminals",), {"reciever_aperture_m": 2.0}), "reciever_aperture_m"),
     "discretisation_fraction": ("sweep", _replaced(
         ONE_POINT, ("finite_size",), {"discretisation": 5.7}), "integer"),
+    "profile_missing": ("pass", {
+        "protocol": "gm", "pass": {"profile_csv": "no-such-dir/profile.csv", "altitude_km": 417.5},
+    }, "pass.profile_csv 'no-such-dir/profile.csv' does not exist"),
+    "profile_directory": ("pass", {
+        "protocol": "gm", "pass": {"profile_csv": ".", "altitude_km": 417.5},
+    }, "pass.profile_csv '.' is not a regular file"),
 }
 
 
@@ -313,6 +319,41 @@ def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+
+
+def _profile_pass(tmp_path, profile_csv):
+    return _write_config(tmp_path, "pass.json", {
+        "protocol": "gm", "pass": {"profile_csv": str(profile_csv), "altitude_km": 417.5},
+    })
+
+
+def test_profile_read_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("0,40\n60,41\n", encoding="utf-8")
+
+    def failing_read(*args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("satcvqkd.cli.load_profile", failing_read)
+    out = tmp_path / "pass.csv"
+    assert main(["pass", "--config", _profile_pass(tmp_path, profile), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: cannot read pass.profile_csv: [Errno 5] Input/output error\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,40\nnan,41\n60,42\n", "line 2: time nan not finite"),
+    ("time_s,elevation_deg\n0,40\n60,41\ninf,42\n", "line 4: time inf not finite"),
+])
+def test_non_finite_profile_time_is_one_line_error(tmp_path, capsys, text, message):
+    # A NaN time must not reach the key integration, where it gave total_key_bits=nan.
+    profile = tmp_path / "profile.csv"
+    profile.write_text(text, encoding="utf-8")
+    out = tmp_path / "pass.csv"
+    assert main(["pass", "--config", _profile_pass(tmp_path, profile), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
 
 
 # --- work caps: checked at resolve time, before anything is allocated ------------

@@ -1,6 +1,9 @@
 import io
+import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import satcvqkd.pass_analysis as pass_analysis
 from satcvqkd import (
@@ -17,6 +20,8 @@ from satcvqkd import (
 )
 from satcvqkd.finite_size import MD, MLC_MSD
 from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec, ReconciliationSpec
+
+from oracles import reference_profile
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 
@@ -40,8 +45,8 @@ def test_empty_stream_rejected():
 
 def test_two_row_profile():
     profile = load_profile(io.StringIO("0,10\n60,20\n"))
-    assert profile.times_s == (0.0, 60.0)
-    assert profile.elevations_deg == (10.0, 20.0)
+    assert profile.times_s.tolist() == [0.0, 60.0]
+    assert profile.elevations_deg.tolist() == [10.0, 20.0]
 
 
 def test_header_row_skipped():
@@ -64,6 +69,118 @@ def test_non_monotone_time_reports_line():
 def test_garbage_mid_file_rejected():
     with pytest.raises(ProfileError):
         load_profile(io.StringIO("0,10\nfoo,bar\n"))
+
+
+def test_non_finite_time_reports_line():
+    for text, line in (("0,40\nnan,41\n60,42\n", 2),
+                       ("time_s,elevation_deg\n0,40\n\n60,41\ninf,42\n", 5),
+                       ("-inf,40\n60,41\n", 1)):
+        with pytest.raises(ProfileError, match=f"^line {line}: time .* not finite$"):
+            load_profile(io.StringIO(text))
+
+
+def test_header_only_stream_rejected():
+    with pytest.raises(ProfileError, match="no samples"):
+        load_profile(io.StringIO("time_s,elevation_deg\n\n"))
+
+
+def test_profile_arrays_are_read_only():
+    profile = load_profile(io.StringIO("0,10\n60,20\n"))
+    assert profile.times_s.dtype == profile.elevations_deg.dtype == np.float64
+    with pytest.raises(ValueError):
+        profile.times_s[0] = 1.0
+
+
+def test_well_formed_stream_skips_the_line_scan(monkeypatch):
+    # A header, CRLF endings, quoted cells and extra columns are all numpy's
+    # to parse; the line scan runs only after a failure.
+    def no_scan(*args):
+        raise AssertionError("line scan ran")
+
+    monkeypatch.setattr(pass_analysis, "_scan_profile", no_scan)
+    profile = load_profile(io.StringIO('time_s,elevation_deg\r\n0,"10",x\r\n\r\n60, 20 ,1\r\n'))
+    assert profile.times_s.tolist() == [0.0, 60.0]
+    assert profile.elevations_deg.tolist() == [10.0, 20.0]
+
+
+def test_file_and_unseekable_stream_match_reference(tmp_path):
+    text = "time_s,elevation_deg\r\n0,10\r\n1_0,20\r\n\r\n60,30\r\n"
+    path = tmp_path / "profile.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    class Unseekable(io.StringIO):
+        def seekable(self):
+            return False
+
+    times, elevations = reference_profile(io.StringIO(text))
+    for profile in (load_profile(path), load_profile(Unseekable(text))):
+        assert profile.times_s.tolist() == times == [0.0, 10.0, 60.0]
+        assert profile.elevations_deg.tolist() == elevations
+
+
+def test_non_utf8_file_is_a_profile_error(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_bytes(b"0,10\n60,\xff\n")
+    with pytest.raises(ProfileError, match="not UTF-8"):
+        load_profile(path)
+
+
+# Cells and rows the numpy parse and the line scan may disagree on: each must
+# come out as the reference reads it.
+_NUMBER_FORMATS = ("{!r}", " {!r}", "{!r} ", '"{!r}"', '"{!r}" ', "{:.6f}", "{:e}", "+{!r}")
+_EXTRA_COLUMNS = ("", ",", ",x", ",1,2", ',"a,b"')
+_BLANK_LINES = ("", " ", "\t", ",", "\t,\t", " , ")
+_HEADERS = ("time_s,elevation_deg", "t,e,extra", '"time","elevation"', "time", "# t,e")
+_ODD_ROWS = (
+    "nan,40", "inf,40", "-inf,40", "1e400,40", "1_0,40", "0,1_0", "\u0661,40", "5", "x",
+    "0,95", "0,0", "0,-3", "0,nan", "-1e9,45", "1e9,45", "foo,bar", "1,,", '"1,5",45',
+    " +.5,45", "nan(1),45", "1 2,45",
+)
+
+
+@st.composite
+def _profile_streams(draw):
+    n = draw(st.integers(0, 6))
+    start = draw(st.floats(-1e4, 1e4))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    times = list(itertools.accumulate(steps, initial=start))[1:]
+    elevations = draw(st.lists(st.floats(0.0, 90.0, exclude_min=True), min_size=n, max_size=n))
+    lines = [
+        draw(st.sampled_from(_NUMBER_FORMATS)).format(t)
+        + "," + draw(st.sampled_from(_NUMBER_FORMATS)).format(e)
+        + draw(st.sampled_from(_EXTRA_COLUMNS))
+        for t, e in zip(times, elevations)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from(_ODD_ROWS + _BLANK_LINES))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    if draw(st.booleans()) and len(lines) > 1:  # swap two samples: out of order
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    header = draw(st.sampled_from((None, None) + _HEADERS))
+    if header is not None:
+        lines.insert(draw(st.sampled_from((0, 0, 1))) if lines else 0, header)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from((end, "")))
+
+
+def _outcome(parse, text):
+    try:
+        times, elevations = parse(io.StringIO(text))
+    except ProfileError as exc:
+        return str(exc)
+    return np.asarray(times, dtype=float).tobytes(), np.asarray(elevations, dtype=float).tobytes()
+
+
+def _load(stream):
+    profile = load_profile(stream)
+    return profile.times_s, profile.elevations_deg
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_profile_streams())
+def test_load_profile_matches_reference_parser(text):
+    assert _outcome(_load, text) == _outcome(reference_profile, text)
 
 
 # --- synthesized passes ----------------------------------------------------------
