@@ -57,7 +57,8 @@ from .pass_analysis import (
     load_profile,
     synthesize_circular_pass,
 )
-from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_point
+from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, ReconciliationSpec, \
+    evaluate_point, link_columns
 from .psk import PskConfig, correlation_z, psk_security, zeta_weights
 from .qam import (
     Binomial,
@@ -70,7 +71,6 @@ from .qam import (
     holevo_qam,
     modulation_density_matrix,
     mutual_information_qam,
-    optimize_nu,
     qam_security,
     thermal_workspace,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -20,7 +21,7 @@ from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
 from .finite_size import MD, MLC_MSD
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import CSV_COLUMNS, ReconciliationSpec, evaluate_point
+from .pipeline import CSV_COLUMNS, ReconciliationSpec, evaluate_point, link_columns
 
 _CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
 _BLOCK_ROWS = 512  # rows formatted and written at a time
@@ -53,8 +54,12 @@ def _write(
     output: str | None, head: Sequence[str], blocks: Iterable[Iterable[Sequence[str]]]
 ) -> None:
     """Write the ``head`` lines, then each non-empty block of rows of CSV fields."""
-    with contextlib.nullcontext(sys.stdout) if output is None \
-            else open(output, "w", encoding="utf-8", newline="\n") as handle:
+    try:
+        opened = contextlib.nullcontext(sys.stdout) if output is None \
+            else open(output, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot open --output: {exc}") from None
+    with opened as handle:
         handle.write("".join(line + "\n" for line in head))
         for rows in blocks:
             handle.write("\n".join(map(",".join, rows)))
@@ -66,11 +71,10 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     # Row order is deterministic: altitude major, elevation minor, protocol last.
     altitudes = np.repeat(altitudes_m, len(elevations_deg))
     elevations = np.tile(elevations_deg, len(altitudes_m))
+    link = link_columns(plan.setup, altitudes, elevations)
     columns = []  # per protocol, each CSV column's value over the grid's points
     for spec in plan.protocols:
-        point = evaluate_point(
-            plan.setup, spec, altitudes, elevations, plan.reconciliation, plan.finite
-        )
+        point = evaluate_point(link, spec, plan.reconciliation, plan.finite)
         columns.append([getattr(point, name) / divisor if divisor else getattr(point, name)
                         for _, name, divisor in CSV_COLUMNS])
 
@@ -189,6 +193,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout; the exit flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except SatCvqkdError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

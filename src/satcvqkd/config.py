@@ -46,6 +46,7 @@ _ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
 # Work caps, checked before anything of that size is built.
 _MAX_ROWS = 1_000_000  # altitudes x elevations x protocols of a sweep or compare
 _MAX_PASS_SAMPLES = 1_000_000
+_MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
 
 
 @dataclass(frozen=True)
@@ -251,13 +252,15 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
             f"protocol.distribution must be 'binomial' or "
             f"{{kind: discrete_gaussian, nu: ...}}, got {dist_raw!r}"
         )
-    return ProtocolSpec(
+    spec = ProtocolSpec(
         kind="qam",
         detection=detection,
         modulation_variance=v_a,
         qam_side=side,
         qam_distribution=distribution,
     )
+    _cap("QAM states", float(side) * side, _MAX_QAM_STATES)  # a float product overflows to inf
+    return spec
 
 
 def _parse_conditions(raw: Any) -> AtmosphericConditions:

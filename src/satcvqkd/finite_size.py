@@ -28,7 +28,6 @@ class ReconciliationModel:
     m1: float = 0.8218
     m2: float = -19.46
     m3: float = -298.1
-    fit_block_length: float = 1e6
 
 
 MD = ReconciliationModel("MD", c1=-0.0825, c2=0.1834, c3=0.9821, c4=-0.00002815)

@@ -61,7 +61,6 @@ DAYLIGHT_NOISE = NoiseBudget(
 class ChannelNoiseState:
     """Channel-referred noise terms for one transmittance/detector pairing."""
 
-    transmittance: float | np.ndarray
     chi_line: float | np.ndarray
     chi_detector: float
     chi_total: float | np.ndarray
@@ -90,7 +89,6 @@ def channel_noise(transmittance, budget: NoiseBudget, kind: Detection) -> Channe
     else:
         chi_det = (1.0 + (1.0 - eta) + 2.0 * budget.detector_excess) / eta
     return ChannelNoiseState(
-        transmittance=transmittance,
         chi_line=chi_line,
         chi_detector=chi_det,
         chi_total=chi_line + chi_det / transmittance,
@@ -215,6 +213,28 @@ class SecurityResult:
     skr_asymptotic: float | np.ndarray  # bits/pulse, negative means no key
 
 
+def covariance_security(
+    modulation_variance: float,
+    correlation: float,
+    transmittance,
+    budget: NoiseBudget,
+    kind: Detection,
+    reconciliation_efficiency,
+) -> SecurityResult:
+    """Key rate of an ensemble of variance V_A and correlation Z at the given
+    transmittance(s), through the two-mode covariance matrix."""
+    noise = channel_noise(transmittance, budget, kind)
+    i_ab = mutual_information_gm(modulation_variance, noise.chi_total, kind)
+    s_be, _ = holevo_bound(
+        modulation_variance, transmittance, noise.chi_line, noise.chi_detector, correlation, kind
+    )
+    return SecurityResult(
+        mutual_information=i_ab,
+        holevo=s_be,
+        skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
+    )
+
+
 def gm_security(
     modulation_variance: float,
     transmittance,
@@ -223,18 +243,7 @@ def gm_security(
     reconciliation_efficiency,
 ) -> SecurityResult:
     """Full Gaussian-modulation pipeline at the given link transmittance(s)."""
-    noise = channel_noise(transmittance, budget, kind)
-    i_ab = mutual_information_gm(modulation_variance, noise.chi_total, kind)
-    s_be, _ = holevo_bound(
-        modulation_variance,
-        transmittance,
-        noise.chi_line,
-        noise.chi_detector,
-        gaussian_correlation(modulation_variance),
-        kind,
-    )
-    return SecurityResult(
-        mutual_information=i_ab,
-        holevo=s_be,
-        skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
+    return covariance_security(
+        modulation_variance, gaussian_correlation(modulation_variance), transmittance,
+        budget, kind, reconciliation_efficiency,
     )

@@ -21,7 +21,8 @@ import numpy as np
 from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams
-from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_point
+from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_point, \
+    link_columns
 
 _MU_EARTH = 3.986004418e14  # m^3/s^2
 
@@ -239,13 +240,13 @@ def integrate_key_bits(
 ) -> PassResult:
     """Accumulate secret key bits over a pass for each reconciliation model.
 
-    A sample's dwell (the time to the next sample) goes to its elevation bin;
-    each model evaluates all occupied bins at their centres in one grid call.
-    The link setup's OGS altitude is overridden by the profile's.
+    A sample's dwell (the time to the next sample) goes to its elevation bin.
+    One link stage covers all occupied bins at their centres, and each model
+    runs one key stage on it.  The link setup's OGS altitude is overridden by
+    the profile's.
     """
     if bin_width_deg <= 0.0:
         raise ValueError("bin width must be positive")
-    setup = replace(setup, ogs_altitude_m=profile.ogs_altitude_m)
     bins, sample_bins = np.unique(
         (profile.elevations_deg // bin_width_deg).astype(int), return_inverse=True
     )
@@ -259,6 +260,10 @@ def integrate_key_bits(
     evaluated = np.flatnonzero(occupied & ~keyhole)
     if len(profile.times_s) < 2:
         sample_bins = sample_bins[:0]
+    link = link_columns(replace(setup, ogs_altitude_m=profile.ogs_altitude_m),
+                        satellite_altitude_m, centres[evaluated])
+    excluded = occupied & keyhole
+    excluded[evaluated[~link.far_field_ok]] = True
 
     models: dict[str, ModelPassResult] = {}
     for reconciliation in reconciliations:
@@ -267,15 +272,10 @@ def integrate_key_bits(
             if reconciliation.kind == "finite"
             else f"asymptotic(beta={reconciliation.beta_asymptotic:g})"
         )
-        point = evaluate_point(
-            setup, spec, satellite_altitude_m, centres[evaluated], reconciliation, finite_params
-        )
-        far_field_ok = np.broadcast_to(point.far_field_ok, evaluated.shape)
+        point = evaluate_point(link, spec, reconciliation, finite_params)
         rates = np.asarray(point.skr_bits_per_second, dtype=float)  # NaN: no key (invalid beta)
         bin_rates = np.zeros(bins.size)
-        bin_rates[evaluated] = np.where(far_field_ok & ~np.isnan(rates), rates, 0.0)
-        excluded = occupied & keyhole
-        excluded[evaluated[~far_field_ok]] = True
+        bin_rates[evaluated] = np.where(link.far_field_ok & ~np.isnan(rates), rates, 0.0)
         models[name] = ModelPassResult(
             total_key_bits=math.fsum((np.maximum(bin_rates, 0.0) * dwell).tolist()),
             excluded_bins_deg=tuple(centres[excluded].tolist()),

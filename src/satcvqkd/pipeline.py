@@ -1,14 +1,17 @@
-"""End-to-end evaluation of link configurations.
+"""End-to-end evaluation of link configurations, in two stages.
 
-Bridges the channel model to the protocol security calculations and the
-finite-size layer, producing flat records (or columns of them, for a grid
-of points) suitable for CSV emission.
+The link stage (``link_columns``) runs the channel model once per grid of
+points; the key stage (``evaluate_point``) runs the protocol security
+calculations and the finite-size layer on it once per protocol and
+reconciliation, producing flat records (or columns of them, for a grid of
+points) suitable for CSV emission.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -193,44 +196,58 @@ def protocol_security(
     )
 
 
-def _spread(values, rows: np.ndarray, size: int) -> np.ndarray | None:
-    """``values`` at the flat ``rows`` of ``size`` points; the other points hold
-    the mark of a missing value, NaN for numbers and None for flags."""
+def _column(values, rows: np.ndarray | None, size: int, shape: tuple[int, ...]):
+    """A ``PointResult`` field over a grid of ``size`` points of ``shape``.
+
+    ``values`` holds the field at the flat ``rows`` (every point when None);
+    the other points hold the mark of a missing value, NaN for numbers and
+    None for flags.  A grid of one point (shape ``()``) gives a plain value,
+    None where it is missing.
+    """
     if values is None:
         return None
     values = np.asarray(values)
-    if rows.size == size:  # every point has a value
-        return np.full(size, values) if values.ndim == 0 else values
-    out = np.full(size, np.nan) if values.dtype.kind == "f" else np.full(size, None, dtype=object)
-    out[rows] = values
-    return out
+    if rows is None or rows.size == size:  # every point has a value
+        out = np.full(size, values) if values.ndim == 0 else values
+    else:
+        out = np.full(size, np.nan) if values.dtype.kind == "f" \
+            else np.full(size, None, dtype=object)
+        out[rows] = values
+    if shape:
+        return out.reshape(shape)
+    value = out.item()
+    return None if value != value else value  # NaN marks a missing number
 
 
-def evaluate_point(
-    setup: LinkSetup,
-    spec: ProtocolSpec,
-    altitude_m,
-    elevation_deg,
-    reconciliation: ReconciliationSpec,
-    finite_params: FiniteSizeParams | None = None,
-) -> PointResult:
-    """Channel + security + (optionally) finite-size layer for one point or a grid.
+@dataclass(frozen=True)
+class LinkColumns:
+    """The link stage of a grid: everything that depends on position alone.
+
+    ``columns`` holds the link fields of a ``PointResult`` (position, slant
+    path, losses, transmittance, far-field flag) in their final form; their
+    arrays are read-only, because every protocol's result shares them.
+    ``far_field_ok`` is flat over the grid, and ``transmittance`` holds the
+    ``linked`` (far-field) points only, the ones with a link budget.
+    """
+
+    noise: NoiseBudget
+    shape: tuple[int, ...]
+    far_field_ok: np.ndarray
+    linked: np.ndarray
+    transmittance: np.ndarray
+    columns: dict[str, Any]
+
+    def column(self, values, rows: np.ndarray | None = None):
+        """A key-stage field in its final form; see ``_column``."""
+        return _column(values, rows, self.far_field_ok.size, self.shape)
+
+
+def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
+    """Geometry, slant path, far-field mask and link budget of a grid, once.
 
     ``altitude_m`` and ``elevation_deg`` are floats, or arrays that broadcast
-    together into a grid.  For a grid each per-point field is an array over it:
-    a far-field point has no link budget and no key, and a point whose fitted
-    beta is invalid has no key; those values are NaN, or None for a flag.  For
-    one point the fields hold plain values and a missing one is None.
+    together into a grid.  A far-field point has no link budget.
     """
-    if reconciliation.kind == "finite":
-        if spec.kind != "gm":
-            raise ConfigError(
-                "finite-size rates are only established for Gaussian modulation; "
-                f"got protocol {spec.label}"
-            )
-        if finite_params is None:
-            raise ConfigError("finite-size reconciliation needs finite-size parameters")
-
     altitudes, elevations = np.broadcast_arrays(
         np.asarray(altitude_m, dtype=float), np.asarray(elevation_deg, dtype=float)
     )
@@ -244,10 +261,48 @@ def evaluate_point(
         geometry = setup.geometry(altitudes[linked], elevations[linked])
     budget = link_budget(geometry, setup.terminals, setup.conditions)
     transmittance = budget.transmittance
+    every_point = dict(
+        altitude_m=altitudes, elevation_deg=elevations, l_tot_m=path.total_distance_m,
+        l_atm_eff_m=path.effective_atmosphere_m, far_field_ok=far_field_ok,
+    )
+    linked_points = dict(
+        a_geo_db=budget.geometric_db, a_scat_db=budget.scattering_db,
+        a_sci_db=budget.scintillation_db, a_tot_db=budget.total_db, transmittance=transmittance,
+    )
+    columns = {name: _column(v, None, size, shape) for name, v in every_point.items()}
+    columns.update({name: _column(v, linked, size, shape) for name, v in linked_points.items()})
+    for value in columns.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return LinkColumns(setup.noise, shape, far_field_ok, linked, transmittance, columns)
 
+
+def evaluate_point(
+    link: LinkColumns,
+    spec: ProtocolSpec,
+    reconciliation: ReconciliationSpec,
+    finite_params: FiniteSizeParams | None = None,
+) -> PointResult:
+    """The key stage: security and (optionally) finite-size layer on a grid's link.
+
+    Each per-point field has the grid's shape: a far-field point has no key,
+    and a point whose fitted beta is invalid has no key; those values are
+    NaN, or None for a flag.  For one point the fields hold plain values and
+    a missing one is None.
+    """
+    if reconciliation.kind == "finite":
+        if spec.kind != "gm":
+            raise ConfigError(
+                "finite-size rates are only established for Gaussian modulation; "
+                f"got protocol {spec.label}"
+            )
+        if finite_params is None:
+            raise ConfigError("finite-size reconciliation needs finite-size parameters")
+
+    transmittance, linked = link.transmittance, link.linked
     snr = fer_value = fer_raw = privacy = None
     if spec.kind != "qam":
-        noise_state = channel_noise(transmittance, setup.noise, spec.detection)
+        noise_state = channel_noise(transmittance, link.noise, spec.detection)
         snr = snr_db(
             math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
         )
@@ -262,7 +317,7 @@ def evaluate_point(
 
     if np.any(beta_valid):
         security = protocol_security(
-            spec, transmittance[beta_valid], setup.noise, efficiency[beta_valid]
+            spec, transmittance[beta_valid], link.noise, efficiency[beta_valid]
         )
     else:  # no point to secure: no protocol constants are computed either
         security = SecurityResult(*[np.empty(0)] * 3)
@@ -279,38 +334,21 @@ def evaluate_point(
     elif finite_params is not None:
         skr_per_second = finite_params.repetition_rate_hz * security.skr_asymptotic
 
-    status = np.full(size, "far_field_excluded", dtype=object)
+    status = np.full(link.far_field_ok.size, "far_field_excluded", dtype=object)
     status[linked] = "ok"
     status[linked[~beta_valid]] = "no_key_beta_invalid"
-    link_values = dict(
-        a_geo_db=budget.geometric_db, a_scat_db=budget.scattering_db,
-        a_sci_db=budget.scintillation_db, a_tot_db=budget.total_db,
-        transmittance=transmittance, snr_db=snr, beta_value=efficiency, beta_valid=beta_valid,
-        fer_value=fer_value, fer_raw=fer_raw, privacy=privacy,
-    )
+    linked_values = dict(snr_db=snr, beta_value=efficiency, beta_valid=beta_valid,
+                         fer_value=fer_value, fer_raw=fer_raw, privacy=privacy)
     key_values = dict(
         mutual_information=security.mutual_information, holevo=security.holevo,
         skr_asymptotic_per_pulse=security.skr_asymptotic, skr_bits_per_second=skr_per_second,
     )
-    result = PointResult(
+    return PointResult(
         protocol=spec.label,
         detection=spec.detection.value,
         modulation_variance=spec.modulation_variance,
-        altitude_m=altitudes,
-        elevation_deg=elevations,
-        status=status,
-        l_tot_m=path.total_distance_m,
-        l_atm_eff_m=path.effective_atmosphere_m,
-        far_field_ok=far_field_ok,
-        **{name: _spread(v, linked, size) for name, v in link_values.items()},
-        **{name: _spread(v, linked[beta_valid], size) for name, v in key_values.items()},
+        status=link.column(status),
+        **link.columns,
+        **{name: link.column(v, linked) for name, v in linked_values.items()},
+        **{name: link.column(v, linked[beta_valid]) for name, v in key_values.items()},
     )
-    for f in fields(PointResult):
-        value = getattr(result, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.reshape(shape)
-            if shape == ():
-                value = value.item()
-                value = None if value != value else value  # NaN marks a missing number
-            setattr(result, f.name, value)
-    return result

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
-    holevo_bound, mutual_information_gm, skr_asymptotic
+from .gaussian import Detection, NoiseBudget, SecurityResult, covariance_security
 
 PSK_STATE_COUNTS = (2, 4, 8)
 
@@ -63,16 +62,6 @@ class PskConfig:
     @property
     def modulation_variance(self) -> float:
         return 2.0 * self.alpha**2
-
-    @property
-    def amplitudes(self) -> tuple[complex, ...]:
-        """The ring of coherent amplitudes alpha * exp(2 pi i k / M)."""
-        m = self.states
-        return tuple(
-            self.alpha * complex(math.cos(2.0 * math.pi * k / m),
-                                 math.sin(2.0 * math.pi * k / m))
-            for k in range(m)
-        )
 
 
 def zeta_weights(config: PskConfig) -> np.ndarray:
@@ -152,19 +141,7 @@ def psk_security(
     Z_M depends on the ring alone, so one call over an array of
     transmittances computes it once.
     """
-    v_a = config.modulation_variance
-    noise = channel_noise(transmittance, budget, kind)
-    i_ab = mutual_information_gm(v_a, noise.chi_total, kind)
-    s_be, _ = holevo_bound(
-        v_a,
-        transmittance,
-        noise.chi_line,
-        noise.chi_detector,
-        correlation_z(config),
-        kind,
-    )
-    return SecurityResult(
-        mutual_information=i_ab,
-        holevo=s_be,
-        skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
+    return covariance_security(
+        config.modulation_variance, correlation_z(config), transmittance,
+        budget, kind, reconciliation_efficiency,
     )

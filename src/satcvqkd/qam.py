@@ -465,60 +465,3 @@ def qam_security(
         skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
     )
 
-
-@dataclass(frozen=True)
-class NuOptimum:
-    """Result of the discrete-Gaussian shape optimization."""
-
-    nu: float
-    skr: float
-    flat: bool  # objective indistinguishable from constant over the bracket
-
-
-def optimize_nu(
-    side: int,
-    modulation_variance: float,
-    transmittance: float,
-    excess_noise: float,
-    kind: Detection,
-    reconciliation_efficiency: float,
-    bounds: tuple[float, float] = (1e-4, 10.0),
-) -> NuOptimum:
-    """Golden-section maximization of the key rate over the free parameter nu."""
-    lo, hi = bounds
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid nu bounds {bounds}")
-
-    def objective(nu: float) -> float:
-        return qam_security(
-            side,
-            modulation_variance,
-            DiscreteGaussian(nu=nu),
-            transmittance,
-            excess_noise,
-            kind,
-            reconciliation_efficiency,
-        ).skr_asymptotic
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    seen = [fc, fd]
-    while (b - a) > 1e-4 * max(1.0, abs(a + b) / 2.0):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-            seen.append(fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-            seen.append(fd)
-    if max(seen) - min(seen) < 1e-12:
-        mid = (lo + hi) / 2.0
-        return NuOptimum(nu=mid, skr=objective(mid), flat=True)
-    nu = (a + b) / 2.0
-    return NuOptimum(nu=nu, skr=objective(nu), flat=False)

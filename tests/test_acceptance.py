@@ -14,7 +14,7 @@ from satcvqkd.cli import main as cli_main
 from satcvqkd.finite_size import MD, MLC_MSD
 from satcvqkd.gaussian import gaussian_correlation
 from satcvqkd.pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point
+    evaluate_point, link_columns
 from satcvqkd.qam import Binomial
 
 from oracles import gm_matrix_oracle, rytov_variance_quad, slant_range_2d
@@ -180,7 +180,7 @@ def _largest_positive_altitude(receiver_aperture_m: float) -> float:
     best = 0.0
     for altitude_km in np.arange(200.0, 1400.1, 5.0):
         point = evaluate_point(
-            setup, spec, altitude_km * 1000.0, 90.0, recon, s.FiniteSizeParams()
+            link_columns(setup, altitude_km * 1000.0, 90.0), spec, recon, s.FiniteSizeParams()
         )
         if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0.0:
             best = altitude_km

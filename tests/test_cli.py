@@ -356,6 +356,41 @@ def test_non_finite_profile_time_is_one_line_error(tmp_path, capsys, text, messa
     assert not out.exists()
 
 
+# --- output errors: one line, never a traceback ------------------------------------
+
+
+@pytest.mark.parametrize("output, message", [
+    ("missing-dir/out.csv", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unopenable_output_is_a_one_line_config_error(tmp_path, capsys, output, message):
+    config = _write_config(tmp_path, "sweep.json", ONE_POINT)
+    assert main(["sweep", "--config", config, "--output", str(tmp_path / output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot open --output: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    # 6,000 rows, far more than a pipe buffers, so the writer meets the closed pipe
+    config = _write_config(tmp_path, "sweep.json", {
+        "protocol": "gm",
+        "sweep": {"altitude_km": {"start": 200, "stop": 1199, "step": 1},
+                  "elevation_deg": [30, 40, 50, 60, 70, 90]},
+    })
+    src = str(Path(satcvqkd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "satcvqkd.cli", "sweep", "--config", config],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.stdout.readline().startswith(b"# satcvqkd config ")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception" not in err, err
+
+
 # --- work caps: checked at resolve time, before anything is allocated ------------
 # Only validate-config runs these: a run without the caps would try to build
 # a million-row grid or about 1e9 pass samples.
@@ -381,6 +416,18 @@ def test_work_over_a_cap_is_a_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err and err.rstrip().endswith("over the cap of 1000000")
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ({"kind": "qam", "states": 16384}, "QAM states would be 16384, over the cap of 4096"),
+    ({"kind": "qam", "side": 65}, "QAM states would be 4225, over the cap of 4096"),
+    ({"kind": "qam", "states": 4096}, None),
+])
+def test_qam_states_cap(tmp_path, capsys, protocol, message):
+    path = _write_config(tmp_path, "qam.json", {**ONE_POINT, "protocol": protocol})
+    assert main(["validate-config", "--config", path]) == (0 if message is None else 1)
+    if message is not None:
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):

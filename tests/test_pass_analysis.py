@@ -212,10 +212,10 @@ def test_reference_pass_duration():
 def test_single_bin_total_is_rate_times_dwell(monkeypatch):
     profile = PassProfile(times_s=(0.0, 4.0, 10.0), elevations_deg=(45.2, 45.4, 45.7))
 
-    def fake_evaluate(setup, spec, altitude_m, elevation_deg, recon, params):
+    def fake_evaluate(link, spec, recon, params):
         result = PointResult(
             protocol="GM", detection="homodyne", modulation_variance=5.0,
-            altitude_m=altitude_m, elevation_deg=elevation_deg,
+            altitude_m=link.columns["altitude_m"], elevation_deg=link.columns["elevation_deg"],
         )
         result.skr_bits_per_second = 1e6
         return result
@@ -231,10 +231,10 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
     profile = PassProfile(times_s=(0.0, 10.0), elevations_deg=(40.0, 40.5))
 
-    def fake_evaluate(setup, spec, altitude_m, elevation_deg, recon, params):
+    def fake_evaluate(link, spec, recon, params):
         result = PointResult(
             protocol="GM", detection="homodyne", modulation_variance=5.0,
-            altitude_m=altitude_m, elevation_deg=elevation_deg,
+            altitude_m=link.columns["altitude_m"], elevation_deg=link.columns["elevation_deg"],
         )
         result.skr_bits_per_second = -5.0
         return result

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +11,11 @@ from satcvqkd import (
     FiniteSizeParams,
     OpticalTerminals,
 )
+import satcvqkd.pipeline as pipeline
+from satcvqkd.cli import main
 from satcvqkd.finite_size import MD
 from satcvqkd.pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point
+    evaluate_point, link_columns
 from satcvqkd.qam import Binomial
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
@@ -31,7 +35,7 @@ QAM256 = ProtocolSpec(
 
 def test_channel_columns_identical_across_protocols():
     points = [
-        evaluate_point(SETUP, spec, 500e3, 90.0, ASY, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
         for spec in (GM, PSK8, QAM256)
     ]
     t_values = {p.transmittance for p in points}
@@ -41,7 +45,7 @@ def test_channel_columns_identical_across_protocols():
 
 def test_reference_ordering_at_500km():
     gm, psk8, qam256 = (
-        evaluate_point(SETUP, spec, 500e3, 90.0, ASY, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
         for spec in (GM, PSK8, QAM256)
     )
     assert (
@@ -54,7 +58,7 @@ def test_reference_ordering_at_500km():
 def test_bad_conditions_kill_psk():
     setup = LinkSetup(terminals=OpticalTerminals(), conditions=BAD, noise=DAYLIGHT_NOISE)
     for altitude in (200e3, 400e3, 800e3):
-        point = evaluate_point(setup, PSK8, altitude, 90.0, ASY, FiniteSizeParams())
+        point = evaluate_point(link_columns(setup, altitude, 90.0), PSK8, ASY, FiniteSizeParams())
         assert point.skr_asymptotic_per_pulse <= 0.0
 
 
@@ -64,7 +68,7 @@ def test_far_field_exclusion_flagged():
         conditions=GOOD,
         noise=DAYLIGHT_NOISE,
     )
-    point = evaluate_point(setup, GM, 300e3, 90.0, ASY, FiniteSizeParams())
+    point = evaluate_point(link_columns(setup, 300e3, 90.0), GM, ASY, FiniteSizeParams())
     assert not point.far_field_ok
     assert point.status == "far_field_excluded"
     assert point.transmittance is None
@@ -74,14 +78,14 @@ def test_far_field_exclusion_flagged():
 def test_finite_size_restricted_to_gaussian_modulation():
     finite = ReconciliationSpec(kind="finite", model=MD)
     with pytest.raises(ConfigError):
-        evaluate_point(SETUP, PSK8, 400e3, 90.0, finite, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 400e3, 90.0), PSK8, finite, FiniteSizeParams())
     with pytest.raises(ConfigError):
-        evaluate_point(SETUP, QAM256, 400e3, 90.0, finite, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 400e3, 90.0), QAM256, finite, FiniteSizeParams())
 
 
 def test_finite_point_carries_fit_diagnostics():
     finite = ReconciliationSpec(kind="finite", model=MD)
-    point = evaluate_point(SETUP, GM, 300e3, 90.0, finite, FiniteSizeParams())
+    point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, finite, FiniteSizeParams())
     assert point.snr_db is not None
     assert point.beta_valid
     assert 0.0 <= point.fer_value <= 1.0
@@ -97,7 +101,7 @@ def test_invalid_beta_reports_no_key():
         conditions=GOOD,
         noise=DAYLIGHT_NOISE,
     )
-    point = evaluate_point(setup, GM, 390e3, 90.0, finite, FiniteSizeParams())
+    point = evaluate_point(link_columns(setup, 390e3, 90.0), GM, finite, FiniteSizeParams())
     if not point.beta_valid:  # depends on where the fit leaves [0, 1]
         assert point.status == "no_key_beta_invalid"
         assert point.skr_bits_per_second is None
@@ -111,7 +115,7 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
         out = set()
         for altitude_km in range(200, 1001, 25):
             point = evaluate_point(
-                SETUP, GM, altitude_km * 1000.0, 90.0, recon, FiniteSizeParams()
+                link_columns(SETUP, altitude_km * 1000.0, 90.0), GM, recon, FiniteSizeParams()
             )
             if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0:
                 out.add(altitude_km)
@@ -124,10 +128,52 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
 
 
 def test_asymptotic_rate_scaled_by_repetition_rate():
-    point = evaluate_point(SETUP, GM, 500e3, 90.0, ASY, FiniteSizeParams())
+    point = evaluate_point(link_columns(SETUP, 500e3, 90.0), GM, ASY, FiniteSizeParams())
     assert point.skr_bits_per_second == pytest.approx(
         50e6 * point.skr_asymptotic_per_pulse, rel=1e-12
     )
+
+
+# --- stage boundary: one link stage per grid ------------------------------------
+
+
+def _count_link_budgets(monkeypatch):
+    calls = []
+    original = pipeline.link_budget
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "link_budget", counting)
+    return calls
+
+
+def _run(tmp_path, command, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--output", str(out)]) == 0
+
+
+def test_compare_runs_one_link_stage_for_every_protocol(tmp_path, monkeypatch):
+    calls = _count_link_budgets(monkeypatch)
+    _run(tmp_path, "compare", {
+        "protocols": ["gm", "psk8", "qam16"],
+        "sweep": {"altitude_km": [400, 600], "elevation_deg": [30, 90]},
+    })
+    assert len(calls) == 1
+
+
+def test_pass_runs_one_link_stage_for_both_models(tmp_path, monkeypatch):
+    calls = _count_link_budgets(monkeypatch)
+    _run(tmp_path, "pass", {
+        "protocol": "gm",
+        "reconciliation": {"kind": "md"},
+        "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 60.0,
+                                "sample_dt_s": 5.0}},
+    })
+    assert len(calls) == 1
 
 
 # --- physics properties ------------------------------------------------------------
@@ -145,7 +191,9 @@ def test_gm_asymptotic_rate_does_not_increase_with_altitude(low_km, rise_km, ele
     # a rise of at least 1 km keeps the change far above float rounding
     high_km = min(low_km + rise_km, 2000.0)
     low, high = (
-        evaluate_point(SETUP, GM, km * 1e3, elevation, BETA_95).skr_asymptotic_per_pulse
+        evaluate_point(
+            link_columns(SETUP, km * 1e3, elevation), GM, BETA_95
+        ).skr_asymptotic_per_pulse
         for km in (low_km, high_km)
     )
     assert high <= low

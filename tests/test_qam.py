@@ -18,7 +18,6 @@ from satcvqkd import (
     holevo_qam,
     modulation_density_matrix,
     mutual_information_qam,
-    optimize_nu,
     qam_security,
     thermal_workspace,
     zeta_weights,
@@ -406,42 +405,7 @@ def test_qam_below_gaussian_modulation():
             assert q.skr_asymptotic <= gm.skr_asymptotic
 
 
-# --- shape optimization ------------------------------------------------------------
-
-
-def test_optimize_nu_local_optimality():
-    t = 0.132
-    best = optimize_nu(4, 2.0, t, QAM_EXCESS, Detection.HETERODYNE, 0.9)
-    assert not best.flat
-
-    def rate(nu):
-        return qam_security(
-            4, 2.0, DiscreteGaussian(nu=nu), t, QAM_EXCESS, Detection.HETERODYNE, 0.9
-        ).skr_asymptotic
-
-    assert best.skr >= rate(best.nu / 2.0) - 1e-9
-    assert best.skr >= rate(min(best.nu * 2.0, 10.0)) - 1e-9
-
-
-def test_optimized_shape_at_least_binomial():
-    t = 0.132
-    binomial = qam_security(
-        4, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9
-    ).skr_asymptotic
-    best = optimize_nu(4, 2.0, t, QAM_EXCESS, Detection.HETERODYNE, 0.9)
-    assert best.skr >= binomial - 1e-6
-
-
-def test_flat_objective_reports_midpoint(monkeypatch):
-    import satcvqkd.qam as qam_mod
-
-    class _Stub:
-        skr_asymptotic = 0.125
-
-    monkeypatch.setattr(qam_mod, "qam_security", lambda *a, **k: _Stub())
-    best = optimize_nu(4, 2.0, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
-    assert best.flat
-    assert best.nu == pytest.approx((1e-4 + 10.0) / 2.0)
+# --- shape ---------------------------------------------------------------------------
 
 
 def test_overconcentrated_shape_kills_the_key():
