@@ -283,12 +283,11 @@ class LinkBudget:
 
 
 def link_budget(
-    geometry: LinkGeometry,
+    path: SlantPath,
     terminals: OpticalTerminals,
     conditions: AtmosphericConditions,
 ) -> LinkBudget:
-    """Full attenuation budget for the geometry's lines of sight."""
-    path = slant_path(geometry)
+    """Full attenuation budget along the slant paths of a link's lines of sight."""
     a_geo = geometric_loss_db(path, terminals)
     a_scat = (
         scattering_coefficient_db_per_km(terminals.wavelength_m, conditions.visibility_km)
@@ -318,4 +317,4 @@ def total_transmittance(
     conditions: AtmosphericConditions,
 ):
     """Overall power transmittance of the link."""
-    return link_budget(geometry, terminals, conditions).transmittance
+    return link_budget(slant_path(geometry), terminals, conditions).transmittance

@@ -126,36 +126,34 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
     )
 
     models = sorted(result.models.items())
+    excluded = len(result.excluded_bins_deg)
     head = [_echo_line(plan)]
     for name, model in models:
         head.append(
             f"# summary model={name} total_key_bits={model.total_key_bits!r} "
-            f"excluded_bins={len(model.excluded_bins_deg)}"
+            f"excluded_bins={excluded}"
         )
     head.append("time_s,elevation_deg," + ",".join(
         f"skr_bits_per_second[{name}]" for name, _ in models
     ))
     bin_texts = [list(map(repr, model.bin_rates.tolist())) for _, model in models]
-    samples = len(models[0][1].sample_bins)
+    sample_bins = result.sample_bins
 
     def blocks() -> Iterator[Iterable[Sequence[str]]]:
-        for start in range(0, samples, _BLOCK_ROWS):
+        for start in range(0, len(sample_bins), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
+            bins = sample_bins[block].tolist()
             yield zip(
                 map(repr, profile.times_s[block].tolist()),
                 map(repr, profile.elevations_deg[block].tolist()),
-                *(map(texts.__getitem__, model.sample_bins[block].tolist())
-                  for texts, (_, model) in zip(bin_texts, models)),
+                *(map(texts.__getitem__, bins) for texts in bin_texts),
             )
 
     _write(output, head, blocks())
-    for name, model in models:
-        if model.excluded_bins_deg:
-            print(
-                f"note: {name}: {len(model.excluded_bins_deg)} elevation bins excluded "
-                "(far field or keyhole)",
-                file=sys.stderr,
-            )
+    if excluded:
+        for name, _ in models:
+            print(f"note: {name}: {excluded} elevation bins excluded (far field or keyhole)",
+                  file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

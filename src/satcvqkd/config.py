@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .finite_size import MD, MLC_MSD, FiniteSizeParams
 from .gaussian import DAYLIGHT_NOISE, Detection, NoiseBudget
 from .pass_analysis import circular_pass_arc
-from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec
+from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, check_reconciliation
 from .qam import Binomial, DiscreteGaussian
 
 SCHEMA_VERSION = 1
@@ -315,14 +315,15 @@ def _parse_sweep(raw: Any) -> SweepSpec:
     )
 
 
-def _parse_pass(raw: Any) -> PassSpec:
+def _parse_pass(raw: Any, ogs_altitude_m: float) -> PassSpec:
     mapping = _expect_mapping(raw, "pass")
     profile_path = mapping.get("profile_csv")
     synth = mapping.get("synthesize")
     if (profile_path is None) == (synth is None):
         raise ConfigError("pass needs exactly one of profile_csv or synthesize")
     own = {k: v for k, v in mapping.items() if k not in ("profile_csv", "synthesize")}
-    spec = _section(PassSpec(), own, _PASS, "pass")
+    # pass.ogs_altitude_km, when given, overrides the geometry's OGS altitude.
+    spec = _section(PassSpec(ogs_altitude_m=ogs_altitude_m), own, _PASS, "pass")
     if synth is not None:
         keys = {**_SYNTHESIZE, "altitude_km": _PASS["altitude_km"]}
         return _section(spec, _expect_mapping(synth, "pass.synthesize"), keys, "pass.synthesize")
@@ -388,13 +389,8 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
     reconciliation = _parse_reconciliation(config.get("reconciliation"))
     finite = _section(FiniteSizeParams(), config.get("finite_size"), _FINITE, "finite_size")
 
-    if reconciliation.kind == "finite":
-        for protocol in protocols:
-            if protocol.kind != "gm":
-                raise ConfigError(
-                    "finite-size reconciliation is only established for the GM "
-                    f"protocol; remove {protocol.label} or use asymptotic"
-                )
+    for protocol in protocols:
+        check_reconciliation(protocol, reconciliation)
 
     sweep = None
     pass_spec = None
@@ -404,12 +400,11 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         sweep = _parse_sweep(config["sweep"])
         rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
         _cap(f"{need} rows", rows, _MAX_ROWS)
-        for elevation in sweep.elevations_deg:
-            setup.geometry(min(sweep.altitudes_m), elevation)
+        setup.geometry(min(sweep.altitudes_m), np.array(sweep.elevations_deg))
     if need == "pass":
         if "pass" not in config:
             raise ConfigError("pass needs a 'pass' section")
-        pass_spec = _parse_pass(config["pass"])
+        pass_spec = _parse_pass(config["pass"], setup.ogs_altitude_m)
         if len(protocols) != 1:
             raise ConfigError("pass supports a single protocol")
         replace(setup, ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(

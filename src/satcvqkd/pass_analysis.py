@@ -210,22 +210,22 @@ class ModelPassResult:
     """Per-reconciliation-model outcome of a pass."""
 
     total_key_bits: float
-    excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
     bin_rates: np.ndarray  # skr_bits_per_s per elevation bin a sample falls in, raw sign
-    sample_bins: np.ndarray  # each sample's index into bin_rates; empty for one sample
-    times_s: np.ndarray  # the profile's own array
-
-    @property
-    def skr_series(self) -> tuple[tuple[float, float], ...]:
-        """(time_s, skr_bits_per_s) per sample, raw sign."""
-        return tuple(zip(self.times_s.tolist(), self.bin_rates[self.sample_bins].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassResult:
-    """Pass totals per reconciliation model."""
+    """The pass's samples and bins, and its totals per reconciliation model."""
 
+    times_s: np.ndarray  # the profile's own array
+    sample_bins: np.ndarray  # each sample's index into bin_rates; empty for one sample
+    excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
     models: dict[str, ModelPassResult]
+
+    def skr_series(self, name: str) -> tuple[tuple[float, float], ...]:
+        """(time_s, skr_bits_per_s) per sample for model ``name``, raw sign."""
+        rates = self.models[name].bin_rates[self.sample_bins]
+        return tuple(zip(self.times_s.tolist(), rates.tolist()))
 
 
 def integrate_key_bits(
@@ -278,9 +278,6 @@ def integrate_key_bits(
         bin_rates[evaluated] = np.where(link.far_field_ok & ~np.isnan(rates), rates, 0.0)
         models[name] = ModelPassResult(
             total_key_bits=math.fsum((np.maximum(bin_rates, 0.0) * dwell).tolist()),
-            excluded_bins_deg=tuple(centres[excluded].tolist()),
             bin_rates=bin_rates,
-            sample_bins=sample_bins,
-            times_s=profile.times_s,
         )
-    return PassResult(models=models)
+    return PassResult(profile.times_s, sample_bins, tuple(centres[excluded].tolist()), models)

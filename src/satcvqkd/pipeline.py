@@ -17,13 +17,13 @@ import numpy as np
 
 from . import qam
 from .channel import ATMOSPHERE_THICKNESS_M, EARTH_RADIUS_M, AtmosphericConditions, \
-    LinkGeometry, OpticalTerminals, far_field_bound_m, link_budget, slant_path
+    LinkGeometry, OpticalTerminals, SlantPath, far_field_bound_m, link_budget, slant_path
 from .errors import ConfigError
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
     gm_security
-from .psk import PskConfig, psk_security
+from .psk import PSK_STATE_COUNTS, PskConfig, psk_security
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ProtocolSpec:
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.modulation_variance <= 0.0:
             raise ConfigError("modulation variance must be positive")
-        if self.kind == "psk" and self.psk_states not in (2, 4, 8):
-            raise ConfigError("psk protocol needs states in {2, 4, 8}")
+        if self.kind == "psk" and self.psk_states not in PSK_STATE_COUNTS:
+            raise ConfigError(f"psk protocol needs states in {PSK_STATE_COUNTS}")
         if self.kind == "qam":
             if self.qam_side is None or self.qam_side < 2:
                 raise ConfigError("qam protocol needs a grid side >= 2")
@@ -165,6 +165,15 @@ CSV_COLUMNS = (
 )
 
 
+def check_reconciliation(spec: ProtocolSpec, reconciliation: ReconciliationSpec) -> None:
+    """Reject a protocol the reconciliation has no key rate for: finite size is GM-only."""
+    if reconciliation.kind == "finite" and spec.kind != "gm":
+        raise ConfigError(
+            "finite-size reconciliation is only established for the GM "
+            f"protocol; remove {spec.label} or use asymptotic"
+        )
+
+
 def protocol_security(
     spec: ProtocolSpec,
     transmittance: float,
@@ -253,13 +262,12 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
     )
     shape, size = altitudes.shape, altitudes.size
     altitudes, elevations = altitudes.ravel(), elevations.ravel()
-    geometry = setup.geometry(altitudes, elevations)
-    path = slant_path(geometry)
+    path = slant_path(setup.geometry(altitudes, elevations))
     far_field_ok = ~(path.total_distance_m < far_field_bound_m(setup.terminals))
     linked = np.flatnonzero(far_field_ok)
-    if linked.size < size:
-        geometry = setup.geometry(altitudes[linked], elevations[linked])
-    budget = link_budget(geometry, setup.terminals, setup.conditions)
+    linked_path = path if linked.size == size else \
+        SlantPath(path.total_distance_m[linked], path.effective_atmosphere_m[linked])
+    budget = link_budget(linked_path, setup.terminals, setup.conditions)
     transmittance = budget.transmittance
     every_point = dict(
         altitude_m=altitudes, elevation_deg=elevations, l_tot_m=path.total_distance_m,
@@ -290,14 +298,9 @@ def evaluate_point(
     NaN, or None for a flag.  For one point the fields hold plain values and
     a missing one is None.
     """
-    if reconciliation.kind == "finite":
-        if spec.kind != "gm":
-            raise ConfigError(
-                "finite-size rates are only established for Gaussian modulation; "
-                f"got protocol {spec.label}"
-            )
-        if finite_params is None:
-            raise ConfigError("finite-size reconciliation needs finite-size parameters")
+    check_reconciliation(spec, reconciliation)
+    if reconciliation.kind == "finite" and finite_params is None:
+        raise ConfigError("finite-size reconciliation needs finite-size parameters")
 
     transmittance, linked = link.transmittance, link.linked
     snr = fer_value = fer_raw = privacy = None

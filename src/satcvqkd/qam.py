@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -362,12 +362,6 @@ def correlation_lower_bound(
     return _z_star(*moments, transmittance, excess_noise)
 
 
-# QAM settings whose converged moments are kept; a compare listing more QAM
-# settings than this would rebuild the Fock space at every grid point.
-_MOMENTS_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_MOMENTS_CACHE_SIZE)
 def _setting_moments(
     side: int, modulation_variance: float, distribution: QamDistribution, excess_noise: float
 ) -> tuple[float, float, float]:

@@ -221,7 +221,7 @@ def test_criterion_8_iss_pass_budget():
         def min_positive(name):
             return min(
                 e for (t, v), e in zip(
-                    result.models[name].skr_series, profile.elevations_deg
+                    result.skr_series(name), profile.elevations_deg
                 ) if v > 0.0
             )
 

@@ -239,7 +239,7 @@ def test_scintillation_loss_outage_domain(p):
 
 def test_total_transmittance_is_product_of_mechanisms():
     geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=60.0)
-    budget = link_budget(geo, OpticalTerminals(), GOOD)
+    budget = link_budget(slant_path(geo), OpticalTerminals(), GOOD)
     product = (
         10.0 ** (-budget.geometric_db / 10.0)
         * 10.0 ** (-budget.scattering_db / 10.0)
@@ -250,7 +250,7 @@ def test_total_transmittance_is_product_of_mechanisms():
 
 def test_total_db_additivity():
     geo = LinkGeometry(satellite_altitude_m=700e3, elevation_deg=35.0)
-    budget = link_budget(geo, OpticalTerminals(), BAD)
+    budget = link_budget(slant_path(geo), OpticalTerminals(), BAD)
     assert transmittance_to_db(budget.transmittance) == pytest.approx(
         budget.geometric_db + budget.scattering_db + budget.scintillation_db,
         abs=1e-10,
@@ -260,7 +260,7 @@ def test_total_db_additivity():
 def test_component_sum_reference():
     # good conditions at zenith, 500 km: the three frozen component values
     geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-    budget = link_budget(geo, OpticalTerminals(), GOOD)
+    budget = link_budget(slant_path(geo), OpticalTerminals(), GOOD)
     assert budget.geometric_db == pytest.approx(9.6165, abs=1e-3)
     assert budget.scattering_db == pytest.approx(0.0161866 * 20.0, abs=1e-4)
     assert budget.scintillation_db == pytest.approx(1.893, abs=2e-3)
@@ -279,4 +279,4 @@ def test_bad_conditions_strictly_worse():
 def test_far_field_propagates_from_budget():
     geo = LinkGeometry(satellite_altitude_m=300e3, elevation_deg=90.0)
     with pytest.raises(FarFieldViolation):
-        link_budget(geo, OpticalTerminals(receiver_aperture_m=2.0), GOOD)
+        link_budget(slant_path(geo), OpticalTerminals(receiver_aperture_m=2.0), GOOD)

@@ -60,15 +60,8 @@ def test_validate_config_matches_golden(name, capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("command, name", [
-    ("sweep", "minimal_sweep"), ("pass", "full_pass"), ("compare", "shaped_compare"),
-])
-def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
-    # A result file must be sufficient to rerun: its echo, turned back into a
-    # config, reproduces the same bytes.
-    first = tmp_path / "first.csv"
-    config = str(DATA / f"{name}.json")
-    assert main([command, "--config", config, "--output", str(first)]) == 0
+def _assert_reruns_from_echo(tmp_path, command, first):
+    """The echo of result file ``first``, turned back into a config, reproduces its bytes."""
     echo_line = first.read_text(encoding="utf-8").splitlines()[0]
     echo = json.loads(echo_line.removeprefix("# satcvqkd config "))
     protocols = [
@@ -84,6 +77,17 @@ def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
     second = tmp_path / "second.csv"
     assert main([command, "--config", rerun, "--output", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("sweep", "minimal_sweep"), ("pass", "full_pass"), ("compare", "shaped_compare"),
+])
+def test_rerun_from_echo_is_byte_identical(tmp_path, command, name):
+    # A result file must be sufficient to rerun.
+    first = tmp_path / "first.csv"
+    config = str(DATA / f"{name}.json")
+    assert main([command, "--config", config, "--output", str(first)]) == 0
+    _assert_reruns_from_echo(tmp_path, command, first)
 
 
 def test_validate_config_rejects_unknown_key(tmp_path, capsys):
@@ -193,6 +197,30 @@ def test_pass_summary_contains_both_models(tmp_path):
     assert md_total >= mlc_total > 0.0
 
 
+def test_pass_flies_from_the_geometry_ogs_altitude(tmp_path):
+    # Without pass.ogs_altitude_km a pass takes geometry.ogs_altitude_km.
+    base = {
+        "protocol": "gm",
+        "terminals": {"receiver_aperture_m": 2.0},
+        "reconciliation": {"kind": "md"},
+        "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 87.6,
+                                "sample_dt_s": 2.0}},
+    }
+    outputs = {}
+    for name, payload in (
+        ("geometry", {**base, "geometry": {"ogs_altitude_km": 1.0}}),
+        ("pass", _replaced(base, ("pass", "ogs_altitude_km"), 1.0)),
+        ("sea_level", base),
+    ):
+        outputs[name] = tmp_path / f"{name}.csv"
+        config = _write_config(tmp_path, f"{name}.json", payload)
+        assert main(["pass", "--config", config, "--output", str(outputs[name])]) == 0
+    results = {name: out.read_text(encoding="utf-8").splitlines()[1:]
+               for name, out in outputs.items()}
+    assert results["geometry"] == results["pass"] != results["sea_level"]
+    _assert_reruns_from_echo(tmp_path, "pass", outputs["geometry"])
+
+
 def test_measured_profile_pass(tmp_path):
     profile = tmp_path / "profile.csv"
     profile.write_text("0,30\n60,60\n120,88\n180,60\n240,30\n", encoding="utf-8")
@@ -292,6 +320,8 @@ MALFORMED = {
         ONE_POINT, ("sweep", "altitude_km"), [float("nan")]), "finite number"),
     "elevation_zero": ("sweep", _replaced(
         ONE_POINT, ("sweep", "elevation_deg"), [0]), "elevation"),
+    "elevation_95_among_others": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "elevation_deg"), [30, 95, 0]), "got 95.0"),
     "altitude_below_atmosphere": ("sweep", _replaced(
         ONE_POINT, ("sweep", "altitude_km"), [15]), "atmosphere"),
     "range_stop_below_start": ("sweep", _replaced(

@@ -245,7 +245,7 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
-    assert result.models["MD"].skr_series[0][1] == -5.0
+    assert result.skr_series("MD")[0][1] == -5.0
 
 
 def test_zero_rate_pass_accumulates_nothing():
@@ -284,7 +284,7 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
     )
 
     def min_positive_elevation(name):
-        series = result.models[name].skr_series
+        series = result.skr_series(name)
         elevations = [
             e for (t, v), e in zip(series, profile.elevations_deg) if v > 0.0
         ]
@@ -299,7 +299,7 @@ def test_symmetric_pass_symmetric_series():
         profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
-    series = result.models["MD"].skr_series
+    series = result.skr_series("MD")
     n = len(series)
     for i in range(n // 2):
         assert series[i][1] == pytest.approx(series[n - 1 - i][1], rel=1e-12)
@@ -330,7 +330,7 @@ def test_keyhole_ceiling_reduces_total():
     assert (
         restricted.models["MD"].total_key_bits < open_sky.models["MD"].total_key_bits
     )
-    assert restricted.models["MD"].excluded_bins_deg
+    assert restricted.excluded_bins_deg
 
 
 def test_zero_duration_profile_gives_empty_series():
@@ -340,4 +340,4 @@ def test_zero_duration_profile_gives_empty_series():
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
-    assert result.models["MD"].skr_series == ()
+    assert result.skr_series("MD") == ()

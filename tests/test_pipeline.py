@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,15 +139,16 @@ def test_asymptotic_rate_scaled_by_repetition_rate():
 # --- stage boundary: one link stage per grid ------------------------------------
 
 
-def _count_link_budgets(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Record each call of ``pipeline.<name>``, which still runs."""
     calls = []
-    original = pipeline.link_budget
+    original = getattr(pipeline, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "link_budget", counting)
+    monkeypatch.setattr(pipeline, name, counting)
     return calls
 
 
@@ -157,7 +160,7 @@ def _run(tmp_path, command, payload):
 
 
 def test_compare_runs_one_link_stage_for_every_protocol(tmp_path, monkeypatch):
-    calls = _count_link_budgets(monkeypatch)
+    calls = _count_calls(monkeypatch, "link_budget")
     _run(tmp_path, "compare", {
         "protocols": ["gm", "psk8", "qam16"],
         "sweep": {"altitude_km": [400, 600], "elevation_deg": [30, 90]},
@@ -166,7 +169,7 @@ def test_compare_runs_one_link_stage_for_every_protocol(tmp_path, monkeypatch):
 
 
 def test_pass_runs_one_link_stage_for_both_models(tmp_path, monkeypatch):
-    calls = _count_link_budgets(monkeypatch)
+    calls = _count_calls(monkeypatch, "link_budget")
     _run(tmp_path, "pass", {
         "protocol": "gm",
         "reconciliation": {"kind": "md"},
@@ -174,6 +177,27 @@ def test_pass_runs_one_link_stage_for_both_models(tmp_path, monkeypatch):
                                 "sample_dt_s": 5.0}},
     })
     assert len(calls) == 1
+
+
+def test_link_stage_builds_one_geometry_and_one_slant_path(monkeypatch):
+    geometries = _count_calls(monkeypatch, "LinkGeometry")
+    paths = _count_calls(monkeypatch, "slant_path")
+    # far-field bound 2 m x 0.3 m / 1550 nm = 387 km: the 300 km points are near field
+    setup = replace(SETUP, terminals=OpticalTerminals(receiver_aperture_m=2.0))
+    link = link_columns(setup, np.array([300e3, 500e3])[:, None], np.array([60.0, 90.0]))
+    assert link.far_field_ok.tolist() == [False, False, True, True]
+    assert len(geometries) == len(paths) == 1
+
+
+def test_sweep_resolve_builds_one_geometry(tmp_path, monkeypatch):
+    geometries = _count_calls(monkeypatch, "LinkGeometry")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "protocol": "gm",
+        "sweep": {"altitude_km": [400, 600], "elevation_deg": [10, 20, 30, 40, 50, 60, 70, 90]},
+    }), encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 0
+    assert len(geometries) == 1
 
 
 # --- physics properties ------------------------------------------------------------

@@ -417,7 +417,7 @@ def test_overconcentrated_shape_kills_the_key():
     assert rate <= 0.0
 
 
-# --- per-setting moments cache ------------------------------------------------------
+# --- one constellation per setting ---------------------------------------------------
 
 
 def test_one_constellation_build_serves_every_transmittance(monkeypatch):
@@ -430,18 +430,9 @@ def test_one_constellation_build_serves_every_transmittance(monkeypatch):
         return build_constellation(*args)
 
     monkeypatch.setattr(qam_mod, "build_constellation", counting_build)
-    qam_mod._setting_moments.cache_clear()
-    for t in (0.132, 0.0284):
-        qam_security(4, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+    qam_security(4, 2.0, Binomial(), np.array([0.132, 0.0284]), QAM_EXCESS,
+                 Detection.HETERODYNE, 0.9)
     assert len(built) == 1
-
-
-def test_moments_cache_is_bounded():
-    import satcvqkd.qam as qam_mod
-
-    maxsize = qam_mod._setting_moments.cache_info().maxsize
-    assert maxsize == qam_mod._MOMENTS_CACHE_SIZE
-    assert isinstance(maxsize, int) and maxsize > 0  # None would be unbounded
 
 
 @pytest.mark.parametrize("side, distribution, transmittance", [
