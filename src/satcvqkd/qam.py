@@ -10,9 +10,12 @@ than 1e-9; otherwise the cutoff doubles.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
-is symmetric under conjugation too), 2 for +-alpha pairs, 1 otherwise.  s is
-read off tau, each photon-number sector is diagonalized on its own, and as a
-maps sector r to sector r - 1 (mod s), the moments are sums of s block products.
+is symmetric under conjugation too), 2 for +-alpha pairs, 1 otherwise.  On
+sector r the turned state |i^j alpha> is i^(jr) |alpha>, so each sector block
+is built exactly from one representative per rotation orbit and the orbit's
+summed probability; the entries between sectors are never formed, only bounded.
+Each photon-number sector is diagonalized on its own, and as a maps sector r to
+sector r - 1 (mod s), the moments are sums of s block products.
 """
 
 from __future__ import annotations
@@ -36,9 +39,14 @@ _SUPPORT_RTOL = 1e-10
 _NEGATIVE_EIGENVALUE_TOL = -1e-10
 _TRACE_DEFICIT_TOL = 1e-8
 _COHERENT_NORM_TOL = 1e-12
-# tau counts as block diagonal over n mod s (and a block as real) when the
-# Frobenius mass it would drop is below this fraction of ||tau||
+# tau counts as block diagonal over n mod s (and a block as real) when a bound
+# on the Frobenius mass it would drop is below this fraction of its blocks' mass
 _SECTOR_RTOL = 1e-13
+# w^(jg) for the turn w = i^(4/s) through 2 pi / s, j = 0 ... s-1 turns, gaps g = 1 ... s-1
+_GAP_PHASES = {
+    s: np.array([[1j ** (4 // s * j * g) for g in range(1, s)] for j in range(s)])
+    for s in (4, 2, 1)
+}
 _ZSTAR_CONVERGENCE_TOL = 1e-9
 _CUTOFF_STEP = 10
 _MAX_CUTOFF = 4096
@@ -184,6 +192,9 @@ class FockWorkspace:
 
     ``sectors[r]`` holds the eigenvalues (clamped, renormalized over all sectors,
     ascending) and eigenvectors of tau's block on the levels n = r (mod s).
+    ``point_vectors`` holds the coherent-state columns of one representative per
+    rotation orbit of the constellation and ``probabilities`` the orbit weights,
+    the summed probabilities of each orbit's points.
     """
 
     cutoff: int
@@ -208,29 +219,60 @@ class FockWorkspace:
         return vectors[:, np.argsort(values, kind="stable")]
 
 
-def _sector_eigensystems(cutoff: int, tau: np.ndarray) -> tuple:
-    """Eigensystems of tau's sector blocks, for the most sectors (4, 2 or 1) tau allows."""
-    trace = float(np.trace(tau).real)
+def _rotation_orbits(
+    amplitudes: np.ndarray, probabilities: np.ndarray, order: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Orbits of the amplitudes under the turn w = i^(4 / count), or None when w
+    does not map the set exactly onto itself; ``order`` sorts the amplitudes.
+
+    Returns the index of each orbit's representative (its smallest), the orbit
+    weights (the summed probabilities of its points) and, for each gap g = 1 ...
+    count - 1, the bound sum over orbits of |sum_j p_j w^(jg)| on the Frobenius
+    mass of tau's entries with m - n = g (mod count), p_j being the probability
+    of the representative turned j times.  The vacuum lies in sector 0 and adds
+    nothing to the bound.
+    """
+    size = amplitudes.size
+    turned = amplitudes * 1j ** (4 // count)  # exact: 1j and -1 only move and flip signs
+    ranked = amplitudes[order]
+    at = np.minimum(np.searchsorted(ranked, turned), size - 1)
+    if np.any(ranked[at] != turned):
+        return None
+    # chain[j, k]: the first point equal to point k turned j + 1 times, so that
+    # copies of a point share one chain and one orbit
+    chain = np.empty((count, size), dtype=np.intp)
+    chain[0] = order[at]
+    for j in range(1, count):
+        chain[j] = chain[0][chain[j - 1]]
+    steps = chain.argmin(axis=0)
+    representative = chain[steps, np.arange(size)]
+    reps = np.flatnonzero(representative == np.arange(size))
+    # probability by orbit and by the turns j that take its representative to the point
+    rotations = np.bincount(representative * count + (-1 - steps) % count, probabilities,
+                            count * size).reshape(size, count)[reps]
+    bounds = np.abs(rotations[amplitudes[reps] != 0.0] @ _GAP_PHASES[count]).sum(axis=0)
+    return reps, rotations.sum(axis=1), bounds
+
+
+def _sector_eigensystems(cutoff: int, blocks: list, off_sector: float = 0.0) -> tuple | None:
+    """Eigensystems of tau's sector blocks, or None when ``off_sector``, a bound on
+    the Frobenius mass of tau outside the blocks, exceeds _SECTOR_RTOL of theirs."""
+    trace = math.fsum(float(np.trace(b).real) for b in blocks)
     if trace < 1.0 - _TRACE_DEFICIT_TOL:
         raise CutoffTooSmall(
             f"cutoff {cutoff} loses trace {1.0 - trace:.3e} of the modulation state"
         )
-    n = np.arange(cutoff + 1)
-    by_gap = np.bincount(  # squared Frobenius mass of tau by (m - n) mod 4
-        ((n[:, None] - n[None, :]) % 4).ravel(), weights=(np.abs(tau) ** 2).ravel())
-    limit = _SECTOR_RTOL**2 * by_gap.sum()
-    count = 4 if by_gap[1:].sum() <= limit else 2 if by_gap[1::2].sum() <= limit else 1
-    blocks = []
-    for r in range(count):
-        block = tau[r::count, r::count]
-        blocks.append(np.linalg.eigh(block.real if np.sum(block.imag**2) <= limit else block))
-    values = np.concatenate([d for d, _ in blocks])
+    limit = _SECTOR_RTOL**2 * sum(float(np.sum(np.abs(b) ** 2)) for b in blocks)
+    if off_sector**2 > limit:
+        return None
+    systems = [np.linalg.eigh(b.real if np.sum(b.imag**2) <= limit else b) for b in blocks]
+    values = np.concatenate([d for d, _ in systems])
     if values.min() < _NEGATIVE_EIGENVALUE_TOL:
         raise NumericsError(
             f"modulation density matrix has eigenvalue {values.min():.3e} < 0"
         )
     total = np.clip(values, 0.0, None).sum()
-    return tuple((np.clip(d, 0.0, None) / total, v) for d, v in blocks)
+    return tuple((np.clip(d, 0.0, None) / total, v) for d, v in systems)
 
 
 def default_cutoff(constellation: Constellation) -> int:
@@ -242,13 +284,24 @@ def default_cutoff(constellation: Constellation) -> int:
 def modulation_density_matrix(
     constellation: Constellation, cutoff: int | None = None
 ) -> FockWorkspace:
-    """Assemble and diagonalize tau = sum_k p_k |alpha_k><alpha_k|."""
+    """Assemble and diagonalize the sector blocks of tau = sum_k p_k |alpha_k><alpha_k|
+    for the most sectors (4, 2 or 1) the constellation allows."""
     if cutoff is None:
         cutoff = default_cutoff(constellation)
-    vectors = _coherent_columns(np.asarray(constellation.amplitudes, dtype=complex), cutoff)
-    probs = np.asarray(constellation.probabilities)
-    tau_raw = (vectors * probs) @ vectors.conj().T
-    return FockWorkspace(cutoff, _sector_eigensystems(cutoff, tau_raw), vectors, probs)
+    amplitudes = np.asarray(constellation.amplitudes, dtype=complex)
+    probabilities = np.asarray(constellation.probabilities)
+    order = np.argsort(amplitudes)
+    for count in (4, 2, 1):  # at s = 1 every point is its own orbit and the bound is 0
+        orbits = _rotation_orbits(amplitudes, probabilities, order, count)
+        if orbits is None:
+            continue
+        reps, weights, bounds = orbits
+        vectors = _coherent_columns(amplitudes[reps], cutoff)
+        blocks = [(v * weights) @ v.conj().T for v in (vectors[r::count] for r in range(count))]
+        sectors = _sector_eigensystems(cutoff, blocks, float(np.linalg.norm(bounds)))
+        if sectors is not None:
+            break
+    return FockWorkspace(cutoff, sectors, vectors, weights)
 
 
 def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWorkspace:
@@ -264,7 +317,7 @@ def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWor
         n * math.log(mean_photons / (1.0 + mean_photons))
         - math.log(1.0 + mean_photons)
     )
-    sectors = _sector_eigensystems(cutoff, np.diag(weights))
+    sectors = _sector_eigensystems(cutoff, [np.diag(weights[r::4]) for r in range(4)])
     return FockWorkspace(cutoff, sectors, thermal_mean_photons=mean_photons)
 
 

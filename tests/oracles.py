@@ -224,19 +224,29 @@ def gram_moments(amplitudes, probabilities, dps: int = 50) -> tuple[float, float
     return float(term1), float(s1 - s2)
 
 
-def dense_moments(constellation, cutoff: int) -> tuple[float, float]:
-    """(term1, w) from one dense eigendecomposition of tau and dense products.
-
-    The package's moments before they were split into photon-number
-    sectors, kept as the reference for that split; the coherent-state
-    vectors come from the package, one call per point.
-    """
-    from satcvqkd.qam import _SUPPORT_RTOL, annihilation_operator, coherent_state_vector
+def dense_tau(constellation, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coherent-state vectors of every point, one package call per point, and
+    the whole (cutoff+1)^2 modulation density matrix tau they sum to."""
+    from satcvqkd.qam import coherent_state_vector
 
     vectors = np.column_stack(
         [coherent_state_vector(a, cutoff) for a in constellation.amplitudes])
     probs = np.asarray(constellation.probabilities)
-    eigenvalues, eigenvectors = np.linalg.eigh((vectors * probs) @ vectors.conj().T)
+    return vectors, (vectors * probs) @ vectors.conj().T
+
+
+def dense_moments(constellation, cutoff: int) -> tuple[float, float]:
+    """(term1, w) from one dense eigendecomposition of tau and dense products.
+
+    The package's moments before they were split into photon-number
+    sectors and built from rotation orbits, kept as the reference for both;
+    tau comes from ``dense_tau``, over every point of the constellation.
+    """
+    from satcvqkd.qam import _SUPPORT_RTOL, annihilation_operator
+
+    vectors, tau = dense_tau(constellation, cutoff)
+    probs = np.asarray(constellation.probabilities)
+    eigenvalues, eigenvectors = np.linalg.eigh(tau)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     eigenvalues = eigenvalues / eigenvalues.sum()
     annihilation = annihilation_operator(cutoff)

@@ -170,6 +170,21 @@ def test_compare_orderings_and_shared_channel(tmp_path):
     assert skr["GM"] >= skr["256-QAM[binomial]"] >= skr["8-PSK"]
 
 
+def test_odd_side_qam_compare_reruns_from_its_echo(tmp_path):
+    # odd sides put a point at alpha = 0, an orbit of its own under the 90 degree turn
+    payload = {
+        "protocols": [{"kind": "qam", "states": 9}, {"kind": "qam", "states": 25}],
+        "reconciliation": {"kind": "asymptotic", "beta": 0.95},
+        "sweep": {"altitude_km": [500], "elevation_deg": [60, 90]},
+    }
+    first = tmp_path / "first.csv"
+    config = _write_config(tmp_path, "odd.json", payload)
+    assert main(["compare", "--config", config, "--output", str(first)]) == 0
+    _header, rows = _read_rows(first)
+    assert [row["status"] for row in rows] == ["ok"] * 4
+    _assert_reruns_from_echo(tmp_path, "compare", first)
+
+
 def test_pass_summary_contains_both_models(tmp_path):
     payload = {
         "protocol": "gm",

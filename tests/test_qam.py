@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from satcvqkd import (
     Binomial,
@@ -23,9 +23,16 @@ from satcvqkd import (
     zeta_weights,
 )
 from satcvqkd import DAYLIGHT_NOISE, PskConfig
-from satcvqkd.qam import _moments, annihilation_operator, default_cutoff
+from satcvqkd.qam import (
+    _SECTOR_RTOL,
+    _coherent_columns,
+    _moments,
+    _rotation_orbits,
+    annihilation_operator,
+    default_cutoff,
+)
 
-from oracles import dense_moments, gram_moments, qam_matrix_oracle
+from oracles import dense_moments, dense_tau, gram_moments, qam_matrix_oracle
 
 QAM_EXCESS = DAYLIGHT_NOISE.channel_excess + DAYLIGHT_NOISE.detector_excess
 
@@ -265,6 +272,79 @@ def test_square_grid_sectors_are_real_until_turned():
         assert all(np.iscomplexobj(v) == is_complex for _, v in ws.sectors)
 
 
+def _assert_dense_moments(ws, constellation, cutoff):
+    term1, w = _moments(ws)
+    term1_ref, w_ref = dense_moments(constellation, cutoff)
+    assert abs(term1 - term1_ref) < 1e-10
+    assert abs(w - w_ref) < 1e-10
+
+
+def _gap_masses(tau, count):
+    """Frobenius mass of tau's entries with m - n = g (mod count), g = 0 ... count - 1."""
+    n = np.arange(tau.shape[0])
+    gaps = (n[:, None] - n[None, :]) % count
+    return [math.sqrt(np.sum(np.abs(tau[gaps == g]) ** 2)) for g in range(count)]
+
+
+@st.composite
+def _perturbed_grids(draw):
+    """A turned grid with one orbit's probabilities moved by a relative epsilon in
+    [1e-16, 1e-6]: a point and its opposite up and their quarter turns down, which
+    keeps the +-alpha symmetry, or one point up and its quarter turn down."""
+    c = draw(_turned_grids())
+    k = draw(st.sampled_from([k for k, a in enumerate(c.amplitudes) if a != 0]))
+    orbit = [c.amplitudes.index(c.amplitudes[k] * 1j**j) for j in range(4)]
+    delta = 10.0 ** draw(st.floats(-16.0, -6.0)) * c.probabilities[k]
+    signs = (1, -1, 1, -1) if draw(st.booleans()) else (1, -1, 0, 0)
+    probabilities = list(c.probabilities)
+    for j, sign in zip(orbit, signs):
+        probabilities[j] += sign * delta
+    return Constellation(c.amplitudes, tuple(probabilities))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(c=_perturbed_grids())
+def test_orbit_bound_holds_and_sets_the_sector_count(c):
+    cutoff = default_cutoff(c)
+    amplitudes, probabilities = np.asarray(c.amplitudes), np.asarray(c.probabilities)
+    _, tau = dense_tau(c, cutoff)
+    expected = None  # the first count whose bound passes, as the build tries them
+    for count in (4, 2):
+        _, _, bounds = _rotation_orbits(amplitudes, probabilities, np.argsort(amplitudes), count)
+        masses = _gap_masses(tau, count)
+        # the dense product itself rounds each entry by about 1e-16 of ||tau||
+        assert all(mass <= bound + 1e-15 * masses[0] for mass, bound in zip(masses[1:], bounds))
+        ratio = np.linalg.norm(bounds) / (_SECTOR_RTOL * masses[0])
+        assume(abs(ratio - 1.0) > 1e-6)  # the build's blocks round differently
+        if expected is None and ratio <= 1.0:
+            expected = count
+    ws = modulation_density_matrix(c, cutoff)
+    assert len(ws.sectors) == (expected or 1)
+    _assert_dense_moments(ws, c, cutoff)
+
+
+@pytest.mark.parametrize("side", [3, 5])
+@pytest.mark.parametrize("distribution", [Binomial(), DiscreteGaussian(nu=0.6)])
+def test_odd_grid_centre_is_its_own_orbit(side, distribution):
+    c = build_constellation(side, 1.0, distribution)
+    cutoff = default_cutoff(c)
+    ws = modulation_density_matrix(c, cutoff)
+    assert len(ws.sectors) == 4
+    assert ws.point_vectors.shape[1] == (side**2 - 1) // 4 + 1
+    assert ws.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+    _assert_dense_moments(ws, c, cutoff)
+
+
+def test_a_repeated_orbit_keeps_its_weight():
+    grid = build_constellation(4, 1.0, DiscreteGaussian(nu=0.6))
+    twice = Constellation(grid.amplitudes * 2, tuple(p / 2.0 for p in grid.probabilities * 2))
+    cutoff = default_cutoff(grid)
+    ws = modulation_density_matrix(twice, cutoff)
+    assert len(ws.sectors) == 4
+    assert ws.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+    _assert_dense_moments(ws, grid, cutoff)  # listing every point twice leaves tau as it is
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(c=st.one_of(*_CONSTELLATIONS.values()),
        noises=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4))
@@ -481,3 +561,29 @@ def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):
     z = correlation_lower_bound(workspace, c, 0.132, QAM_EXCESS)
     assert len(built) == rebuilds - 1
     assert z == qam_mod._z_star(*rebuilt, 0.132, QAM_EXCESS)
+
+
+@pytest.mark.parametrize("side", [8, 16])
+def test_a_setting_builds_twice_from_one_column_per_orbit(monkeypatch, side):
+    import satcvqkd.qam as qam_mod
+
+    columns, builds = [], []
+
+    def counting_columns(amplitudes, cutoff):
+        columns.append(amplitudes.size)
+        return _coherent_columns(amplitudes, cutoff)
+
+    def counting_build(*args):
+        builds.append(args)
+        return modulation_density_matrix(*args)
+
+    monkeypatch.setattr(qam_mod, "_coherent_columns", counting_columns)
+    modulation_density_matrix(build_constellation(side, 1.0, Binomial()))
+    assert columns == [side**2 // 4]
+
+    columns.clear()
+    monkeypatch.setattr(qam_mod, "modulation_density_matrix", counting_build)
+    qam_security(side, 2.0, DiscreteGaussian(nu=0.5), 0.0656, QAM_EXCESS,
+                 Detection.HETERODYNE, 0.9)
+    assert len(builds) == 2  # the cutoff gate's two levels
+    assert columns == [side**2 // 4] * 2
