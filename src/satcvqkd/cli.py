@@ -3,7 +3,9 @@
 Output is CSV with a '#'-prefixed echo of the resolved configuration;
 identical configs produce byte-identical files.  All numerical work is done
 before the output is opened, so a numerical failure writes nothing; rows are
-then formatted and written one block at a time.
+then formatted and written one block at a time.  Within a block, a number
+column formats each distinct value once over all protocols' rows, keyed on
+its bit pattern; dedup stops at the block, which bounds the texts kept alive.
 """
 
 from __future__ import annotations
@@ -28,22 +30,34 @@ _BLOCK_ROWS = 512  # rows formatted and written at a time
 _FLAG_TEXT = {True: "true", False: "false", None: ""}
 
 
-def _texts(value, block: slice, count: int) -> list[str]:
-    """CSV fields of one column over a block of ``count`` rows.
+def _texts(values: Sequence, block: slice) -> list[str]:
+    """CSV fields of one column over a block of points, in row order.
 
-    ``value`` is a per-run constant (str, float or None) or an array with
-    one element per row: numbers (NaN where a row has none), flags (None
-    where a row has none) or strings.
+    ``values`` holds each protocol's column: a per-run constant (str, float
+    or None) or an array with one element per point: numbers (NaN where a
+    point has none), flags (None where a point has none) or strings.  Rows
+    run point-major, protocol-minor.  A number column formats each distinct
+    bit pattern once (-0.0 and 0.0 differ); NaN and None are empty fields.
     """
-    if not isinstance(value, np.ndarray):
-        return [repr(value) if isinstance(value, float) else _FLAG_TEXT.get(value, value)] * count
-    values = value[block]
-    if values.dtype.kind != "f":
-        return [_FLAG_TEXT.get(v, v) for v in values.tolist()]
-    texts = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
+    numeric = any(isinstance(v, float) or isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                  for v in values)
+    shape = (block.stop - block.start, len(values))  # points, protocols
+    stacked = np.empty(shape, dtype=float if numeric else object)
+    for p, value in enumerate(values):
+        stacked[:, p] = value[block] if isinstance(value, np.ndarray) else \
+            np.nan if numeric and value is None else value
+    flat = stacked.ravel()  # row order
+    if not numeric:
+        return [_FLAG_TEXT.get(v, v) for v in flat.tolist()]
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    if distinct.size == flat.size:  # nothing repeats: format in row order
+        distinct, inverse = flat, None
+    else:
+        distinct = distinct.view(np.float64)
+    texts = list(map(repr, distinct.tolist()))
+    for i in np.flatnonzero(np.isnan(distinct)).tolist():
         texts[i] = ""
-    return texts
+    return texts if inverse is None else list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _echo_line(plan: config_mod.RunPlan) -> str:
@@ -72,21 +86,19 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     altitudes = np.repeat(altitudes_m, len(elevations_deg))
     elevations = np.tile(elevations_deg, len(altitudes_m))
     link = link_columns(plan.setup, altitudes, elevations)
-    columns = []  # per protocol, each CSV column's value over the grid's points
-    for spec in plan.protocols:
-        point = evaluate_point(link, spec, plan.reconciliation, plan.finite)
-        columns.append([getattr(point, name) / divisor if divisor else getattr(point, name)
-                        for _, name, divisor in CSV_COLUMNS])
+    results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
+               for spec in plan.protocols]
+    # per CSV column, each protocol's value over the grid's points
+    columns = [[getattr(result, name) / divisor if divisor else getattr(result, name)
+                for result in results] for _, name, divisor in CSV_COLUMNS]
 
     points = altitudes.size
-    step = max(1, _BLOCK_ROWS // len(columns))
+    step = max(1, _BLOCK_ROWS // len(results))
 
     def blocks() -> Iterator[Iterable[Sequence[str]]]:
         for start in range(0, points, step):
             block = slice(start, min(start + step, points))
-            count = block.stop - start
-            per_protocol = [zip(*(_texts(v, block, count) for v in values)) for values in columns]
-            yield (row for rows in zip(*per_protocol) for row in rows)
+            yield zip(*(_texts(values, block) for values in columns))
 
     _write(output, [_echo_line(plan), _CSV_HEADER], blocks())
 

@@ -8,8 +8,10 @@ from arbitrary-precision quadrature, and small-constellation moments from an
 arbitrary-precision Gram-matrix construction.  ``reference_point`` is the
 per-point, ``math``-based evaluation the package's grid evaluator replaced,
 ``dense_moments`` the dense Fock-space moments that the package's
-photon-number-sector moments replaced, and ``reference_profile`` the
-``csv``-and-``float`` profile parser that the package's numpy parse replaced.
+photon-number-sector moments replaced, ``grid_csv_rows`` the field-by-field
+CSV formatter that the package's per-block column formatting replaced, and
+``reference_profile`` the ``csv``-and-``float`` profile parser that the
+package's numpy parse replaced.
 """
 
 from __future__ import annotations
@@ -460,6 +462,40 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
     elif finite_params is not None:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * skr
     return row
+
+
+# --- grid CSV rows --------------------------------------------------------------------
+
+
+def _csv_field(value) -> str:
+    """One CSV field: ``repr`` of a float, empty for NaN or None, true/false for a flag."""
+    if value is None or isinstance(value, float) and math.isnan(value):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
+def grid_csv_rows(records) -> str:
+    """The data rows of a grid CSV, formatted one row and one field at a time.
+
+    ``records`` are the ``evaluate_point`` results of each protocol over one
+    flat grid; rows run point-major, protocol-minor.
+    """
+    from satcvqkd.pipeline import CSV_COLUMNS
+
+    lines = []
+    for i in range(records[0].altitude_m.size):
+        for record in records:
+            fields = []
+            for _, name, divisor in CSV_COLUMNS:
+                value = getattr(record, name)
+                if isinstance(value, np.ndarray):
+                    value = value[i]
+                    value = value.item() if isinstance(value, np.generic) else value
+                fields.append(_csv_field(value / divisor if divisor else value))
+            lines.append(",".join(fields) + "\n")
+    return "".join(lines)
 
 
 # --- measured pass profile ------------------------------------------------------------

@@ -259,7 +259,7 @@ def test_measured_profile_pass(tmp_path):
     assert "skr_bits_per_second[MD]" in header_line
 
 
-def test_determinism_across_worker_counts(tmp_path):
+def test_sweep_reruns_are_byte_identical(tmp_path):
     payload = {
         **SWEEP_CONFIG,
         "reconciliation": {"kind": "md"},

@@ -1,17 +1,20 @@
 """The grid evaluator and the CSV it writes, against the per-point reference."""
 
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
+import satcvqkd.cli as cli
 import satcvqkd.pipeline as pipeline
 from satcvqkd import UnphysicalCovariance
 from satcvqkd import config as config_mod
 from satcvqkd.cli import main
-from satcvqkd.pipeline import CSV_COLUMNS
+from satcvqkd.pipeline import CSV_COLUMNS, evaluate_point, link_columns
 
-from oracles import reference_point
+from oracles import grid_csv_rows, reference_point
 
 RTOL = 1e-12  # relative to the column's largest magnitude
 
@@ -98,6 +101,108 @@ def test_grid_csv_matches_per_point_reference(tmp_path, case):
                 assert abs(float(got[j]) - want[j]) <= RTOL * scale, (column, got, want)
             else:
                 assert got[j] == want[j], (column, got, want)
+
+
+def _records(plan):
+    """Each protocol's ``evaluate_point`` result over the CLI's flat grid."""
+    altitudes_m, elevations_deg = plan.sweep.altitudes_m, plan.sweep.elevations_deg
+    link = link_columns(plan.setup, np.repeat(altitudes_m, len(elevations_deg)),
+                        np.tile(elevations_deg, len(altitudes_m)))
+    return [evaluate_point(link, spec, plan.reconciliation, plan.finite)
+            for spec in plan.protocols]
+
+
+@pytest.mark.parametrize("blocks", ["default", "short_last"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_grid_csv_is_byte_identical_to_the_row_formatter(tmp_path, monkeypatch, case, blocks):
+    protocols, reconciliation = CASES[case]
+    points = len(ALTITUDES_KM) * len(ELEVATIONS_DEG)
+    if blocks == "short_last":  # three points a block: 40 points leave a last block of one
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3 * len(protocols))
+        assert points % 3 == 1
+    config_path = _config(tmp_path, protocols, reconciliation)
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", config_path, "--output", str(out)]) == 0
+    echo, header, rows = out.read_bytes().decode("utf-8").split("\n", 2)
+    assert echo.startswith("# satcvqkd config ")
+    assert header == ",".join(column for column, _, _ in CSV_COLUMNS)
+    assert rows == grid_csv_rows(_records(config_mod.load(config_path, "compare")))
+    assert rows.count("\n") == points * len(protocols)
+
+
+NEGATIVE_NAN = float(np.copysign(np.nan, -1.0))
+
+
+@pytest.mark.parametrize("values, block", [
+    ([np.array([-0.0, 0.0, 0.0, -0.0, 1.5])], slice(0, 5)),
+    ([np.array([np.nan, NEGATIVE_NAN, 2.0, NEGATIVE_NAN, np.nan])], slice(0, 5)),
+    ([np.array([NEGATIVE_NAN, 0.5])], slice(0, 2)),  # a NaN in an all-distinct block
+    ([5.0, np.array([1.0, 2.0, 1.0, 5.0]), None], slice(0, 4)),
+    ([None, np.array([0.25, np.nan, 0.25, -0.0])], slice(1, 4)),
+    ([np.array([1.0, 2.0, 3.0, 4.0]), np.array([-1.0, -2.0, -3.0, -4.0])], slice(0, 4)),
+    ([np.array([7.0, 8.0, 9.0]), 7.0, None], slice(2, 3)),  # one point
+])
+def test_column_formatter_fields_are_each_values_repr(values, block):
+    rows = [v[i].item() if isinstance(v, np.ndarray) else v
+            for i in range(block.start, block.stop) for v in values]
+    expected = ["" if x is None or math.isnan(x) else repr(x) for x in rows]
+    assert cli._texts(values, block) == expected
+
+
+def test_each_distinct_number_is_formatted_once_per_block(tmp_path, monkeypatch):
+    """The floats a compare formats are the distinct bit patterns of each number column.
+
+    Every protocol shares the link columns, so adding protocols must not add
+    their formatting: per extra protocol, the combined run formats the link
+    columns' distinct values fewer times than separate runs do.
+    """
+    protocols = GM_BOTH + ["psk4", {"kind": "qam", "states": 16, "distribution": "binomial"}]
+    points, step = len(ALTITUDES_KM) * len(ELEVATIONS_DEG), 7  # a last block of 5 points
+    blocks = [slice(start, min(start + step, points)) for start in range(0, points, step)]
+    assert blocks[-1].stop - blocks[-1].start == 5
+    formatted, totals = [], []
+    monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+
+    def count_per_block(output, head, blocks):
+        for _ in blocks:  # a block's fields are formatted as it is yielded
+            totals.append(len(formatted))
+
+    monkeypatch.setattr(cli, "_write", count_per_block)
+
+    def run(protocols):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", step * len(protocols))
+        formatted.clear()
+        totals.clear()
+        path = _config(tmp_path, protocols, {"kind": "asymptotic", "beta": 0.93})
+        assert main(["compare", "--config", path]) == 0
+        return np.diff([0] + totals).tolist(), _records(config_mod.load(path, "compare"))
+
+    def distinct(records, block, names):
+        """Distinct bit patterns of each number column ``names`` holds, over the block's rows."""
+        total = 0
+        for _, name, divisor in CSV_COLUMNS:
+            values = [getattr(record, name) for record in records]
+            if name not in names or not any(
+                isinstance(v, float) or isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                for v in values
+            ):
+                continue
+            numbers = np.array([[np.nan if v is None else v[i] if isinstance(v, np.ndarray) else v
+                                 for v in values] for i in range(block.start, block.stop)])
+            total += len(set((numbers / divisor if divisor else numbers)
+                             .view(np.int64).ravel().tolist()))
+        return total
+
+    combined, records = run(protocols)
+    every = {name for _, name, _ in CSV_COLUMNS}
+    assert combined == [distinct(records, block, every) for block in blocks]
+
+    link = {"altitude_m", "elevation_deg", "l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db",
+            "a_sci_db", "a_tot_db", "transmittance"}
+    link_count = sum(distinct(records, block, link) for block in blocks)
+    separate = sum(sum(run([protocol])[0]) for protocol in protocols)
+    assert 0 < link_count
+    assert sum(combined) <= separate - (len(protocols) - 1) * link_count
 
 
 def test_numerical_failure_writes_no_output(tmp_path, monkeypatch, capsys):
