@@ -88,9 +88,10 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     link = link_columns(plan.setup, altitudes, elevations)
     results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
                for spec in plan.protocols]
-    # per CSV column, each protocol's value over the grid's points
-    columns = [[getattr(result, name) / divisor if divisor else getattr(result, name)
-                for result in results] for _, name, divisor in CSV_COLUMNS]
+    # per CSV column, each protocol's value over the grid's points; a scaled column is the link's
+    columns = [[link.columns[name] / divisor] * len(results) if divisor
+               else [getattr(result, name) for result in results]
+               for _, name, divisor in CSV_COLUMNS]
 
     points = altitudes.size
     step = max(1, _BLOCK_ROWS // len(results))

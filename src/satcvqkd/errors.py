@@ -46,7 +46,7 @@ class NumericsError(SatCvqkdError):
 
 
 class ProfileError(SatCvqkdError, ValueError):
-    """A pass-profile stream could not be parsed or validated."""
+    """A pass profile could not be parsed or validated."""
 
 
 class ConfigError(SatCvqkdError, ValueError):

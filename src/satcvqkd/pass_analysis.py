@@ -9,7 +9,6 @@ to zero (no key is distilled from a negative bound).
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -82,35 +81,29 @@ def _is_header(row: list[str]) -> bool:
     return False
 
 
-def load_profile(source: str | Path | TextIO, ogs_altitude_m: float = 0.0) -> PassProfile:
-    """Parse a comma-separated time_s, elevation_deg stream.
+def load_profile(path: str | Path, ogs_altitude_m: float = 0.0) -> PassProfile:
+    """Parse a comma-separated time_s, elevation_deg file.
 
     Line 1 is a header when it is not two numbers; blank lines are skipped
     and columns after the second are ignored.  One numpy call parses the
-    stream; only when it or the validation fails does a line-by-line scan
+    file; only when it or the validation fails does a line-by-line scan
     run, to name the offending CSV line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            try:
-                return load_profile(handle, ogs_altitude_m)
-            except UnicodeDecodeError as exc:
-                raise ProfileError(f"profile is not UTF-8 text: {exc}") from None
-
-    if not source.seekable():  # the scan after a failure reads the stream again
-        source = io.StringIO(source.read())
-    start = source.tell()
-    if not _is_header(next(csv.reader(source), [])):
-        source.seek(start)
     try:
-        with warnings.catch_warnings():  # an empty stream is reported by the scan
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            samples = np.loadtxt(source, delimiter=",", usecols=(0, 1), comments=None,
-                                 ndmin=2, quotechar='"')
-        return PassProfile(samples[:, 0], samples[:, 1], ogs_altitude_m)
-    except ValueError:  # a line numpy cannot parse, or a bad sample
-        source.seek(start)
-        return _scan_profile(source, ogs_altitude_m)
+        with open(path, "r", encoding="utf-8") as handle:
+            header = _is_header(next(csv.reader(handle), []))
+        try:
+            with warnings.catch_warnings():  # an empty file is reported by the scan
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                samples = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
+                                     ndmin=2, quotechar='"', skiprows=int(header),
+                                     encoding="utf-8")
+            return PassProfile(samples[:, 0], samples[:, 1], ogs_altitude_m)
+        except ValueError:  # a line numpy cannot parse, or a bad sample
+            with open(path, "r", encoding="utf-8") as handle:
+                return _scan_profile(handle, ogs_altitude_m)
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"profile is not UTF-8 text: {exc}") from None
 
 
 def _scan_profile(source: TextIO, ogs_altitude_m: float) -> PassProfile:
@@ -132,7 +125,7 @@ def _scan_profile(source: TextIO, ogs_altitude_m: float) -> PassProfile:
         times.append(t)
         elevations.append(e)
     if not times:
-        raise ProfileError("profile stream contains no samples")
+        raise ProfileError("profile contains no samples")
     try:
         return PassProfile(times, elevations, ogs_altitude_m)
     except _BadSample as bad:

@@ -6,7 +6,8 @@ constellation; everything else is assembled in its eigenbasis, where the
 only inverse (tau^(-1/2) acting on the constellation states) is damped by
 the overlap bound |<v_j|alpha_k>|^2 <= d_j / p_k and stays well conditioned.
 Results are accepted only when a cutoff increase of 10 moves Z* by less
-than 1e-9; otherwise the cutoff doubles.
+than 1e-9; otherwise the cutoff doubles.  ``correlation_lower_bound`` is the
+gate's one entry: it starts at a workspace's cutoff and rebuilds from its source.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -190,18 +190,26 @@ def annihilation_operator(cutoff: int) -> np.ndarray:
 class FockWorkspace:
     """Eigendecomposed modulation density matrix at one Fock cutoff.
 
-    ``sectors[r]`` holds the eigenvalues (clamped, renormalized over all sectors,
-    ascending) and eigenvectors of tau's block on the levels n = r (mod s).
-    ``point_vectors`` holds the coherent-state columns of one representative per
-    rotation orbit of the constellation and ``probabilities`` the orbit weights,
-    the summed probabilities of each orbit's points.
+    ``source`` is what it was built from, a ``Constellation`` or a thermal mean
+    photon number, and ``rebuilt`` builds it at another cutoff.  ``sectors[r]``
+    holds the eigenvalues (clamped, renormalized over all sectors, ascending) and
+    eigenvectors of tau's block on the levels n = r (mod s).  ``point_vectors``
+    holds the coherent-state columns of one representative per rotation orbit of
+    a constellation and ``probabilities`` the orbit weights, the summed
+    probabilities of each orbit's points.
     """
 
+    source: Constellation | float = field(repr=False)
     cutoff: int
     sectors: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     point_vectors: np.ndarray | None = field(repr=False, default=None)
     probabilities: np.ndarray | None = None
-    thermal_mean_photons: float | None = None
+
+    def rebuilt(self, cutoff: int) -> FockWorkspace:
+        """The same modulation state at ``cutoff``."""
+        if isinstance(self.source, Constellation):
+            return modulation_density_matrix(self.source, cutoff)
+        return thermal_workspace(self.source, cutoff)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -301,7 +309,7 @@ def modulation_density_matrix(
         sectors = _sector_eigensystems(cutoff, blocks, float(np.linalg.norm(bounds)))
         if sectors is not None:
             break
-    return FockWorkspace(cutoff, sectors, vectors, weights)
+    return FockWorkspace(constellation, cutoff, sectors, vectors, weights)
 
 
 def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWorkspace:
@@ -318,7 +326,7 @@ def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWor
         - math.log(1.0 + mean_photons)
     )
     sectors = _sector_eigensystems(cutoff, [np.diag(weights[r::4]) for r in range(4)])
-    return FockWorkspace(cutoff, sectors, thermal_mean_photons=mean_photons)
+    return FockWorkspace(mean_photons, cutoff, sectors)
 
 
 def _moments(workspace: FockWorkspace) -> tuple[float, float]:
@@ -371,18 +379,14 @@ def _z_star(term1: float, w: float, transmittance, excess_noise: float):
     )
 
 
-def _converged_moments(
-    build: Callable[[int], FockWorkspace], cutoff: int, excess_noise: float,
-    workspace: FockWorkspace | None = None,
-) -> tuple[float, float]:
-    """(term1, w) at cutoff + 10 for the first cutoff, doubling from ``cutoff``, at
-    which that step of 10 moves Z* by less than 1e-9.  The gate runs at T = 1 and
-    holds for every T, since Z*(T) = sqrt(T) Z*(1).  ``workspace``, if given, is
-    the one ``build(cutoff)`` would return."""
+def _converged_moments(workspace: FockWorkspace, excess_noise: float) -> tuple[float, float]:
+    """(term1, w) at cutoff + 10 for the first cutoff, doubling from the workspace's
+    own, at which that step of 10 moves Z* by less than 1e-9.  The gate runs at
+    T = 1 and holds for every T, since Z*(T) = sqrt(T) Z*(1)."""
+    cutoff = workspace.cutoff
     while cutoff <= _MAX_CUTOFF:
-        coarse = _moments(workspace if workspace is not None else build(cutoff))
-        workspace = None
-        refined = _moments(build(cutoff + _CUTOFF_STEP))
+        coarse = _moments(workspace if cutoff == workspace.cutoff else workspace.rebuilt(cutoff))
+        refined = _moments(workspace.rebuilt(cutoff + _CUTOFF_STEP))
         moved = abs(_z_star(*refined, 1.0, excess_noise) - _z_star(*coarse, 1.0, excess_noise))
         if moved < _ZSTAR_CONVERGENCE_TOL:
             return refined
@@ -390,41 +394,19 @@ def _converged_moments(
     raise ConvergenceError(f"Z* did not stabilize below cutoff {_MAX_CUTOFF}")
 
 
-def correlation_lower_bound(
-    workspace: FockWorkspace,
-    constellation: Constellation | None,
-    transmittance: float,
-    excess_noise: float,
-) -> float:
+def correlation_lower_bound(workspace: FockWorkspace, transmittance, excess_noise: float):
     """Lower bound Z* on the Alice-Bob correlation for arbitrary modulation.
 
-    The workspace is the coarse level of the same convergence gate every
-    QAM key rate passes; higher cutoffs are built from the constellation.
+    The workspace is the coarse level of the cutoff gate; higher cutoffs are
+    rebuilt from its source.  ``transmittance`` is a float or an array.
     """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
+    t = np.asarray(transmittance)
+    bad = ~((0.0 <= t) & (t <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"transmittance must be in [0, 1], got {offending(t, bad)}")
     if excess_noise < 0.0:
         raise ValueError("excess noise must be >= 0")
-    if workspace.point_vectors is None:
-        build = partial(thermal_workspace, workspace.thermal_mean_photons)
-    elif constellation is None:
-        raise ValueError("constellation required to rebuild the workspace")
-    else:
-        build = partial(modulation_density_matrix, constellation)
-    moments = _converged_moments(build, workspace.cutoff, excess_noise, workspace)
-    return _z_star(*moments, transmittance, excess_noise)
-
-
-def _setting_moments(
-    side: int, modulation_variance: float, distribution: QamDistribution, excess_noise: float
-) -> tuple[float, float, float]:
-    """Realized ensemble variance, term1 and w of one QAM setting; none depends on T."""
-    constellation = build_constellation(
-        side, math.sqrt(modulation_variance / 2.0), distribution
-    )
-    build = partial(modulation_density_matrix, constellation)
-    term1, w = _converged_moments(build, default_cutoff(constellation), excess_noise)
-    return constellation.modulation_variance, term1, w
+    return _z_star(*_converged_moments(workspace, excess_noise), transmittance, excess_noise)
 
 
 def mutual_information_qam(
@@ -502,8 +484,10 @@ def qam_security(
     correlation bound is floored at zero (it carries no correlation
     information and only certifies the absence of key).
     """
-    v_eff, term1, w = _setting_moments(side, modulation_variance, distribution, excess_noise)
-    z_star = np.maximum(_z_star(term1, w, transmittance, excess_noise), 0.0)
+    constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
+    workspace = modulation_density_matrix(constellation)
+    z_star = np.maximum(correlation_lower_bound(workspace, transmittance, excess_noise), 0.0)
+    v_eff = constellation.modulation_variance
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
     s_be, _ = holevo_qam(v_eff, transmittance, excess_noise, z_star, kind)
     return SecurityResult(

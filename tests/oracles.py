@@ -422,13 +422,14 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
     v_a = spec.modulation_variance
     if spec.kind == "qam":
         excess = setup.noise.channel_excess + setup.noise.detector_excess
-        v_eff, term1, w = qam._setting_moments(
-            spec.qam_side, v_a, spec.qam_distribution, excess
+        constellation = qam.build_constellation(
+            spec.qam_side, math.sqrt(v_a / 2.0), spec.qam_distribution
         )
-        z_star = max(
-            2.0 * math.sqrt(t) * term1 - math.sqrt(2.0 * t * excess * w), 0.0
+        workspace = qam.modulation_density_matrix(constellation)
+        z_star = max(float(qam.correlation_lower_bound(workspace, t, excess)), 0.0)
+        i_ab, s_be = _qam_like_security(
+            constellation.modulation_variance, t, excess, homodyne, z_star
         )
-        i_ab, s_be = _qam_like_security(v_eff, t, excess, homodyne, z_star)
     else:
         if spec.kind == "gm":
             correlation = gaussian_correlation(v_a)
@@ -524,7 +525,7 @@ def reference_profile(source):
             raise ProfileError(f"line {line_no}: cannot parse {row[:2]!r} as numbers")
         samples.append((line_no, t, e))
     if not samples:
-        raise ProfileError("profile stream contains no samples")
+        raise ProfileError("profile contains no samples")
     previous = None
     for line_no, t, e in samples:
         if not 0.0 < e <= 90.0:

@@ -110,7 +110,7 @@ def test_criterion_4_qam_thermal_limit():
         for v_a in (0.5, 2.0, 5.0):
             ws = s.thermal_workspace(v_a / 2.0)
             for t in (1.0, 0.1, 0.01):
-                z = s.correlation_lower_bound(ws, None, t, 0.0)
+                z = s.correlation_lower_bound(ws, t, 0.0)
                 expected = math.sqrt(t * (v_a**2 + 2.0 * v_a))
                 assert abs(z - expected) < 1e-6
 

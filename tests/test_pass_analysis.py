@@ -1,5 +1,6 @@
 import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,84 +39,85 @@ FINITE_MLC = ReconciliationSpec(kind="finite", model=MLC_MSD)
 # --- profile parsing ----------------------------------------------------------
 
 
-def test_empty_stream_rejected():
+def _written(directory: Path, text: str) -> Path:
+    """``text`` as a UTF-8 profile file in ``directory``, line endings kept."""
+    path = directory / "profile.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def test_empty_stream_rejected(tmp_path):
     with pytest.raises(ProfileError):
-        load_profile(io.StringIO(""))
+        load_profile(_written(tmp_path, ""))
 
 
-def test_two_row_profile():
-    profile = load_profile(io.StringIO("0,10\n60,20\n"))
+def test_two_row_profile(tmp_path):
+    profile = load_profile(_written(tmp_path, "0,10\n60,20\n"))
     assert profile.times_s.tolist() == [0.0, 60.0]
     assert profile.elevations_deg.tolist() == [10.0, 20.0]
 
 
-def test_header_row_skipped():
-    profile = load_profile(io.StringIO("time_s,elevation_deg\n0,10\n60,20\n"))
+def test_header_row_skipped(tmp_path):
+    profile = load_profile(_written(tmp_path, "time_s,elevation_deg\n0,10\n60,20\n"))
     assert len(profile.times_s) == 2
 
 
-def test_out_of_range_elevation_reports_line():
+def test_out_of_range_elevation_reports_line(tmp_path):
     with pytest.raises(ProfileError) as err:
-        load_profile(io.StringIO("0,10\n30,95\n"))
+        load_profile(_written(tmp_path, "0,10\n30,95\n"))
     assert "line 2" in str(err.value)
 
 
-def test_non_monotone_time_reports_line():
+def test_non_monotone_time_reports_line(tmp_path):
     with pytest.raises(ProfileError) as err:
-        load_profile(io.StringIO("0,10\n30,20\n30,25\n"))
+        load_profile(_written(tmp_path, "0,10\n30,20\n30,25\n"))
     assert "line 3" in str(err.value)
 
 
-def test_garbage_mid_file_rejected():
+def test_garbage_mid_file_rejected(tmp_path):
     with pytest.raises(ProfileError):
-        load_profile(io.StringIO("0,10\nfoo,bar\n"))
+        load_profile(_written(tmp_path, "0,10\nfoo,bar\n"))
 
 
-def test_non_finite_time_reports_line():
+def test_non_finite_time_reports_line(tmp_path):
     for text, line in (("0,40\nnan,41\n60,42\n", 2),
                        ("time_s,elevation_deg\n0,40\n\n60,41\ninf,42\n", 5),
                        ("-inf,40\n60,41\n", 1)):
         with pytest.raises(ProfileError, match=f"^line {line}: time .* not finite$"):
-            load_profile(io.StringIO(text))
+            load_profile(_written(tmp_path, text))
 
 
-def test_header_only_stream_rejected():
+def test_header_only_stream_rejected(tmp_path):
     with pytest.raises(ProfileError, match="no samples"):
-        load_profile(io.StringIO("time_s,elevation_deg\n\n"))
+        load_profile(_written(tmp_path, "time_s,elevation_deg\n\n"))
 
 
-def test_profile_arrays_are_read_only():
-    profile = load_profile(io.StringIO("0,10\n60,20\n"))
+def test_profile_arrays_are_read_only(tmp_path):
+    profile = load_profile(_written(tmp_path, "0,10\n60,20\n"))
     assert profile.times_s.dtype == profile.elevations_deg.dtype == np.float64
     with pytest.raises(ValueError):
         profile.times_s[0] = 1.0
 
 
-def test_well_formed_stream_skips_the_line_scan(monkeypatch):
+def test_well_formed_stream_skips_the_line_scan(monkeypatch, tmp_path):
     # A header, CRLF endings, quoted cells and extra columns are all numpy's
     # to parse; the line scan runs only after a failure.
     def no_scan(*args):
         raise AssertionError("line scan ran")
 
     monkeypatch.setattr(pass_analysis, "_scan_profile", no_scan)
-    profile = load_profile(io.StringIO('time_s,elevation_deg\r\n0,"10",x\r\n\r\n60, 20 ,1\r\n'))
+    text = 'time_s,elevation_deg\r\n0,"10",x\r\n\r\n60, 20 ,1\r\n'
+    profile = load_profile(_written(tmp_path, text))
     assert profile.times_s.tolist() == [0.0, 60.0]
     assert profile.elevations_deg.tolist() == [10.0, 20.0]
 
 
-def test_file_and_unseekable_stream_match_reference(tmp_path):
+def test_file_matches_reference(tmp_path):
     text = "time_s,elevation_deg\r\n0,10\r\n1_0,20\r\n\r\n60,30\r\n"
-    path = tmp_path / "profile.csv"
-    path.write_bytes(text.encode("utf-8"))
-
-    class Unseekable(io.StringIO):
-        def seekable(self):
-            return False
-
     times, elevations = reference_profile(io.StringIO(text))
-    for profile in (load_profile(path), load_profile(Unseekable(text))):
-        assert profile.times_s.tolist() == times == [0.0, 10.0, 60.0]
-        assert profile.elevations_deg.tolist() == elevations
+    profile = load_profile(_written(tmp_path, text))
+    assert profile.times_s.tolist() == times == [0.0, 10.0, 60.0]
+    assert profile.elevations_deg.tolist() == elevations
 
 
 def test_non_utf8_file_is_a_profile_error(tmp_path):
@@ -164,23 +166,24 @@ def _profile_streams(draw):
     return end.join(lines) + draw(st.sampled_from((end, "")))
 
 
-def _outcome(parse, text):
+def _outcome(parse, source):
     try:
-        times, elevations = parse(io.StringIO(text))
+        times, elevations = parse(source)
     except ProfileError as exc:
         return str(exc)
     return np.asarray(times, dtype=float).tobytes(), np.asarray(elevations, dtype=float).tobytes()
 
 
-def _load(stream):
-    profile = load_profile(stream)
+def _load(path):
+    profile = load_profile(path)
     return profile.times_s, profile.elevations_deg
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_profile_streams())
-def test_load_profile_matches_reference_parser(text):
-    assert _outcome(_load, text) == _outcome(reference_profile, text)
+def test_load_profile_matches_reference_parser(tmp_path_factory, text):
+    path = _written(tmp_path_factory.getbasetemp(), text)
+    assert _outcome(_load, path) == _outcome(reference_profile, io.StringIO(text))
 
 
 # --- synthesized passes ----------------------------------------------------------

@@ -186,7 +186,7 @@ def test_thermal_moment_identity():
 @pytest.mark.parametrize("transmittance", [1.0, 0.1, 0.01])
 def test_thermal_limit_recovers_gaussian_correlation(v_a, transmittance):
     ws = thermal_workspace(v_a / 2.0)
-    z = correlation_lower_bound(ws, None, transmittance, 0.0)
+    z = correlation_lower_bound(ws, transmittance, 0.0)
     expected = math.sqrt(transmittance * (v_a**2 + 2.0 * v_a))
     assert z == pytest.approx(expected, abs=1e-6)
 
@@ -194,7 +194,7 @@ def test_thermal_limit_recovers_gaussian_correlation(v_a, transmittance):
 def test_zero_transmittance_zero_correlation():
     c = build_constellation(4, 1.0, Binomial())
     ws = modulation_density_matrix(c)
-    assert correlation_lower_bound(ws, c, 0.0, 0.05) == 0.0
+    assert correlation_lower_bound(ws, 0.0, 0.05) == 0.0
 
 
 def test_moments_match_high_precision_gram_oracle():
@@ -350,7 +350,7 @@ def test_a_repeated_orbit_keeps_its_weight():
        noises=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4))
 def test_correlation_bound_never_rises_with_excess_noise(c, noises):
     ws = modulation_density_matrix(c)
-    values = [correlation_lower_bound(ws, c, 0.1, eps) for eps in sorted(noises)]
+    values = [correlation_lower_bound(ws, 0.1, eps) for eps in sorted(noises)]
     # each value is converged to the cutoff gate's 1e-9 on Z*
     assert all(z2 <= z1 + 2e-9 for z1, z2 in zip(values, values[1:]))
 
@@ -360,8 +360,8 @@ def test_correlation_bound_never_rises_with_excess_noise(c, noises):
        transmittance=st.floats(1e-4, 1.0), eps=st.floats(0.0, 0.05))
 def test_correlation_bound_scales_with_root_transmittance(c, transmittance, eps):
     ws = modulation_density_matrix(c)
-    z_one = correlation_lower_bound(ws, c, 1.0, eps)
-    z_t = correlation_lower_bound(ws, c, transmittance, eps)
+    z_one = correlation_lower_bound(ws, 1.0, eps)
+    z_t = correlation_lower_bound(ws, transmittance, eps)
     assert z_t == pytest.approx(math.sqrt(transmittance) * z_one, rel=1e-12)
 
 
@@ -384,7 +384,7 @@ def test_moments_match_psk_closed_form():
 def test_large_grid_approaches_gaussian_correlation():
     c = build_constellation(16, 1.0, Binomial())  # 256-QAM at V_A = 2
     ws = modulation_density_matrix(c)
-    z = correlation_lower_bound(ws, c, 1.0, 0.0)
+    z = correlation_lower_bound(ws, 1.0, 0.0)
     gaussian = math.sqrt(4.0 + 4.0)
     assert abs(z - gaussian) / gaussian < 0.01
 
@@ -393,7 +393,7 @@ def test_correlation_bound_nonincreasing_in_excess_noise():
     c = build_constellation(8, 1.0, Binomial())
     ws = modulation_density_matrix(c)
     values = [
-        correlation_lower_bound(ws, c, 0.1, eps)
+        correlation_lower_bound(ws, 0.1, eps)
         for eps in (0.0, 0.01, 0.03, 0.1, 0.3)
     ]
     assert all(z1 >= z2 for z1, z2 in zip(values, values[1:]))
@@ -534,33 +534,40 @@ def test_correlation_bound_is_the_key_rate_correlation(
     qam_security(side, 2.0, distribution, transmittance, QAM_EXCESS,
                  Detection.HETERODYNE, 0.9)
     c = build_constellation(side, 1.0, distribution)  # alpha = sqrt(V_A / 2)
-    z = correlation_lower_bound(modulation_density_matrix(c), c, transmittance, QAM_EXCESS)
+    z = correlation_lower_bound(modulation_density_matrix(c), transmittance, QAM_EXCESS)
     assert used[0] > 0.0
     assert z == used[0]
 
 
 def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):
-    import functools
-
+    # the gate starts at the given workspace: nothing is built at its own cutoff
     import satcvqkd.qam as qam_mod
 
     built = []
 
-    def counting_build(*args):
-        built.append(args)
-        return modulation_density_matrix(*args)
+    def counting_build(constellation, cutoff=None):
+        built.append(cutoff)
+        return modulation_density_matrix(constellation, cutoff)
 
     monkeypatch.setattr(qam_mod, "modulation_density_matrix", counting_build)
     c = build_constellation(16, 1.0, Binomial())
     workspace = modulation_density_matrix(c)
-    rebuilt = qam_mod._converged_moments(
-        functools.partial(counting_build, c), workspace.cutoff, QAM_EXCESS
-    )
-    rebuilds = len(built)
-    built.clear()
-    z = correlation_lower_bound(workspace, c, 0.132, QAM_EXCESS)
-    assert len(built) == rebuilds - 1
-    assert z == qam_mod._z_star(*rebuilt, 0.132, QAM_EXCESS)
+    correlation_lower_bound(workspace, 0.132, QAM_EXCESS)
+    assert built[0] == workspace.cutoff + qam_mod._CUTOFF_STEP
+    assert workspace.cutoff not in built
+
+
+@pytest.mark.parametrize("source", ["constellation", "thermal"])
+def test_correlation_bound_takes_an_array_of_transmittances(source):
+    ws = modulation_density_matrix(build_constellation(4, 1.2, DiscreteGaussian(nu=0.3))) \
+        if source == "constellation" else thermal_workspace(1.0)
+    transmittances = np.array([[0.0, 0.01], [0.5, 1.0]])
+    z = correlation_lower_bound(ws, transmittances, QAM_EXCESS)
+    assert z.shape == transmittances.shape
+    assert z.tolist() == [[correlation_lower_bound(ws, float(t), QAM_EXCESS) for t in row]
+                          for row in transmittances]
+    with pytest.raises(ValueError, match="got 1.5$"):
+        correlation_lower_bound(ws, np.array([0.5, 1.5, -0.1]), QAM_EXCESS)
 
 
 @pytest.mark.parametrize("side", [8, 16])
