@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FarFieldViolation, GeometryError
-from .quantities import db_to_transmittance, offending
+from .quantities import db_to_transmittance, offending, reject
 
 EARTH_RADIUS_M = 6_371_000.0
 ATMOSPHERE_THICKNESS_M = 20_000.0
@@ -63,8 +64,7 @@ class LinkGeometry:
             raise GeometryError("earth radius must be positive")
 
 
-@dataclass(frozen=True)
-class SlantPath:
+class SlantPath(NamedTuple):
     """Total line-of-sight distance and the portion inside the atmosphere."""
 
     total_distance_m: float | np.ndarray
@@ -218,8 +218,9 @@ def rytov_variance(effective_atmosphere_m, cn2: float, wavelength_m: float):
 
     The path integral of Cn^2 (L - z)^(5/6) over [0, L] is (6/11) Cn^2 L^(11/6).
     """
-    if np.any(effective_atmosphere_m <= 0.0) or wavelength_m <= 0.0:
-        raise ValueError("path length and wavelength must be positive")
+    if wavelength_m <= 0.0:
+        raise ValueError("wavelength must be positive")
+    reject(effective_atmosphere_m, effective_atmosphere_m <= 0.0, "path length must be positive")
     k = 2.0 * math.pi / wavelength_m
     return 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * effective_atmosphere_m ** (11.0 / 6.0)
 
@@ -231,11 +232,10 @@ def scintillation_index(
     rytov_var,
 ):
     """Aperture-averaged scintillation index for a spherical wave (0 without turbulence)."""
-    if receiver_aperture_m <= 0.0 or wavelength_m <= 0.0 \
-            or np.any(effective_atmosphere_m <= 0.0):
-        raise ValueError("aperture, wavelength and path length must be positive")
-    if np.any(rytov_var < 0.0):
-        raise ValueError("Rytov variance must be >= 0")
+    if receiver_aperture_m <= 0.0 or wavelength_m <= 0.0:
+        raise ValueError("aperture and wavelength must be positive")
+    reject(effective_atmosphere_m, effective_atmosphere_m <= 0.0, "path length must be positive")
+    reject(rytov_var, rytov_var < 0.0, "Rytov variance must be >= 0")
     d_sq = receiver_aperture_m**2 * math.pi / (2.0 * wavelength_m * effective_atmosphere_m)
     s65 = rytov_var ** (6.0 / 5.0)
     first = 0.20 * rytov_var / (1.0 + 0.18 * d_sq + 0.20 * s65) ** (7.0 / 6.0)
@@ -252,8 +252,7 @@ def scintillation_loss_db(scint_index, outage_probability: float):
     The value is negative for small outage probabilities (a fade margin);
     the link budget applies its magnitude as attenuation.
     """
-    if np.any(scint_index < 0.0):
-        raise ValueError("scintillation index must be >= 0")
+    reject(scint_index, scint_index < 0.0, "scintillation index must be >= 0")
     if not 0.0 < outage_probability < 0.5:
         raise ValueError(
             f"outage probability must be in (0, 0.5), got {outage_probability}"
@@ -265,8 +264,7 @@ def scintillation_loss_db(scint_index, outage_probability: float):
     )
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(NamedTuple):
     """Per-mechanism attenuations (dB) and the resulting transmittance."""
 
     geometric_db: float | np.ndarray

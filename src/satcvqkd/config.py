@@ -49,8 +49,7 @@ _MAX_PASS_SAMPLES = 1_000_000
 _MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     altitudes_m: tuple[float, ...]
     elevations_deg: tuple[float, ...]
 
@@ -74,8 +73,7 @@ class PassSpec:
         return self.profile_path is None
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class RunPlan(NamedTuple):
     """A fully resolved configuration, ready to execute."""
 
     protocols: tuple[ProtocolSpec, ...]

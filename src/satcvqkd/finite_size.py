@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .quantities import reject
 
-@dataclass(frozen=True)
-class ReconciliationModel:
+
+class ReconciliationModel(NamedTuple):
     """Two-exponential efficiency fit and arctan FER fit coefficients."""
 
     name: str
@@ -59,8 +60,8 @@ def snr_db(alpha: float, transmittance, chi_total):
     if photons <= 0.0:
         raise ValueError("signal amplitude must be non-zero")
     t = np.asarray(transmittance)
-    if np.any(~((0.0 < t) & (t <= 1.0))) or np.any(chi_total < 0.0):
-        raise ValueError("need transmittance in (0, 1] and noise >= 0")
+    reject(t, ~((0.0 < t) & (t <= 1.0)), "transmittance must be in (0, 1]")
+    reject(chi_total, chi_total < 0.0, "noise must be >= 0")
     return 10.0 * np.log10(
         transmittance * photons / (photons + (1.0 - transmittance) * chi_total)
     )
@@ -125,8 +126,7 @@ def skr_finite(
     Frame losses are charged against the corrected information only.
     """
     rate = np.asarray(frame_error_rate)
-    if np.any(~((0.0 <= rate) & (rate <= 1.0))):
-        raise ValueError("frame error rate must be in [0, 1]")
+    reject(rate, ~((0.0 <= rate) & (rate <= 1.0)), "frame error rate must be in [0, 1]")
     return repetition_rate_hz * (
         (1.0 - frame_error_rate) * reconciliation_efficiency * mutual_information
         - holevo

@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnphysicalCovariance
-from .quantities import offending
+from .quantities import offending, reject
 
 # Eigenvalues may undershoot 1 by this much before the state is called unphysical.
 _EIGENVALUE_TOL = 1e-9
@@ -57,8 +58,7 @@ DAYLIGHT_NOISE = NoiseBudget(
 )
 
 
-@dataclass(frozen=True)
-class ChannelNoiseState:
+class ChannelNoiseState(NamedTuple):
     """Channel-referred noise terms for one transmittance/detector pairing."""
 
     chi_line: float | np.ndarray
@@ -98,9 +98,7 @@ def channel_noise(transmittance, budget: NoiseBudget, kind: Detection) -> Channe
 def g_function(x):
     """Bosonic entropy function (x+1)log2(x+1) - x log2 x, with G(0) = 0."""
     x = np.asarray(x)
-    negative = x < 0.0
-    if np.any(negative):
-        raise ValueError(f"entropy argument must be >= 0, got {offending(x, negative)}")
+    reject(x, x < 0.0, "entropy argument must be >= 0")
     positive = x > 0.0
     x_log = np.where(positive, x, 1.0)  # log2(1) = 0 keeps G(0) = 0 without a log2(0)
     return np.where(positive, (x + 1.0) * np.log2(x + 1.0) - x_log * np.log2(x_log), 0.0)[()]
@@ -108,8 +106,9 @@ def g_function(x):
 
 def mutual_information_gm(modulation_variance: float, chi_total, kind: Detection):
     """Alice-Bob mutual information in bits per pulse."""
-    if modulation_variance < 0.0 or np.any(chi_total < 0.0):
-        raise ValueError("modulation variance and total noise must be >= 0")
+    if modulation_variance < 0.0:
+        raise ValueError(f"modulation variance must be >= 0, got {modulation_variance}")
+    reject(chi_total, chi_total < 0.0, "total noise must be >= 0")
     half = 0.5 * np.log2(
         (modulation_variance + 1.0 + chi_total) / (1.0 + chi_total)
     )
@@ -199,13 +198,12 @@ def holevo_bound(
 def skr_asymptotic(reconciliation_efficiency, mutual_information, holevo):
     """Asymptotic secret key rate in bits per pulse (may be negative)."""
     efficiency = np.asarray(reconciliation_efficiency)
-    if np.any(~((0.0 <= efficiency) & (efficiency <= 1.0))):
-        raise ValueError("reconciliation efficiency must be in [0, 1]")
+    reject(efficiency, ~((0.0 <= efficiency) & (efficiency <= 1.0)),
+           "reconciliation efficiency must be in [0, 1]")
     return efficiency * mutual_information - holevo
 
 
-@dataclass(frozen=True)
-class SecurityResult:
+class SecurityResult(NamedTuple):
     """A protocol evaluated at the channel transmittance(s) it was given."""
 
     mutual_information: float | np.ndarray  # bits/pulse

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -198,16 +198,14 @@ def synthesize_circular_pass(
     return PassProfile(times, elevations, ogs_altitude_m)
 
 
-@dataclass(frozen=True, eq=False)
-class ModelPassResult:
+class ModelPassResult(NamedTuple):
     """Per-reconciliation-model outcome of a pass."""
 
     total_key_bits: float
     bin_rates: np.ndarray  # skr_bits_per_s per elevation bin a sample falls in, raw sign
 
 
-@dataclass(frozen=True, eq=False)
-class PassResult:
+class PassResult(NamedTuple):
     """The pass's samples and bins, and its totals per reconciliation model."""
 
     times_s: np.ndarray  # the profile's own array

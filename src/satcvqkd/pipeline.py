@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ class ReconciliationSpec:
             raise ConfigError(f"unknown reconciliation kind {self.kind!r}")
 
 
-@dataclass
-class PointResult:
+class PointResult(NamedTuple):
     """Flat record for one (protocol, altitude, elevation) evaluation.
 
     For a grid of points each per-point field holds an array over the grid,
@@ -228,8 +227,7 @@ def _column(values, rows: np.ndarray | None, size: int, shape: tuple[int, ...]):
     return None if value != value else value  # NaN marks a missing number
 
 
-@dataclass(frozen=True)
-class LinkColumns:
+class LinkColumns(NamedTuple):
     """The link stage of a grid: everything that depends on position alone.
 
     ``columns`` holds the link fields of a ``PointResult`` (position, slant

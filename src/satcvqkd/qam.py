@@ -22,15 +22,15 @@ sector r - 1 (mod s), the moments are sums of s block products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError, \
     UnphysicalCovariance
 from .gaussian import Detection, SecurityResult, _entropy, _sqrt_eigenvalue, skr_asymptotic
-from .quantities import offending
+from .quantities import offending, reject
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
 # outside the support; smaller thresholds admit noise-dominated directions
@@ -52,8 +52,7 @@ _CUTOFF_STEP = 10
 _MAX_CUTOFF = 4096
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """Binomial point probabilities (Pascal weights per quadrature index)."""
 
 
@@ -186,8 +185,7 @@ def annihilation_operator(cutoff: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class FockWorkspace:
+class FockWorkspace(NamedTuple):
     """Eigendecomposed modulation density matrix at one Fock cutoff.
 
     ``source`` is what it was built from, a ``Constellation`` or a thermal mean
@@ -199,11 +197,14 @@ class FockWorkspace:
     probabilities of each orbit's points.
     """
 
-    source: Constellation | float = field(repr=False)
+    source: Constellation | float
     cutoff: int
-    sectors: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
-    point_vectors: np.ndarray | None = field(repr=False, default=None)
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    point_vectors: np.ndarray | None = None
     probabilities: np.ndarray | None = None
+
+    def __repr__(self) -> str:
+        return f"FockWorkspace(cutoff={self.cutoff}, sectors={len(self.sectors)})"
 
     def rebuilt(self, cutoff: int) -> FockWorkspace:
         """The same modulation state at ``cutoff``."""
@@ -401,9 +402,7 @@ def correlation_lower_bound(workspace: FockWorkspace, transmittance, excess_nois
     rebuilt from its source.  ``transmittance`` is a float or an array.
     """
     t = np.asarray(transmittance)
-    bad = ~((0.0 <= t) & (t <= 1.0))
-    if np.any(bad):
-        raise ValueError(f"transmittance must be in [0, 1], got {offending(t, bad)}")
+    reject(t, ~((0.0 <= t) & (t <= 1.0)), "transmittance must be in [0, 1]")
     if excess_noise < 0.0:
         raise ValueError("excess noise must be >= 0")
     return _z_star(*_converged_moments(workspace, excess_noise), transmittance, excess_noise)
@@ -419,8 +418,7 @@ def mutual_information_qam(
     if modulation_variance < 0.0 or excess_noise < 0.0:
         raise ValueError("modulation variance and excess noise must be >= 0")
     t = np.asarray(transmittance)
-    if np.any(~((0.0 <= t) & (t <= 1.0))):
-        raise ValueError("transmittance must be in [0, 1]")
+    reject(t, ~((0.0 <= t) & (t <= 1.0)), "transmittance must be in [0, 1]")
     half = 0.5 * np.log2(
         1.0
         + transmittance * modulation_variance / (2.0 + transmittance * excess_noise)
@@ -436,8 +434,7 @@ def holevo_qam(
     kind: Detection,
 ):
     """Holevo bound and the three symplectic eigenvalues of the QAM pipeline."""
-    if np.any(z_star < 0.0):
-        raise ValueError("correlation bound must be >= 0")
+    reject(z_star, z_star < 0.0, "correlation bound must be >= 0")
     x = modulation_variance + 1.0
     y = 1.0 + transmittance * modulation_variance + transmittance * excess_noise
     z_sq = z_star**2

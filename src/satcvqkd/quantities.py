@@ -24,14 +24,16 @@ def offending(values, bad):
     return np.broadcast_to(values, np.shape(bad))[bad].flat[0]
 
 
+def reject(values, bad, message: str) -> None:
+    """Raise ``ValueError`` with ``message`` and the offending value, if ``bad`` holds anywhere."""
+    if np.any(bad):
+        raise ValueError(f"{message}, got {offending(values, bad)}")
+
+
 def db_to_transmittance(attenuation_db):
     """Convert an attenuation in dB to a power transmittance in [0, 1]."""
-    infinite = ~np.isfinite(attenuation_db)
-    if np.any(infinite):
-        raise ValueError(f"attenuation must be finite, got {offending(attenuation_db, infinite)}")
-    negative = attenuation_db < 0.0
-    if np.any(negative):
-        raise ValueError(f"attenuation must be >= 0 dB, got {offending(attenuation_db, negative)}")
+    reject(attenuation_db, ~np.isfinite(attenuation_db), "attenuation must be finite")
+    reject(attenuation_db, attenuation_db < 0.0, "attenuation must be >= 0 dB")
     return 10.0 ** (-np.asarray(attenuation_db) / 10.0)
 
 

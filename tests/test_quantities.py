@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import satcvqkd as s
 from satcvqkd import db_to_transmittance, transmittance_to_db
 
 
@@ -44,3 +47,36 @@ def test_blocked_channel_rejected():
 def test_super_unity_transmittance_rejected():
     with pytest.raises(ValueError):
         transmittance_to_db(1.0 + 1e-9)
+
+
+_HOMODYNE = s.Detection.HOMODYNE
+
+# Each closed-form check, given two elements of which the second is bad.
+OFFENDING_CASES = {
+    "qam_mutual_information_T": (
+        lambda v: s.mutual_information_qam(2.0, np.array([0.5, v]), 0.02, _HOMODYNE), 1.5),
+    "qam_holevo_z_star": (
+        lambda v: s.holevo_qam(2.0, 0.5, 0.02, np.array([0.5, v]), _HOMODYNE), -0.25),
+    "gm_mutual_information_chi": (
+        lambda v: s.mutual_information_gm(5.0, np.array([0.1, v]), _HOMODYNE), -0.5),
+    "skr_asymptotic_beta": (
+        lambda v: s.skr_asymptotic(np.array([0.9, v]), 1.0, 0.5), 1.25),
+    "skr_finite_FER": (
+        lambda v: s.skr_finite(50e6, np.array([0.1, v]), 0.9, 1.0, 0.5, 1e-3), 1.5),
+    "snr_db_T": (lambda v: s.snr_db(1.0, np.array([0.5, v]), 0.1), 0.0),
+    "snr_db_chi": (lambda v: s.snr_db(1.0, 0.5, np.array([0.1, v])), -0.5),
+    "rytov_variance_path": (
+        lambda v: s.rytov_variance(np.array([1e4, v]), 1e-16, 1550e-9), -1.0),
+    "scintillation_index_path": (
+        lambda v: s.scintillation_index(1.0, 1550e-9, np.array([1e4, v]), 0.1), 0.0),
+    "scintillation_index_rytov": (
+        lambda v: s.scintillation_index(1.0, 1550e-9, 1e4, np.array([0.1, v])), -0.2),
+    "scintillation_loss_index": (
+        lambda v: s.scintillation_loss_db(np.array([0.1, v]), 1e-6), -0.2),
+}
+
+
+@pytest.mark.parametrize("call, bad", OFFENDING_CASES.values(), ids=OFFENDING_CASES)
+def test_check_names_the_offending_value(call, bad):
+    with pytest.raises(ValueError, match=f"got {re.escape(str(bad))}$"):
+        call(bad)
