@@ -57,8 +57,8 @@ from .pass_analysis import (
     load_profile,
     synthesize_circular_pass,
 )
-from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point, link_columns
+from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, \
+    link_columns
 from .psk import PskConfig, correlation_z, psk_security, zeta_weights
 from .qam import (
     Binomial,

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
-from .finite_size import MD, MLC_MSD
+from .finite_size import MD, MLC_MSD, ReconciliationModel
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import CSV_COLUMNS, ReconciliationSpec, evaluate_point, link_columns
+from .pipeline import CSV_COLUMNS, evaluate_point, link_columns
 
 _CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
 _BLOCK_ROWS = 512  # rows formatted and written at a time
@@ -122,11 +122,9 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
             earth_radius_m=plan.setup.earth_radius_m,
         )
 
-    if plan.reconciliation.kind == "finite":
-        # Always report both fitted models so the summaries are comparable.
-        reconciliations = [ReconciliationSpec(kind="finite", model=m) for m in (MD, MLC_MSD)]
-    else:
-        reconciliations = [plan.reconciliation]
+    # A fitted model always reports both, so the summaries are comparable.
+    reconciliations = (MD, MLC_MSD) if isinstance(plan.reconciliation, ReconciliationModel) \
+        else (plan.reconciliation,)
     result = integrate_key_bits(
         profile,
         plan.setup,

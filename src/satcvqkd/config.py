@@ -11,7 +11,6 @@ through the same table, so a default or a unit is written once.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
@@ -22,10 +21,10 @@ import numpy as np
 
 from .channel import AtmosphericConditions, OpticalTerminals
 from .errors import ConfigError
-from .finite_size import MD, MLC_MSD, FiniteSizeParams
+from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
 from .gaussian import DAYLIGHT_NOISE, Detection, NoiseBudget
 from .pass_analysis import circular_pass_arc
-from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, check_reconciliation
+from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
 from .qam import Binomial, DiscreteGaussian
 
 SCHEMA_VERSION = 1
@@ -34,6 +33,7 @@ GOOD_CONDITIONS = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 BAD_CONDITIONS = AtmosphericConditions(visibility_km=20.0, cn2=1e-13)
 
 DEFAULT_MODULATION_VARIANCE = {"gm": 5.0, "psk": 0.5, "qam": 2.0}
+DEFAULT_BETA = 0.9  # asymptotic reconciliation efficiency
 DEFAULT_DETECTION = {
     "gm": Detection.HOMODYNE,
     "psk": Detection.HOMODYNE,
@@ -78,7 +78,7 @@ class RunPlan(NamedTuple):
 
     protocols: tuple[ProtocolSpec, ...]
     setup: LinkSetup
-    reconciliation: ReconciliationSpec
+    reconciliation: Reconciliation
     finite: FiniteSizeParams
     sweep: SweepSpec | None = None
     pass_spec: PassSpec | None = None
@@ -206,7 +206,7 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
     mapping = _expect_mapping(raw, "protocol")
     _reject_unknown(
         mapping,
-        ("kind", "detection", "modulation_variance_snu", "states", "side", "distribution"),
+        ("kind", "detection", "modulation_variance_snu", "states", "distribution"),
         "protocol",
     )
     kind = mapping.get("kind")
@@ -225,18 +225,9 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
 
     if kind == "gm":
         return ProtocolSpec(kind="gm", detection=detection, modulation_variance=v_a)
+    states = _number(mapping.get("states"), "protocol.states", integer=True)
     if kind == "psk":
-        states = _number(mapping.get("states"), "protocol.states", integer=True)
-        return ProtocolSpec(
-            kind="psk", detection=detection, modulation_variance=v_a, psk_states=states
-        )
-    if mapping.get("states") is not None:
-        states = _number(mapping["states"], "protocol.states", integer=True)
-        if states < 4 or math.isqrt(states) ** 2 != states:
-            raise ConfigError(f"protocol.states must be a square >= 4 for qam, got {states!r}")
-        side = math.isqrt(states)
-    else:
-        side = _number(mapping.get("side"), "protocol.side", integer=True)
+        return ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a, states=states)
     dist_raw = mapping.get("distribution", "binomial")
     if dist_raw == "binomial":
         distribution: Any = Binomial()
@@ -250,15 +241,9 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
             f"protocol.distribution must be 'binomial' or "
             f"{{kind: discrete_gaussian, nu: ...}}, got {dist_raw!r}"
         )
-    spec = ProtocolSpec(
-        kind="qam",
-        detection=detection,
-        modulation_variance=v_a,
-        qam_side=side,
-        qam_distribution=distribution,
-    )
-    _cap("QAM states", float(side) * side, _MAX_QAM_STATES)  # a float product overflows to inf
-    return spec
+    _cap("QAM states", states, _MAX_QAM_STATES)
+    return ProtocolSpec(kind="qam", detection=detection, modulation_variance=v_a,
+                        states=states, distribution=distribution)
 
 
 def _parse_conditions(raw: Any) -> AtmosphericConditions:
@@ -267,19 +252,16 @@ def _parse_conditions(raw: Any) -> AtmosphericConditions:
     return _section(GOOD_CONDITIONS, None if raw == "good" else raw, _CONDITIONS, "conditions")
 
 
-def _parse_reconciliation(raw: Any) -> ReconciliationSpec:
+def _parse_reconciliation(raw: Any) -> Reconciliation:
     if isinstance(raw, str):
         raw = {"kind": raw}
     mapping = _expect_mapping({} if raw is None else raw, "reconciliation")
     _reject_unknown(mapping, ("kind", "beta"), "reconciliation")
     kind = str(mapping.get("kind", "asymptotic")).lower().replace("-", "_")
     if kind == "asymptotic":
-        spec = ReconciliationSpec(kind="asymptotic")
-        if "beta" in mapping:
-            spec = replace(spec, beta_asymptotic=_number(mapping["beta"], "reconciliation.beta"))
-        return spec
+        return _number(mapping.get("beta", DEFAULT_BETA), "reconciliation.beta")
     if kind in _FITTED_MODELS:
-        return ReconciliationSpec(kind="finite", model=_FITTED_MODELS[kind])
+        return _FITTED_MODELS[kind]
     raise ConfigError(
         f"reconciliation.kind must be asymptotic/md/mlc_msd, got {mapping.get('kind')!r}"
     )
@@ -436,10 +418,8 @@ def _echo(plan: RunPlan) -> dict[str, Any]:
                 "label": p.label,
                 "detection": p.detection.value,
                 "modulation_variance_snu": p.modulation_variance,
-                "states": p.psk_states if p.kind == "psk" else (
-                    p.qam_side**2 if p.kind == "qam" else None
-                ),
-                **({"distribution": _echo_distribution(p.qam_distribution)}
+                "states": p.states,
+                **({"distribution": _echo_distribution(p.distribution)}
                    if p.kind == "qam" else {}),
             }
             for p in plan.protocols
@@ -449,9 +429,8 @@ def _echo(plan: RunPlan) -> dict[str, Any]:
         "noise": _echo_section(setup.noise, _NOISE),
         "geometry": _echo_section(setup, _GEOMETRY),
         "reconciliation": (
-            {"kind": "asymptotic", "beta": reconciliation.beta_asymptotic}
-            if reconciliation.kind == "asymptotic"
-            else {"kind": reconciliation.model.name}
+            {"kind": reconciliation.name} if isinstance(reconciliation, ReconciliationModel)
+            else {"kind": "asymptotic", "beta": reconciliation}
         ),
         "finite_size": {
             **_echo_section(plan.finite, _FINITE),

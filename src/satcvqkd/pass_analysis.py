@@ -19,9 +19,8 @@ import numpy as np
 
 from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
-from .finite_size import FiniteSizeParams
-from .pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, evaluate_point, \
-    link_columns
+from .finite_size import FiniteSizeParams, ReconciliationModel
+from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
 
 _MU_EARTH = 3.986004418e14  # m^3/s^2
 
@@ -85,22 +84,23 @@ def load_profile(path: str | Path, ogs_altitude_m: float = 0.0) -> PassProfile:
     """Parse a comma-separated time_s, elevation_deg file.
 
     Line 1 is a header when it is not two numbers; blank lines are skipped
-    and columns after the second are ignored.  One numpy call parses the
-    file; only when it or the validation fails does a line-by-line scan
-    run, to name the offending CSV line.
+    and columns after the second are ignored; a UTF-8 byte-order mark is
+    not part of line 1.  One numpy call parses the file; only when it or
+    the validation fails does a line-by-line scan run, to name the
+    offending CSV line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             header = _is_header(next(csv.reader(handle), []))
         try:
             with warnings.catch_warnings():  # an empty file is reported by the scan
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 samples = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
                                      ndmin=2, quotechar='"', skiprows=int(header),
-                                     encoding="utf-8")
+                                     encoding="utf-8-sig")
             return PassProfile(samples[:, 0], samples[:, 1], ogs_altitude_m)
         except ValueError:  # a line numpy cannot parse, or a bad sample
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 return _scan_profile(handle, ogs_altitude_m)
     except UnicodeDecodeError as exc:
         raise ProfileError(f"profile is not UTF-8 text: {exc}") from None
@@ -223,7 +223,7 @@ def integrate_key_bits(
     profile: PassProfile,
     setup: LinkSetup,
     spec: ProtocolSpec,
-    reconciliations: Sequence[ReconciliationSpec],
+    reconciliations: Sequence[Reconciliation],
     finite_params: FiniteSizeParams,
     satellite_altitude_m: float,
     bin_width_deg: float = 1.0,
@@ -258,11 +258,8 @@ def integrate_key_bits(
 
     models: dict[str, ModelPassResult] = {}
     for reconciliation in reconciliations:
-        name = (
-            reconciliation.model.name
-            if reconciliation.kind == "finite"
-            else f"asymptotic(beta={reconciliation.beta_asymptotic:g})"
-        )
+        name = reconciliation.name if isinstance(reconciliation, ReconciliationModel) \
+            else f"asymptotic(beta={reconciliation:g})"
         point = evaluate_point(link, spec, reconciliation, finite_params)
         rates = np.asarray(point.skr_bits_per_second, dtype=float)  # NaN: no key (invalid beta)
         bin_rates = np.zeros(bins.size)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -49,26 +49,30 @@ class LinkSetup:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Protocol selection with its modulation settings."""
+    """Protocol selection with its modulation settings.
+
+    ``states`` is the constellation's point count M, for PSK and QAM; a QAM
+    constellation is a square grid, so M is a square number.
+    """
 
     kind: str  # "gm" | "psk" | "qam"
     detection: Detection
     modulation_variance: float
-    psk_states: int | None = None
-    qam_side: int | None = None
-    qam_distribution: qam.QamDistribution | None = None
+    states: int | None = None
+    distribution: qam.QamDistribution | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("gm", "psk", "qam"):
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.modulation_variance <= 0.0:
             raise ConfigError("modulation variance must be positive")
-        if self.kind == "psk" and self.psk_states not in PSK_STATE_COUNTS:
+        if self.kind == "psk" and self.states not in PSK_STATE_COUNTS:
             raise ConfigError(f"psk protocol needs states in {PSK_STATE_COUNTS}")
         if self.kind == "qam":
-            if self.qam_side is None or self.qam_side < 2:
-                raise ConfigError("qam protocol needs a grid side >= 2")
-            if self.qam_distribution is None:
+            if not isinstance(self.states, int) or self.states < 4 \
+                    or math.isqrt(self.states) ** 2 != self.states:
+                raise ConfigError(f"qam protocol needs states a square >= 4, got {self.states!r}")
+            if self.distribution is None:
                 raise ConfigError("qam protocol needs a point distribution")
 
     @property
@@ -76,29 +80,14 @@ class ProtocolSpec:
         if self.kind == "gm":
             return "GM"
         if self.kind == "psk":
-            return f"{self.psk_states}-PSK"
-        dist = "binomial" if isinstance(self.qam_distribution, qam.Binomial) \
-            else f"gaussian(nu={self.qam_distribution.nu:g})"
-        return f"{self.qam_side ** 2}-QAM[{dist}]"
+            return f"{self.states}-PSK"
+        dist = "binomial" if isinstance(self.distribution, qam.Binomial) \
+            else f"gaussian(nu={self.distribution.nu:g})"
+        return f"{self.states}-QAM[{dist}]"
 
 
-@dataclass(frozen=True)
-class ReconciliationSpec:
-    """Either a fixed asymptotic efficiency or a fitted finite-size model."""
-
-    kind: str  # "asymptotic" | "finite"
-    beta_asymptotic: float = 0.9
-    model: ReconciliationModel | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "asymptotic":
-            if not 0.0 <= self.beta_asymptotic <= 1.0:
-                raise ConfigError("asymptotic beta must be in [0, 1]")
-        elif self.kind == "finite":
-            if self.model is None:
-                raise ConfigError("finite-size reconciliation needs a fitted model")
-        else:
-            raise ConfigError(f"unknown reconciliation kind {self.kind!r}")
+# A fitted finite-size model, or the asymptotic reconciliation efficiency beta.
+Reconciliation = Union[ReconciliationModel, float]
 
 
 class PointResult(NamedTuple):
@@ -164,9 +153,13 @@ CSV_COLUMNS = (
 )
 
 
-def check_reconciliation(spec: ProtocolSpec, reconciliation: ReconciliationSpec) -> None:
-    """Reject a protocol the reconciliation has no key rate for: finite size is GM-only."""
-    if reconciliation.kind == "finite" and spec.kind != "gm":
+def check_reconciliation(spec: ProtocolSpec, reconciliation: Reconciliation) -> None:
+    """Reject a beta outside [0, 1], and a protocol the reconciliation has no key
+    rate for: finite size is GM-only."""
+    if not isinstance(reconciliation, ReconciliationModel):
+        if not 0.0 <= reconciliation <= 1.0:
+            raise ConfigError(f"asymptotic beta must be in [0, 1], got {reconciliation!r}")
+    elif spec.kind != "gm":
         raise ConfigError(
             "finite-size reconciliation is only established for the GM "
             f"protocol; remove {spec.label} or use asymptotic"
@@ -186,7 +179,7 @@ def protocol_security(
             spec.detection, reconciliation_efficiency,
         )
     if spec.kind == "psk":
-        config = PskConfig.from_modulation_variance(spec.psk_states, spec.modulation_variance)
+        config = PskConfig.from_modulation_variance(spec.states, spec.modulation_variance)
         return psk_security(
             config, transmittance, noise, spec.detection, reconciliation_efficiency
         )
@@ -194,9 +187,9 @@ def protocol_security(
     # is folded into the channel term with an ideal detector.
     excess = noise.channel_excess + noise.detector_excess
     return qam.qam_security(
-        spec.qam_side,
+        math.isqrt(spec.states),
         spec.modulation_variance,
-        spec.qam_distribution,
+        spec.distribution,
         transmittance,
         excess,
         spec.detection,
@@ -286,10 +279,10 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
 def evaluate_point(
     link: LinkColumns,
     spec: ProtocolSpec,
-    reconciliation: ReconciliationSpec,
-    finite_params: FiniteSizeParams | None = None,
+    reconciliation: Reconciliation,
+    finite_params: FiniteSizeParams,
 ) -> PointResult:
-    """The key stage: security and (optionally) finite-size layer on a grid's link.
+    """The key stage: security and finite-size layer on a grid's link.
 
     Each per-point field has the grid's shape: a far-field point has no key,
     and a point whose fitted beta is invalid has no key; those values are
@@ -297,8 +290,7 @@ def evaluate_point(
     a missing one is None.
     """
     check_reconciliation(spec, reconciliation)
-    if reconciliation.kind == "finite" and finite_params is None:
-        raise ConfigError("finite-size reconciliation needs finite-size parameters")
+    fitted = isinstance(reconciliation, ReconciliationModel)
 
     transmittance, linked = link.transmittance, link.linked
     snr = fer_value = fer_raw = privacy = None
@@ -307,14 +299,14 @@ def evaluate_point(
         snr = snr_db(
             math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
         )
-    if reconciliation.kind == "asymptotic":
-        efficiency = np.full(linked.size, reconciliation.beta_asymptotic)
-        beta_valid = np.full(linked.size, True)
-    else:
+    if fitted:
         # Finite-size: the fitted efficiency replaces the configured beta.
-        efficiency, beta_valid = beta(snr, reconciliation.model)
-        fer_value, fer_raw, _ = fer(snr, reconciliation.model)
+        efficiency, beta_valid = beta(snr, reconciliation)
+        fer_value, fer_raw, _ = fer(snr, reconciliation)
         privacy = privacy_penalty(finite_params)
+    else:
+        efficiency = np.full(linked.size, reconciliation)
+        beta_valid = np.full(linked.size, True)
 
     if np.any(beta_valid):
         security = protocol_security(
@@ -322,8 +314,7 @@ def evaluate_point(
         )
     else:  # no point to secure: no protocol constants are computed either
         security = SecurityResult(*[np.empty(0)] * 3)
-    skr_per_second = None
-    if reconciliation.kind == "finite":
+    if fitted:
         skr_per_second = skr_finite(
             finite_params.repetition_rate_hz,
             fer_value[beta_valid],
@@ -332,7 +323,7 @@ def evaluate_point(
             security.holevo,
             privacy,
         )
-    elif finite_params is not None:
+    else:
         skr_per_second = finite_params.repetition_rate_hz * security.skr_asymptotic
 
     status = np.full(link.far_field_ok.size, "far_field_excluded", dtype=object)

@@ -393,7 +393,7 @@ def _qam_like_security(v_eff, t, excess, homodyne, z_star):
 def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, finite_params):
     """One row of the package's CSV as a dict keyed by PointResult field name."""
     from satcvqkd import qam
-    from satcvqkd.finite_size import privacy_penalty
+    from satcvqkd.finite_size import ReconciliationModel, privacy_penalty
     from satcvqkd.gaussian import gaussian_correlation
     from satcvqkd.psk import PskConfig, correlation_z
 
@@ -423,7 +423,7 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
     if spec.kind == "qam":
         excess = setup.noise.channel_excess + setup.noise.detector_excess
         constellation = qam.build_constellation(
-            spec.qam_side, math.sqrt(v_a / 2.0), spec.qam_distribution
+            math.isqrt(spec.states), math.sqrt(v_a / 2.0), spec.distribution
         )
         workspace = qam.modulation_density_matrix(constellation)
         z_star = max(float(qam.correlation_lower_bound(workspace, t, excess)), 0.0)
@@ -434,15 +434,14 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
         if spec.kind == "gm":
             correlation = gaussian_correlation(v_a)
         else:
-            correlation = correlation_z(PskConfig.from_modulation_variance(spec.psk_states, v_a))
+            correlation = correlation_z(PskConfig.from_modulation_variance(spec.states, v_a))
         chi_tot, i_ab, s_be = _gm_like_security(v_a, t, setup.noise, homodyne, correlation)
         photons = abs(math.sqrt(v_a / 2.0)) ** 2
         row["snr_db"] = 10.0 * math.log10(t * photons / (photons + (1.0 - t) * chi_tot))
 
-    if reconciliation.kind == "asymptotic":
-        row.update(beta_value=reconciliation.beta_asymptotic, beta_valid=True)
-    else:
-        model, snr = reconciliation.model, row["snr_db"]
+    fitted = isinstance(reconciliation, ReconciliationModel)
+    if fitted:
+        model, snr = reconciliation, row["snr_db"]
         value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
         raw = 0.5 * (1.0 + model.m1 * math.atan(model.m2 * snr + model.m3))
         row.update(
@@ -453,14 +452,16 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
         if not row["beta_valid"]:
             row["status"] = "no_key_beta_invalid"
             return row
+    else:
+        row.update(beta_value=reconciliation, beta_valid=True)
 
     skr = row["beta_value"] * i_ab - s_be
     row.update(mutual_information=i_ab, holevo=s_be, skr_asymptotic_per_pulse=skr)
-    if reconciliation.kind == "finite":
+    if fitted:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * (
             (1.0 - row["fer_value"]) * row["beta_value"] * i_ab - s_be - row["privacy"]
         )
-    elif finite_params is not None:
+    else:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * skr
     return row
 

@@ -13,8 +13,7 @@ import satcvqkd as s
 from satcvqkd.cli import main as cli_main
 from satcvqkd.finite_size import MD, MLC_MSD
 from satcvqkd.gaussian import gaussian_correlation
-from satcvqkd.pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point, link_columns
+from satcvqkd.pipeline import LinkSetup, ProtocolSpec, evaluate_point, link_columns
 from satcvqkd.qam import Binomial
 
 from oracles import gm_matrix_oracle, rytov_variance_quad, slant_range_2d
@@ -176,11 +175,10 @@ def _largest_positive_altitude(receiver_aperture_m: float) -> float:
         noise=s.DAYLIGHT_NOISE,
     )
     spec = ProtocolSpec(kind="gm", detection=s.Detection.HOMODYNE, modulation_variance=5.0)
-    recon = ReconciliationSpec(kind="finite", model=MD)
     best = 0.0
     for altitude_km in np.arange(200.0, 1400.1, 5.0):
         point = evaluate_point(
-            link_columns(setup, altitude_km * 1000.0, 90.0), spec, recon, s.FiniteSizeParams()
+            link_columns(setup, altitude_km * 1000.0, 90.0), spec, MD, s.FiniteSizeParams()
         )
         if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0.0:
             best = altitude_km
@@ -208,8 +206,7 @@ def test_criterion_8_iss_pass_budget():
         )
         result = s.integrate_key_bits(
             profile, setup, spec,
-            [ReconciliationSpec(kind="finite", model=MD),
-             ReconciliationSpec(kind="finite", model=MLC_MSD)],
+            [MD, MLC_MSD],
             s.FiniteSizeParams(), satellite_altitude_m=417.5e3,
         )
         md = result.models["MD"].total_key_bits

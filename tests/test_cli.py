@@ -259,6 +259,20 @@ def test_measured_profile_pass(tmp_path):
     assert "skr_bits_per_second[MD]" in header_line
 
 
+@pytest.mark.parametrize("text", ["0,30\n60,60\n120,88\n",
+                                  "time_s,elevation_deg\n0,30\n60,60\n120,88\n"])
+def test_profile_byte_order_mark_changes_no_output_byte(tmp_path, text):
+    profile = tmp_path / "profile.csv"
+    config = _profile_pass(tmp_path, profile)
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        profile.write_bytes(mark + text.encode("utf-8"))
+        out = tmp_path / f"pass{len(outputs)}.csv"
+        assert main(["pass", "--config", config, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     payload = {
         **SWEEP_CONFIG,
@@ -346,6 +360,17 @@ MALFORMED = {
         ONE_POINT, ("terminals",), {"reciever_aperture_m": 2.0}), "reciever_aperture_m"),
     "discretisation_fraction": ("sweep", _replaced(
         ONE_POINT, ("finite_size",), {"discretisation": 5.7}), "integer"),
+    "beta_above_one": ("sweep", _replaced(
+        ONE_POINT, ("reconciliation",), {"kind": "asymptotic", "beta": 1.5}),
+        "asymptotic beta must be in [0, 1], got 1.5"),
+    "beta_negative": ("sweep", _replaced(
+        ONE_POINT, ("reconciliation",), {"kind": "asymptotic", "beta": -0.1}),
+        "asymptotic beta must be in [0, 1], got -0.1"),
+    "qam_states_not_square": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "qam", "states": 15}), "square"),
+    "qam_size_by_side": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "qam", "side": 8}),
+        "unknown keys in protocol: ['side']"),
     "profile_missing": ("pass", {
         "protocol": "gm", "pass": {"profile_csv": "no-such-dir/profile.csv", "altitude_km": 417.5},
     }, "pass.profile_csv 'no-such-dir/profile.csv' does not exist"),
@@ -425,14 +450,14 @@ def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
     })
     src = str(Path(satcvqkd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "satcvqkd.cli", "sweep", "--config", config],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert child.stdout.readline().startswith(b"# satcvqkd config ")
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait(timeout=60) == 1
+    ) as child:
+        assert child.stdout.readline().startswith(b"# satcvqkd config ")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception" not in err, err
 
 
@@ -465,7 +490,7 @@ def test_work_over_a_cap_is_a_config_error(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("protocol, message", [
     ({"kind": "qam", "states": 16384}, "QAM states would be 16384, over the cap of 4096"),
-    ({"kind": "qam", "side": 65}, "QAM states would be 4225, over the cap of 4096"),
+    ({"kind": "qam", "states": 4225}, "QAM states would be 4225, over the cap of 4096"),
     ({"kind": "qam", "states": 4096}, None),
 ])
 def test_qam_states_cap(tmp_path, capsys, protocol, message):

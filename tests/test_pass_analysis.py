@@ -20,7 +20,7 @@ from satcvqkd import (
     synthesize_circular_pass,
 )
 from satcvqkd.finite_size import MD, MLC_MSD
-from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec, ReconciliationSpec
+from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec
 
 from oracles import reference_profile
 
@@ -32,8 +32,6 @@ ISS_SETUP = LinkSetup(
     noise=DAYLIGHT_NOISE,
 )
 GM = ProtocolSpec(kind="gm", detection=Detection.HOMODYNE, modulation_variance=5.0)
-FINITE_MD = ReconciliationSpec(kind="finite", model=MD)
-FINITE_MLC = ReconciliationSpec(kind="finite", model=MLC_MSD)
 
 
 # --- profile parsing ----------------------------------------------------------
@@ -60,6 +58,27 @@ def test_two_row_profile(tmp_path):
 def test_header_row_skipped(tmp_path):
     profile = load_profile(_written(tmp_path, "time_s,elevation_deg\n0,10\n60,20\n"))
     assert len(profile.times_s) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "0,10\n60,20\n120,30",
+    "time_s,elevation_deg\n0,10\n60,20\n120,30\n",
+    "0,10\n,\n60,20\n120,30\n",  # an empty-cell line: the line scan parses it
+])
+def test_byte_order_mark_is_not_part_of_line_1(tmp_path, text):
+    plain = load_profile(_written(tmp_path, text))
+    marked_path = tmp_path / "marked.csv"
+    marked_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    marked = load_profile(marked_path)
+    assert marked.times_s.tolist() == plain.times_s.tolist() == [0.0, 60.0, 120.0]
+    assert marked.elevations_deg.tolist() == plain.elevations_deg.tolist()
+
+
+def test_byte_order_mark_before_a_bad_first_sample_names_line_1(tmp_path):
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,95\n30,20\n")
+    with pytest.raises(ProfileError, match="^line 1: elevation 95.0"):
+        load_profile(path)
 
 
 def test_out_of_range_elevation_reports_line(tmp_path):
@@ -224,7 +243,7 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == pytest.approx(1e7, rel=1e-12)
@@ -242,7 +261,7 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
@@ -259,7 +278,7 @@ def test_zero_rate_pass_accumulates_nothing():
             conditions=AtmosphericConditions(visibility_km=20.0, cn2=1e-13),
             noise=DAYLIGHT_NOISE,
         ),
-        GM, [FINITE_MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
+        GM, [MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
 
@@ -267,7 +286,7 @@ def test_zero_rate_pass_accumulates_nothing():
 def test_iss_pass_reference_totals():
     profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD, FINITE_MLC], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     md = result.models["MD"].total_key_bits
@@ -280,7 +299,7 @@ def test_iss_pass_reference_totals():
 def test_md_reaches_lower_elevations_than_mlc_msd():
     profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD, FINITE_MLC], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
 
@@ -297,7 +316,7 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
 def test_symmetric_pass_symmetric_series():
     profile = synthesize_circular_pass(417.5e3, 80.0, 2.0, ogs_altitude_m=1029.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     series = result.skr_series("MD")
@@ -311,7 +330,7 @@ def test_refining_sample_step_changes_little():
     for dt in (2.0, 1.0):
         profile = synthesize_circular_pass(417.5e3, 87.6, dt, ogs_altitude_m=1029.0)
         result = integrate_key_bits(
-            profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+            profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
             satellite_altitude_m=417.5e3,
         )
         totals.append(result.models["MD"].total_key_bits)
@@ -321,11 +340,11 @@ def test_refining_sample_step_changes_little():
 def test_keyhole_ceiling_reduces_total():
     profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
     open_sky = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     restricted = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3, keyhole_ceiling_deg=85.0,
     )
     assert (
@@ -337,7 +356,7 @@ def test_keyhole_ceiling_reduces_total():
 def test_zero_duration_profile_gives_empty_series():
     profile = PassProfile(times_s=(0.0,), elevations_deg=(45.0,))
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [FINITE_MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0

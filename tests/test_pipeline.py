@@ -16,22 +16,21 @@ from satcvqkd import (
 import satcvqkd.pipeline as pipeline
 from satcvqkd.cli import main
 from satcvqkd.finite_size import MD
-from satcvqkd.pipeline import LinkSetup, ProtocolSpec, ReconciliationSpec, \
-    evaluate_point, link_columns
+from satcvqkd.pipeline import LinkSetup, ProtocolSpec, evaluate_point, link_columns
 from satcvqkd.qam import Binomial
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 BAD = AtmosphericConditions(visibility_km=20.0, cn2=1e-13)
 SETUP = LinkSetup(terminals=OpticalTerminals(), conditions=GOOD, noise=DAYLIGHT_NOISE)
-ASY = ReconciliationSpec(kind="asymptotic", beta_asymptotic=0.9)
+ASY = 0.9
 
 GM = ProtocolSpec(kind="gm", detection=Detection.HOMODYNE, modulation_variance=5.0)
 PSK8 = ProtocolSpec(
-    kind="psk", detection=Detection.HOMODYNE, modulation_variance=0.5, psk_states=8
+    kind="psk", detection=Detection.HOMODYNE, modulation_variance=0.5, states=8
 )
 QAM256 = ProtocolSpec(
     kind="qam", detection=Detection.HETERODYNE, modulation_variance=2.0,
-    qam_side=16, qam_distribution=Binomial(),
+    states=256, distribution=Binomial(),
 )
 
 
@@ -78,16 +77,27 @@ def test_far_field_exclusion_flagged():
 
 
 def test_finite_size_restricted_to_gaussian_modulation():
-    finite = ReconciliationSpec(kind="finite", model=MD)
     with pytest.raises(ConfigError):
-        evaluate_point(link_columns(SETUP, 400e3, 90.0), PSK8, finite, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 400e3, 90.0), PSK8, MD, FiniteSizeParams())
     with pytest.raises(ConfigError):
-        evaluate_point(link_columns(SETUP, 400e3, 90.0), QAM256, finite, FiniteSizeParams())
+        evaluate_point(link_columns(SETUP, 400e3, 90.0), QAM256, MD, FiniteSizeParams())
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1])
+def test_asymptotic_beta_outside_unit_interval_rejected(value):
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        evaluate_point(link_columns(SETUP, 400e3, 90.0), GM, value, FiniteSizeParams())
+
+
+@pytest.mark.parametrize("states", [None, 1, 8, 15])
+def test_qam_states_must_be_a_square_of_at_least_four(states):
+    with pytest.raises(ConfigError, match="square"):
+        ProtocolSpec(kind="qam", detection=Detection.HETERODYNE, modulation_variance=2.0,
+                     states=states, distribution=Binomial())
 
 
 def test_finite_point_carries_fit_diagnostics():
-    finite = ReconciliationSpec(kind="finite", model=MD)
-    point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, finite, FiniteSizeParams())
+    point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, MD, FiniteSizeParams())
     assert point.snr_db is not None
     assert point.beta_valid
     assert 0.0 <= point.fer_value <= 1.0
@@ -96,14 +106,13 @@ def test_finite_point_carries_fit_diagnostics():
 
 
 def test_invalid_beta_reports_no_key():
-    finite = ReconciliationSpec(kind="finite", model=MD)
     # at very high SNR (short link, 2 m aperture) the MD fit exits [0, 1]
     setup = LinkSetup(
         terminals=OpticalTerminals(receiver_aperture_m=2.0),
         conditions=GOOD,
         noise=DAYLIGHT_NOISE,
     )
-    point = evaluate_point(link_columns(setup, 390e3, 90.0), GM, finite, FiniteSizeParams())
+    point = evaluate_point(link_columns(setup, 390e3, 90.0), GM, MD, FiniteSizeParams())
     if not point.beta_valid:  # depends on where the fit leaves [0, 1]
         assert point.status == "no_key_beta_invalid"
         assert point.skr_bits_per_second is None
@@ -113,11 +122,10 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
     from satcvqkd.finite_size import MLC_MSD
 
     def positive_altitudes(model):
-        recon = ReconciliationSpec(kind="finite", model=model)
         out = set()
         for altitude_km in range(200, 1001, 25):
             point = evaluate_point(
-                link_columns(SETUP, altitude_km * 1000.0, 90.0), GM, recon, FiniteSizeParams()
+                link_columns(SETUP, altitude_km * 1000.0, 90.0), GM, model, FiniteSizeParams()
             )
             if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0:
                 out.add(altitude_km)
@@ -202,7 +210,7 @@ def test_sweep_resolve_builds_one_geometry(tmp_path, monkeypatch):
 
 # --- physics properties ------------------------------------------------------------
 
-BETA_95 = ReconciliationSpec(kind="asymptotic", beta_asymptotic=0.95)
+BETA_95 = 0.95
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -216,7 +224,7 @@ def test_gm_asymptotic_rate_does_not_increase_with_altitude(low_km, rise_km, ele
     high_km = min(low_km + rise_km, 2000.0)
     low, high = (
         evaluate_point(
-            link_columns(SETUP, km * 1e3, elevation), GM, BETA_95
+            link_columns(SETUP, km * 1e3, elevation), GM, BETA_95, FiniteSizeParams()
         ).skr_asymptotic_per_pulse
         for km in (low_km, high_km)
     )

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,12 +19,21 @@ from satcvqkd.gaussian import gaussian_correlation
 
 
 def _ring_constellation(states: int, alpha: float) -> Constellation:
-    amps = tuple(
-        alpha * complex(math.cos(2.0 * math.pi * k / states),
-                        math.sin(2.0 * math.pi * k / states))
-        for k in range(states)
-    )
+    """The M-PSK ring built from exact quarter turns, so that turning it by
+    pi/2 (pi for M = 2) maps each point exactly onto another."""
+    if states == 2:
+        amps = (complex(alpha), complex(-alpha))
+    else:
+        q = states // 4
+        amps = tuple(alpha * 1j ** (k // q) * cmath.exp(2j * math.pi * (k % q) / states)
+                     for k in range(states))
     return Constellation(amps, (1.0 / states,) * states)
+
+
+@pytest.mark.parametrize("states, sectors", [(2, 2), (4, 4), (8, 4)])
+def test_exact_ring_is_built_in_the_most_sectors(states, sectors):
+    ws = modulation_density_matrix(_ring_constellation(states, 0.5), 40)
+    assert len(ws.sectors) == sectors
 
 
 def _fock_sector_weights(states: int, alpha: float, cutoff: int = 40) -> np.ndarray:

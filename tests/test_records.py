@@ -53,7 +53,7 @@ RESULT_RECORDS = {
 INPUT_RECORDS = (
     channel.LinkGeometry, channel.OpticalTerminals, channel.AtmosphericConditions,
     gaussian.NoiseBudget, finite_size.FiniteSizeParams, pipeline.LinkSetup,
-    pipeline.ProtocolSpec, pipeline.ReconciliationSpec, satcvqkd.PskConfig,
+    pipeline.ProtocolSpec, satcvqkd.PskConfig,
     qam.DiscreteGaussian, qam.Constellation, pass_analysis.PassProfile, config.PassSpec,
 )
 # Input records without validation of their own, read by ``config._keys``
