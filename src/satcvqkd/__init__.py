@@ -68,7 +68,6 @@ from .qam import (
     build_constellation,
     coherent_state_vector,
     correlation_lower_bound,
-    holevo_qam,
     modulation_density_matrix,
     mutual_information_qam,
     qam_security,

@@ -42,6 +42,8 @@ DEFAULT_DETECTION = {
 
 _PROTOCOL_SHORTHAND = re.compile(r"^(gm|psk(2|4|8)|qam(16|64|256))$")
 _FITTED_MODELS = {"md": MD, "mlc_msd": MLC_MSD}
+# protocol keys a kind does not use; null passes, as a gm echo writes "states": null
+_KEYS_UNUSED_BY_KIND = {"gm": ("states", "distribution"), "psk": ("distribution",), "qam": ()}
 _ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
 # Work caps, checked before anything of that size is built.
 _MAX_ROWS = 1_000_000  # altitudes x elevations x protocols of a sweep or compare
@@ -212,6 +214,9 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
     kind = mapping.get("kind")
     if kind not in ("gm", "psk", "qam"):
         raise ConfigError(f"protocol.kind must be gm/psk/qam, got {kind!r}")
+    for key in _KEYS_UNUSED_BY_KIND[kind]:
+        if mapping.get(key) is not None:
+            raise ConfigError(f"protocol.{key} does not apply to a {kind} protocol")
 
     detection_raw = mapping.get("detection")
     try:
@@ -261,6 +266,8 @@ def _parse_reconciliation(raw: Any) -> Reconciliation:
     if kind == "asymptotic":
         return _number(mapping.get("beta", DEFAULT_BETA), "reconciliation.beta")
     if kind in _FITTED_MODELS:
+        if mapping.get("beta") is not None:
+            raise ConfigError(f"reconciliation.beta does not apply to the fitted model {kind}")
         return _FITTED_MODELS[kind]
     raise ConfigError(
         f"reconciliation.kind must be asymptotic/md/mlc_msd, got {mapping.get('kind')!r}"

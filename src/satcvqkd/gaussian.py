@@ -18,9 +18,12 @@ import numpy as np
 from .errors import UnphysicalCovariance
 from .quantities import offending, reject
 
-# Eigenvalues may undershoot 1 by this much before the state is called unphysical.
+# Eigenvalues may undershoot 1, and an eigenvalue quadratic's discriminant 0, by
+# this much before the state is called unphysical; up to _PURE_TOL above 1 a mode
+# is pure, as G's slope at 0 would turn the rounding there into ~1e-14 bits.
 _EIGENVALUE_TOL = 1e-9
-_DISCRIMINANT_TOL = 1e-9
+_DISCRIMINANT_TOL = 1e-10
+_PURE_TOL = 1e-14
 
 
 class Detection(str, enum.Enum):
@@ -115,7 +118,7 @@ def mutual_information_gm(modulation_variance: float, chi_total, kind: Detection
     return half if kind is Detection.HOMODYNE else 2.0 * half
 
 
-def _sqrt_eigenvalue(mean, product_root, label: str, disc_tol: float = _DISCRIMINANT_TOL):
+def _sqrt_eigenvalue(mean, product_root, label: str):
     """Eigenvalue pair from lam^2 quadratic with sum `mean`, product `product_root`^2.
 
     The smaller eigenvalue comes from the product identity
@@ -126,7 +129,7 @@ def _sqrt_eigenvalue(mean, product_root, label: str, disc_tol: float = _DISCRIMI
     if np.any(bad):
         raise UnphysicalCovariance(f"non-positive eigenvalue sum {offending(mean, bad)} in {label}")
     disc = mean**2 - 4.0 * product_root**2
-    bad = disc < -disc_tol
+    bad = disc < -_DISCRIMINANT_TOL
     if np.any(bad):
         raise UnphysicalCovariance(
             f"negative discriminant in {label} eigenvalues: {offending(disc, bad)}"
@@ -150,7 +153,7 @@ def _sqrt_eigenvalue(mean, product_root, label: str, disc_tol: float = _DISCRIMI
 
 def _entropy(lam):
     """G((lam - 1) / 2): the entropy one symplectic eigenvalue contributes."""
-    return g_function(np.maximum(0.0, (lam - 1.0) / 2.0))
+    return g_function(np.where(lam - 1.0 > _PURE_TOL, (lam - 1.0) / 2.0, 0.0))
 
 
 def holevo_bound(
@@ -164,7 +167,7 @@ def holevo_bound(
     """Holevo information bound S_BE and the four symplectic eigenvalues.
 
     ``correlation`` is the Z term of the covariance matrix: the Gaussian
-    value sqrt(V_A^2 + 2 V_A) or a discrete-modulation Z_M.
+    value sqrt(V_A^2 + 2 V_A), a PSK ring's Z_M or a QAM bound Z*(1).
     """
     v = modulation_variance + 1.0
     t = transmittance

@@ -1,10 +1,10 @@
 """M-PSK discrete modulation (M = 2, 4, 8) under the Gaussian-optimality proof.
 
 The modulation density matrix of an equal-probability PSK ring is diagonal
-in photon-number sectors mod M; the closed-form spectral weights below are
-those sector sums, written with overflow-safe exponentials.  The secret key
-rate reuses the Gaussian covariance pipeline with the ring correlation Z_M
-in place of the Gaussian Z.
+in photon-number sectors mod M; its spectral weights are the Poisson sums
+over each sector, summed term by term.  The secret key rate reuses the
+Gaussian covariance pipeline with the ring correlation Z_M in place of the
+Gaussian Z.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ from .gaussian import Detection, NoiseBudget, SecurityResult, covariance_securit
 
 PSK_STATE_COUNTS = (2, 4, 8)
 
-# Below this, the trigonometric forms are cancellation-limited (absolute error
-# ~1e-16 from O(1) terms) and the all-positive sector series takes over.
-_SERIES_SWITCH = 1e-8
-
 
 def _sector_series(x: float, sector: int, states: int) -> float:
     """exp(-x) * sum over n = sector (mod states) of x^n / n!.
 
-    Mathematically identical to the closed forms; every term is positive, so
-    tiny weights keep full relative precision.
+    Every term is positive, so each weight, however small, keeps full
+    relative precision; the series ends once its terms fall below 1e-18 of
+    the sum past the Poisson peak.
     """
     if x == 0.0:
         return 1.0 if sector == 0 else 0.0
@@ -67,42 +64,7 @@ class PskConfig:
 def zeta_weights(config: PskConfig) -> np.ndarray:
     """Spectral weights of the PSK modulation density matrix, indexed by sector."""
     x = config.alpha**2
-    # exp(-x)*cosh(x) etc. written without large intermediates.
-    ecosh = 0.5 * (1.0 + math.exp(-2.0 * x))
-    esinh = 0.5 * (1.0 - math.exp(-2.0 * x))
-    ecos = math.exp(-x) * math.cos(x)
-    esin = math.exp(-x) * math.sin(x)
-
-    if config.states == 2:
-        weights = np.array([ecosh, esinh])
-    elif config.states == 4:
-        weights = 0.5 * np.array(
-            [ecosh + ecos, esinh + esin, ecosh - ecos, esinh - esin]
-        )
-    else:
-        y = x / math.sqrt(2.0)
-        # exp(-x)*cosh(y) and exp(-x)*sinh(y); x > y >= 0 keeps both exponents negative.
-        eych = 0.5 * (math.exp(y - x) + math.exp(-y - x))
-        eysh = 0.5 * (math.exp(y - x) - math.exp(-y - x))
-        cos_y = math.cos(y)
-        sin_y = math.sin(y)
-        r2 = math.sqrt(2.0)
-        weights = 0.25 * np.array(
-            [
-                ecosh + ecos + 2.0 * cos_y * eych,
-                esinh + esin + r2 * cos_y * eysh + r2 * sin_y * eych,
-                ecosh - ecos + 2.0 * sin_y * eysh,
-                esinh - esin - r2 * cos_y * eysh + r2 * sin_y * eych,
-                ecosh + ecos - 2.0 * cos_y * eych,
-                esinh + esin - r2 * cos_y * eysh - r2 * sin_y * eych,
-                ecosh - ecos - 2.0 * sin_y * eysh,
-                esinh - esin + r2 * cos_y * eysh - r2 * sin_y * eych,
-            ]
-        )
-    for k in range(config.states):
-        if weights[k] < _SERIES_SWITCH:
-            weights[k] = _sector_series(x, k, config.states)
-    return weights
+    return np.array([_sector_series(x, k, config.states) for k in range(config.states)])
 
 
 def correlation_z(config: PskConfig) -> float:

@@ -27,10 +27,10 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, CutoffTooSmall, NumericsError, \
-    UnphysicalCovariance
-from .gaussian import Detection, SecurityResult, _entropy, _sqrt_eigenvalue, skr_asymptotic
-from .quantities import offending, reject
+from .errors import ConvergenceError, CutoffTooSmall, NumericsError
+from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, holevo_bound, \
+    skr_asymptotic
+from .quantities import reject
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
 # outside the support; smaller thresholds admit noise-dominated directions
@@ -426,44 +426,6 @@ def mutual_information_qam(
     return half if kind is Detection.HOMODYNE else 2.0 * half
 
 
-def holevo_qam(
-    modulation_variance: float,
-    transmittance,
-    excess_noise: float,
-    z_star,
-    kind: Detection,
-):
-    """Holevo bound and the three symplectic eigenvalues of the QAM pipeline."""
-    reject(z_star, z_star < 0.0, "correlation bound must be >= 0")
-    x = modulation_variance + 1.0
-    y = 1.0 + transmittance * modulation_variance + transmittance * excess_noise
-    z_sq = z_star**2
-
-    delta = x**2 + y**2 - 2.0 * z_sq
-    det_root = abs(x * y - z_sq)  # product of the two symplectic eigenvalues
-    lam1, lam2 = _sqrt_eigenvalue(delta, det_root, "QAM covariance", -_NEGATIVE_EIGENVALUE_TOL)
-
-    if kind is Detection.HOMODYNE:
-        lam3_sq = x * (x - z_sq / y)
-        bad = lam3_sq < 0.0
-        if np.any(bad):
-            raise UnphysicalCovariance(
-                f"negative conditional eigenvalue square {offending(lam3_sq, bad)}")
-        lam3 = np.sqrt(lam3_sq)
-    else:
-        lam3 = x - z_sq / (2.0 + transmittance * modulation_variance
-                           + transmittance * excess_noise)
-
-    bad = lam3 < 1.0 - 1e-9
-    if np.any(bad):
-        raise UnphysicalCovariance(
-            f"symplectic eigenvalue {offending(lam3, bad)} < 1 in QAM pipeline "
-            f"(V={modulation_variance}, T={offending(transmittance, bad)}, "
-            f"Z*={offending(z_star, bad)})"
-        )
-    return _entropy(lam1) + _entropy(lam2) - _entropy(lam3), (lam1, lam2, lam3)
-
-
 def qam_security(
     side: int,
     modulation_variance: float,
@@ -477,19 +439,21 @@ def qam_security(
 
     The grid extent follows alpha = sqrt(V_A/2); the security formulas use
     the realized ensemble variance, which equals V_A exactly for binomial
-    probabilities and tracks nu for the discrete Gaussian.  A negative
-    correlation bound is floored at zero (it carries no correlation
-    information and only certifies the absence of key).
+    probabilities and tracks nu for the discrete Gaussian.  S_BE is the
+    shared covariance-matrix bound with an ideal detector and the correlation
+    Z*(1), since Z*(T) = sqrt(T) Z*(1) is the cross term sqrt(T) Z it takes.
+    A negative correlation bound is floored at zero (it carries no
+    correlation information and only certifies the absence of key).
     """
+    noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
     constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
     workspace = modulation_density_matrix(constellation)
-    z_star = np.maximum(correlation_lower_bound(workspace, transmittance, excess_noise), 0.0)
+    z_star = max(float(correlation_lower_bound(workspace, 1.0, excess_noise)), 0.0)
     v_eff = constellation.modulation_variance
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
-    s_be, _ = holevo_qam(v_eff, transmittance, excess_noise, z_star, kind)
+    s_be, _ = holevo_bound(v_eff, transmittance, noise.chi_line, noise.chi_detector, z_star, kind)
     return SecurityResult(
         mutual_information=i_ab,
         holevo=s_be,
         skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
     )
-

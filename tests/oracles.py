@@ -4,8 +4,9 @@ These deliberately avoid the package's closed-form routes: symplectic
 spectra come from eigenvalues of i*Omega*gamma, measurement conditioning is
 done at the covariance-matrix level with an explicit trusted-noise
 purification, slant ranges from 2-D vector geometry, the Rytov path integral
-from arbitrary-precision quadrature, and small-constellation moments from an
-arbitrary-precision Gram-matrix construction.  ``reference_point`` is the
+from arbitrary-precision quadrature, small-constellation moments from an
+arbitrary-precision Gram-matrix construction, and PSK spectral weights from
+their arbitrary-precision discrete-Fourier form.  ``reference_point`` is the
 per-point, ``math``-based evaluation the package's grid evaluator replaced,
 ``dense_moments`` the dense Fock-space moments that the package's
 photon-number-sector moments replaced, ``grid_csv_rows`` the field-by-field
@@ -163,6 +164,25 @@ def qam_matrix_oracle(
         cond = _condition_heterodyne(gamma, kept=[0], measured=1)
     nu_cond = symplectic_eigenvalues(cond)[0]
     return s_ab - entropy_from_cov(cond), nus, float(nu_cond)
+
+
+def psk_weights_dft(states: int, alpha: float) -> np.ndarray:
+    """PSK sector weights exp(-x) sum over n = k (mod M) of x^n / n!, x = alpha^2,
+    from the discrete-Fourier form (1/M) sum_j w^(-jk) exp(x (w^j - 1)) with
+    w = exp(2 pi i / M).
+
+    Its O(1) terms cancel down to the weight, which is at least
+    exp(-x) x^k / k!, so each weight is evaluated 30 digits beyond that bound.
+    """
+    x = alpha**2
+    weights = np.empty(states)
+    for k in range(states):
+        lost = (x - k * math.log(x) + math.lgamma(k + 1.0)) / math.log(10.0)
+        with mp.workdps(30 + max(0, math.ceil(lost))):
+            roots = [mp_exp(2j * mp.pi * j / states) for j in range(states)]
+            total = mp_fsum(r ** (-k) * mp_exp(mpf(x) * (r - 1)) for r in roots)
+            weights[k] = float((total / states).real)
+    return weights
 
 
 def slant_range_2d(r_ogs_m: float, r_shell_m: float, elevation_deg: float) -> float:

@@ -90,8 +90,8 @@ def test_criterion_3_psk_spectral_identity():
         for states in (2, 4, 8):
             for alpha in np.linspace(0.1, 1.0, 10):
                 config = s.PskConfig(states, float(alpha))
-                closed = s.zeta_weights(config)
-                assert math.fsum(closed) == pytest.approx(1.0, abs=1e-12)
+                weights = s.zeta_weights(config)
+                assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
                 amps = tuple(
                     alpha * complex(math.cos(2 * math.pi * k / states),
                                     math.sin(2 * math.pi * k / states))
@@ -101,7 +101,7 @@ def test_criterion_3_psk_spectral_identity():
                     s.Constellation(amps, (1.0 / states,) * states), 40
                 )
                 top = np.sort(ws.eigenvalues)[::-1][:states]
-                assert np.max(np.abs(np.sort(closed)[::-1] - top)) < 1e-10
+                assert np.max(np.abs(np.sort(weights)[::-1] - top)) < 1e-10
 
 
 def test_criterion_4_qam_thermal_limit():

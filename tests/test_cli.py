@@ -371,6 +371,18 @@ MALFORMED = {
     "qam_size_by_side": ("sweep", _replaced(
         ONE_POINT, ("protocol",), {"kind": "qam", "side": 8}),
         "unknown keys in protocol: ['side']"),
+    "gm_with_states": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "gm", "states": 8}),
+        "protocol.states does not apply to a gm protocol"),
+    "gm_with_distribution": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "gm", "distribution": "binomial"}),
+        "protocol.distribution does not apply to a gm protocol"),
+    "psk_with_distribution": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "psk", "states": 4, "distribution": "binomial"}),
+        "protocol.distribution does not apply to a psk protocol"),
+    "beta_with_fitted_model": ("sweep", _replaced(
+        ONE_POINT, ("reconciliation",), {"kind": "md", "beta": 0.5}),
+        "reconciliation.beta does not apply to the fitted model md"),
     "profile_missing": ("pass", {
         "protocol": "gm", "pass": {"profile_csv": "no-such-dir/profile.csv", "altitude_km": 417.5},
     }, "pass.profile_csv 'no-such-dir/profile.csv' does not exist"),

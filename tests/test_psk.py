@@ -17,6 +17,8 @@ from satcvqkd import (
 )
 from satcvqkd.gaussian import gaussian_correlation
 
+from oracles import psk_weights_dft
+
 
 def _ring_constellation(states: int, alpha: float) -> Constellation:
     """The M-PSK ring built from exact quarter turns, so that turning it by
@@ -75,9 +77,19 @@ def test_weights_nonnegative(states):
 @pytest.mark.parametrize("states", [2, 4, 8])
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
 def test_weights_match_fock_eigenvalue_oracle(states, alpha):
-    closed = zeta_weights(PskConfig(states, alpha))
+    weights = zeta_weights(PskConfig(states, alpha))
     oracle = _fock_sector_weights(states, alpha)
-    assert np.max(np.abs(closed - oracle)) < 1e-10
+    assert np.max(np.abs(weights - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("states", [2, 4, 8])
+def test_every_weight_matches_mpmath_to_full_relative_precision(states):
+    # 0.1607 at M = 8 puts sector 4 just above 1e-8, where trigonometric
+    # closed forms had lost all but about eight digits to cancellation
+    for alpha in [*np.geomspace(1e-3, 6.0, 41), 0.1607]:
+        weights = zeta_weights(PskConfig(states, float(alpha)))
+        oracle = psk_weights_dft(states, float(alpha))
+        assert np.max(np.abs(weights - oracle) / oracle) <= 1e-12, alpha
 
 
 # --- ring correlation ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -11,13 +12,16 @@ from satcvqkd import (
     CutoffTooSmall,
     Detection,
     DiscreteGaussian,
+    NoiseBudget,
     build_constellation,
+    channel_noise,
     coherent_state_vector,
     correlation_lower_bound,
     gm_security,
-    holevo_qam,
+    holevo_bound,
     modulation_density_matrix,
     mutual_information_qam,
+    psk_security,
     qam_security,
     thermal_workspace,
     zeta_weights,
@@ -32,7 +36,8 @@ from satcvqkd.qam import (
     default_cutoff,
 )
 
-from oracles import dense_moments, dense_tau, gram_moments, qam_matrix_oracle
+from oracles import _qam_like_security, dense_moments, dense_tau, gram_moments, \
+    qam_matrix_oracle
 
 QAM_EXCESS = DAYLIGHT_NOISE.channel_excess + DAYLIGHT_NOISE.detector_excess
 
@@ -140,8 +145,8 @@ def test_four_point_ring_reproduces_psk_spectrum():
     )
     ws = modulation_density_matrix(Constellation(amps, (0.25,) * 4), 40)
     top = np.sort(ws.eigenvalues)[::-1][:4]
-    closed = np.sort(zeta_weights(PskConfig(4, alpha)))[::-1]
-    assert np.max(np.abs(top - closed)) < 1e-12
+    weights = np.sort(zeta_weights(PskConfig(4, alpha)))[::-1]
+    assert np.max(np.abs(top - weights)) < 1e-12
 
 
 def test_rotated_square_matches_ring_spectrum():
@@ -150,8 +155,8 @@ def test_rotated_square_matches_ring_spectrum():
     grid = build_constellation(2, alpha, Binomial())
     ws = modulation_density_matrix(grid, 40)
     top = np.sort(ws.eigenvalues)[::-1][:4]
-    closed = np.sort(zeta_weights(PskConfig(4, alpha)))[::-1]
-    assert np.max(np.abs(top - closed)) < 1e-12
+    weights = np.sort(zeta_weights(PskConfig(4, alpha)))[::-1]
+    assert np.max(np.abs(top - weights)) < 1e-12
 
 
 def test_workspace_invariants():
@@ -428,6 +433,13 @@ def test_qam_information_reference_value():
     )
 
 
+def _qam_holevo(v_a, t, eps, z_star, kind):
+    """S_BE of qam_security's route: the covariance bound with an ideal detector
+    and the correlation Z*(T) / sqrt(T) = Z*(1)."""
+    noise = channel_noise(t, NoiseBudget(channel_excess=eps), kind)
+    return holevo_bound(v_a, t, noise.chi_line, noise.chi_detector, z_star / math.sqrt(t), kind)
+
+
 @pytest.mark.parametrize("kind", [Detection.HOMODYNE, Detection.HETERODYNE])
 def test_qam_holevo_matches_matrix_oracle(kind):
     for v_a, t, eps, zfrac in (
@@ -437,12 +449,30 @@ def test_qam_holevo_matches_matrix_oracle(kind):
         (5.0, 0.001, 0.05, 0.0),
     ):
         z = zfrac * math.sqrt(t * (v_a**2 + 2.0 * v_a))
-        s_be, lambdas = holevo_qam(v_a, t, eps, z, kind)
+        s_be, lambdas = _qam_holevo(v_a, t, eps, z, kind)
         s_ref, nus, nu_cond = qam_matrix_oracle(v_a, t, eps, z, kind.value)
         assert s_be == pytest.approx(s_ref, abs=1e-8)
         assert sorted(lambdas[:2], reverse=True)[0] == pytest.approx(nus[0], abs=1e-9)
         assert sorted(lambdas[:2], reverse=True)[1] == pytest.approx(nus[1], abs=1e-9)
+        # an ideal detector leaves the conditional pair (nu_cond, 1)
         assert lambdas[2] == pytest.approx(nu_cond, abs=1e-9)
+        assert lambdas[3] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", [Detection.HOMODYNE, Detection.HETERODYNE])
+def test_ideal_detector_mode_adds_no_rounding_entropy(kind):
+    # the ideal detector's fourth eigenvalue is 1 only up to rounding, which G's
+    # divergent slope at 0 would turn into ~1e-14 bits; the scalar oracle has
+    # no fourth eigenvalue
+    worst = 0.0
+    for v_a, t, eps, zfrac in itertools.product(
+        (0.5, 2.0, 5.0), (0.001, 0.0196, 0.05, 0.13, 0.3), (0.0, 0.0321, 0.05), (0.5, 0.9, 0.99)
+    ):
+        z = zfrac * math.sqrt(t * (v_a**2 + 2.0 * v_a))
+        s_be, _ = _qam_holevo(v_a, t, eps, z, kind)
+        _, s_ref = _qam_like_security(v_a, t, eps, kind is Detection.HOMODYNE, z)
+        worst = max(worst, abs(s_be - s_ref))
+    assert worst < 6e-15
 
 
 @pytest.mark.parametrize("kind", [Detection.HOMODYNE, Detection.HETERODYNE])
@@ -450,7 +480,7 @@ def test_qam_holevo_purity_limit(kind):
     # lossless, noiseless channel at the Gaussian correlation point
     for v_a in (0.5, 2.0):
         z = math.sqrt(v_a**2 + 2.0 * v_a)
-        s_be, _ = holevo_qam(v_a, 1.0, 0.0, z, kind)
+        s_be, _ = _qam_holevo(v_a, 1.0, 0.0, z, kind)
         assert abs(s_be) < 1e-8
 
 
@@ -483,6 +513,20 @@ def test_qam_below_gaussian_modulation():
                 side, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9
             )
             assert q.skr_asymptotic <= gm.skr_asymptotic
+
+
+def test_every_protocol_rejects_a_blocked_channel_alike():
+    messages = set()
+    for call in (
+        lambda: gm_security(5.0, 0.0, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
+        lambda: psk_security(PskConfig(4, 0.5), 0.0, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
+        lambda: qam_security(4, 2.0, Binomial(), 0.0, QAM_EXCESS, Detection.HETERODYNE, 0.9),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        messages.add(str(caught.value))
+    assert messages == {"transmittance must be in (0, 1], got 0.0; "
+                        "the line noise diverges for a fully blocked channel"}
 
 
 # --- shape ---------------------------------------------------------------------------
@@ -526,17 +570,17 @@ def test_correlation_bound_is_the_key_rate_correlation(
 
     used = []
 
-    def spy(v_a, t, eps, z_star, kind):
-        used.append(z_star)
-        return holevo_qam(v_a, t, eps, z_star, kind)
+    def spy(v_a, t, chi_line, chi_detector, correlation, kind):
+        used.append(correlation)
+        return holevo_bound(v_a, t, chi_line, chi_detector, correlation, kind)
 
-    monkeypatch.setattr(qam_mod, "holevo_qam", spy)
+    monkeypatch.setattr(qam_mod, "holevo_bound", spy)
     qam_security(side, 2.0, distribution, transmittance, QAM_EXCESS,
                  Detection.HETERODYNE, 0.9)
     c = build_constellation(side, 1.0, distribution)  # alpha = sqrt(V_A / 2)
-    z = correlation_lower_bound(modulation_density_matrix(c), transmittance, QAM_EXCESS)
+    z = correlation_lower_bound(modulation_density_matrix(c), 1.0, QAM_EXCESS)
     assert used[0] > 0.0
-    assert z == used[0]
+    assert used == [max(float(z), 0.0)]
 
 
 def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):

@@ -55,8 +55,6 @@ _HOMODYNE = s.Detection.HOMODYNE
 OFFENDING_CASES = {
     "qam_mutual_information_T": (
         lambda v: s.mutual_information_qam(2.0, np.array([0.5, v]), 0.02, _HOMODYNE), 1.5),
-    "qam_holevo_z_star": (
-        lambda v: s.holevo_qam(2.0, 0.5, 0.02, np.array([0.5, v]), _HOMODYNE), -0.25),
     "gm_mutual_information_chi": (
         lambda v: s.mutual_information_gm(5.0, np.array([0.1, v]), _HOMODYNE), -0.5),
     "skr_asymptotic_beta": (
