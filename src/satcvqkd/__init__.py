@@ -59,7 +59,7 @@ from .pass_analysis import (
 )
 from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, \
     link_columns
-from .psk import PskConfig, correlation_z, psk_security, zeta_weights
+from .psk import correlation_z, psk_security, zeta_weights
 from .qam import (
     Binomial,
     Constellation,

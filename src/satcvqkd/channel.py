@@ -10,14 +10,13 @@ elevations and path lengths may be floats or arrays of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FarFieldViolation, GeometryError
-from .quantities import db_to_transmittance, offending, reject
+from .quantities import db_to_transmittance, offending, reject, validating
 
 EARTH_RADIUS_M = 6_371_000.0
 ATMOSPHERE_THICKNESS_M = 20_000.0
@@ -27,8 +26,8 @@ ATMOSPHERE_THICKNESS_M = 20_000.0
 _ASIN_CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+@validating
+class LinkGeometry(NamedTuple):
     """Positions defining satellite-to-ground lines of sight.
 
     ``satellite_altitude_m`` is the orbit altitude at zenith; the elevation
@@ -42,7 +41,7 @@ class LinkGeometry:
     atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
     earth_radius_m: float = EARTH_RADIUS_M
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         elevation = np.asarray(self.elevation_deg)
         bad = ~((0.0 < elevation) & (elevation <= 90.0))
         if np.any(bad):
@@ -71,8 +70,8 @@ class SlantPath(NamedTuple):
     effective_atmosphere_m: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class OpticalTerminals:
+@validating
+class OpticalTerminals(NamedTuple):
     """Transmitter/receiver optics entering the geometric-loss estimate."""
 
     wavelength_m: float = 1550e-9
@@ -82,7 +81,7 @@ class OpticalTerminals:
     receiver_efficiency: float = 0.9
     pointing_loss: float = 0.1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.wavelength_m <= 0.0 or self.transmitter_aperture_m <= 0.0 \
                 or self.receiver_aperture_m <= 0.0:
             raise ValueError("wavelength and apertures must be positive")
@@ -92,15 +91,15 @@ class OpticalTerminals:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class AtmosphericConditions:
+@validating
+class AtmosphericConditions(NamedTuple):
     """Visibility, turbulence strength and the tolerated outage fraction."""
 
     visibility_km: float
     cn2: float  # refractive-index structure parameter, m^(-2/3)
     outage_probability: float = 1e-6
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.visibility_km <= 0.0:
             raise ValueError(f"visibility must be positive, got {self.visibility_km}")
         if self.cn2 <= 0.0:
@@ -292,21 +291,11 @@ def link_budget(
         * path.effective_atmosphere_m
         / 1000.0
     )
-    sigma_r2 = rytov_variance(
-        path.effective_atmosphere_m, conditions.cn2, terminals.wavelength_m
-    )
-    sigma_i2 = scintillation_index(
-        terminals.receiver_aperture_m,
-        terminals.wavelength_m,
-        path.effective_atmosphere_m,
-        sigma_r2,
-    )
+    sigma_r2 = rytov_variance(path.effective_atmosphere_m, conditions.cn2, terminals.wavelength_m)
+    sigma_i2 = scintillation_index(terminals.receiver_aperture_m, terminals.wavelength_m,
+                                   path.effective_atmosphere_m, sigma_r2)
     a_sci = np.abs(scintillation_loss_db(sigma_i2, conditions.outage_probability))
-    return LinkBudget(
-        geometric_db=a_geo,
-        scattering_db=a_scat,
-        scintillation_db=a_sci,
-    )
+    return LinkBudget(a_geo, a_scat, a_sci)
 
 
 def total_transmittance(

@@ -1,7 +1,7 @@
 """JSON run-configuration schema with the reference link parameters baked in.
 
 A minimal config only picks a protocol and a sweep; every other knob
-defaults to the reference values held by the library's dataclasses (1550
+defaults to the reference values held by the library's input records (1550
 nm, 0.3 m / 1 m apertures, 0.9 optics efficiencies, 0.1 pointing loss,
 20 km atmosphere, daylight noise budget, 50 MHz repetition rate, N = 1e11,
 good atmosphere).  Each section is read through one key table and echoed
@@ -11,10 +11,10 @@ through the same table, so a default or a unit is written once.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -22,10 +22,11 @@ import numpy as np
 from .channel import AtmosphericConditions, OpticalTerminals
 from .errors import ConfigError
 from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
-from .gaussian import DAYLIGHT_NOISE, Detection, NoiseBudget
+from .gaussian import DAYLIGHT_NOISE, Detection
 from .pass_analysis import circular_pass_arc
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
-from .qam import Binomial, DiscreteGaussian
+from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, start_cutoff
+from .quantities import validating
 
 SCHEMA_VERSION = 1
 
@@ -56,8 +57,8 @@ class SweepSpec(NamedTuple):
     elevations_deg: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PassSpec:
+@validating
+class PassSpec(NamedTuple):
     satellite_altitude_m: float = 417_500.0
     profile_path: str | None = None
     synth_max_elevation_deg: float = 87.6
@@ -66,7 +67,7 @@ class PassSpec:
     keyhole_ceiling_deg: float | None = None
     bin_width_deg: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.synth_sample_dt_s <= 0.0 or self.bin_width_deg <= 0.0:
             raise ConfigError("pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0")
 
@@ -101,30 +102,32 @@ _KM = _Unit(lambda km: km * 1000.0, lambda m: m / 1000.0)
 _NM = _Unit(lambda nm: nm / 1e9, lambda m: m * 1e9)
 
 
-def _keys(cls: type, *renamed: tuple[str, str, _Unit | None]) -> dict:
-    """Config key -> (field, unit) for each float/int field; ``renamed`` lists
-    the keys whose name or unit differ from their field."""
-    table = {f.name: (f.name, None) for f in fields(cls) if f.type in ("float", "int")}
+def _keys(default: tuple, *renamed: tuple[str, str, _Unit | None]) -> dict:
+    """Config key -> (field, unit) for each field of the record ``default`` that
+    holds a number; ``renamed`` lists the keys whose name or unit differ from
+    their field."""
+    table = {name: (name, None) for name, value in zip(default._fields, default)
+             if isinstance(value, (int, float))}
     for key, name, unit in renamed:
         del table[name]
         table[key] = (name, unit)
     return table
 
 
-_TERMINALS = _keys(OpticalTerminals, ("wavelength_nm", "wavelength_m", _NM))
-_CONDITIONS = _keys(AtmosphericConditions)
+_TERMINALS = _keys(OpticalTerminals(), ("wavelength_nm", "wavelength_m", _NM))
+_CONDITIONS = _keys(GOOD_CONDITIONS)
 _NOISE = _keys(
-    NoiseBudget,
+    DAYLIGHT_NOISE,
     ("channel_excess_snu", "channel_excess", None),
     ("detector_excess_snu", "detector_excess", None),
 )
 _GEOMETRY = _keys(
-    LinkSetup,
+    LinkSetup(OpticalTerminals(), GOOD_CONDITIONS, DAYLIGHT_NOISE),
     ("ogs_altitude_km", "ogs_altitude_m", _KM),
     ("atmosphere_thickness_km", "atmosphere_thickness_m", _KM),
     ("earth_radius_km", "earth_radius_m", _KM),
 )
-_FINITE = _keys(FiniteSizeParams)
+_FINITE = _keys(FiniteSizeParams())
 _PASS = {
     "altitude_km": ("satellite_altitude_m", _KM),
     "ogs_altitude_km": ("ogs_altitude_m", _KM),
@@ -163,7 +166,7 @@ def _number(value: Any, where: str, integer: bool = False) -> float | int:
 
 
 def _cap(what: str, count: float, cap: int) -> None:
-    """Reject a run of ``count`` rows or samples (inf if it overflowed) over ``cap``."""
+    """Reject ``count`` rows, samples or Fock levels (inf if it overflowed) over ``cap``."""
     if count > cap:
         raise ConfigError(f"{what} would be {count:.0f}, over the cap of {cap}")
 
@@ -182,7 +185,7 @@ def _section(base: Any, raw: Any, keys: dict, where: str) -> Any:
             continue  # optional field left unset
         number = _number(value, f"{where}.{key}", isinstance(default, int))
         overrides[name] = number if unit is None else unit.to_si(number)
-    return replace(base, **overrides)
+    return base._replace(**overrides)
 
 
 def _echo_section(obj: Any, keys: dict) -> dict[str, Any]:
@@ -247,8 +250,11 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
             f"{{kind: discrete_gaussian, nu: ...}}, got {dist_raw!r}"
         )
     _cap("QAM states", states, _MAX_QAM_STATES)
-    return ProtocolSpec(kind="qam", detection=detection, modulation_variance=v_a,
+    spec = ProtocolSpec(kind="qam", detection=detection, modulation_variance=v_a,
                         states=states, distribution=distribution)
+    _cap(f"the start cutoff of {states}-QAM at modulation_variance_snu {v_a:g}",
+         start_cutoff(math.isqrt(states), v_a), _MAX_CUTOFF)
+    return spec
 
 
 def _parse_conditions(raw: Any) -> AtmosphericConditions:
@@ -321,7 +327,7 @@ def _parse_pass(raw: Any, ogs_altitude_m: float) -> PassSpec:
     if not os.path.isfile(profile_path):
         what = "is not a regular file" if os.path.exists(profile_path) else "does not exist"
         raise ConfigError(f"pass.profile_csv {profile_path!r} {what}")
-    return replace(spec, profile_path=profile_path)
+    return spec._replace(profile_path=profile_path)
 
 
 def _run_type(config: Any) -> str:
@@ -343,7 +349,7 @@ def resolve(config: dict[str, Any], need: str | None = None) -> RunPlan:
     """
     try:
         return _resolve(config, need or _run_type(config))
-    except ValueError as exc:  # a library dataclass or the link geometry refused a value
+    except ValueError as exc:  # a library record or the link geometry refused a value
         raise ConfigError(str(exc)) from None
 
 
@@ -394,7 +400,7 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         pass_spec = _parse_pass(config["pass"], setup.ogs_altitude_m)
         if len(protocols) != 1:
             raise ConfigError("pass supports a single protocol")
-        replace(setup, ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(
+        setup._replace(ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(
             pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
         )
         if pass_spec.synthesized:

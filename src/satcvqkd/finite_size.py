@@ -10,12 +10,11 @@ transmittances and rates may be arrays of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .quantities import reject
+from .quantities import reject, validating
 
 
 class ReconciliationModel(NamedTuple):
@@ -35,8 +34,8 @@ MD = ReconciliationModel("MD", c1=-0.0825, c2=0.1834, c3=0.9821, c4=-0.00002815)
 MLC_MSD = ReconciliationModel("MLC-MSD", c1=0.9655, c2=0.0001507, c3=-0.04696, c4=-0.2238)
 
 
-@dataclass(frozen=True)
-class FiniteSizeParams:
+@validating
+class FiniteSizeParams(NamedTuple):
     """Block-size and security parameters of the finite-size analysis."""
 
     repetition_rate_hz: float = 50e6
@@ -45,7 +44,7 @@ class FiniteSizeParams:
     security: float = 1e-9
     total_symbols: float = 1e11
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.repetition_rate_hz <= 0.0 or self.total_symbols <= 0.0:
             raise ValueError("repetition rate and symbol count must be positive")
         if self.discretisation <= 0:

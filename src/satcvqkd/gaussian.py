@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnphysicalCovariance
-from .quantities import offending, reject
+from .quantities import offending, reject, validating
 
 # Eigenvalues may undershoot 1, and an eigenvalue quadratic's discriminant 0, by
 # this much before the state is called unphysical; up to _PURE_TOL above 1 a mode
@@ -31,15 +30,15 @@ class Detection(str, enum.Enum):
     HETERODYNE = "heterodyne"
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
+@validating
+class NoiseBudget(NamedTuple):
     """Channel/detector excess noise (SNU) and detector efficiency."""
 
     channel_excess: float = 0.0
     detector_excess: float = 0.0
     detector_efficiency: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.channel_excess < 0.0 or self.detector_excess < 0.0:
             raise ValueError("excess noise must be >= 0 SNU")
         if not 0.0 < self.detector_efficiency <= 1.0:
@@ -91,11 +90,7 @@ def channel_noise(transmittance, budget: NoiseBudget, kind: Detection) -> Channe
         chi_det = ((1.0 - eta) + budget.detector_excess) / eta
     else:
         chi_det = (1.0 + (1.0 - eta) + 2.0 * budget.detector_excess) / eta
-    return ChannelNoiseState(
-        chi_line=chi_line,
-        chi_detector=chi_det,
-        chi_total=chi_line + chi_det / transmittance,
-    )
+    return ChannelNoiseState(chi_line, chi_det, chi_line + chi_det / transmittance)
 
 
 def g_function(x):
@@ -229,11 +224,7 @@ def covariance_security(
     s_be, _ = holevo_bound(
         modulation_variance, transmittance, noise.chi_line, noise.chi_detector, correlation, kind
     )
-    return SecurityResult(
-        mutual_information=i_ab,
-        holevo=s_be,
-        skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
-    )
+    return SecurityResult(i_ab, s_be, skr_asymptotic(reconciliation_efficiency, i_ab, s_be))
 
 
 def gm_security(

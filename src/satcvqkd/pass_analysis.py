@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
@@ -21,29 +20,33 @@ from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams, ReconciliationModel
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
+from .quantities import validating
 
 _MU_EARTH = 3.986004418e14  # m^3/s^2
 
 
-@dataclass(frozen=True, eq=False)
-class PassProfile:
+@validating
+class PassProfile(NamedTuple):
     """Finite, strictly increasing sample times with elevations in (0, 90] degrees.
 
-    Both series are held as read-only float64 arrays.
+    Both series are held as read-only float64 arrays.  Profiles compare and
+    hash by identity, as tuple equality on arrays raises.
     """
 
     times_s: np.ndarray
     elevations_deg: np.ndarray
     ogs_altitude_m: float = 0.0
 
-    def __post_init__(self) -> None:
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def _check(self) -> PassProfile:
         times = np.array(self.times_s, dtype=float)
         elevations = np.array(self.elevations_deg, dtype=float)
         if times.ndim != 1 or times.shape != elevations.shape or not times.size:
             raise ProfileError("profile must contain at least one (time, elevation) sample")
-        for name, values in (("times_s", times), ("elevations_deg", elevations)):
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        times.flags.writeable = elevations.flags.writeable = False
         bad_elevation = ~((0.0 < elevations) & (elevations <= 90.0))
         bad_time = ~np.isfinite(times)
         bad_order = np.insert(times[1:] <= times[:-1], 0, False)
@@ -54,6 +57,7 @@ class PassProfile:
             raise _BadSample(i, f"elevation {float(elevations[i])} out of (0, 90]"
                              if bad_elevation[i] else f"time {t} not finite" if bad_time[i]
                              else f"time {t} not after {float(times[i - 1])}")
+        return tuple.__new__(type(self), (times, elevations, self.ogs_altitude_m))
 
     @property
     def duration_s(self) -> float:
@@ -251,7 +255,7 @@ def integrate_key_bits(
     evaluated = np.flatnonzero(occupied & ~keyhole)
     if len(profile.times_s) < 2:
         sample_bins = sample_bins[:0]
-    link = link_columns(replace(setup, ogs_altitude_m=profile.ogs_altitude_m),
+    link = link_columns(setup._replace(ogs_altitude_m=profile.ogs_altitude_m),
                         satellite_altitude_m, centres[evaluated])
     excluded = occupied & keyhole
     excluded[evaluated[~link.far_field_ok]] = True

@@ -10,7 +10,6 @@ points) suitable for CSV emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Union
 
 import numpy as np
@@ -18,16 +17,17 @@ import numpy as np
 from . import qam
 from .channel import ATMOSPHERE_THICKNESS_M, EARTH_RADIUS_M, AtmosphericConditions, \
     LinkGeometry, OpticalTerminals, SlantPath, far_field_bound_m, link_budget, slant_path
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
     gm_security
-from .psk import PSK_STATE_COUNTS, PskConfig, psk_security
+from .psk import PSK_STATE_COUNTS, psk_security
+from .quantities import validating
 
 
-@dataclass(frozen=True)
-class LinkSetup:
+@validating
+class LinkSetup(NamedTuple):
     """Everything about the link that is not the satellite position."""
 
     terminals: OpticalTerminals
@@ -37,18 +37,18 @@ class LinkSetup:
     atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
     earth_radius_m: float = EARTH_RADIUS_M
 
+    def _check(self) -> None:
+        # the one geometry fact that holds whatever the satellite's position
+        if self.earth_radius_m <= 0.0:
+            raise GeometryError("earth radius must be positive")
+
     def geometry(self, satellite_altitude_m, elevation_deg) -> LinkGeometry:
-        return LinkGeometry(
-            satellite_altitude_m=satellite_altitude_m,
-            elevation_deg=elevation_deg,
-            ogs_altitude_m=self.ogs_altitude_m,
-            atmosphere_thickness_m=self.atmosphere_thickness_m,
-            earth_radius_m=self.earth_radius_m,
-        )
+        # the last three fields are LinkGeometry's, in its order
+        return LinkGeometry(satellite_altitude_m, elevation_deg, *self[3:])
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+@validating
+class ProtocolSpec(NamedTuple):
     """Protocol selection with its modulation settings.
 
     ``states`` is the constellation's point count M, for PSK and QAM; a QAM
@@ -61,7 +61,7 @@ class ProtocolSpec:
     states: int | None = None
     distribution: qam.QamDistribution | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in ("gm", "psk", "qam"):
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.modulation_variance <= 0.0:
@@ -179,21 +179,16 @@ def protocol_security(
             spec.detection, reconciliation_efficiency,
         )
     if spec.kind == "psk":
-        config = PskConfig.from_modulation_variance(spec.states, spec.modulation_variance)
         return psk_security(
-            config, transmittance, noise, spec.detection, reconciliation_efficiency
+            spec.states, spec.modulation_variance, transmittance, noise,
+            spec.detection, reconciliation_efficiency,
         )
     # The arbitrary-modulation proof has no detector model; detection noise
     # is folded into the channel term with an ideal detector.
     excess = noise.channel_excess + noise.detector_excess
     return qam.qam_security(
-        math.isqrt(spec.states),
-        spec.modulation_variance,
-        spec.distribution,
-        transmittance,
-        excess,
-        spec.detection,
-        reconciliation_efficiency,
+        math.isqrt(spec.states), spec.modulation_variance, spec.distribution,
+        transmittance, excess, spec.detection, reconciliation_efficiency,
     )
 
 

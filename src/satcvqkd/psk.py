@@ -10,7 +10,6 @@ Gaussian Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,60 +38,39 @@ def _sector_series(x: float, sector: int, states: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PskConfig:
-    """Number of ring states and the common coherent amplitude."""
-
-    states: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.states not in PSK_STATE_COUNTS:
-            raise ValueError(f"states must be one of {PSK_STATE_COUNTS}, got {self.states}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    @classmethod
-    def from_modulation_variance(cls, states: int, modulation_variance: float) -> "PskConfig":
-        return cls(states=states, alpha=math.sqrt(modulation_variance / 2.0))
-
-    @property
-    def modulation_variance(self) -> float:
-        return 2.0 * self.alpha**2
-
-
-def zeta_weights(config: PskConfig) -> np.ndarray:
+def zeta_weights(states: int, alpha: float) -> np.ndarray:
     """Spectral weights of the PSK modulation density matrix, indexed by sector."""
-    x = config.alpha**2
-    return np.array([_sector_series(x, k, config.states) for k in range(config.states)])
+    if states not in PSK_STATE_COUNTS:
+        raise ValueError(f"states must be one of {PSK_STATE_COUNTS}, got {states}")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    x = alpha**2
+    return np.array([_sector_series(x, k, states) for k in range(states)])
 
 
-def correlation_z(config: PskConfig) -> float:
+def correlation_z(states: int, alpha: float) -> float:
     """Ring correlation coefficient Z_M.
 
     The 2-PSK coefficient carries an alpha^2 prefactor, 4- and 8-PSK a
     2*alpha^2 prefactor; the k-1 index wraps cyclically around the ring.
+    The 2-PSK prefactor is this code's own choice, half of the ring's
+    2 Tr(tau^1/2 a tau^1/2 a^dag): the paper's abstract, the only part of
+    it held here, does not give the coefficient.
     """
-    zeta = zeta_weights(config)
+    zeta = zeta_weights(states, alpha)
     if np.any(zeta <= 0.0):
         raise ValueError(
             "correlation coefficient undefined: a spectral weight underflowed "
-            f"to zero at alpha={config.alpha}"
+            f"to zero at alpha={alpha}"
         )
-    a_sq = config.alpha**2
-    if config.states == 2:
-        return a_sq * float(
-            zeta[0] ** 1.5 / math.sqrt(zeta[1]) + zeta[1] ** 1.5 / math.sqrt(zeta[0])
-        )
-    total = sum(
-        zeta[(k - 1) % config.states] ** 1.5 / math.sqrt(zeta[k])
-        for k in range(config.states)
-    )
-    return 2.0 * a_sq * float(total)
+    prefactor = alpha**2 if states == 2 else 2.0 * alpha**2
+    total = sum(zeta[(k - 1) % states] ** 1.5 / math.sqrt(zeta[k]) for k in range(states))
+    return prefactor * float(total)
 
 
 def psk_security(
-    config: PskConfig,
+    states: int,
+    modulation_variance: float,
     transmittance,
     budget: NoiseBudget,
     kind: Detection,
@@ -100,10 +78,11 @@ def psk_security(
 ) -> SecurityResult:
     """Asymptotic M-PSK key rate via the shared covariance pipeline.
 
-    Z_M depends on the ring alone, so one call over an array of
-    transmittances computes it once.
+    The ring of ``states`` points has amplitude alpha = sqrt(V_A/2).  Z_M
+    depends on the ring alone, so one call over an array of transmittances
+    computes it once.
     """
+    z = correlation_z(states, math.sqrt(modulation_variance / 2.0))
     return covariance_security(
-        config.modulation_variance, correlation_z(config), transmittance,
-        budget, kind, reconciliation_efficiency,
+        modulation_variance, z, transmittance, budget, kind, reconciliation_efficiency,
     )

@@ -22,7 +22,6 @@ sector r - 1 (mod s), the moments are sums of s block products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, holevo_bound, \
     skr_asymptotic
-from .quantities import reject
+from .quantities import reject, validating
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
 # outside the support; smaller thresholds admit noise-dominated directions
@@ -56,13 +55,13 @@ class Binomial(NamedTuple):
     """Binomial point probabilities (Pascal weights per quadrature index)."""
 
 
-@dataclass(frozen=True)
-class DiscreteGaussian:
+@validating
+class DiscreteGaussian(NamedTuple):
     """Probabilities proportional to exp(-nu * |amplitude|^2); nu is free."""
 
     nu: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.nu <= 0.0:
             raise ValueError(f"nu must be positive, got {self.nu}")
 
@@ -70,14 +69,14 @@ class DiscreteGaussian:
 QamDistribution = Union[Binomial, DiscreteGaussian]
 
 
-@dataclass(frozen=True)
-class Constellation:
+@validating
+class Constellation(NamedTuple):
     """A finite set of coherent amplitudes with probabilities."""
 
     amplitudes: tuple[complex, ...]
     probabilities: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.amplitudes) != len(self.probabilities) or not self.amplitudes:
             raise ValueError("amplitudes and probabilities must be non-empty and equal length")
         total = math.fsum(self.probabilities)
@@ -100,6 +99,22 @@ class Constellation:
         return 2.0 * self.mean_photon_number
 
 
+def _grid_coordinates(side: int, alpha: float) -> list[float]:
+    """Quadrature values of the side x side grid of extent ``alpha``, ascending."""
+    spacing = alpha * math.sqrt(2.0) / math.sqrt(side - 1.0)
+    return [spacing * (k - (side - 1) / 2.0) for k in range(side)]
+
+
+def start_cutoff(side: int, modulation_variance: float) -> int | float:
+    """``default_cutoff`` of the side x side grid at V_A, without building it: its
+    corners carry the peak |alpha|^2.  inf when that overflows a float."""
+    corner = _grid_coordinates(side, math.sqrt(modulation_variance / 2.0))[-1]
+    try:
+        return math.ceil(10.0 + 8.0 * abs(complex(corner, corner)) ** 2)
+    except OverflowError:
+        return math.inf
+
+
 def build_constellation(
     side: int, alpha: float, distribution: QamDistribution
 ) -> Constellation:
@@ -112,8 +127,7 @@ def build_constellation(
         raise ValueError(f"grid side must be >= 2, got {side}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    spacing = alpha * math.sqrt(2.0) / math.sqrt(side - 1.0)
-    coords = [spacing * (k - (side - 1) / 2.0) for k in range(side)]
+    coords = _grid_coordinates(side, alpha)
     grid = [(k, l) for k in range(side) for l in range(side)]
     amplitudes = tuple(complex(coords[k], coords[l]) for k, l in grid)
     if isinstance(distribution, Binomial):
@@ -447,13 +461,13 @@ def qam_security(
     """
     noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
     constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
-    workspace = modulation_density_matrix(constellation)
+    cutoff = start_cutoff(side, modulation_variance)
+    if cutoff > _MAX_CUTOFF:
+        raise ConvergenceError(f"{side * side}-QAM at V_A = {modulation_variance:g} needs a "
+                               f"start cutoff of {cutoff:.0f}, over the cap of {_MAX_CUTOFF}")
+    workspace = modulation_density_matrix(constellation, cutoff)
     z_star = max(float(correlation_lower_bound(workspace, 1.0, excess_noise)), 0.0)
     v_eff = constellation.modulation_variance
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
     s_be, _ = holevo_bound(v_eff, transmittance, noise.chi_line, noise.chi_detector, z_star, kind)
-    return SecurityResult(
-        mutual_information=i_ab,
-        holevo=s_be,
-        skr_asymptotic=skr_asymptotic(reconciliation_efficiency, i_ab, s_be),
-    )
+    return SecurityResult(i_ab, s_be, skr_asymptotic(reconciliation_efficiency, i_ab, s_be))

@@ -30,6 +30,23 @@ def reject(values, bad, message: str) -> None:
         raise ValueError(f"{message}, got {offending(values, bad)}")
 
 
+def validating(record: type) -> type:
+    """Class decorator: each instance of the NamedTuple ``record``, built by the
+    constructor, ``_make`` or ``_replace``, passes ``record._check``, which raises on
+    a bad field value and returns None or a normalized record to keep instead."""
+    build = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        built = build(cls, *args, **kwargs)
+        normalized = built._check()
+        return built if normalized is None else normalized
+
+    record.__new__ = __new__
+    # the stock _make (which _replace calls) builds through tuple.__new__
+    record._make = classmethod(lambda cls, values: cls(*values))
+    return record
+
+
 def db_to_transmittance(attenuation_db):
     """Convert an attenuation in dB to a power transmittance in [0, 1]."""
     reject(attenuation_db, ~np.isfinite(attenuation_db), "attenuation must be finite")

@@ -415,7 +415,7 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
     from satcvqkd import qam
     from satcvqkd.finite_size import ReconciliationModel, privacy_penalty
     from satcvqkd.gaussian import gaussian_correlation
-    from satcvqkd.psk import PskConfig, correlation_z
+    from satcvqkd.psk import correlation_z
 
     row = dict(
         protocol=spec.label, detection=spec.detection.value,
@@ -454,7 +454,7 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
         if spec.kind == "gm":
             correlation = gaussian_correlation(v_a)
         else:
-            correlation = correlation_z(PskConfig.from_modulation_variance(spec.states, v_a))
+            correlation = correlation_z(spec.states, math.sqrt(v_a / 2.0))
         chi_tot, i_ab, s_be = _gm_like_security(v_a, t, setup.noise, homodyne, correlation)
         photons = abs(math.sqrt(v_a / 2.0)) ** 2
         row["snr_db"] = 10.0 * math.log10(t * photons / (photons + (1.0 - t) * chi_tot))

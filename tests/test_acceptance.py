@@ -89,8 +89,7 @@ def test_criterion_3_psk_spectral_identity():
     with _Criterion(3, "PSK spectral weights match Fock eigenvalues", 10.0):
         for states in (2, 4, 8):
             for alpha in np.linspace(0.1, 1.0, 10):
-                config = s.PskConfig(states, float(alpha))
-                weights = s.zeta_weights(config)
+                weights = s.zeta_weights(states, float(alpha))
                 assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
                 amps = tuple(
                     alpha * complex(math.cos(2 * math.pi * k / states),
@@ -145,16 +144,13 @@ def test_criterion_6_protocol_orderings():
             8, 2.0, Binomial(), t, eps, s.Detection.HETERODYNE, 0.9
         ).skr_asymptotic
         psk8 = s.psk_security(
-            s.PskConfig.from_modulation_variance(8, 0.5), t, noise,
-            s.Detection.HOMODYNE, 0.9,
+            8, 0.5, t, noise, s.Detection.HOMODYNE, 0.9,
         ).skr_asymptotic
         psk4 = s.psk_security(
-            s.PskConfig.from_modulation_variance(4, 0.5), t, noise,
-            s.Detection.HOMODYNE, 0.9,
+            4, 0.5, t, noise, s.Detection.HOMODYNE, 0.9,
         ).skr_asymptotic
         assert gm > qam256 > qam64 > psk8 > psk4
 
-        psk2 = s.PskConfig.from_modulation_variance(2, 0.5)
         for altitude_km in range(200, 1001, 50):
             for elevation in (30.0, 60.0, 90.0):
                 geo = s.LinkGeometry(
@@ -163,7 +159,7 @@ def test_criterion_6_protocol_orderings():
                 )
                 t_point = s.total_transmittance(geo, s.OpticalTerminals(), GOOD)
                 rate = s.psk_security(
-                    psk2, t_point, noise, s.Detection.HOMODYNE, 0.9
+                    2, 0.5, t_point, noise, s.Detection.HOMODYNE, 0.9
                 ).skr_asymptotic
                 assert rate <= 0.0
 

@@ -383,6 +383,15 @@ MALFORMED = {
     "beta_with_fitted_model": ("sweep", _replaced(
         ONE_POINT, ("reconciliation",), {"kind": "md", "beta": 0.5}),
         "reconciliation.beta does not apply to the fitted model md"),
+    "qam_start_cutoff_over_cap": ("compare", {
+        "protocols": ["gm", {"kind": "qam", "states": 256, "modulation_variance_snu": 200}],
+        "sweep": ONE_POINT["sweep"],
+    }, "the start cutoff of 256-QAM at modulation_variance_snu 200 would be 12010, "
+        "over the cap of 4096"),
+    "qam_start_cutoff_past_float_range": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "qam", "states": 4096,
+                                   "modulation_variance_snu": 1e308}),
+        "would be inf, over the cap of 4096"),
     "profile_missing": ("pass", {
         "protocol": "gm", "pass": {"profile_csv": "no-such-dir/profile.csv", "altitude_km": 417.5},
     }, "pass.profile_csv 'no-such-dir/profile.csv' does not exist"),

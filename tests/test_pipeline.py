@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +190,7 @@ def test_link_stage_builds_one_geometry_and_one_slant_path(monkeypatch):
     geometries = _count_calls(monkeypatch, "LinkGeometry")
     paths = _count_calls(monkeypatch, "slant_path")
     # far-field bound 2 m x 0.3 m / 1550 nm = 387 km: the 300 km points are near field
-    setup = replace(SETUP, terminals=OpticalTerminals(receiver_aperture_m=2.0))
+    setup = SETUP._replace(terminals=OpticalTerminals(receiver_aperture_m=2.0))
     link = link_columns(setup, np.array([300e3, 500e3])[:, None], np.array([60.0, 90.0]))
     assert link.far_field_ok.tolist() == [False, False, True, True]
     assert len(geometries) == len(paths) == 1

@@ -8,14 +8,13 @@ from satcvqkd import (
     DAYLIGHT_NOISE,
     Constellation,
     Detection,
-    PskConfig,
     correlation_z,
     gm_security,
     modulation_density_matrix,
     psk_security,
     zeta_weights,
 )
-from satcvqkd.gaussian import gaussian_correlation
+from satcvqkd.gaussian import covariance_security, gaussian_correlation
 
 from oracles import psk_weights_dft
 
@@ -56,7 +55,7 @@ def _fock_sector_weights(states: int, alpha: float, cutoff: int = 40) -> np.ndar
 
 
 def test_two_state_weights_at_small_amplitude():
-    w = zeta_weights(PskConfig(2, 1e-6))
+    w = zeta_weights(2, 1e-6)
     assert w[0] == pytest.approx(1.0, abs=1e-11)
     assert w[1] == pytest.approx(0.0, abs=1e-11)
 
@@ -64,20 +63,20 @@ def test_two_state_weights_at_small_amplitude():
 @pytest.mark.parametrize("states", [2, 4, 8])
 def test_weights_sum_to_one(states):
     for alpha in np.linspace(0.05, 3.0, 30):
-        w = zeta_weights(PskConfig(states, float(alpha)))
+        w = zeta_weights(states, float(alpha))
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("states", [2, 4, 8])
 def test_weights_nonnegative(states):
     for alpha in np.linspace(0.05, 3.0, 60):
-        assert np.all(zeta_weights(PskConfig(states, float(alpha))) >= 0.0)
+        assert np.all(zeta_weights(states, float(alpha)) >= 0.0)
 
 
 @pytest.mark.parametrize("states", [2, 4, 8])
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
 def test_weights_match_fock_eigenvalue_oracle(states, alpha):
-    weights = zeta_weights(PskConfig(states, alpha))
+    weights = zeta_weights(states, alpha)
     oracle = _fock_sector_weights(states, alpha)
     assert np.max(np.abs(weights - oracle)) < 1e-10
 
@@ -87,7 +86,7 @@ def test_every_weight_matches_mpmath_to_full_relative_precision(states):
     # 0.1607 at M = 8 puts sector 4 just above 1e-8, where trigonometric
     # closed forms had lost all but about eight digits to cancellation
     for alpha in [*np.geomspace(1e-3, 6.0, 41), 0.1607]:
-        weights = zeta_weights(PskConfig(states, float(alpha)))
+        weights = zeta_weights(states, float(alpha))
         oracle = psk_weights_dft(states, float(alpha))
         assert np.max(np.abs(weights - oracle) / oracle) <= 1e-12, alpha
 
@@ -96,15 +95,14 @@ def test_every_weight_matches_mpmath_to_full_relative_precision(states):
 
 
 def test_correlation_two_state_structure():
-    config = PskConfig(2, 0.5)
-    w = zeta_weights(config)
+    w = zeta_weights(2, 0.5)
     expected = 0.25 * (w[0] ** 1.5 / math.sqrt(w[1]) + w[1] ** 1.5 / math.sqrt(w[0]))
-    assert correlation_z(config) == pytest.approx(expected, rel=1e-14)
+    assert correlation_z(2, 0.5) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("states", [4, 8])
 def test_correlation_small_amplitude_limit(states):
-    assert correlation_z(PskConfig(states, 1e-4)) < 1e-3
+    assert correlation_z(states, 1e-4) < 1e-3
 
 
 def test_correlation_four_state_against_fock_oracle():
@@ -113,27 +111,40 @@ def test_correlation_four_state_against_fock_oracle():
     expected = 2.0 * alpha**2 * sum(
         oracle_w[(k - 1) % 4] ** 1.5 / math.sqrt(oracle_w[k]) for k in range(4)
     )
-    assert correlation_z(PskConfig(4, alpha)) == pytest.approx(expected, abs=1e-9)
+    assert correlation_z(4, alpha) == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("states", [2, 4, 8])
 def test_correlation_below_gaussian_ceiling(states):
     for alpha in np.linspace(0.05, 2.0, 40):
-        config = PskConfig(states, float(alpha))
-        assert correlation_z(config) <= gaussian_correlation(
-            config.modulation_variance
+        assert correlation_z(states, float(alpha)) <= gaussian_correlation(
+            2.0 * alpha**2
         ) * (1.0 + 1e-12)
 
 
 def test_zero_amplitude_rejected():
-    with pytest.raises(ValueError):
-        PskConfig(4, 0.0)
+    for reject in (lambda: zeta_weights(4, 0.0), lambda: correlation_z(4, 0.0),
+                   lambda: psk_security(4, 0.0, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)):
+        with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
+            reject()
+
+
+def test_state_count_outside_the_rings_rejected():
+    for reject in (lambda: zeta_weights(3, 0.5), lambda: correlation_z(16, 0.5),
+                   lambda: psk_security(6, 0.5, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)):
+        with pytest.raises(ValueError, match=r"^states must be one of \(2, 4, 8\), got \d+$"):
+            reject()
 
 
 def test_from_modulation_variance_mapping():
-    config = PskConfig.from_modulation_variance(4, 0.5)
-    assert config.alpha == pytest.approx(0.5, rel=1e-15)
-    assert config.modulation_variance == pytest.approx(0.5, rel=1e-15)
+    # the ring has alpha = sqrt(V_A / 2); the covariance matrix takes V_A itself
+    for states, v_a in ((4, 0.5), (8, 0.3), (2, 7.0)):
+        t = np.array([0.01, 0.1])
+        ring = psk_security(states, v_a, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
+        direct = covariance_security(v_a, correlation_z(states, math.sqrt(v_a / 2.0)), t,
+                                     DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
+        for got, expected in zip(ring, direct):
+            np.testing.assert_array_equal(got, expected)
 
 
 # --- key rates ----------------------------------------------------------------
@@ -147,8 +158,7 @@ def _table_transmittances():
 def test_two_state_never_positive_on_leo_grid():
     for t in _table_transmittances():
         result = psk_security(
-            PskConfig.from_modulation_variance(2, 0.5),
-            t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
+            2, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
         )
         assert result.skr_asymptotic <= 0.0
 
@@ -157,8 +167,7 @@ def test_more_states_give_higher_rates():
     t = 0.132  # ~300 km zenith, good conditions
     rates = [
         psk_security(
-            PskConfig.from_modulation_variance(m, 0.5),
-            t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
+            m, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
         ).skr_asymptotic
         for m in (2, 4, 8)
     ]
@@ -170,7 +179,6 @@ def test_psk_never_beats_gaussian_modulation():
         gm = gm_security(5.0, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
         for m in (2, 4, 8):
             psk = psk_security(
-                PskConfig.from_modulation_variance(m, 0.5),
-                t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
+                m, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
             )
             assert psk.skr_asymptotic <= gm.skr_asymptotic

@@ -1,15 +1,24 @@
-"""The record rule: a record that validates its fields in ``__post_init__``, or
-that ``config`` reads through ``dataclasses.fields``/``replace``, is a frozen
-dataclass; every other record is an immutable NamedTuple."""
+"""The record rule: every record is an immutable ``typing.NamedTuple``.  An input
+record checks its fields in ``_check``, which ``quantities.validating`` runs
+however the record is built: by the constructor, ``_make`` or ``_replace``."""
 
-import dataclasses
+import copy
+import enum
 import importlib
+import os
+import pickle
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import satcvqkd
-from satcvqkd import channel, config, finite_size, gaussian, pass_analysis, pipeline, qam
+from satcvqkd import channel, config, errors, finite_size, gaussian, pass_analysis, pipeline, \
+    qam
 
 _NONE_DEFAULTS = dict.fromkeys(
     ("l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db", "a_sci_db", "a_tot_db",
@@ -50,24 +59,57 @@ RESULT_RECORDS = {
     ),
 }
 
-INPUT_RECORDS = (
-    channel.LinkGeometry, channel.OpticalTerminals, channel.AtmosphericConditions,
-    gaussian.NoiseBudget, finite_size.FiniteSizeParams, pipeline.LinkSetup,
-    pipeline.ProtocolSpec, satcvqkd.PskConfig,
-    qam.DiscreteGaussian, qam.Constellation, pass_analysis.PassProfile, config.PassSpec,
-)
-# Input records without validation of their own, read by ``config._keys``
-CONFIG_KEY_SOURCES = {pipeline.LinkSetup}
+# Each input record: a valid instance, one field with a bad value, and the
+# exception type and message that value raises.
+INPUT_RECORDS = {
+    channel.LinkGeometry: (
+        channel.LinkGeometry(500e3, 45.0), "elevation_deg", 0.0,
+        errors.GeometryError, "elevation must be in (0, 90] degrees, got 0.0"),
+    channel.OpticalTerminals: (
+        channel.OpticalTerminals(), "pointing_loss", 1.5,
+        ValueError, "pointing_loss must be in [0, 1], got 1.5"),
+    channel.AtmosphericConditions: (
+        config.GOOD_CONDITIONS, "cn2", 0.0, ValueError, "Cn^2 must be positive, got 0.0"),
+    gaussian.NoiseBudget: (
+        gaussian.DAYLIGHT_NOISE, "detector_efficiency", 0.0,
+        ValueError, "detector efficiency must be in (0, 1], got 0.0"),
+    finite_size.FiniteSizeParams: (
+        finite_size.FiniteSizeParams(), "discretisation", 0,
+        ValueError, "discretisation parameter must be positive"),
+    pipeline.LinkSetup: (
+        pipeline.LinkSetup(channel.OpticalTerminals(), config.GOOD_CONDITIONS,
+                           gaussian.DAYLIGHT_NOISE),
+        "earth_radius_m", 0.0, errors.GeometryError, "earth radius must be positive"),
+    pipeline.ProtocolSpec: (
+        pipeline.ProtocolSpec("gm", gaussian.Detection.HOMODYNE, 5.0), "modulation_variance",
+        0.0, errors.ConfigError, "modulation variance must be positive"),
+    qam.DiscreteGaussian: (
+        qam.DiscreteGaussian(0.5), "nu", -1.0, ValueError, "nu must be positive, got -1.0"),
+    qam.Constellation: (
+        qam.Constellation((1 + 0j, -1 + 0j), (0.5, 0.5)), "probabilities", (0.5, 0.6),
+        ValueError, "probabilities must sum to 1, got 1.1"),
+    pass_analysis.PassProfile: (
+        pass_analysis.PassProfile((0.0, 1.0), (45.0, 46.0)), "elevations_deg", (45.0, 91.0),
+        pass_analysis._BadSample, "sample 1: elevation 91.0 out of (0, 90]"),
+    config.PassSpec: (
+        config.PassSpec(), "bin_width_deg", 0.0,
+        errors.ConfigError, "pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0"),
+}
 
 
 def _ids(records):
     return [cls.__name__ for cls in records]
 
 
+def _same(a, b) -> bool:
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("cls", RESULT_RECORDS, ids=_ids(RESULT_RECORDS))
 def test_result_record_is_a_tuple_with_its_old_fields(cls):
     names, defaults = RESULT_RECORDS[cls]
-    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert issubclass(cls, tuple)
     assert cls._fields == names
     assert cls._field_defaults == defaults
     record = cls(*range(len(names)))  # positional construction keeps the order
@@ -82,27 +124,83 @@ def test_result_record_is_immutable(cls):
         setattr(record, names[0] if names else "extra", 1.0)
 
 
-def test_dataclasses_are_exactly_the_input_records():
-    found = set()
-    for module in pkgutil.iter_modules(satcvqkd.__path__):
-        namespace = vars(importlib.import_module(f"satcvqkd.{module.name}"))
-        found.update(value for value in namespace.values()
-                     if isinstance(value, type) and dataclasses.is_dataclass(value)
-                     and value.__module__.startswith("satcvqkd."))
-    assert found == set(INPUT_RECORDS)
+def test_every_record_class_is_a_tuple():
+    records = set()
+    for info in pkgutil.iter_modules(satcvqkd.__path__):
+        module = importlib.import_module(f"satcvqkd.{info.name}")
+        records.update(value for value in vars(module).values()
+                       if isinstance(value, type) and value.__module__ == module.__name__
+                       and not issubclass(value, (Exception, enum.Enum)))
+    assert records >= set(RESULT_RECORDS) | set(INPUT_RECORDS)
+    assert sorted(cls.__name__ for cls in records if not issubclass(cls, tuple)) == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    src = str(Path(satcvqkd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, satcvqkd.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("cls", INPUT_RECORDS, ids=_ids(INPUT_RECORDS))
 def test_input_record_validates_or_feeds_the_config_tables(cls):
-    assert cls.__dataclass_params__.frozen
-    assert "__post_init__" in vars(cls) or cls in CONFIG_KEY_SOURCES
+    # every input record validates, LinkSetup (a config key source) included;
+    # config reads them through _fields and rebuilds them with _replace
+    good = INPUT_RECORDS[cls][0]
+    assert issubclass(cls, tuple) and "_check" in vars(cls)
+    assert _same(cls._make(good), good) and _same(good._replace(), good)
+
+
+@pytest.mark.parametrize("cls", INPUT_RECORDS, ids=_ids(INPUT_RECORDS))
+def test_input_record_rejects_a_bad_value_however_built(cls):
+    good, field, bad, error, message = INPUT_RECORDS[cls]
+    values = {**good._asdict(), field: bad}
+    builds = {
+        "constructor": lambda: cls(**values),
+        "_replace": lambda: good._replace(**{field: bad}),
+        "_make": lambda: cls._make(values.values()),
+    }
+    for how, build in builds.items():
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            build()
+        assert type(raised.value) is error, how
+
+
+@pytest.mark.parametrize("cls", INPUT_RECORDS, ids=_ids(INPUT_RECORDS))
+def test_input_record_survives_pickle_and_deepcopy(cls):
+    good = INPUT_RECORDS[cls][0]
+    assert _same(pickle.loads(pickle.dumps(good)), good)
+    assert _same(copy.deepcopy(good), good)
+
+
+def test_pass_profile_holds_read_only_arrays_and_compares_by_identity():
+    profile = pass_analysis.PassProfile([0.0, 1.0], [45.0, 46.0])
+    twin = profile._replace()
+    for series in (profile.times_s, twin.elevations_deg):
+        assert series.dtype == np.float64 and not series.flags.writeable
+    assert profile == profile and profile != twin and not profile == twin
+    assert len({profile, twin, profile}) == 2
+
+
+def test_distributions_are_told_apart_by_type():
+    assert not isinstance(qam.DiscreteGaussian(1.0), qam.Binomial)
+    assert not isinstance(qam.Binomial(), qam.DiscreteGaussian)
 
 
 def test_config_key_source_is_read_through_its_fields():
-    names = {f.name for f in dataclasses.fields(pipeline.LinkSetup)}
-    assert {name for name, _ in config._GEOMETRY.values()} <= names
+    assert {name for name, _ in config._GEOMETRY.values()} <= set(pipeline.LinkSetup._fields)
 
 
 def test_fock_workspace_repr_shows_no_arrays():
     workspace = qam.thermal_workspace(1.0, cutoff=30)
     assert repr(workspace) == "FockWorkspace(cutoff=30, sectors=4)"
+
+
+def test_link_setup_ends_with_the_geometry_fields():
+    # LinkSetup.geometry passes its last three fields on by position
+    assert pipeline.LinkSetup._fields[3:] == channel.LinkGeometry._fields[2:]
