@@ -85,10 +85,13 @@ class OpticalTerminals(NamedTuple):
         if self.wavelength_m <= 0.0 or self.transmitter_aperture_m <= 0.0 \
                 or self.receiver_aperture_m <= 0.0:
             raise ValueError("wavelength and apertures must be positive")
-        for name in ("transmitter_efficiency", "receiver_efficiency", "pointing_loss"):
+        # each factor of the optics product passes some power
+        for name in ("transmitter_efficiency", "receiver_efficiency"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {value}")
+        if not 0.0 <= self.pointing_loss < 1.0:
+            raise ValueError(f"pointing_loss must be in [0, 1), got {self.pointing_loss}")
 
 
 @validating
@@ -176,7 +179,7 @@ def geometric_loss_db(path: SlantPath, terminals: OpticalTerminals):
         * (1.0 - terminals.pointing_loss)
         * terminals.receiver_efficiency
     )
-    if optics <= 0.0:
+    if optics <= 0.0:  # each factor is positive, but their product can underflow
         raise ValueError("terminal efficiencies leave no transmitted power")
     return 10.0 * np.log10(spread / optics)
 
@@ -221,7 +224,11 @@ def rytov_variance(effective_atmosphere_m, cn2: float, wavelength_m: float):
         raise ValueError("wavelength must be positive")
     reject(effective_atmosphere_m, effective_atmosphere_m <= 0.0, "path length must be positive")
     k = 2.0 * math.pi / wavelength_m
-    return 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) * effective_atmosphere_m ** (11.0 / 6.0)
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not printed
+        variance = 2.25 * k ** (7.0 / 6.0) * cn2 * (6.0 / 11.0) \
+            * effective_atmosphere_m ** (11.0 / 6.0)
+    reject(variance, np.isinf(variance), "Rytov variance must be finite")
+    return variance
 
 
 def scintillation_index(

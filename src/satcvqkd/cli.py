@@ -23,9 +23,9 @@ from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError
 from .finite_size import MD, MLC_MSD, ReconciliationModel
 from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
-from .pipeline import CSV_COLUMNS, evaluate_point, link_columns
+from .pipeline import PointResult, evaluate_point, link_columns
 
-_CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
+_CSV_HEADER = ",".join(PointResult._fields)
 _BLOCK_ROWS = 512  # rows formatted and written at a time
 _FLAG_TEXT = {True: "true", False: "false", None: ""}
 
@@ -88,10 +88,7 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     link = link_columns(plan.setup, altitudes, elevations)
     results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
                for spec in plan.protocols]
-    # per CSV column, each protocol's value over the grid's points; a scaled column is the link's
-    columns = [[link.columns[name] / divisor] * len(results) if divisor
-               else [getattr(result, name) for result in results]
-               for _, name, divisor in CSV_COLUMNS]
+    columns = list(zip(*results))  # per CSV column, each protocol's value over the grid
 
     points = altitudes.size
     step = max(1, _BLOCK_ROWS // len(results))
@@ -206,7 +203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # the reader closed stdout; the exit flush must not fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SatCvqkdError as exc:
+    except (SatCvqkdError, ValueError, ArithmeticError) as exc:
+        # resolve made its ValueErrors ConfigErrors: these are a library check or
+        # float arithmetic failing on a resolved plan
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

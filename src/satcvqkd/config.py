@@ -25,6 +25,7 @@ from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
 from .gaussian import DAYLIGHT_NOISE, Detection
 from .pass_analysis import circular_pass_arc
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
+from .psk import _MAX_SERIES_TERMS, series_terms
 from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, start_cutoff
 from .quantities import validating
 
@@ -167,8 +168,8 @@ def _number(value: Any, where: str, integer: bool = False) -> float | int:
 
 def _cap(what: str, count: float, cap: int) -> None:
     """Reject ``count`` rows, samples or Fock levels (inf if it overflowed) over ``cap``."""
-    if count > cap:
-        raise ConfigError(f"{what} would be {count:.0f}, over the cap of {cap}")
+    if count > cap:  # every count is whole; past 1e15 it prints with an exponent
+        raise ConfigError(f"{what} would be {count:.15g}, over the cap of {cap}")
 
 
 def _section(base: Any, raw: Any, keys: dict, where: str) -> Any:
@@ -235,7 +236,11 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
         return ProtocolSpec(kind="gm", detection=detection, modulation_variance=v_a)
     states = _number(mapping.get("states"), "protocol.states", integer=True)
     if kind == "psk":
-        return ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a, states=states)
+        spec = ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a,
+                            states=states)
+        _cap(f"the sector-series terms of {states}-PSK at modulation_variance_snu {v_a:g}",
+             series_terms(math.sqrt(v_a / 2.0)), _MAX_SERIES_TERMS)
+        return spec
     dist_raw = mapping.get("distribution", "binomial")
     if dist_raw == "binomial":
         distribution: Any = Binomial()

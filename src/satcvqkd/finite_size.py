@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantities import reject, validating
+from .quantities import check_transmittance, reject, validating
 
 
 class ReconciliationModel(NamedTuple):
@@ -58,8 +58,7 @@ def snr_db(alpha: float, transmittance, chi_total):
     photons = abs(alpha) ** 2
     if photons <= 0.0:
         raise ValueError("signal amplitude must be non-zero")
-    t = np.asarray(transmittance)
-    reject(t, ~((0.0 < t) & (t <= 1.0)), "transmittance must be in (0, 1]")
+    check_transmittance(transmittance)
     reject(chi_total, chi_total < 0.0, "noise must be >= 0")
     return 10.0 * np.log10(
         transmittance * photons / (photons + (1.0 - transmittance) * chi_total)

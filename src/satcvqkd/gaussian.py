@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnphysicalCovariance
-from .quantities import offending, reject, validating
+from .quantities import check_transmittance, offending, reject, validating
 
 # Eigenvalues may undershoot 1, and an eigenvalue quadratic's discriminant 0, by
 # this much before the state is called unphysical; up to _PURE_TOL above 1 a mode
@@ -77,13 +77,7 @@ def gaussian_correlation(modulation_variance: float) -> float:
 
 def channel_noise(transmittance, budget: NoiseBudget, kind: Detection) -> ChannelNoiseState:
     """Line, detector and total added noise in shot-noise units."""
-    t = np.asarray(transmittance)
-    bad = ~((0.0 < t) & (t <= 1.0))
-    if np.any(bad):
-        raise ValueError(
-            f"transmittance must be in (0, 1], got {offending(t, bad)}; "
-            "the line noise diverges for a fully blocked channel"
-        )
+    check_transmittance(transmittance)
     eta = budget.detector_efficiency
     chi_line = 1.0 / transmittance - 1.0 + budget.channel_excess
     if kind is Detection.HOMODYNE:

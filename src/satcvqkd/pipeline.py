@@ -91,66 +91,38 @@ Reconciliation = Union[ReconciliationModel, float]
 
 
 class PointResult(NamedTuple):
-    """Flat record for one (protocol, altitude, elevation) evaluation.
+    """One CSV row: the evaluation of a protocol at one (altitude, elevation).
 
-    For a grid of points each per-point field holds an array over the grid,
-    with NaN (numbers) or None (flags) where a point has no value.
+    The fields are the CSV columns, in header order and in the units their
+    names state; this is the one record whose lengths are in km.  For a grid
+    of points each per-point field holds an array over the grid, with NaN
+    (numbers) or None (flags) where a point has no value.
     """
 
     protocol: str
     detection: str
-    modulation_variance: float
-    altitude_m: float
+    modulation_variance_snu: float
+    altitude_km: float
     elevation_deg: float
-    status: str = "ok"
-    l_tot_m: float | None = None
-    l_atm_eff_m: float | None = None
+    l_tot_km: float | None = None
+    l_atm_eff_km: float | None = None
     a_geo_db: float | None = None
     a_scat_db: float | None = None
     a_sci_db: float | None = None
     a_tot_db: float | None = None
     transmittance: float | None = None
-    far_field_ok: bool = True
-    mutual_information: float | None = None
-    holevo: float | None = None
-    skr_asymptotic_per_pulse: float | None = None
     snr_db: float | None = None
-    beta_value: float | None = None
+    beta: float | None = None
     beta_valid: bool | None = None
-    fer_value: float | None = None
+    fer: float | None = None
     fer_raw: float | None = None
-    privacy: float | None = None
+    i_ab_bits_per_pulse: float | None = None
+    s_be_bits_per_pulse: float | None = None
+    privacy_bits_per_pulse: float | None = None
+    skr_bits_per_pulse: float | None = None
     skr_bits_per_second: float | None = None
-
-
-# CSV layout: (column, PointResult field, divisor); the divisor turns metres
-# into the kilometres the column names promise.
-CSV_COLUMNS = (
-    ("protocol", "protocol", None),
-    ("detection", "detection", None),
-    ("modulation_variance_snu", "modulation_variance", None),
-    ("altitude_km", "altitude_m", 1000.0),
-    ("elevation_deg", "elevation_deg", None),
-    ("l_tot_km", "l_tot_m", 1000.0),
-    ("l_atm_eff_km", "l_atm_eff_m", 1000.0),
-    ("a_geo_db", "a_geo_db", None),
-    ("a_scat_db", "a_scat_db", None),
-    ("a_sci_db", "a_sci_db", None),
-    ("a_tot_db", "a_tot_db", None),
-    ("transmittance", "transmittance", None),
-    ("snr_db", "snr_db", None),
-    ("beta", "beta_value", None),
-    ("beta_valid", "beta_valid", None),
-    ("fer", "fer_value", None),
-    ("fer_raw", "fer_raw", None),
-    ("i_ab_bits_per_pulse", "mutual_information", None),
-    ("s_be_bits_per_pulse", "holevo", None),
-    ("privacy_bits_per_pulse", "privacy", None),
-    ("skr_bits_per_pulse", "skr_asymptotic_per_pulse", None),
-    ("skr_bits_per_second", "skr_bits_per_second", None),
-    ("far_field_ok", "far_field_ok", None),
-    ("status", "status", None),
-)
+    far_field_ok: bool = True
+    status: str = "ok"
 
 
 def check_reconciliation(spec: ProtocolSpec, reconciliation: Reconciliation) -> None:
@@ -255,9 +227,10 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
         SlantPath(path.total_distance_m[linked], path.effective_atmosphere_m[linked])
     budget = link_budget(linked_path, setup.terminals, setup.conditions)
     transmittance = budget.transmittance
-    every_point = dict(
-        altitude_m=altitudes, elevation_deg=elevations, l_tot_m=path.total_distance_m,
-        l_atm_eff_m=path.effective_atmosphere_m, far_field_ok=far_field_ok,
+    every_point = dict(  # the one place metres become the columns' km
+        altitude_km=altitudes / 1000.0, elevation_deg=elevations,
+        l_tot_km=path.total_distance_m / 1000.0,
+        l_atm_eff_km=path.effective_atmosphere_m / 1000.0, far_field_ok=far_field_ok,
     )
     linked_points = dict(
         a_geo_db=budget.geometric_db, a_scat_db=budget.scattering_db,
@@ -324,16 +297,16 @@ def evaluate_point(
     status = np.full(link.far_field_ok.size, "far_field_excluded", dtype=object)
     status[linked] = "ok"
     status[linked[~beta_valid]] = "no_key_beta_invalid"
-    linked_values = dict(snr_db=snr, beta_value=efficiency, beta_valid=beta_valid,
-                         fer_value=fer_value, fer_raw=fer_raw, privacy=privacy)
+    linked_values = dict(snr_db=snr, beta=efficiency, beta_valid=beta_valid, fer=fer_value,
+                         fer_raw=fer_raw, privacy_bits_per_pulse=privacy)
     key_values = dict(
-        mutual_information=security.mutual_information, holevo=security.holevo,
-        skr_asymptotic_per_pulse=security.skr_asymptotic, skr_bits_per_second=skr_per_second,
+        i_ab_bits_per_pulse=security.mutual_information, s_be_bits_per_pulse=security.holevo,
+        skr_bits_per_pulse=security.skr_asymptotic, skr_bits_per_second=skr_per_second,
     )
     return PointResult(
         protocol=spec.label,
         detection=spec.detection.value,
-        modulation_variance=spec.modulation_variance,
+        modulation_variance_snu=spec.modulation_variance,
         status=link.column(status),
         **link.columns,
         **{name: link.column(v, linked) for name, v in linked_values.items()},

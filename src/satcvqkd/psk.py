@@ -16,6 +16,7 @@ import numpy as np
 from .gaussian import Detection, NoiseBudget, SecurityResult, covariance_security
 
 PSK_STATE_COUNTS = (2, 4, 8)
+_MAX_SERIES_TERMS = 1_000_000  # about 0.7 s of sector sums
 
 
 def _sector_series(x: float, sector: int, states: int) -> float:
@@ -38,12 +39,27 @@ def _sector_series(x: float, sector: int, states: int) -> float:
     return total
 
 
+def series_terms(alpha: float) -> int | float:
+    """About how many terms the sector series of ``zeta_weights`` sum in all, for
+    large alpha: every n up to nine Poisson deviations past the peak alpha^2.
+    inf when that overflows a float."""
+    x = alpha * alpha
+    try:
+        return math.ceil(x + 9.0 * math.sqrt(x))
+    except OverflowError:
+        return math.inf
+
+
 def zeta_weights(states: int, alpha: float) -> np.ndarray:
     """Spectral weights of the PSK modulation density matrix, indexed by sector."""
     if states not in PSK_STATE_COUNTS:
         raise ValueError(f"states must be one of {PSK_STATE_COUNTS}, got {states}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    terms = series_terms(alpha)
+    if terms > _MAX_SERIES_TERMS:
+        raise ValueError(f"{states}-PSK at alpha = {alpha:g} needs about {terms:.15g} "
+                         f"sector-series terms, over the cap of {_MAX_SERIES_TERMS}")
     x = alpha**2
     return np.array([_sector_series(x, k, states) for k in range(states)])
 

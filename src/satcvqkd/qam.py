@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, holevo_bound, \
     skr_asymptotic
-from .quantities import reject, validating
+from .quantities import check_transmittance, validating
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
 # outside the support; smaller thresholds admit noise-dominated directions
@@ -415,8 +415,7 @@ def correlation_lower_bound(workspace: FockWorkspace, transmittance, excess_nois
     The workspace is the coarse level of the cutoff gate; higher cutoffs are
     rebuilt from its source.  ``transmittance`` is a float or an array.
     """
-    t = np.asarray(transmittance)
-    reject(t, ~((0.0 <= t) & (t <= 1.0)), "transmittance must be in [0, 1]")
+    check_transmittance(transmittance)
     if excess_noise < 0.0:
         raise ValueError("excess noise must be >= 0")
     return _z_star(*_converged_moments(workspace, excess_noise), transmittance, excess_noise)
@@ -431,8 +430,7 @@ def mutual_information_qam(
     """Alice-Bob mutual information of the arbitrary-modulation bound."""
     if modulation_variance < 0.0 or excess_noise < 0.0:
         raise ValueError("modulation variance and excess noise must be >= 0")
-    t = np.asarray(transmittance)
-    reject(t, ~((0.0 <= t) & (t <= 1.0)), "transmittance must be in [0, 1]")
+    check_transmittance(transmittance)
     half = 0.5 * np.log2(
         1.0
         + transmittance * modulation_variance / (2.0 + transmittance * excess_noise)
@@ -459,12 +457,12 @@ def qam_security(
     A negative correlation bound is floored at zero (it carries no
     correlation information and only certifies the absence of key).
     """
-    noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
-    constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
-    cutoff = start_cutoff(side, modulation_variance)
+    cutoff = start_cutoff(side, modulation_variance)  # checked before anything is built
     if cutoff > _MAX_CUTOFF:
         raise ConvergenceError(f"{side * side}-QAM at V_A = {modulation_variance:g} needs a "
                                f"start cutoff of {cutoff:.0f}, over the cap of {_MAX_CUTOFF}")
+    noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
+    constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
     workspace = modulation_density_matrix(constellation, cutoff)
     z_star = max(float(correlation_lower_bound(workspace, 1.0, excess_noise)), 0.0)
     v_eff = constellation.modulation_variance

@@ -2,8 +2,9 @@
 
 Conventions used throughout the package:
 
-* lengths are metres internally (km only at CLI/config boundaries and in
-  the visibility parameter, which is conventionally quoted in km),
+* lengths are metres internally (km only at the CLI/config boundaries, the
+  CSV row ``pipeline.PointResult`` included, and in the visibility
+  parameter, which is conventionally quoted in km),
 * attenuations are decibels (positive = loss),
 * transmittances are dimensionless fractions in [0, 1],
 * all noise variances are in shot-noise units (vacuum variance = 1).
@@ -28,6 +29,13 @@ def reject(values, bad, message: str) -> None:
     """Raise ``ValueError`` with ``message`` and the offending value, if ``bad`` holds anywhere."""
     if np.any(bad):
         raise ValueError(f"{message}, got {offending(values, bad)}")
+
+
+def check_transmittance(transmittance) -> None:
+    """Reject a transmittance (float or array) outside (0, 1]: no formula of the
+    package holds for a blocked channel, whose line noise 1/T - 1 diverges."""
+    t = np.asarray(transmittance)
+    reject(t, ~((0.0 < t) & (t <= 1.0)), "transmittance must be in (0, 1]")
 
 
 def validating(record: type) -> type:
@@ -56,11 +64,5 @@ def db_to_transmittance(attenuation_db):
 
 def transmittance_to_db(transmittance: float) -> float:
     """Convert a power transmittance in (0, 1] to an attenuation in dB."""
-    if not transmittance > 0.0:
-        raise ValueError(
-            f"transmittance must be > 0 (got {transmittance}); "
-            "a fully blocked channel has no finite dB value"
-        )
-    if transmittance > 1.0:
-        raise ValueError(f"transmittance must be <= 1, got {transmittance}")
+    check_transmittance(transmittance)
     return -10.0 * math.log10(transmittance)

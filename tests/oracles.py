@@ -411,25 +411,21 @@ def _qam_like_security(v_eff, t, excess, homodyne, z_star):
 
 
 def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, finite_params):
-    """One row of the package's CSV as a dict keyed by PointResult field name."""
+    """One row of the package's CSV as a dict keyed by column (PointResult field) name."""
     from satcvqkd import qam
     from satcvqkd.finite_size import ReconciliationModel, privacy_penalty
     from satcvqkd.gaussian import gaussian_correlation
+    from satcvqkd.pipeline import PointResult
     from satcvqkd.psk import correlation_z
 
-    row = dict(
+    row = dict.fromkeys(PointResult._fields)
+    row.update(
         protocol=spec.label, detection=spec.detection.value,
-        modulation_variance=spec.modulation_variance, altitude_m=altitude_m,
+        modulation_variance_snu=spec.modulation_variance, altitude_km=altitude_m / 1000.0,
         elevation_deg=elevation_deg, status="ok", far_field_ok=True,
-        **dict.fromkeys((
-            "l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db", "a_sci_db", "a_tot_db",
-            "transmittance", "mutual_information", "holevo", "skr_asymptotic_per_pulse",
-            "snr_db", "beta_value", "beta_valid", "fer_value", "fer_raw", "privacy",
-            "skr_bits_per_second",
-        )),
     )
     total, l_atm, a_geo, a_scat, a_sci = _link_budget(setup, altitude_m, elevation_deg)
-    row.update(l_tot_m=total, l_atm_eff_m=l_atm)
+    row.update(l_tot_km=total / 1000.0, l_atm_eff_km=l_atm / 1000.0)
     if a_geo is None:
         row.update(far_field_ok=False, status="far_field_excluded")
         return row
@@ -465,21 +461,21 @@ def reference_point(setup, spec, altitude_m, elevation_deg, reconciliation, fini
         value = model.c1 * math.exp(model.c2 * snr) + model.c3 * math.exp(model.c4 * snr)
         raw = 0.5 * (1.0 + model.m1 * math.atan(model.m2 * snr + model.m3))
         row.update(
-            beta_value=value, beta_valid=math.isfinite(value) and 0.0 <= value <= 1.0,
-            fer_value=min(max(raw, 0.0), 1.0), fer_raw=raw,
-            privacy=privacy_penalty(finite_params),
+            beta=value, beta_valid=math.isfinite(value) and 0.0 <= value <= 1.0,
+            fer=min(max(raw, 0.0), 1.0), fer_raw=raw,
+            privacy_bits_per_pulse=privacy_penalty(finite_params),
         )
         if not row["beta_valid"]:
             row["status"] = "no_key_beta_invalid"
             return row
     else:
-        row.update(beta_value=reconciliation, beta_valid=True)
+        row.update(beta=reconciliation, beta_valid=True)
 
-    skr = row["beta_value"] * i_ab - s_be
-    row.update(mutual_information=i_ab, holevo=s_be, skr_asymptotic_per_pulse=skr)
+    skr = row["beta"] * i_ab - s_be
+    row.update(i_ab_bits_per_pulse=i_ab, s_be_bits_per_pulse=s_be, skr_bits_per_pulse=skr)
     if fitted:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * (
-            (1.0 - row["fer_value"]) * row["beta_value"] * i_ab - s_be - row["privacy"]
+            (1.0 - row["fer"]) * row["beta"] * i_ab - s_be - row["privacy_bits_per_pulse"]
         )
     else:
         row["skr_bits_per_second"] = finite_params.repetition_rate_hz * skr
@@ -504,18 +500,15 @@ def grid_csv_rows(records) -> str:
     ``records`` are the ``evaluate_point`` results of each protocol over one
     flat grid; rows run point-major, protocol-minor.
     """
-    from satcvqkd.pipeline import CSV_COLUMNS
-
     lines = []
-    for i in range(records[0].altitude_m.size):
+    for i in range(records[0].altitude_km.size):
         for record in records:
             fields = []
-            for _, name, divisor in CSV_COLUMNS:
-                value = getattr(record, name)
+            for value in record:
                 if isinstance(value, np.ndarray):
                     value = value[i]
                     value = value.item() if isinstance(value, np.generic) else value
-                fields.append(_csv_field(value / divisor if divisor else value))
+                fields.append(_csv_field(value))
             lines.append(",".join(fields) + "\n")
     return "".join(lines)
 

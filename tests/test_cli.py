@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from satcvqkd import ConfigError, synthesize_circular_pass
 from satcvqkd import config as config_mod
 from satcvqkd.cli import main
 from satcvqkd.pass_analysis import circular_pass_arc
+from satcvqkd.psk import series_terms
 
 DATA = Path(__file__).parent / "data"
 
@@ -543,6 +545,68 @@ def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
     monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count - 1)
     with pytest.raises(ConfigError, match=f"pass samples would be {count}, over the cap"):
         config_mod.resolve(SYNTH_PASS)
+
+
+def test_psk_series_cap_counts_the_sector_series_terms(monkeypatch):
+    at = {"kind": "psk", "states": 8, "modulation_variance_snu": 2e4}  # alpha^2 = 1e4
+    assert series_terms(100.0) == 10900
+    monkeypatch.setattr(config_mod, "_MAX_SERIES_TERMS", 10900)
+    config_mod.resolve({**ONE_POINT, "protocol": at})
+    monkeypatch.setattr(config_mod, "_MAX_SERIES_TERMS", 10899)
+    with pytest.raises(ConfigError, match="8-PSK at modulation_variance_snu 20000 would be "
+                       "10900, over the cap of 10899"):
+        config_mod.resolve({**ONE_POINT, "protocol": at})
+
+
+# --- a config that resolves never ends in a traceback -----------------------------
+# Each config passes or fails validate-config as its run does: a bad value is a
+# config error (exit 1) at resolve time, and a float that fails at run time is
+# a numerical failure (exit 2).  Either way stderr holds one line.
+
+AT_10_DEG = _replaced(ONE_POINT, ("sweep", "elevation_deg"), [10])
+RUN_FAILURES = {
+    "transmitter_efficiency_0": (
+        {**ONE_POINT, "terminals": {"transmitter_efficiency": 0}}, 1,
+        "config error: transmitter_efficiency must be in (0, 1], got 0.0"),
+    "pointing_loss_1": (
+        {**ONE_POINT, "terminals": {"pointing_loss": 1}}, 1,
+        "config error: pointing_loss must be in [0, 1), got 1.0"),
+    "fog_at_10_deg": (
+        {**AT_10_DEG, "conditions": {"visibility_km": 0.5}}, 2,  # a 3,000+ dB path: T = 0
+        "numerical failure: transmittance must be in (0, 1], got 0.0"),
+    "cn2_1e300": (
+        {**ONE_POINT, "conditions": {"cn2": 1e300}}, 2,
+        "numerical failure: Rytov variance must be finite, got inf"),
+    "gm_modulation_variance_1e300": (
+        {**ONE_POINT, "protocol": {"kind": "gm", "modulation_variance_snu": 1e300}}, 2,
+        "numerical failure: (34, 'Numerical result out of range')"),
+    "md_smoothing_1e-320": (
+        {**ONE_POINT, "reconciliation": "md", "finite_size": {"smoothing": 1e-320}}, 2,
+        "numerical failure: float division by zero"),
+    "psk8_modulation_variance_1e8": (
+        {**ONE_POINT, "protocol": {"kind": "psk", "states": 8, "modulation_variance_snu": 1e8}},
+        1, "config error: the sector-series terms of 8-PSK at modulation_variance_snu 1e+08 "
+        "would be 50063640, over the cap of 1000000"),
+    "psk2_modulation_variance_1e300": (
+        {**ONE_POINT, "protocol": {"kind": "psk", "states": 2, "modulation_variance_snu": 1e300}},
+        1, "config error: the sector-series terms of 2-PSK at modulation_variance_snu 1e+300 "
+        "would be 5e+299, over the cap of 1000000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_FAILURES))
+def test_a_config_that_fails_ends_in_one_line(tmp_path, capsys, case):
+    payload, code, message = RUN_FAILURES[case]
+    path = _write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "out.csv"
+    for argv, expected in ((["validate-config", "--config", path], 0 if code == 2 else code),
+                           (["sweep", "--config", path, "--output", str(out)], code)):
+        start = time.perf_counter()
+        assert main(argv) == expected
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err == ("" if expected == 0 else message + "\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, run", [

@@ -12,9 +12,19 @@ import satcvqkd.pipeline as pipeline
 from satcvqkd import UnphysicalCovariance
 from satcvqkd import config as config_mod
 from satcvqkd.cli import main
-from satcvqkd.pipeline import CSV_COLUMNS, evaluate_point, link_columns
+from satcvqkd.pipeline import PointResult, evaluate_point, link_columns
 
 from oracles import grid_csv_rows, reference_point
+
+# The CSV format, written out: the header comes from PointResult's field names,
+# so a renamed or reordered field fails here instead of changing the files.
+CSV_HEADER = (
+    "protocol,detection,modulation_variance_snu,altitude_km,elevation_deg,l_tot_km,"
+    "l_atm_eff_km,a_geo_db,a_scat_db,a_sci_db,a_tot_db,transmittance,snr_db,beta,beta_valid,"
+    "fer,fer_raw,i_ab_bits_per_pulse,s_be_bits_per_pulse,privacy_bits_per_pulse,"
+    "skr_bits_per_pulse,skr_bits_per_second,far_field_ok,status"
+)
+COLUMNS = PointResult._fields
 
 RTOL = 1e-12  # relative to the column's largest magnitude
 
@@ -55,15 +65,18 @@ def _config(tmp_path, protocols, reconciliation):
     return str(path)
 
 
-def _field(value, divisor):
+def _field(value):
     """A reference value as the float a numeric CSV field holds, else as its text."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return value / divisor if divisor else value
-    return str(value)
+    return value if isinstance(value, float) else str(value)
+
+
+def test_point_result_fields_are_the_csv_header():
+    assert ",".join(COLUMNS) == CSV_HEADER
+    assert len(COLUMNS) == 24
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -74,12 +87,12 @@ def test_grid_csv_matches_per_point_reference(tmp_path, case):
     assert main(["compare", "--config", config_path, "--output", str(out)]) == 0
     lines = [line for line in out.read_text(encoding="utf-8").splitlines()
              if not line.startswith("#")]
-    assert lines[0] == ",".join(column for column, _, _ in CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
 
     plan = config_mod.load(config_path, "compare")
     expected = [
-        [_field(point[name], divisor) for _, name, divisor in CSV_COLUMNS]
+        [_field(point[column]) for column in COLUMNS]
         for altitude in plan.sweep.altitudes_m
         for elevation in plan.sweep.elevations_deg
         for spec in plan.protocols
@@ -87,16 +100,16 @@ def test_grid_csv_matches_per_point_reference(tmp_path, case):
                                       plan.reconciliation, plan.finite)]
     ]
     assert len(rows) == len(expected)
-    status = [column for column, _, _ in CSV_COLUMNS].index("status")
+    status = COLUMNS.index("status")
     statuses = {row[status] for row in expected}
     assert "far_field_excluded" in statuses and "ok" in statuses
     if case == "mlc_msd":
         assert "no_key_beta_invalid" in statuses
 
-    for j, (column, _, _) in enumerate(CSV_COLUMNS):
+    for j, column in enumerate(COLUMNS):
         scale = max((abs(row[j]) for row in expected if isinstance(row[j], float)), default=0.0)
         for got, want in zip(rows, expected):
-            assert len(got) == len(CSV_COLUMNS)
+            assert len(got) == len(COLUMNS)
             if isinstance(want[j], float):  # the field must parse as a number
                 assert abs(float(got[j]) - want[j]) <= RTOL * scale, (column, got, want)
             else:
@@ -125,7 +138,7 @@ def test_grid_csv_is_byte_identical_to_the_row_formatter(tmp_path, monkeypatch, 
     assert main(["compare", "--config", config_path, "--output", str(out)]) == 0
     echo, header, rows = out.read_bytes().decode("utf-8").split("\n", 2)
     assert echo.startswith("# satcvqkd config ")
-    assert header == ",".join(column for column, _, _ in CSV_COLUMNS)
+    assert header == CSV_HEADER
     assert rows == grid_csv_rows(_records(config_mod.load(config_path, "compare")))
     assert rows.count("\n") == points * len(protocols)
 
@@ -180,8 +193,7 @@ def test_each_distinct_number_is_formatted_once_per_block(tmp_path, monkeypatch)
     def distinct(records, block, names):
         """Distinct bit patterns of each number column ``names`` holds, over the block's rows."""
         total = 0
-        for _, name, divisor in CSV_COLUMNS:
-            values = [getattr(record, name) for record in records]
+        for name, values in zip(COLUMNS, zip(*records)):
             if name not in names or not any(
                 isinstance(v, float) or isinstance(v, np.ndarray) and v.dtype.kind == "f"
                 for v in values
@@ -189,15 +201,13 @@ def test_each_distinct_number_is_formatted_once_per_block(tmp_path, monkeypatch)
                 continue
             numbers = np.array([[np.nan if v is None else v[i] if isinstance(v, np.ndarray) else v
                                  for v in values] for i in range(block.start, block.stop)])
-            total += len(set((numbers / divisor if divisor else numbers)
-                             .view(np.int64).ravel().tolist()))
+            total += len(set(numbers.view(np.int64).ravel().tolist()))
         return total
 
     combined, records = run(protocols)
-    every = {name for _, name, _ in CSV_COLUMNS}
-    assert combined == [distinct(records, block, every) for block in blocks]
+    assert combined == [distinct(records, block, set(COLUMNS)) for block in blocks]
 
-    link = {"altitude_m", "elevation_deg", "l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db",
+    link = {"altitude_km", "elevation_deg", "l_tot_km", "l_atm_eff_km", "a_geo_db", "a_scat_db",
             "a_sci_db", "a_tot_db", "transmittance"}
     link_count = sum(distinct(records, block, link) for block in blocks)
     separate = sum(sum(run([protocol])[0]) for protocol in protocols)

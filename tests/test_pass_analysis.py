@@ -236,8 +236,8 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 
     def fake_evaluate(link, spec, recon, params):
         return PointResult(
-            protocol="GM", detection="homodyne", modulation_variance=5.0,
-            altitude_m=link.columns["altitude_m"], elevation_deg=link.columns["elevation_deg"],
+            protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
+            altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
             skr_bits_per_second=1e6,
         )
 
@@ -254,8 +254,8 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
 
     def fake_evaluate(link, spec, recon, params):
         return PointResult(
-            protocol="GM", detection="homodyne", modulation_variance=5.0,
-            altitude_m=link.columns["altitude_m"], elevation_deg=link.columns["elevation_deg"],
+            protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
+            altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
             skr_bits_per_second=-5.0,
         )
 

@@ -49,9 +49,9 @@ def test_reference_ordering_at_500km():
         for spec in (GM, PSK8, QAM256)
     )
     assert (
-        gm.skr_asymptotic_per_pulse
-        >= qam256.skr_asymptotic_per_pulse
-        >= psk8.skr_asymptotic_per_pulse
+        gm.skr_bits_per_pulse
+        >= qam256.skr_bits_per_pulse
+        >= psk8.skr_bits_per_pulse
     )
 
 
@@ -59,7 +59,7 @@ def test_bad_conditions_kill_psk():
     setup = LinkSetup(terminals=OpticalTerminals(), conditions=BAD, noise=DAYLIGHT_NOISE)
     for altitude in (200e3, 400e3, 800e3):
         point = evaluate_point(link_columns(setup, altitude, 90.0), PSK8, ASY, FiniteSizeParams())
-        assert point.skr_asymptotic_per_pulse <= 0.0
+        assert point.skr_bits_per_pulse <= 0.0
 
 
 def test_far_field_exclusion_flagged():
@@ -72,7 +72,7 @@ def test_far_field_exclusion_flagged():
     assert not point.far_field_ok
     assert point.status == "far_field_excluded"
     assert point.transmittance is None
-    assert point.l_tot_m is not None  # geometry still reported
+    assert point.l_tot_km is not None  # geometry still reported
 
 
 def test_finite_size_restricted_to_gaussian_modulation():
@@ -99,8 +99,8 @@ def test_finite_point_carries_fit_diagnostics():
     point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, MD, FiniteSizeParams())
     assert point.snr_db is not None
     assert point.beta_valid
-    assert 0.0 <= point.fer_value <= 1.0
-    assert point.privacy == pytest.approx(1.1395e-3, abs=1e-6)
+    assert 0.0 <= point.fer <= 1.0
+    assert point.privacy_bits_per_pulse == pytest.approx(1.1395e-3, abs=1e-6)
     assert point.skr_bits_per_second is not None and point.skr_bits_per_second > 0.0
 
 
@@ -139,7 +139,7 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
 def test_asymptotic_rate_scaled_by_repetition_rate():
     point = evaluate_point(link_columns(SETUP, 500e3, 90.0), GM, ASY, FiniteSizeParams())
     assert point.skr_bits_per_second == pytest.approx(
-        50e6 * point.skr_asymptotic_per_pulse, rel=1e-12
+        50e6 * point.skr_bits_per_pulse, rel=1e-12
     )
 
 
@@ -224,7 +224,7 @@ def test_gm_asymptotic_rate_does_not_increase_with_altitude(low_km, rise_km, ele
     low, high = (
         evaluate_point(
             link_columns(SETUP, km * 1e3, elevation), GM, BETA_95, FiniteSizeParams()
-        ).skr_asymptotic_per_pulse
+        ).skr_bits_per_pulse
         for km in (low_km, high_km)
     )
     assert high <= low

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from satcvqkd import (
     zeta_weights,
 )
 from satcvqkd.gaussian import covariance_security, gaussian_correlation
+from satcvqkd.psk import series_terms
 
 from oracles import psk_weights_dft
 
@@ -133,6 +135,27 @@ def test_state_count_outside_the_rings_rejected():
     for reject in (lambda: zeta_weights(3, 0.5), lambda: correlation_z(16, 0.5),
                    lambda: psk_security(6, 0.5, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)):
         with pytest.raises(ValueError, match=r"^states must be one of \(2, 4, 8\), got \d+$"):
+            reject()
+
+
+@pytest.mark.parametrize("alpha", [100.0, 300.0])
+def test_series_terms_count_the_sector_sums(monkeypatch, alpha):
+    lgamma, calls = math.lgamma, []  # one lgamma per term
+    monkeypatch.setattr(math, "lgamma", lambda n: calls.append(n) or lgamma(n))
+    zeta_weights(8, alpha)
+    assert len(calls) == pytest.approx(series_terms(alpha), rel=0.01)
+
+
+def test_a_series_over_the_cap_is_refused_before_it_is_summed(monkeypatch):
+    monkeypatch.setattr(math, "lgamma", lambda n: pytest.fail("a term was summed"))
+    for reject, alpha, terms in (
+        (lambda: zeta_weights(8, 1e200), "1e+200", "inf"),  # alpha^2 overflows
+        (lambda: psk_security(8, 2e300, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
+         "1e+150", "1e+300"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(
+                f"8-PSK at alpha = {alpha} needs about {terms} sector-series terms, "
+                "over the cap of 1000000")):
             reject()
 
 

@@ -203,10 +203,12 @@ def test_thermal_limit_recovers_gaussian_correlation(v_a, transmittance):
     assert z == pytest.approx(expected, abs=1e-6)
 
 
-def test_zero_transmittance_zero_correlation():
+def test_correlation_bound_rejects_a_blocked_channel():
+    # T = 0 follows the one transmittance rule of the package, (0, 1]
     c = build_constellation(4, 1.0, Binomial())
     ws = modulation_density_matrix(c)
-    assert correlation_lower_bound(ws, 0.0, 0.05) == 0.0
+    with pytest.raises(ValueError, match=r"^transmittance must be in \(0, 1\], got 0.0$"):
+        correlation_lower_bound(ws, 0.0, 0.05)
 
 
 def test_moments_match_high_precision_gram_oracle():
@@ -491,6 +493,13 @@ def test_qam_security_rejects_a_start_cutoff_over_the_cap_before_building(monkey
         qam_security(16, 200.0, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
 
 
+def test_qam_security_past_float_range_is_the_cap_error():
+    # the grid of this V_A overflows a float: the cap answers before it is built
+    with pytest.raises(ConvergenceError, match=r"^4096-QAM at V_A = 1e\+308 needs a start "
+                       r"cutoff of inf, over the cap of 4096$"):
+        qam_security(64, 1e308, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+
+
 # --- mutual information and Holevo bound ----------------------------------------
 
 
@@ -603,8 +612,7 @@ def test_every_protocol_rejects_a_blocked_channel_alike():
         with pytest.raises(ValueError) as caught:
             call()
         messages.add(str(caught.value))
-    assert messages == {"transmittance must be in (0, 1], got 0.0; "
-                        "the line noise diverges for a fully blocked channel"}
+    assert messages == {"transmittance must be in (0, 1], got 0.0"}
 
 
 # --- shape ---------------------------------------------------------------------------
@@ -683,7 +691,7 @@ def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):
 def test_correlation_bound_takes_an_array_of_transmittances(source):
     ws = modulation_density_matrix(build_constellation(4, 1.2, DiscreteGaussian(nu=0.3))) \
         if source == "constellation" else thermal_workspace(1.0)
-    transmittances = np.array([[0.0, 0.01], [0.5, 1.0]])
+    transmittances = np.array([[0.001, 0.01], [0.5, 1.0]])
     z = correlation_lower_bound(ws, transmittances, QAM_EXCESS)
     assert z.shape == transmittances.shape
     assert z.tolist() == [[correlation_lower_bound(ws, float(t), QAM_EXCESS) for t in row]

@@ -20,24 +20,18 @@ import satcvqkd
 from satcvqkd import channel, config, errors, finite_size, gaussian, pass_analysis, pipeline, \
     qam
 
-_NONE_DEFAULTS = dict.fromkeys(
-    ("l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db", "a_sci_db", "a_tot_db",
-     "transmittance", "mutual_information", "holevo", "skr_asymptotic_per_pulse", "snr_db",
-     "beta_value", "beta_valid", "fer_value", "fer_raw", "privacy", "skr_bits_per_second"))
-
 # Each result record with its fields in order and its defaults.
 RESULT_RECORDS = {
     channel.SlantPath: (("total_distance_m", "effective_atmosphere_m"), {}),
     channel.LinkBudget: (("geometric_db", "scattering_db", "scintillation_db"), {}),
     gaussian.ChannelNoiseState: (("chi_line", "chi_detector", "chi_total"), {}),
     gaussian.SecurityResult: (("mutual_information", "holevo", "skr_asymptotic"), {}),
+    # the CSV row: test_grid pins its fields against the literal header; the
+    # five leading fields are required and every key or link value is optional
     pipeline.PointResult: (
-        ("protocol", "detection", "modulation_variance", "altitude_m", "elevation_deg",
-         "status", "l_tot_m", "l_atm_eff_m", "a_geo_db", "a_scat_db", "a_sci_db", "a_tot_db",
-         "transmittance", "far_field_ok", "mutual_information", "holevo",
-         "skr_asymptotic_per_pulse", "snr_db", "beta_value", "beta_valid", "fer_value",
-         "fer_raw", "privacy", "skr_bits_per_second"),
-        {"status": "ok", "far_field_ok": True, **_NONE_DEFAULTS},
+        pipeline.PointResult._fields,
+        {**dict.fromkeys(pipeline.PointResult._fields[5:-2]), "far_field_ok": True,
+         "status": "ok"},
     ),
     pipeline.LinkColumns: (
         ("noise", "shape", "far_field_ok", "linked", "transmittance", "columns"), {}),
@@ -67,7 +61,7 @@ INPUT_RECORDS = {
         errors.GeometryError, "elevation must be in (0, 90] degrees, got 0.0"),
     channel.OpticalTerminals: (
         channel.OpticalTerminals(), "pointing_loss", 1.5,
-        ValueError, "pointing_loss must be in [0, 1], got 1.5"),
+        ValueError, "pointing_loss must be in [0, 1), got 1.5"),
     channel.AtmosphericConditions: (
         config.GOOD_CONDITIONS, "cn2", 0.0, ValueError, "Cn^2 must be positive, got 0.0"),
     gaussian.NoiseBudget: (
