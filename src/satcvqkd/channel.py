@@ -243,12 +243,16 @@ def scintillation_index(
     reject(effective_atmosphere_m, effective_atmosphere_m <= 0.0, "path length must be positive")
     reject(rytov_var, rytov_var < 0.0, "Rytov variance must be >= 0")
     d_sq = receiver_aperture_m**2 * math.pi / (2.0 * wavelength_m * effective_atmosphere_m)
-    s65 = rytov_var ** (6.0 / 5.0)
-    first = 0.20 * rytov_var / (1.0 + 0.18 * d_sq + 0.20 * s65) ** (7.0 / 6.0)
-    second = (
-        0.21 * rytov_var * (1.0 + 0.24 * s65) ** (-5.0 / 6.0)
-        / (1.0 + 0.90 * d_sq + 0.21 * d_sq * s65)
-    )
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not printed
+        s65 = rytov_var ** (6.0 / 5.0)
+        first = 0.20 * rytov_var / (1.0 + 0.18 * d_sq + 0.20 * s65) ** (7.0 / 6.0)
+        second = (
+            0.21 * rytov_var * (1.0 + 0.24 * s65) ** (-5.0 / 6.0)
+            / (1.0 + 0.90 * d_sq + 0.21 * d_sq * s65)
+        )
+        # s65, or its product with d_sq, past the largest double makes both terms read 0
+        reject(rytov_var, np.isinf(d_sq * s65),
+               "Rytov variance too large for the scintillation index")
     return np.expm1(first + second)
 
 

@@ -3,9 +3,18 @@
 Output is CSV with a '#'-prefixed echo of the resolved configuration;
 identical configs produce byte-identical files.  All numerical work is done
 before the output is opened, so a numerical failure writes nothing; rows are
-then formatted and written one block at a time.  Within a block, a number
-column formats each distinct value once over all protocols' rows, keyed on
-its bit pattern; dedup stops at the block, which bounds the texts kept alive.
+then formatted and written one block at a time, and every number field is
+the ``repr`` of its float (empty for NaN).
+
+A sweep or compare block formats each distinct value of a number column
+once over all protocols' rows, keyed on its bit pattern, with ``repr``;
+dedup stops at the block, which bounds the texts kept alive.
+
+A pass block is 8192 rows.  When at least 3/4 of every 64th time and
+elevation in it has a ``repr`` of at most 15 significant digits (a measured
+profile's six decimals), the block is one uint8 matrix from
+``_float_fields``, whose NUL bytes are then deleted; otherwise (a
+synthesized pass, mostly 17 digits) each field is a ``repr`` call.
 """
 
 from __future__ import annotations
@@ -26,8 +35,14 @@ from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular
 from .pipeline import PointResult, evaluate_point, link_columns
 
 _CSV_HEADER = ",".join(PointResult._fields)
-_BLOCK_ROWS = 512  # rows formatted and written at a time
+_BLOCK_ROWS = 512  # sweep rows formatted and written at a time
+_PASS_BLOCK_ROWS = 8192  # pass rows at a time: under 0.5 MiB of text
 _FLAG_TEXT = {True: "true", False: "false", None: ""}
+_PROVEN_STRIDE = 64  # a pass block samples every 64th time and elevation
+_MIN_PROVEN = 0.75  # least proven share for the matrix; repr is cheaper below ~0.65
+_POW10 = 10.0 ** np.arange(19)  # exact doubles
+_TO_18_DIGITS = 10 ** (18 - np.arange(19))  # int64: d fraction digits scaled to 18
+_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
 
 
 def _texts(values: Sequence, block: slice) -> list[str]:
@@ -60,14 +75,92 @@ def _texts(values: Sequence, block: slice) -> list[str]:
     return texts if inverse is None else list(map(texts.__getitem__, inverse.tolist()))
 
 
+def _fifteen_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """v = |x| (1.0 where not proven), n = rint(v 10^d) of 15 digits, d, and
+    which values are proven, as ``_float_fields`` below describes."""
+    v = np.abs(x)
+    proven = (v >= 1e-4) & (v < 1e15)  # False for NaN
+    v = np.where(proven, v, 1.0)
+    d = 14 - np.floor(np.log10(v)).astype(np.intp)
+    n = np.rint(v * _POW10[d])
+    d += (n < 1e14).view(np.int8) - (n >= 1e15).view(np.int8)  # log10 missed a decade
+    np.clip(d, 0, 18, out=d)
+    np.rint(v * _POW10[d], out=n)
+    proven &= (n >= 1e14) & (n < 1e15) & (n / _POW10[d] == v)
+    return v, n, d, proven
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float of ``x`` (NaN: empty) as one row of ASCII
+    bytes per value, padded with NUL bytes that may sit anywhere in the row.
+
+    A value v = |x| in [1e-4, 1e15) is proven when n = rint(v 10^d), with d
+    chosen so that n has 15 digits, satisfies n / 10^d == v.  That test is
+    exact: n < 2^53 and 10^d <= 1e18 are exact doubles, and IEEE division
+    rounds the quotient as ``float()`` rounds the decimal n 10^-d.  Doubles
+    lie closer together than 15-digit decimals, so no other 15-digit decimal
+    rounds to v; when ``repr`` needs at most 15 digits, its digits are n's
+    without trailing zeros, in fixed point in this range.  ``rint`` finds n:
+    it lies within 0.11 of the exact v 10^d, and the computed product within
+    0.0625 of that.  Every other value (16 or 17 digits, 0, inf, NaN, and
+    |x| outside the range) goes to ``repr``.
+    """
+    x = np.asarray(x, dtype=float)
+    v, n, d, proven = _fifteen_digits(x)
+    scale = _POW10[d]
+
+    # Columns are sign, integer digits, point and fraction digits; a NUL stands
+    # for a leading zero of the integer part and a trailing zero of the fraction.
+    # Below 1e15, floor(w * 0.1) is w // 10 exactly.  The fraction is n's last
+    # d digits, scaled to 18 digits in int64.
+    whole = np.floor(v)
+    fraction = (n - whole * scale).astype(np.int64) * _TO_18_DIGITS[d]
+    columns = []
+    while True:
+        above = np.floor(whole * 0.1)
+        digit = (whole - 10.0 * above).astype(np.uint8) + _ZERO
+        columns.append(np.where(whole == 0.0, 0, digit) if columns else digit)
+        whole = above
+        if not whole.any():
+            break
+    columns.append(np.where(np.signbit(x), _MINUS, 0).astype(np.uint8))
+    columns.reverse()
+    columns.append(np.full(x.size, _POINT, np.uint8))
+    for power in range(17, -1, -1):
+        digit, rest = np.divmod(fraction, 10**power)
+        digit = digit.astype(np.uint8) + _ZERO
+        columns.append(digit if power == 17 else np.where(fraction == 0, 0, digit))
+        fraction = rest
+        if not fraction.any():
+            break
+    fields = np.stack(columns, axis=1)
+
+    others = np.flatnonzero(~proven)
+    if others.size:
+        texts = np.array([t if t != "nan" else "" for t in map(repr, x[others].tolist())],
+                         dtype=bytes)
+        if texts.itemsize > fields.shape[1]:
+            fields = np.pad(fields, ((0, 0), (0, texts.itemsize - fields.shape[1])))
+        fields[others] = 0
+        fields[others, :texts.itemsize] = texts.view(np.uint8).reshape(others.size, -1)
+    return fields
+
+
+def _csv_lines(fields: Sequence[np.ndarray]) -> str:
+    """One block's CSV lines, joined by newlines, from its ``_float_fields`` rows."""
+    comma = np.full((fields[0].shape[0], 1), ord(","), np.uint8)
+    matrix = np.hstack([part for field in fields for part in (field, comma)])
+    matrix[:, -1] = ord("\n")
+    matrix[-1, -1] = 0  # _write ends the last line
+    return matrix.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _echo_line(plan: config_mod.RunPlan) -> str:
     return f"# satcvqkd config {json.dumps(plan.resolved, sort_keys=True)}"
 
 
-def _write(
-    output: str | None, head: Sequence[str], blocks: Iterable[Iterable[Sequence[str]]]
-) -> None:
-    """Write the ``head`` lines, then each non-empty block of rows of CSV fields."""
+def _write(output: str | None, head: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write the ``head`` lines, then each block of CSV lines joined by newlines."""
     try:
         opened = contextlib.nullcontext(sys.stdout) if output is None \
             else open(output, "w", encoding="utf-8", newline="\n")
@@ -75,8 +168,8 @@ def _write(
         raise ConfigError(f"cannot open --output: {exc}") from None
     with opened as handle:
         handle.write("".join(line + "\n" for line in head))
-        for rows in blocks:
-            handle.write("\n".join(map(",".join, rows)))
+        for lines in blocks:
+            handle.write(lines)
             handle.write("\n")  # a separate write: no copy of the block's text
 
 
@@ -93,10 +186,10 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     points = altitudes.size
     step = max(1, _BLOCK_ROWS // len(results))
 
-    def blocks() -> Iterator[Iterable[Sequence[str]]]:
+    def blocks() -> Iterator[str]:
         for start in range(0, points, step):
             block = slice(start, min(start + step, points))
-            yield zip(*(_texts(values, block) for values in columns))
+            yield "\n".join(map(",".join, zip(*(_texts(values, block) for values in columns))))
 
     _write(output, [_echo_line(plan), _CSV_HEADER], blocks())
 
@@ -145,17 +238,23 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
         f"skr_bits_per_second[{name}]" for name, _ in models
     ))
     bin_texts = [list(map(repr, model.bin_rates.tolist())) for _, model in models]
+    bin_fields = [_float_fields(model.bin_rates) for _, model in models]
     sample_bins = result.sample_bins
 
-    def blocks() -> Iterator[Iterable[Sequence[str]]]:
-        for start in range(0, len(sample_bins), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            bins = sample_bins[block].tolist()
-            yield zip(
-                map(repr, profile.times_s[block].tolist()),
-                map(repr, profile.elevations_deg[block].tolist()),
-                *(map(texts.__getitem__, bins) for texts in bin_texts),
-            )
+    def blocks() -> Iterator[str]:
+        for start in range(0, len(sample_bins), _PASS_BLOCK_ROWS):
+            block = slice(start, start + _PASS_BLOCK_ROWS)
+            bins = sample_bins[block]
+            columns = (profile.times_s[block], profile.elevations_deg[block])
+            sample = np.concatenate([column[::_PROVEN_STRIDE] for column in columns])
+            if _fifteen_digits(sample)[3].mean() >= _MIN_PROVEN:
+                yield _csv_lines([*map(_float_fields, columns),
+                                  *(fields[bins] for fields in bin_fields)])
+            else:  # mostly 16- or 17-digit values: one repr each costs less
+                bins = bins.tolist()
+                yield "\n".join(map(",".join, zip(
+                    *(map(repr, column.tolist()) for column in columns),
+                    *(map(texts.__getitem__, bins) for texts in bin_texts))))
 
     _write(output, head, blocks())
     if excluded:

@@ -51,6 +51,10 @@ _ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
 _MAX_ROWS = 1_000_000  # altitudes x elevations x protocols of a sweep or compare
 _MAX_PASS_SAMPLES = 1_000_000
 _MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
+# Largest GM V_A: `holevo_bound` cancels V^2 against Z^2 = V^2 - 1, so its S_BE
+# error grows as about 2e-15 V_A bits.  Measured against 80-digit arithmetic over
+# T from 0.5 down to 1e-153: at most 4.6e-9 bits at 1e6, 0.5 bits at 1e14.
+_MAX_GM_VARIANCE = 1e6
 
 
 class SweepSpec(NamedTuple):
@@ -233,6 +237,9 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
     )
 
     if kind == "gm":
+        if v_a > _MAX_GM_VARIANCE:
+            raise ConfigError(f"gm modulation_variance_snu {v_a!r} is over the cap of "
+                              f"{_MAX_GM_VARIANCE:g}, past which S_BE loses its digits")
         return ProtocolSpec(kind="gm", detection=detection, modulation_variance=v_a)
     states = _number(mapping.get("states"), "protocol.states", integer=True)
     if kind == "psk":

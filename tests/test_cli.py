@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import satcvqkd
 from satcvqkd import ConfigError, synthesize_circular_pass
-from satcvqkd import config as config_mod
+from satcvqkd import cli, config as config_mod
 from satcvqkd.cli import main
-from satcvqkd.pass_analysis import circular_pass_arc
+from satcvqkd.pass_analysis import circular_pass_arc, integrate_key_bits, load_profile
 from satcvqkd.psk import series_terms
 
 DATA = Path(__file__).parent / "data"
@@ -275,6 +275,80 @@ def test_profile_byte_order_mark_changes_no_output_byte(tmp_path, text):
     assert outputs[0] == outputs[1]
 
 
+def _series_lines(text):
+    lines = text.splitlines()
+    return lines[lines.index(next(l for l in lines if l.startswith("time_s,"))) + 1:]
+
+
+@pytest.mark.parametrize("min_proven", [0.0, math.inf], ids=["matrix", "repr"])
+def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch, min_proven):
+    # 17-digit times, a scientific elevation and negative and zero rates: the
+    # series rows read as ",".join of each value's repr, on either block path.
+    monkeypatch.setattr(cli, "_MIN_PROVEN", min_proven)
+    profile = tmp_path / "profile.csv"
+    profile.write_text("0.30000000000000004,10.5\n60.123456789012345,30.25\n"
+                       "120.00000000000001,88.0\n180.99999999999997,45.123456789\n"
+                       "240.1,0.00005\n", encoding="utf-8")
+    config = _write_config(tmp_path, "pass.json", {
+        "protocol": "gm", "terminals": {"receiver_aperture_m": 2.0},
+        "reconciliation": {"kind": "md"},
+        "pass": {"profile_csv": str(profile), "altitude_km": 417.5},
+    })
+    results = []
+
+    def integrate(*args, **kwargs):
+        results.append(integrate_key_bits(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "integrate_key_bits", integrate)
+    out = tmp_path / "pass.csv"
+    assert main(["pass", "--config", config, "--output", str(out)]) == 0
+    (result,) = results
+    elevations = load_profile(profile).elevations_deg.tolist()
+    series = [result.skr_series(name) for name in sorted(result.models)]
+    expected = [",".join(map(repr, (t, e, *(rates[i][1] for rates in series))))
+                for i, (t, e) in enumerate(zip(result.times_s.tolist(), elevations))]
+    assert _series_lines(out.read_text(encoding="utf-8")) == expected
+    fields = [line.split(",") for line in expected]
+    assert fields[4][1] == "5e-05" and fields[1][0] == "60.123456789012344"  # 17 digits
+    assert {"0.0", "-998902.8018696125"} <= {f for row in fields for f in row[2:]}
+
+
+@pytest.mark.parametrize("synthesized", [True, False])
+def test_pass_block_path_follows_the_proven_share(tmp_path, monkeypatch, synthesized):
+    # A synthesized pass has 17-digit times and elevations, a measured profile
+    # six decimals: only the latter is worth the uint8 matrix.
+    profile = synthesize_circular_pass(417.5e3, 87.6, 2.0)
+    if synthesized:
+        payload = SYNTH_PASS
+    else:
+        rows = zip(profile.times_s.round(6).tolist(), profile.elevations_deg.round(6).tolist())
+        path = tmp_path / "profile.csv"
+        path.write_text("".join(f"{t},{e}\n" for t, e in rows), encoding="utf-8")
+        payload = {"protocol": "gm", "pass": {"profile_csv": str(path), "altitude_km": 417.5}}
+    matrices = []
+    monkeypatch.setattr(cli, "_csv_lines", lambda fields: matrices.append(fields) or "")
+    assert main(["pass", "--config", _write_config(tmp_path, "pass.json", payload),
+                 "--output", str(tmp_path / "pass.csv")]) == 0
+    assert len(matrices) == (0 if synthesized else 1)
+
+
+def test_one_sample_pass_has_no_series_rows(tmp_path):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("0,40\n", encoding="utf-8")
+    out = tmp_path / "pass.csv"
+    assert main(["pass", "--config", _profile_pass(tmp_path, profile), "--output", str(out)]) == 0
+    assert _series_lines(out.read_text(encoding="utf-8")) == []
+
+
+def test_pass_to_stdout_writes_the_file_bytes(tmp_path, capsys):
+    config = _write_config(tmp_path, "pass.json", {**SYNTH_PASS, "reconciliation": "md"})
+    out = tmp_path / "pass.csv"
+    assert main(["pass", "--config", config, "--output", str(out)]) == 0
+    assert main(["pass", "--config", config]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     payload = {
         **SWEEP_CONFIG,
@@ -523,6 +597,16 @@ def test_qam_states_cap(tmp_path, capsys, protocol, message):
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_gm_modulation_variance_cap(tmp_path, capsys):
+    for v_a, code in ((1e6, 0), (math.nextafter(1e6, math.inf), 1)):
+        protocol = {"kind": "gm", "modulation_variance_snu": v_a}
+        path = _write_config(tmp_path, "gm.json", {**ONE_POINT, "protocol": protocol})
+        assert main(["sweep", "--config", path, "--output", str(tmp_path / "gm.csv")]) == code
+    assert capsys.readouterr().err == (
+        "config error: gm modulation_variance_snu 1000000.0000000001 is over the cap of "
+        "1e+06, past which S_BE loses its digits\n")
+
+
 def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):
     monkeypatch.setattr(config_mod, "_MAX_ROWS", 12)
     grid = {"altitude_km": {"start": 500, "stop": 700, "step": 100}, "elevation_deg": [60, 90]}
@@ -577,9 +661,18 @@ RUN_FAILURES = {
     "cn2_1e300": (
         {**ONE_POINT, "conditions": {"cn2": 1e300}}, 2,
         "numerical failure: Rytov variance must be finite, got inf"),
+    "cn2_1e250": (  # the Rytov variance is finite; its 6/5 power is not
+        {**ONE_POINT, "conditions": {"cn2": 1e250}}, 2,
+        "numerical failure: Rytov variance too large for the scintillation index, "
+        "got 4.823018642446752e+265"),
     "gm_modulation_variance_1e300": (
-        {**ONE_POINT, "protocol": {"kind": "gm", "modulation_variance_snu": 1e300}}, 2,
-        "numerical failure: (34, 'Numerical result out of range')"),
+        {**ONE_POINT, "protocol": {"kind": "gm", "modulation_variance_snu": 1e300}}, 1,
+        "config error: gm modulation_variance_snu 1e+300 is over the cap of 1e+06, "
+        "past which S_BE loses its digits"),
+    "gm_modulation_variance_3e15": (  # S_BE would lose bits to cancellation: a false key
+        {**ONE_POINT, "protocol": {"kind": "gm", "modulation_variance_snu": 3e15}}, 1,
+        "config error: gm modulation_variance_snu 3000000000000000.0 is over the cap of "
+        "1e+06, past which S_BE loses its digits"),
     "md_smoothing_1e-320": (
         {**ONE_POINT, "reconciliation": "md", "finite_size": {"smoothing": 1e-320}}, 2,
         "numerical failure: float division by zero"),

@@ -1,0 +1,110 @@
+"""Paired benchmark runs of two checkouts, summarised per workload, seed and metric.
+
+Usage (from any directory):
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        --pairs 10 --seconds 32 --seeds 1 20221130 --output BENCH_<pr>.json
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
+parent first in even pairs and the change first in odd ones, for every
+workload and seed.  For each end-to-end metric of the parent's
+``BENCHMARK.json`` the output gives each side's median and quartiles, every
+pair's values, and how many pairs each side won; a tie counts for neither.
+A gain is claimed only when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile range.
+Neither checkout may hold a ``__pycache__`` under ``src/``.  Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("gm_md_sweep", "protocol_compare", "qam_shaping", "pass_budget")
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and quartiles (``statistics.quantiles``' default exclusive method)."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """One metric over pairs ``zip(parent, change)``; ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    change_wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    parent_wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    sides = {"parent": quartiles(parent), "change": quartiles(change)}
+    spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+    gain = sign * (sides["parent"]["median"] - sides["change"]["median"])
+    return {
+        **sides,
+        "change_wins": change_wins,
+        "parent_wins": parent_wins,
+        "median_change": sides["change"]["median"] - sides["parent"]["median"],
+        "parent_iqr": spread,
+        "gain_claimable": change_wins >= 0.9 * len(parent) and gain > spread,
+        "pairs": [[p, c] for p, c in zip(parent, change)],
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one ``perfbench/run.py`` run in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=32.0)
+    parser.add_argument("--labels", nargs=2, default=("parent", "change"),
+                        metavar=("PARENT", "CHANGE"), help="names of the two sides")
+    parser.add_argument("--output", type=Path, required=True)
+    args = parser.parse_args(argv)
+    # Where PYTHONDONTWRITEBYTECODE is set, each perfbench child compiles src/
+    # anew, unless its checkout already holds bytecode: that side starts faster.
+    cached = [path for side in (args.parent, args.change)
+              for path in (side / "src").rglob("__pycache__")]
+    if cached:
+        parser.error(f"remove {cached[0]}: both sides must compile their sources alike")
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    report = {"labels": dict(zip(("parent", "change"), args.labels)), "pairs": args.pairs,
+              "seconds": args.seconds, "workloads": {}}
+    for workload in WORKLOADS:
+        for seed in args.seeds:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(getattr(args, side), workload, seed,
+                                               args.seconds))
+                print(f"{workload} seed {seed}: pair {i + 1} of {args.pairs}", file=sys.stderr)
+            report["workloads"].setdefault(workload, {})[str(seed)] = {
+                "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+                "metrics": {
+                    name: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                           **summarize(*([r["metrics"][name]["value"] for r in runs[side]]
+                                         for side in ("parent", "change")), m["better"])}
+                    for name, m in metrics.items()
+                },
+            }
+    args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
