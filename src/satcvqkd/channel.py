@@ -21,8 +21,7 @@ from .quantities import db_to_transmittance, offending, reject, validating
 EARTH_RADIUS_M = 6_371_000.0
 ATMOSPHERE_THICKNESS_M = 20_000.0
 
-# Tolerated floating-point overshoot of |arcsin argument| beyond 1 (noise at
-# zenith), and the eigen-angle at which the overshoot becomes a real error.
+# Tolerated floating-point overshoot of |arcsin argument| beyond 1 (noise at zenith).
 _ASIN_CLAMP_TOL = 1e-9
 
 

@@ -2,9 +2,10 @@
 
 Output is CSV with a '#'-prefixed echo of the resolved configuration;
 identical configs produce byte-identical files.  All numerical work is done
-before the output is opened, so a numerical failure writes nothing; rows are
-then formatted and written one block at a time, and every number field is
-the ``repr`` of its float (empty for NaN).
+before the output is opened, with numpy's overflow, division by zero and
+invalid operations raised as errors, so a numerical failure writes nothing;
+rows are then formatted and written one block at a time, and every number
+field is the ``repr`` of its float (empty for NaN).
 
 A sweep or compare block formats each distinct value of a number column
 once over all protocols' rows, keyed on its bit pattern, with ``repr``;
@@ -43,6 +44,12 @@ _MIN_PROVEN = 0.75  # least proven share for the matrix; repr is cheaper below ~
 _POW10 = 10.0 ** np.arange(19)  # exact doubles
 _TO_18_DIGITS = 10 ** (18 - np.arange(19))  # int64: d fraction digits scaled to 18
 _ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+
+
+def _evaluating() -> np.errstate:
+    """numpy's float faults as ``FloatingPointError``: a run's evaluation stage
+    ends in one ``numerical failure`` line instead of a warning and a bad row."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _texts(values: Sequence, block: slice) -> list[str]:
@@ -178,9 +185,10 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     # Row order is deterministic: altitude major, elevation minor, protocol last.
     altitudes = np.repeat(altitudes_m, len(elevations_deg))
     elevations = np.tile(elevations_deg, len(altitudes_m))
-    link = link_columns(plan.setup, altitudes, elevations)
-    results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
-               for spec in plan.protocols]
+    with _evaluating():
+        link = link_columns(plan.setup, altitudes, elevations)
+        results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
+                   for spec in plan.protocols]
     columns = list(zip(*results))  # per CSV column, each protocol's value over the grid
 
     points = altitudes.size
@@ -198,33 +206,25 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
     spec = plan.protocols[0]
     pass_spec = plan.pass_spec
     altitude_m = pass_spec.satellite_altitude_m
-    if pass_spec.profile_path is not None:
-        try:
-            profile = load_profile(pass_spec.profile_path, pass_spec.ogs_altitude_m)
-        except OSError as exc:  # the file was checked at resolve time; reading it failed
-            raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
-    else:
-        profile = synthesize_circular_pass(
-            altitude_m,
-            pass_spec.synth_max_elevation_deg,
-            pass_spec.synth_sample_dt_s,
-            ogs_altitude_m=pass_spec.ogs_altitude_m,
-            earth_radius_m=plan.setup.earth_radius_m,
-        )
-
     # A fitted model always reports both, so the summaries are comparable.
     reconciliations = (MD, MLC_MSD) if isinstance(plan.reconciliation, ReconciliationModel) \
         else (plan.reconciliation,)
-    result = integrate_key_bits(
-        profile,
-        plan.setup,
-        spec,
-        reconciliations,
-        plan.finite,
-        satellite_altitude_m=altitude_m,
-        bin_width_deg=pass_spec.bin_width_deg,
-        keyhole_ceiling_deg=pass_spec.keyhole_ceiling_deg,
-    )
+    with _evaluating():
+        if pass_spec.profile_path is not None:
+            try:
+                profile = load_profile(pass_spec.profile_path)
+            except OSError as exc:  # the file was checked at resolve time; reading it failed
+                raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
+        else:
+            profile = synthesize_circular_pass(plan.setup, altitude_m,
+                                               pass_spec.synth_max_elevation_deg,
+                                               pass_spec.synth_sample_dt_s)
+        result = integrate_key_bits(
+            profile, plan.setup, spec, reconciliations, plan.finite,
+            satellite_altitude_m=altitude_m,
+            bin_width_deg=pass_spec.bin_width_deg,
+            keyhole_ceiling_deg=pass_spec.keyhole_ceiling_deg,
+        )
 
     models = sorted(result.models.items())
     excluded = len(result.excluded_bins_deg)

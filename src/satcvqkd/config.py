@@ -68,7 +68,6 @@ class PassSpec(NamedTuple):
     profile_path: str | None = None
     synth_max_elevation_deg: float = 87.6
     synth_sample_dt_s: float = 1.0
-    ogs_altitude_m: float = 0.0
     keyhole_ceiling_deg: float | None = None
     bin_width_deg: float = 1.0
 
@@ -135,10 +134,11 @@ _GEOMETRY = _keys(
 _FINITE = _keys(FiniteSizeParams())
 _PASS = {
     "altitude_km": ("satellite_altitude_m", _KM),
-    "ogs_altitude_km": ("ogs_altitude_m", _KM),
     "keyhole_ceiling_deg": ("keyhole_ceiling_deg", None),
     "bin_width_deg": ("bin_width_deg", None),
 }
+# pass also accepts the station's key, which sets plan.setup and is echoed there.
+_STATION = {"ogs_altitude_km": _GEOMETRY["ogs_altitude_km"]}
 # synthesize also accepts altitude_km; the echo keeps it at pass level.
 _SYNTHESIZE = {
     "max_elevation_deg": ("synth_max_elevation_deg", None),
@@ -320,15 +320,15 @@ def _parse_sweep(raw: Any) -> SweepSpec:
     )
 
 
-def _parse_pass(raw: Any, ogs_altitude_m: float) -> PassSpec:
+def _parse_pass(raw: Any) -> PassSpec:
     mapping = _expect_mapping(raw, "pass")
     profile_path = mapping.get("profile_csv")
     synth = mapping.get("synthesize")
     if (profile_path is None) == (synth is None):
         raise ConfigError("pass needs exactly one of profile_csv or synthesize")
-    own = {k: v for k, v in mapping.items() if k not in ("profile_csv", "synthesize")}
-    # pass.ogs_altitude_km, when given, overrides the geometry's OGS altitude.
-    spec = _section(PassSpec(ogs_altitude_m=ogs_altitude_m), own, _PASS, "pass")
+    own = {k: v for k, v in mapping.items()
+           if k not in ("profile_csv", "synthesize", *_STATION)}
+    spec = _section(PassSpec(), own, _PASS, "pass")
     if synth is not None:
         keys = {**_SYNTHESIZE, "altitude_km": _PASS["altitude_km"]}
         return _section(spec, _expect_mapping(synth, "pass.synthesize"), keys, "pass.synthesize")
@@ -409,16 +409,16 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
     if need == "pass":
         if "pass" not in config:
             raise ConfigError("pass needs a 'pass' section")
-        pass_spec = _parse_pass(config["pass"], setup.ogs_altitude_m)
+        pass_spec = _parse_pass(config["pass"])
+        # pass.ogs_altitude_km, when given, overrides the geometry's OGS altitude.
+        station = {k: v for k, v in config["pass"].items() if k in _STATION}
+        setup = _section(setup, station, _STATION, "pass")
         if len(protocols) != 1:
             raise ConfigError("pass supports a single protocol")
-        setup._replace(ogs_altitude_m=pass_spec.ogs_altitude_m).geometry(
-            pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
-        )
+        setup.geometry(pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
         if pass_spec.synthesized:
             half_duration_s = circular_pass_arc(
-                pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg,
-                pass_spec.ogs_altitude_m, setup.earth_radius_m,
+                setup, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
             )[-1]
             steps = np.floor(half_duration_s / pass_spec.synth_sample_dt_s)  # as synthesized
             _cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)

@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import EARTH_RADIUS_M
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams, ReconciliationModel
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
@@ -30,12 +29,12 @@ class PassProfile(NamedTuple):
     """Finite, strictly increasing sample times with elevations in (0, 90] degrees.
 
     Both series are held as read-only float64 arrays.  Profiles compare and
-    hash by identity, as tuple equality on arrays raises.
+    hash by identity, as tuple equality on arrays raises.  The ground station
+    a profile is seen from is the ``LinkSetup``'s.
     """
 
     times_s: np.ndarray
     elevations_deg: np.ndarray
-    ogs_altitude_m: float = 0.0
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -57,11 +56,7 @@ class PassProfile(NamedTuple):
             raise _BadSample(i, f"elevation {float(elevations[i])} out of (0, 90]"
                              if bad_elevation[i] else f"time {t} not finite" if bad_time[i]
                              else f"time {t} not after {float(times[i - 1])}")
-        return tuple.__new__(type(self), (times, elevations, self.ogs_altitude_m))
-
-    @property
-    def duration_s(self) -> float:
-        return float(self.times_s[-1] - self.times_s[0])
+        return tuple.__new__(type(self), (times, elevations))
 
 
 class _BadSample(ProfileError):
@@ -84,7 +79,7 @@ def _is_header(row: list[str]) -> bool:
     return False
 
 
-def load_profile(path: str | Path, ogs_altitude_m: float = 0.0) -> PassProfile:
+def load_profile(path: str | Path) -> PassProfile:
     """Parse a comma-separated time_s, elevation_deg file.
 
     Line 1 is a header when it is not two numbers; blank lines are skipped
@@ -102,15 +97,15 @@ def load_profile(path: str | Path, ogs_altitude_m: float = 0.0) -> PassProfile:
                 samples = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
                                      ndmin=2, quotechar='"', skiprows=int(header),
                                      encoding="utf-8-sig")
-            return PassProfile(samples[:, 0], samples[:, 1], ogs_altitude_m)
+            return PassProfile(samples[:, 0], samples[:, 1])
         except ValueError:  # a line numpy cannot parse, or a bad sample
             with open(path, "r", encoding="utf-8-sig") as handle:
-                return _scan_profile(handle, ogs_altitude_m)
+                return _scan_profile(handle)
     except UnicodeDecodeError as exc:
         raise ProfileError(f"profile is not UTF-8 text: {exc}") from None
 
 
-def _scan_profile(source: TextIO, ogs_altitude_m: float) -> PassProfile:
+def _scan_profile(source: TextIO) -> PassProfile:
     """``load_profile`` one CSV line at a time, so that an error names its line."""
     times: list[float] = []
     elevations: list[float] = []
@@ -131,7 +126,7 @@ def _scan_profile(source: TextIO, ogs_altitude_m: float) -> PassProfile:
     if not times:
         raise ProfileError("profile contains no samples")
     try:
-        return PassProfile(times, elevations, ogs_altitude_m)
+        return PassProfile(times, elevations)
     except _BadSample as bad:
         line_no = bad.index + 1
         for skipped_no in skipped:  # ascending
@@ -145,11 +140,12 @@ def _elevation_from_central_angle(gamma: float, radius_ratio: float) -> float:
 
 
 def circular_pass_arc(
-    altitude_m: float, max_elevation_deg: float, ogs_altitude_m: float, earth_radius_m: float
+    setup: LinkSetup, altitude_m: float, max_elevation_deg: float
 ) -> tuple[float, float, float, float]:
-    """(r_ogs/r_sat, peak central angle, orbital rate in rad/s, half duration in s) of a pass."""
-    r_ogs = earth_radius_m + ogs_altitude_m
-    r_sat = earth_radius_m + altitude_m
+    """(r_ogs/r_sat, peak central angle, orbital rate in rad/s, half duration in s) of a
+    pass seen from the ground station of ``setup``."""
+    r_ogs = setup.earth_radius_m + setup.ogs_altitude_m
+    r_sat = setup.earth_radius_m + altitude_m
     ratio = r_ogs / r_sat
 
     if max_elevation_deg == 90.0:
@@ -167,24 +163,21 @@ def circular_pass_arc(
 
 
 def synthesize_circular_pass(
-    altitude_m: float,
-    max_elevation_deg: float,
-    sample_dt_s: float,
-    ogs_altitude_m: float = 0.0,
-    earth_radius_m: float = EARTH_RADIUS_M,
+    setup: LinkSetup, altitude_m: float, max_elevation_deg: float, sample_dt_s: float
 ) -> PassProfile:
     """Elevation profile of a circular-orbit pass over a spherical Earth.
 
-    The orbit plane is chosen so the peak elevation equals
-    ``max_elevation_deg``; Earth rotation is ignored, so real pass durations
-    are reproduced only approximately.
+    The Earth radius and the ground station are those of ``setup``.  The
+    orbit plane is chosen so the peak elevation equals ``max_elevation_deg``;
+    Earth rotation is ignored, so real pass durations are reproduced only
+    approximately.
     """
     if altitude_m <= 0.0 or sample_dt_s <= 0.0:
         raise ValueError("altitude and sample step must be positive")
     if not 0.0 < max_elevation_deg <= 90.0:
         raise ValueError("peak elevation must be in (0, 90] degrees")
     ratio, gamma_min, omega, half_duration = circular_pass_arc(
-        altitude_m, max_elevation_deg, ogs_altitude_m, earth_radius_m
+        setup, altitude_m, max_elevation_deg
     )
     steps = int(math.floor(half_duration / sample_dt_s))
     times: list[float] = []
@@ -199,7 +192,7 @@ def synthesize_circular_pass(
             continue
         times.append(offset + half_duration)
         elevations.append(min(elevation, 90.0))
-    return PassProfile(times, elevations, ogs_altitude_m)
+    return PassProfile(times, elevations)
 
 
 class ModelPassResult(NamedTuple):
@@ -236,9 +229,8 @@ def integrate_key_bits(
     """Accumulate secret key bits over a pass for each reconciliation model.
 
     A sample's dwell (the time to the next sample) goes to its elevation bin.
-    One link stage covers all occupied bins at their centres, and each model
-    runs one key stage on it.  The link setup's OGS altitude is overridden by
-    the profile's.
+    One link stage covers all occupied bins at their centres, seen from the
+    ground station of ``setup``, and each model runs one key stage on it.
     """
     if bin_width_deg <= 0.0:
         raise ValueError("bin width must be positive")
@@ -255,8 +247,7 @@ def integrate_key_bits(
     evaluated = np.flatnonzero(occupied & ~keyhole)
     if len(profile.times_s) < 2:
         sample_bins = sample_bins[:0]
-    link = link_columns(setup._replace(ogs_altitude_m=profile.ogs_altitude_m),
-                        satellite_altitude_m, centres[evaluated])
+    link = link_columns(setup, satellite_altitude_m, centres[evaluated])
     excluded = occupied & keyhole
     excluded[evaluated[~link.far_field_ok]] = True
 

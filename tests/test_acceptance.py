@@ -191,12 +191,13 @@ def test_criterion_7_finite_size_altitude_boundaries():
 
 def test_criterion_8_iss_pass_budget():
     with _Criterion(8, "reference pass key totals and model ordering", 120.0):
-        profile = s.synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
         setup = LinkSetup(
             terminals=s.OpticalTerminals(receiver_aperture_m=2.0),
             conditions=GOOD,
             noise=s.DAYLIGHT_NOISE,
+            ogs_altitude_m=1029.0,
         )
+        profile = s.synthesize_circular_pass(setup, 417.5e3, 87.6, 1.0)
         spec = ProtocolSpec(
             kind="gm", detection=s.Detection.HOMODYNE, modulation_variance=5.0
         )

@@ -215,7 +215,8 @@ def test_pass_summary_contains_both_models(tmp_path):
 
 
 def test_pass_flies_from_the_geometry_ogs_altitude(tmp_path):
-    # Without pass.ogs_altitude_km a pass takes geometry.ogs_altitude_km.
+    # pass.ogs_altitude_km sets the geometry's station, echo included; without
+    # either key the station is at sea level.
     base = {
         "protocol": "gm",
         "terminals": {"receiver_aperture_m": 2.0},
@@ -232,8 +233,7 @@ def test_pass_flies_from_the_geometry_ogs_altitude(tmp_path):
         outputs[name] = tmp_path / f"{name}.csv"
         config = _write_config(tmp_path, f"{name}.json", payload)
         assert main(["pass", "--config", config, "--output", str(outputs[name])]) == 0
-    results = {name: out.read_text(encoding="utf-8").splitlines()[1:]
-               for name, out in outputs.items()}
+    results = {name: out.read_bytes() for name, out in outputs.items()}
     assert results["geometry"] == results["pass"] != results["sea_level"]
     _assert_reruns_from_echo(tmp_path, "pass", outputs["geometry"])
 
@@ -318,7 +318,7 @@ def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch, min_proven)
 def test_pass_block_path_follows_the_proven_share(tmp_path, monkeypatch, synthesized):
     # A synthesized pass has 17-digit times and elevations, a measured profile
     # six decimals: only the latter is worth the uint8 matrix.
-    profile = synthesize_circular_pass(417.5e3, 87.6, 2.0)
+    profile = synthesize_circular_pass(config_mod.resolve(SYNTH_PASS).setup, 417.5e3, 87.6, 2.0)
     if synthesized:
         payload = SYNTH_PASS
     else:
@@ -621,9 +621,10 @@ def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):
 
 
 def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
-    arc = circular_pass_arc(417.5e3, 87.6, 0.0, 6_371_000.0)
+    setup = config_mod.resolve(SYNTH_PASS).setup
+    arc = circular_pass_arc(setup, 417.5e3, 87.6)
     count = 2 * math.floor(arc[-1] / 2.0) + 1
-    assert len(synthesize_circular_pass(417.5e3, 87.6, 2.0).times_s) == count
+    assert len(synthesize_circular_pass(setup, 417.5e3, 87.6, 2.0).times_s) == count
     monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count)
     config_mod.resolve(SYNTH_PASS)
     monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count - 1)
@@ -673,6 +674,13 @@ RUN_FAILURES = {
         {**ONE_POINT, "protocol": {"kind": "gm", "modulation_variance_snu": 3e15}}, 1,
         "config error: gm modulation_variance_snu 3000000000000000.0 is over the cap of "
         "1e+06, past which S_BE loses its digits"),
+    "transmitter_efficiency_1e-300_md": (  # T = 7.3e-302: the SNR in dB is -inf
+        {**ONE_POINT, "terminals": {"transmitter_efficiency": 1e-300}, "reconciliation": "md"},
+        2, "numerical failure: divide by zero encountered in log10"),
+    "transmitter_efficiency_1e-300_asymptotic": (  # and S_BE would read 0 from a NaN
+        {**ONE_POINT, "terminals": {"transmitter_efficiency": 1e-300},
+         "reconciliation": {"kind": "asymptotic", "beta": 0.9}},
+        2, "numerical failure: divide by zero encountered in log10"),
     "md_smoothing_1e-320": (
         {**ONE_POINT, "reconciliation": "md", "finite_size": {"smoothing": 1e-320}}, 2,
         "numerical failure: float division by zero"),

@@ -20,17 +20,18 @@ from satcvqkd import (
     synthesize_circular_pass,
 )
 from satcvqkd.finite_size import MD, MLC_MSD
-from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec
+from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec, evaluate_point, link_columns
 
 from oracles import reference_profile
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 
-ISS_SETUP = LinkSetup(
+SEA_LEVEL = LinkSetup(
     terminals=OpticalTerminals(receiver_aperture_m=2.0),
     conditions=GOOD,
     noise=DAYLIGHT_NOISE,
 )
+ISS_SETUP = SEA_LEVEL._replace(ogs_altitude_m=1029.0)
 GM = ProtocolSpec(kind="gm", detection=Detection.HOMODYNE, modulation_variance=5.0)
 
 
@@ -209,7 +210,7 @@ def test_load_profile_matches_reference_parser(tmp_path_factory, text):
 
 
 def test_overhead_pass_peaks_at_zenith():
-    profile = synthesize_circular_pass(500e3, 90.0, 1.0)
+    profile = synthesize_circular_pass(SEA_LEVEL, 500e3, 90.0, 1.0)
     assert max(profile.elevations_deg) == pytest.approx(90.0, abs=1e-9)
     n = len(profile.times_s)
     for i in range(n // 2):
@@ -219,13 +220,13 @@ def test_overhead_pass_peaks_at_zenith():
 
 
 def test_peak_matches_requested_elevation():
-    profile = synthesize_circular_pass(417.5e3, 60.0, 1.0)
+    profile = synthesize_circular_pass(SEA_LEVEL, 417.5e3, 60.0, 1.0)
     assert max(profile.elevations_deg) == pytest.approx(60.0, abs=1e-9)
 
 
 def test_reference_pass_duration():
-    profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
-    assert profile.duration_s == pytest.approx(663.0, rel=0.25)
+    times = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0).times_s
+    assert times[-1] - times[0] == pytest.approx(663.0, rel=0.25)
 
 
 # --- key integration ---------------------------------------------------------------
@@ -270,21 +271,20 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
 
 def test_zero_rate_pass_accumulates_nothing():
     # bad-weather equivalent: zero elevation dwell windows below any key
-    profile = synthesize_circular_pass(1000e3, 10.0, 5.0)
+    setup = LinkSetup(
+        terminals=OpticalTerminals(),  # 1 m aperture, long link: no key
+        conditions=AtmosphericConditions(visibility_km=20.0, cn2=1e-13),
+        noise=DAYLIGHT_NOISE,
+    )
+    profile = synthesize_circular_pass(setup, 1000e3, 10.0, 5.0)
     result = integrate_key_bits(
-        profile,
-        LinkSetup(
-            terminals=OpticalTerminals(),  # 1 m aperture, long link: no key
-            conditions=AtmosphericConditions(visibility_km=20.0, cn2=1e-13),
-            noise=DAYLIGHT_NOISE,
-        ),
-        GM, [MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
+        profile, setup, GM, [MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
 
 
 def test_iss_pass_reference_totals():
-    profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
+    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -294,10 +294,25 @@ def test_iss_pass_reference_totals():
     assert 1.235e9 / 2.0 <= md <= 1.235e9 * 2.0
     assert 385e6 / 2.0 <= mlc <= 385e6 * 2.0
     assert md >= mlc
+    assert md == pytest.approx(1127131711.684, rel=1e-9)  # the 1029 m station's total
+
+
+def test_a_pass_is_seen_from_the_setups_station():
+    # One 10 s bin at 40.5 degrees: its rate is the setup's link at that centre.
+    profile = PassProfile(times_s=(0.0, 10.0), elevations_deg=(40.2, 40.4))
+    totals = []
+    for setup in (SEA_LEVEL, ISS_SETUP):
+        link = link_columns(setup, 417.5e3, 40.5)
+        rate = evaluate_point(link, GM, MD, FiniteSizeParams()).skr_bits_per_second
+        result = integrate_key_bits(profile, setup, GM, [MD], FiniteSizeParams(),
+                                    satellite_altitude_m=417.5e3)
+        totals.append(result.models["MD"].total_key_bits)
+        assert totals[-1] == pytest.approx(10.0 * rate, rel=1e-12)
+    assert totals[1] > totals[0] > 0.0
 
 
 def test_md_reaches_lower_elevations_than_mlc_msd():
-    profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
+    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -314,7 +329,7 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
 
 
 def test_symmetric_pass_symmetric_series():
-    profile = synthesize_circular_pass(417.5e3, 80.0, 2.0, ogs_altitude_m=1029.0)
+    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 80.0, 2.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -328,7 +343,7 @@ def test_symmetric_pass_symmetric_series():
 def test_refining_sample_step_changes_little():
     totals = []
     for dt in (2.0, 1.0):
-        profile = synthesize_circular_pass(417.5e3, 87.6, dt, ogs_altitude_m=1029.0)
+        profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, dt)
         result = integrate_key_bits(
             profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
             satellite_altitude_m=417.5e3,
@@ -338,7 +353,7 @@ def test_refining_sample_step_changes_little():
 
 
 def test_keyhole_ceiling_reduces_total():
-    profile = synthesize_circular_pass(417.5e3, 87.6, 1.0, ogs_altitude_m=1029.0)
+    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
     open_sky = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
