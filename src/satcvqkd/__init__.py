@@ -14,7 +14,6 @@ from .channel import (
     scintillation_index,
     scintillation_loss_db,
     slant_path,
-    total_transmittance,
 )
 from .errors import (
     ConfigError,
@@ -66,13 +65,12 @@ from .qam import (
     DiscreteGaussian,
     FockWorkspace,
     build_constellation,
-    coherent_state_vector,
     correlation_lower_bound,
     modulation_density_matrix,
     mutual_information_qam,
     qam_security,
     thermal_workspace,
 )
-from .quantities import db_to_transmittance, transmittance_to_db
+from .quantities import db_to_transmittance
 
 __version__ = "0.1.0"

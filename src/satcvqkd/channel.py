@@ -10,6 +10,7 @@ elevations and path lengths may be floats or arrays of points.
 from __future__ import annotations
 
 import math
+# not lazy: every run calls link_budget, so a lazy import only moves its cost into the run
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -306,12 +307,3 @@ def link_budget(
                                    path.effective_atmosphere_m, sigma_r2)
     a_sci = np.abs(scintillation_loss_db(sigma_i2, conditions.outage_probability))
     return LinkBudget(a_geo, a_scat, a_sci)
-
-
-def total_transmittance(
-    geometry: LinkGeometry,
-    terminals: OpticalTerminals,
-    conditions: AtmosphericConditions,
-):
-    """Overall power transmittance of the link."""
-    return link_budget(slant_path(geometry), terminals, conditions).transmittance

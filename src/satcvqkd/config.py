@@ -413,8 +413,6 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         # pass.ogs_altitude_km, when given, overrides the geometry's OGS altitude.
         station = {k: v for k, v in config["pass"].items() if k in _STATION}
         setup = _section(setup, station, _STATION, "pass")
-        if len(protocols) != 1:
-            raise ConfigError("pass supports a single protocol")
         setup.geometry(pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
         if pass_spec.synthesized:
             half_duration_s = circular_pass_arc(

@@ -32,10 +32,6 @@ class UnphysicalCovariance(SatCvqkdError):
 class CutoffTooSmall(SatCvqkdError):
     """A Fock-space cutoff is too small to represent the requested state."""
 
-    def __init__(self, message: str, required_cutoff: int | None = None):
-        self.required_cutoff = required_cutoff
-        super().__init__(message)
-
 
 class ConvergenceError(SatCvqkdError):
     """An iterative numerical procedure failed to converge."""

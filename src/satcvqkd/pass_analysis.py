@@ -203,17 +203,11 @@ class ModelPassResult(NamedTuple):
 
 
 class PassResult(NamedTuple):
-    """The pass's samples and bins, and its totals per reconciliation model."""
+    """The pass's bins and its totals per reconciliation model."""
 
-    times_s: np.ndarray  # the profile's own array
     sample_bins: np.ndarray  # each sample's index into bin_rates; empty for one sample
     excluded_bins_deg: tuple[float, ...]  # far-field or keyhole exclusions
     models: dict[str, ModelPassResult]
-
-    def skr_series(self, name: str) -> tuple[tuple[float, float], ...]:
-        """(time_s, skr_bits_per_s) per sample for model ``name``, raw sign."""
-        rates = self.models[name].bin_rates[self.sample_bins]
-        return tuple(zip(self.times_s.tolist(), rates.tolist()))
 
 
 def integrate_key_bits(
@@ -263,4 +257,4 @@ def integrate_key_bits(
             total_key_bits=math.fsum((np.maximum(bin_rates, 0.0) * dwell).tolist()),
             bin_rates=bin_rates,
         )
-    return PassResult(profile.times_s, sample_bins, tuple(centres[excluded].tolist()), models)
+    return PassResult(sample_bins, tuple(centres[excluded].tolist()), models)

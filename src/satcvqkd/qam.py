@@ -146,20 +146,6 @@ def build_constellation(
     return Constellation(amplitudes=amplitudes, probabilities=probabilities)
 
 
-def _minimum_cutoff(mean_photons: float) -> int:
-    # Poisson tails: smallest n with 1 - CDF(n; mu) below the norm tolerance,
-    # found by direct summation in log space.
-    mu = max(mean_photons, 1e-12)
-    log_term = -mu
-    cdf = math.exp(log_term)
-    n = 0
-    while 1.0 - cdf > _COHERENT_NORM_TOL and n < _MAX_CUTOFF:
-        n += 1
-        log_term += math.log(mu) - math.log(n)
-        cdf += math.exp(log_term)
-    return n
-
-
 def _coherent_columns(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
     """Truncated, renormalized Fock expansions of |alpha_k>, one column per amplitude."""
     if cutoff < 0:
@@ -177,18 +163,11 @@ def _coherent_columns(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
     norm_sq = np.sum(vectors.real**2 + vectors.imag**2, axis=0)
     worst = int(np.argmin(norm_sq))
     if norm_sq[worst] < 1.0 - _COHERENT_NORM_TOL:
-        required = _minimum_cutoff(float(mod.max()) ** 2)
         raise CutoffTooSmall(
             f"cutoff {cutoff} keeps only {norm_sq[worst]:.15f} of "
-            f"|alpha|^2={mod[worst]**2:.3f}; need at least {required}",
-            required_cutoff=required,
+            f"|alpha|^2={mod[worst]**2:.3f}"
         )
     return vectors / np.sqrt(norm_sq)
-
-
-def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated, renormalized Fock expansion of a coherent state |alpha>."""
-    return _coherent_columns(np.array([complex(alpha)]), cutoff)[:, 0]
 
 
 def annihilation_operator(cutoff: int) -> np.ndarray:
@@ -230,16 +209,6 @@ class FockWorkspace(NamedTuple):
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues of tau, ascending."""
         return np.sort(np.concatenate([d for d, _ in self.sectors]))
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Eigenvectors of tau in the number basis, in the order of ``eigenvalues``."""
-        count = len(self.sectors)
-        vectors = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
-        values = np.zeros(self.cutoff + 1)
-        for r, (d, v) in enumerate(self.sectors):
-            vectors[r::count, r::count], values[r::count] = v, d
-        return vectors[:, np.argsort(values, kind="stable")]
 
 
 def _rotation_orbits(

@@ -15,8 +15,6 @@ check every element; an error message names the first offending value.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -60,9 +58,3 @@ def db_to_transmittance(attenuation_db):
     reject(attenuation_db, ~np.isfinite(attenuation_db), "attenuation must be finite")
     reject(attenuation_db, attenuation_db < 0.0, "attenuation must be >= 0 dB")
     return 10.0 ** (-np.asarray(attenuation_db) / 10.0)
-
-
-def transmittance_to_db(transmittance: float) -> float:
-    """Convert a power transmittance in (0, 1] to an attenuation in dB."""
-    check_transmittance(transmittance)
-    return -10.0 * math.log10(transmittance)

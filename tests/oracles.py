@@ -12,7 +12,9 @@ per-point, ``math``-based evaluation the package's grid evaluator replaced,
 photon-number-sector moments replaced, ``grid_csv_rows`` the field-by-field
 CSV formatter that the package's per-block column formatting replaced, and
 ``reference_profile`` the ``csv``-and-``float`` profile parser that the
-package's numpy parse replaced.
+package's numpy parse replaced.  ``coherent_vector`` and
+``sector_eigenvectors`` are not independent: they are per-state and
+number-basis views of the package's Fock builds, which only the tests need.
 """
 
 from __future__ import annotations
@@ -246,13 +248,30 @@ def gram_moments(amplitudes, probabilities, dps: int = 50) -> tuple[float, float
     return float(term1), float(s1 - s2)
 
 
+def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """The package's truncated, renormalized Fock expansion of one coherent state."""
+    from satcvqkd.qam import _coherent_columns
+
+    return _coherent_columns(np.array([complex(alpha)]), cutoff)[:, 0]
+
+
+def sector_eigenvectors(workspace) -> np.ndarray:
+    """Eigenvectors of tau in the number basis, rebuilt from a ``FockWorkspace``'s
+    sector blocks, in the order of its ``eigenvalues``."""
+    count = len(workspace.sectors)
+    size = workspace.cutoff + 1
+    vectors = np.zeros((size, size), dtype=complex)
+    values = np.zeros(size)
+    for r, (d, v) in enumerate(workspace.sectors):
+        vectors[r::count, r::count], values[r::count] = v, d
+    return vectors[:, np.argsort(values, kind="stable")]
+
+
 def dense_tau(constellation, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The coherent-state vectors of every point, one package call per point, and
     the whole (cutoff+1)^2 modulation density matrix tau they sum to."""
-    from satcvqkd.qam import coherent_state_vector
-
     vectors = np.column_stack(
-        [coherent_state_vector(a, cutoff) for a in constellation.amplitudes])
+        [coherent_vector(a, cutoff) for a in constellation.amplitudes])
     probs = np.asarray(constellation.probabilities)
     return vectors, (vectors * probs) @ vectors.conj().T
 

@@ -134,7 +134,7 @@ def test_criterion_6_protocol_orderings():
         noise = s.DAYLIGHT_NOISE
         eps = noise.channel_excess + noise.detector_excess
         geo = s.LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-        t = s.total_transmittance(geo, s.OpticalTerminals(), GOOD)
+        t = s.link_budget(s.slant_path(geo), s.OpticalTerminals(), GOOD).transmittance
 
         gm = s.gm_security(5.0, t, noise, s.Detection.HOMODYNE, 0.9).skr_asymptotic
         qam256 = s.qam_security(
@@ -157,7 +157,8 @@ def test_criterion_6_protocol_orderings():
                     satellite_altitude_m=altitude_km * 1000.0,
                     elevation_deg=elevation,
                 )
-                t_point = s.total_transmittance(geo, s.OpticalTerminals(), GOOD)
+                t_point = s.link_budget(s.slant_path(geo), s.OpticalTerminals(),
+                                        GOOD).transmittance
                 rate = s.psk_security(
                     2, 0.5, t_point, noise, s.Detection.HOMODYNE, 0.9
                 ).skr_asymptotic
@@ -214,8 +215,8 @@ def test_criterion_8_iss_pass_budget():
 
         def min_positive(name):
             return min(
-                e for (t, v), e in zip(
-                    result.skr_series(name), profile.elevations_deg
+                e for v, e in zip(
+                    result.models[name].bin_rates[result.sample_bins], profile.elevations_deg
                 ) if v > 0.0
             )
 

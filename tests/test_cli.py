@@ -304,10 +304,12 @@ def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch, min_proven)
     out = tmp_path / "pass.csv"
     assert main(["pass", "--config", config, "--output", str(out)]) == 0
     (result,) = results
-    elevations = load_profile(profile).elevations_deg.tolist()
-    series = [result.skr_series(name) for name in sorted(result.models)]
-    expected = [",".join(map(repr, (t, e, *(rates[i][1] for rates in series))))
-                for i, (t, e) in enumerate(zip(result.times_s.tolist(), elevations))]
+    loaded = load_profile(profile)
+    series = [result.models[name].bin_rates[result.sample_bins].tolist()
+              for name in sorted(result.models)]
+    expected = [",".join(map(repr, (t, e, *(rates[i] for rates in series))))
+                for i, (t, e) in enumerate(zip(loaded.times_s.tolist(),
+                                               loaded.elevations_deg.tolist()))]
     assert _series_lines(out.read_text(encoding="utf-8")) == expected
     fields = [line.split(",") for line in expected]
     assert fields[4][1] == "5e-05" and fields[1][0] == "60.123456789012344"  # 17 digits
@@ -486,6 +488,14 @@ def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+
+
+def test_pass_reads_one_protocol_never_a_list(tmp_path, capsys):
+    # a pass resolves only 'protocol', so a 'protocols' list cannot hand it two
+    path = _write_config(tmp_path, "pass.json",
+                         {"protocols": ["gm", "psk4"], "pass": SYNTH_PASS["pass"]})
+    assert main(["pass", "--config", path]) == 1
+    assert capsys.readouterr().err == "config error: configuration needs a 'protocol'\n"
 
 
 def _profile_pass(tmp_path, profile_csv):

@@ -266,7 +266,7 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
-    assert result.skr_series("MD")[0][1] == -5.0
+    assert result.models["MD"].bin_rates[result.sample_bins][0] == -5.0
 
 
 def test_zero_rate_pass_accumulates_nothing():
@@ -319,9 +319,9 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
     )
 
     def min_positive_elevation(name):
-        series = result.skr_series(name)
+        series = result.models[name].bin_rates[result.sample_bins]
         elevations = [
-            e for (t, v), e in zip(series, profile.elevations_deg) if v > 0.0
+            e for v, e in zip(series, profile.elevations_deg) if v > 0.0
         ]
         return min(elevations)
 
@@ -334,10 +334,10 @@ def test_symmetric_pass_symmetric_series():
         profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
-    series = result.skr_series("MD")
+    series = result.models["MD"].bin_rates[result.sample_bins]
     n = len(series)
     for i in range(n // 2):
-        assert series[i][1] == pytest.approx(series[n - 1 - i][1], rel=1e-12)
+        assert series[i] == pytest.approx(series[n - 1 - i], rel=1e-12)
 
 
 def test_refining_sample_step_changes_little():
@@ -375,4 +375,4 @@ def test_zero_duration_profile_gives_empty_series():
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
-    assert result.skr_series("MD") == ()
+    assert result.models["MD"].bin_rates[result.sample_bins].size == 0

@@ -18,7 +18,7 @@ from satcvqkd import (
 from satcvqkd.gaussian import covariance_security, gaussian_correlation
 from satcvqkd.psk import series_terms
 
-from oracles import psk_weights_dft
+from oracles import psk_weights_dft, sector_eigenvectors
 
 
 def _ring_constellation(states: int, alpha: float) -> Constellation:
@@ -46,8 +46,9 @@ def _fock_sector_weights(states: int, alpha: float, cutoff: int = 40) -> np.ndar
     weights = np.zeros(states)
     order = np.argsort(ws.eigenvalues)[::-1]
     n_mod = np.arange(cutoff + 1) % states
+    vectors = sector_eigenvectors(ws)
     for idx in order[:states]:
-        vec = ws.eigenvectors[:, idx]
+        vec = vectors[:, idx]
         sector_mass = [np.sum(np.abs(vec[n_mod == k]) ** 2) for k in range(states)]
         weights[int(np.argmax(sector_mass))] = ws.eigenvalues[idx]
     return weights

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from satcvqkd import (
     NoiseBudget,
     build_constellation,
     channel_noise,
-    coherent_state_vector,
     correlation_lower_bound,
     correlation_z,
     gm_security,
@@ -42,8 +42,8 @@ from satcvqkd.qam import (
     start_cutoff,
 )
 
-from oracles import _qam_like_security, dense_moments, dense_tau, gram_moments, \
-    qam_matrix_oracle
+from oracles import _qam_like_security, coherent_vector, dense_moments, dense_tau, \
+    gram_moments, qam_matrix_oracle, sector_eigenvectors
 from test_psk import _ring_constellation
 
 QAM_EXCESS = DAYLIGHT_NOISE.channel_excess + DAYLIGHT_NOISE.detector_excess
@@ -98,7 +98,7 @@ def test_grid_side_validated():
 
 
 def test_vacuum_vector():
-    vec = coherent_state_vector(0.0, 10)
+    vec = coherent_vector(0.0, 10)
     assert vec[0] == 1.0
     assert np.allclose(vec[1:], 0.0)
 
@@ -106,8 +106,8 @@ def test_vacuum_vector():
 def test_overlap_identity():
     cutoff = 60
     for a, b in ((0.5, 1.2), (1.0 + 0.5j, -0.3 + 0.4j), (2.0, 2.0j)):
-        va = coherent_state_vector(a, cutoff)
-        vb = coherent_state_vector(b, cutoff)
+        va = coherent_vector(a, cutoff)
+        vb = coherent_vector(b, cutoff)
         overlap = abs(np.vdot(va, vb)) ** 2
         assert overlap == pytest.approx(math.exp(-abs(a - b) ** 2), abs=1e-10)
 
@@ -117,15 +117,17 @@ def test_mean_photon_number():
     a_op = annihilation_operator(cutoff)
     number = a_op.conj().T @ a_op
     for amp in (0.3, 1.5, 1.0 + 1.0j):
-        vec = coherent_state_vector(amp, cutoff)
+        vec = coherent_vector(amp, cutoff)
         assert np.vdot(vec, number @ vec).real == pytest.approx(abs(amp) ** 2, abs=1e-10)
 
 
-def test_insufficient_cutoff_names_requirement():
+def test_insufficient_cutoff_names_cutoff_and_kept_norm():
     with pytest.raises(CutoffTooSmall) as err:
-        coherent_state_vector(3.0, 8)
-    assert err.value.required_cutoff is not None
-    coherent_state_vector(3.0, err.value.required_cutoff)  # now succeeds
+        _coherent_columns(np.array([3.0 + 0j]), 8)
+    match = re.fullmatch(r"cutoff 8 keeps only (0\.\d{15}) of \|alpha\|\^2=9\.000", str(err.value))
+    assert match, str(err.value)
+    kept = math.exp(-9.0) * math.fsum(9.0**n / math.factorial(n) for n in range(9))
+    assert float(match.group(1)) == pytest.approx(kept, abs=1e-14)
 
 
 # --- modulation density matrix -------------------------------------------------
@@ -133,7 +135,8 @@ def test_insufficient_cutoff_names_requirement():
 
 def _tau(ws, power=1.0):
     """tau**power rebuilt from the workspace's eigendecomposition."""
-    return (ws.eigenvectors * ws.eigenvalues**power) @ ws.eigenvectors.conj().T
+    vectors = sector_eigenvectors(ws)
+    return (vectors * ws.eigenvalues**power) @ vectors.conj().T
 
 
 def test_single_point_is_projector():

@@ -1,10 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 import satcvqkd as s
-from satcvqkd import db_to_transmittance, transmittance_to_db
+from satcvqkd import db_to_transmittance
+from satcvqkd.quantities import check_transmittance
 
 
 def test_zero_loss_is_unit_transmittance():
@@ -18,17 +20,11 @@ def test_ten_db_is_factor_ten():
 def test_half_power_point():
     # 10^(-3.0103/10) evaluates to one half to five digits
     assert db_to_transmittance(3.0103) == pytest.approx(0.5, abs=5e-6)
-    assert transmittance_to_db(0.5) == pytest.approx(3.0103, abs=5e-5)
-
-
-def test_inverse_pair_exact():
-    assert transmittance_to_db(1.0) == 0.0
-    assert transmittance_to_db(0.1) == pytest.approx(10.0, rel=1e-15)
 
 
 def test_round_trip_over_working_range():
     for a in np.linspace(0.0, 100.0, 401):
-        back = transmittance_to_db(db_to_transmittance(a))
+        back = -10.0 * math.log10(db_to_transmittance(a))
         assert back == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 
@@ -39,14 +35,14 @@ def test_negative_attenuation_rejected():
 
 def test_blocked_channel_rejected():
     with pytest.raises(ValueError):
-        transmittance_to_db(0.0)
+        check_transmittance(0.0)
     with pytest.raises(ValueError):
-        transmittance_to_db(-0.5)
+        check_transmittance(-0.5)
 
 
 def test_super_unity_transmittance_rejected():
     with pytest.raises(ValueError):
-        transmittance_to_db(1.0 + 1e-9)
+        check_transmittance(1.0 + 1e-9)
 
 
 _HOMODYNE = s.Detection.HOMODYNE

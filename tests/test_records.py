@@ -36,7 +36,7 @@ RESULT_RECORDS = {
     pipeline.LinkColumns: (
         ("noise", "shape", "far_field_ok", "linked", "transmittance", "columns"), {}),
     pass_analysis.ModelPassResult: (("total_key_bits", "bin_rates"), {}),
-    pass_analysis.PassResult: (("times_s", "sample_bins", "excluded_bins_deg", "models"), {}),
+    pass_analysis.PassResult: (("sample_bins", "excluded_bins_deg", "models"), {}),
     qam.FockWorkspace: (
         ("source", "cutoff", "sectors", "point_vectors", "probabilities"),
         {"point_vectors": None, "probabilities": None},
