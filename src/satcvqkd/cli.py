@@ -11,11 +11,11 @@ A sweep or compare block formats each distinct value of a number column
 once over all protocols' rows, keyed on its bit pattern, with ``repr``;
 dedup stops at the block, which bounds the texts kept alive.
 
-A pass block is 8192 rows.  When at least 3/4 of every 64th time and
-elevation in it has a ``repr`` of at most 15 significant digits (a measured
-profile's six decimals), the block is one uint8 matrix from
-``_float_fields``, whose NUL bytes are then deleted; otherwise (a
-synthesized pass, mostly 17 digits) each field is a ``repr`` call.
+A pass block is 8192 rows and one uint8 matrix of ``_float_fields`` rows,
+whose NUL bytes are then deleted.  ``_float_fields`` builds a value of up
+to 15 significant digits (a measured profile's six decimals) from numpy
+digit columns and every other value (most of a synthesized pass) with
+``repr``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ _CSV_HEADER = ",".join(PointResult._fields)
 _BLOCK_ROWS = 512  # sweep rows formatted and written at a time
 _PASS_BLOCK_ROWS = 8192  # pass rows at a time: under 0.5 MiB of text
 _FLAG_TEXT = {True: "true", False: "false", None: ""}
-_PROVEN_STRIDE = 64  # a pass block samples every 64th time and elevation
-_MIN_PROVEN = 0.75  # least proven share for the matrix; repr is cheaper below ~0.65
 _POW10 = 10.0 ** np.arange(19)  # exact doubles
 _TO_18_DIGITS = 10 ** (18 - np.arange(19))  # int64: d fraction digits scaled to 18
 _ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
@@ -82,21 +80,6 @@ def _texts(values: Sequence, block: slice) -> list[str]:
     return texts if inverse is None else list(map(texts.__getitem__, inverse.tolist()))
 
 
-def _fifteen_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """v = |x| (1.0 where not proven), n = rint(v 10^d) of 15 digits, d, and
-    which values are proven, as ``_float_fields`` below describes."""
-    v = np.abs(x)
-    proven = (v >= 1e-4) & (v < 1e15)  # False for NaN
-    v = np.where(proven, v, 1.0)
-    d = 14 - np.floor(np.log10(v)).astype(np.intp)
-    n = np.rint(v * _POW10[d])
-    d += (n < 1e14).view(np.int8) - (n >= 1e15).view(np.int8)  # log10 missed a decade
-    np.clip(d, 0, 18, out=d)
-    np.rint(v * _POW10[d], out=n)
-    proven &= (n >= 1e14) & (n < 1e15) & (n / _POW10[d] == v)
-    return v, n, d, proven
-
-
 def _float_fields(x: np.ndarray) -> np.ndarray:
     """The ``repr`` of each float of ``x`` (NaN: empty) as one row of ASCII
     bytes per value, padded with NUL bytes that may sit anywhere in the row.
@@ -109,11 +92,24 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     rounds to v; when ``repr`` needs at most 15 digits, its digits are n's
     without trailing zeros, in fixed point in this range.  ``rint`` finds n:
     it lies within 0.11 of the exact v 10^d, and the computed product within
-    0.0625 of that.  Every other value (16 or 17 digits, 0, inf, NaN, and
-    |x| outside the range) goes to ``repr``.
+    0.0625 of that.  Only proven values are built from digits; every other
+    value (16 or 17 digits, 0, inf, NaN, and |x| outside the range) is one
+    ``repr`` call.
     """
     x = np.asarray(x, dtype=float)
-    v, n, d, proven = _fifteen_digits(x)
+    v = np.abs(x)
+    proven = (v >= 1e-4) & (v < 1e15)  # False for NaN
+    v = np.where(proven, v, 1.0)
+    d = 14 - np.floor(np.log10(v)).astype(np.intp)
+    n = np.rint(v * _POW10[d])
+    d += (n < 1e14).view(np.int8) - (n >= 1e15).view(np.int8)  # log10 missed a decade
+    np.clip(d, 0, 18, out=d)
+    np.rint(v * _POW10[d], out=n)
+    proven &= (n >= 1e14) & (n < 1e15) & (n / _POW10[d] == v)
+    signed = x
+    others = np.flatnonzero(~proven)
+    if others.size:  # digits for the proven values only
+        v, n, d, signed = v[proven], n[proven], d[proven], x[proven]
     scale = _POW10[d]
 
     # Columns are sign, integer digits, point and fraction digits; a NUL stands
@@ -130,9 +126,9 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
         whole = above
         if not whole.any():
             break
-    columns.append(np.where(np.signbit(x), _MINUS, 0).astype(np.uint8))
+    columns.append(np.where(np.signbit(signed), _MINUS, 0).astype(np.uint8))
     columns.reverse()
-    columns.append(np.full(x.size, _POINT, np.uint8))
+    columns.append(np.full(v.size, _POINT, np.uint8))
     for power in range(17, -1, -1):
         digit, rest = np.divmod(fraction, 10**power)
         digit = digit.astype(np.uint8) + _ZERO
@@ -140,16 +136,15 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
         fraction = rest
         if not fraction.any():
             break
-    fields = np.stack(columns, axis=1)
+    digits = np.stack(columns, axis=1)
+    if not others.size:
+        return digits
 
-    others = np.flatnonzero(~proven)
-    if others.size:
-        texts = np.array([t if t != "nan" else "" for t in map(repr, x[others].tolist())],
-                         dtype=bytes)
-        if texts.itemsize > fields.shape[1]:
-            fields = np.pad(fields, ((0, 0), (0, texts.itemsize - fields.shape[1])))
-        fields[others] = 0
-        fields[others, :texts.itemsize] = texts.view(np.uint8).reshape(others.size, -1)
+    texts = np.array(list(map(repr, x[others].tolist())), dtype=bytes)
+    fields = np.zeros((x.size, max(digits.shape[1], texts.itemsize)), np.uint8)
+    fields[proven, :digits.shape[1]] = digits
+    fields[others, :texts.itemsize] = texts.view(np.uint8).reshape(others.size, -1)
+    fields[np.isnan(x)] = 0
     return fields
 
 
@@ -237,7 +232,6 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
     head.append("time_s,elevation_deg," + ",".join(
         f"skr_bits_per_second[{name}]" for name, _ in models
     ))
-    bin_texts = [list(map(repr, model.bin_rates.tolist())) for _, model in models]
     bin_fields = [_float_fields(model.bin_rates) for _, model in models]
     sample_bins = result.sample_bins
 
@@ -245,16 +239,9 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
         for start in range(0, len(sample_bins), _PASS_BLOCK_ROWS):
             block = slice(start, start + _PASS_BLOCK_ROWS)
             bins = sample_bins[block]
-            columns = (profile.times_s[block], profile.elevations_deg[block])
-            sample = np.concatenate([column[::_PROVEN_STRIDE] for column in columns])
-            if _fifteen_digits(sample)[3].mean() >= _MIN_PROVEN:
-                yield _csv_lines([*map(_float_fields, columns),
-                                  *(fields[bins] for fields in bin_fields)])
-            else:  # mostly 16- or 17-digit values: one repr each costs less
-                bins = bins.tolist()
-                yield "\n".join(map(",".join, zip(
-                    *(map(repr, column.tolist()) for column in columns),
-                    *(map(texts.__getitem__, bins) for texts in bin_texts))))
+            yield _csv_lines([_float_fields(profile.times_s[block]),
+                              _float_fields(profile.elevations_deg[block]),
+                              *(fields[bins] for fields in bin_fields)])
 
     _write(output, head, blocks())
     if excluded:

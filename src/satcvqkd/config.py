@@ -346,9 +346,9 @@ def _run_type(config: Any) -> str:
     """The run a config describes: compare, pass or sweep."""
     if not isinstance(config, dict):
         raise ConfigError("configuration must be a JSON object")
-    if "protocols" in config:
-        return "compare"
-    return "pass" if "pass" in config and "sweep" not in config else "sweep"
+    if "pass" in config and "sweep" not in config:
+        return "pass"
+    return "compare" if "protocols" in config else "sweep"
 
 
 def resolve(config: dict[str, Any], need: str | None = None) -> RunPlan:

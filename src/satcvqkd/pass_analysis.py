@@ -134,11 +134,6 @@ def _scan_profile(source: TextIO) -> PassProfile:
         raise ProfileError(f"line {line_no}: {bad.what}") from None
 
 
-def _elevation_from_central_angle(gamma: float, radius_ratio: float) -> float:
-    # radius_ratio = r_ogs / r_sat; gamma is the OGS-satellite central angle.
-    return math.degrees(math.atan2(math.cos(gamma) - radius_ratio, math.sin(gamma)))
-
-
 def circular_pass_arc(
     setup: LinkSetup, altitude_m: float, max_elevation_deg: float
 ) -> tuple[float, float, float, float]:
@@ -170,7 +165,11 @@ def synthesize_circular_pass(
     The Earth radius and the ground station are those of ``setup``.  The
     orbit plane is chosen so the peak elevation equals ``max_elevation_deg``;
     Earth rotation is ignored, so real pass durations are reproduced only
-    approximately.
+    approximately.  The samples are computed as numpy arrays: numpy's
+    ``arccos`` and ``arctan2`` can differ from ``math``'s in the last bit, so
+    elevations agree with a per-sample ``math`` evaluation (kept as
+    ``tests/oracles.synthesized_pass``) within 1e-14 relative, and times
+    exactly.
     """
     if altitude_m <= 0.0 or sample_dt_s <= 0.0:
         raise ValueError("altitude and sample step must be positive")
@@ -180,19 +179,12 @@ def synthesize_circular_pass(
         setup, altitude_m, max_elevation_deg
     )
     steps = int(math.floor(half_duration / sample_dt_s))
-    times: list[float] = []
-    elevations: list[float] = []
-    for k in range(-steps, steps + 1):
-        offset = k * sample_dt_s
-        gamma = math.acos(
-            min(1.0, math.cos(gamma_min) * math.cos(omega * offset))
-        )
-        elevation = _elevation_from_central_angle(gamma, ratio)
-        if elevation <= 0.0:
-            continue
-        times.append(offset + half_duration)
-        elevations.append(min(elevation, 90.0))
-    return PassProfile(times, elevations)
+    offsets = np.arange(-steps, steps + 1) * sample_dt_s
+    # gamma is the station-satellite central angle; ratio is r_ogs / r_sat
+    gamma = np.arccos(np.minimum(1.0, math.cos(gamma_min) * np.cos(omega * offsets)))
+    elevations = np.degrees(np.arctan2(np.cos(gamma) - ratio, np.sin(gamma)))
+    above = elevations > 0.0
+    return PassProfile(offsets[above] + half_duration, np.minimum(elevations[above], 90.0))
 
 
 class ModelPassResult(NamedTuple):

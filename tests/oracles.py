@@ -12,7 +12,8 @@ per-point, ``math``-based evaluation the package's grid evaluator replaced,
 photon-number-sector moments replaced, ``grid_csv_rows`` the field-by-field
 CSV formatter that the package's per-block column formatting replaced, and
 ``reference_profile`` the ``csv``-and-``float`` profile parser that the
-package's numpy parse replaced.  ``coherent_vector`` and
+package's numpy parse replaced, and ``synthesized_pass`` the per-sample
+``math`` loop that the package's array-built circular pass replaced.  ``coherent_vector`` and
 ``sector_eigenvectors`` are not independent: they are per-state and
 number-basis views of the package's Fock builds, which only the tests need.
 """
@@ -569,3 +570,22 @@ def reference_profile(source):
             raise ProfileError(f"line {line_no}: time {t} not after {previous}")
         previous = t
     return [t for _, t, _ in samples], [e for _, _, e in samples]
+
+
+def synthesized_pass(setup, altitude_m, max_elevation_deg, sample_dt_s):
+    """(times, elevations) of ``synthesize_circular_pass``, one ``math`` sample at a time."""
+    from satcvqkd.pass_analysis import circular_pass_arc
+
+    ratio, gamma_min, omega, half_duration = circular_pass_arc(
+        setup, altitude_m, max_elevation_deg)
+    steps = int(math.floor(half_duration / sample_dt_s))
+    times, elevations = [], []
+    for k in range(-steps, steps + 1):
+        offset = k * sample_dt_s
+        gamma = math.acos(min(1.0, math.cos(gamma_min) * math.cos(omega * offset)))
+        elevation = math.degrees(math.atan2(math.cos(gamma) - ratio, math.sin(gamma)))
+        if elevation <= 0.0:
+            continue
+        times.append(offset + half_duration)
+        elevations.append(min(elevation, 90.0))
+    return times, elevations

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: its paired-run summary on fixed numbers, and its
-refusal of a checkout with cached bytecode."""
+refusal of a checkout with cached bytecode or of fewer than two pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -47,4 +47,17 @@ def test_a_checkout_with_cached_bytecode_is_refused_before_any_run(tmp_path, cap
         bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                           str(tmp_path / "change"), "--output", str(tmp_path / "out.json")])
     assert "__pycache__: both sides must compile" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, capsys, monkeypatch, pairs):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--pairs", pairs,
+                          "--output", str(tmp_path / "out.json")])
+    assert f"--pairs {pairs}: quartiles need at least 2 pairs" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()

@@ -280,11 +280,9 @@ def _series_lines(text):
     return lines[lines.index(next(l for l in lines if l.startswith("time_s,"))) + 1:]
 
 
-@pytest.mark.parametrize("min_proven", [0.0, math.inf], ids=["matrix", "repr"])
-def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch, min_proven):
+def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch):
     # 17-digit times, a scientific elevation and negative and zero rates: the
-    # series rows read as ",".join of each value's repr, on either block path.
-    monkeypatch.setattr(cli, "_MIN_PROVEN", min_proven)
+    # series rows read as ",".join of each value's repr.
     profile = tmp_path / "profile.csv"
     profile.write_text("0.30000000000000004,10.5\n60.123456789012345,30.25\n"
                        "120.00000000000001,88.0\n180.99999999999997,45.123456789\n"
@@ -317,13 +315,12 @@ def test_pass_series_is_repr_joined_by_commas(tmp_path, monkeypatch, min_proven)
 
 
 @pytest.mark.parametrize("synthesized", [True, False])
-def test_pass_block_path_follows_the_proven_share(tmp_path, monkeypatch, synthesized):
-    # A synthesized pass has 17-digit times and elevations, a measured profile
-    # six decimals: only the latter is worth the uint8 matrix.
-    profile = synthesize_circular_pass(config_mod.resolve(SYNTH_PASS).setup, 417.5e3, 87.6, 2.0)
-    if synthesized:
-        payload = SYNTH_PASS
-    else:
+def test_every_pass_block_is_one_matrix(tmp_path, monkeypatch, synthesized):
+    # A synthesized pass has mostly 17-digit times and elevations, a measured
+    # profile six decimals: either way each 8192-row block is one uint8 matrix.
+    payload = _replaced(SYNTH_PASS, ("pass", "synthesize", "sample_dt_s"), 0.05)
+    profile = synthesize_circular_pass(config_mod.resolve(payload).setup, 417.5e3, 87.6, 0.05)
+    if not synthesized:
         rows = zip(profile.times_s.round(6).tolist(), profile.elevations_deg.round(6).tolist())
         path = tmp_path / "profile.csv"
         path.write_text("".join(f"{t},{e}\n" for t, e in rows), encoding="utf-8")
@@ -332,7 +329,10 @@ def test_pass_block_path_follows_the_proven_share(tmp_path, monkeypatch, synthes
     monkeypatch.setattr(cli, "_csv_lines", lambda fields: matrices.append(fields) or "")
     assert main(["pass", "--config", _write_config(tmp_path, "pass.json", payload),
                  "--output", str(tmp_path / "pass.csv")]) == 0
-    assert len(matrices) == (0 if synthesized else 1)
+    rows = profile.times_s.size
+    assert rows > 8192  # a full block and a part block
+    assert [fields[0].shape[0] for fields in matrices] == \
+        [min(8192, rows - start) for start in range(0, rows, 8192)]
 
 
 def test_one_sample_pass_has_no_series_rows(tmp_path):
@@ -491,11 +491,13 @@ def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
 
 
 def test_pass_reads_one_protocol_never_a_list(tmp_path, capsys):
-    # a pass resolves only 'protocol', so a 'protocols' list cannot hand it two
+    # a pass resolves only 'protocol', so a 'protocols' list cannot hand it two;
+    # validate-config reads a 'pass' section without a 'sweep' as a pass too
     path = _write_config(tmp_path, "pass.json",
                          {"protocols": ["gm", "psk4"], "pass": SYNTH_PASS["pass"]})
-    assert main(["pass", "--config", path]) == 1
-    assert capsys.readouterr().err == "config error: configuration needs a 'protocol'\n"
+    for command in ("pass", "validate-config"):
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err == "config error: configuration needs a 'protocol'\n"
 
 
 def _profile_pass(tmp_path, profile_csv):

@@ -22,7 +22,7 @@ from satcvqkd import (
 from satcvqkd.finite_size import MD, MLC_MSD
 from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec, evaluate_point, link_columns
 
-from oracles import reference_profile
+from oracles import reference_profile, synthesized_pass
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
 
@@ -227,6 +227,27 @@ def test_peak_matches_requested_elevation():
 def test_reference_pass_duration():
     times = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0).times_s
     assert times[-1] - times[0] == pytest.approx(663.0, rel=0.25)
+
+
+@pytest.mark.parametrize("setup, altitude_m, max_elevation_deg, sample_dt_s", [
+    (ISS_SETUP, 417.5e3, 87.6, 0.0104),
+    (ISS_SETUP, 417.5e3, 87.6, 1.0),
+    (SEA_LEVEL, 600e3, 30.0, 1.0),
+    (SEA_LEVEL, 500e3, 90.0, 1.0),
+    (SEA_LEVEL, 1200e3, 10.0, 0.003),
+], ids=["417km-87deg-dt0.0104", "417km-87deg", "600km-30deg", "500km-90deg",
+        "1200km-10deg-dt0.003"])
+def test_synthesized_pass_matches_the_per_sample_loop(setup, altitude_m, max_elevation_deg,
+                                                      sample_dt_s):
+    # numpy's arccos and arctan2 may move an elevation's last bit, never a time,
+    # a sample's presence or its one-degree bin
+    profile = synthesize_circular_pass(setup, altitude_m, max_elevation_deg, sample_dt_s)
+    times, elevations = map(np.array, synthesized_pass(setup, altitude_m, max_elevation_deg,
+                                                        sample_dt_s))
+    assert profile.times_s.size == times.size
+    assert np.array_equal(profile.times_s, times)
+    assert np.all(np.abs(profile.elevations_deg - elevations) <= 1e-14 * elevations)
+    assert np.array_equal(profile.elevations_deg // 1.0, elevations // 1.0)
 
 
 # --- key integration ---------------------------------------------------------------

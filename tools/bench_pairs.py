@@ -73,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar=("PARENT", "CHANGE"), help="names of the two sides")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # statistics.quantiles needs two values per side
+        parser.error(f"--pairs {args.pairs}: quartiles need at least 2 pairs")
     # Where PYTHONDONTWRITEBYTECODE is set, each perfbench child compiles src/
     # anew, unless its checkout already holds bytecode: that side starts faster.
     cached = [path for side in (args.parent, args.change)
