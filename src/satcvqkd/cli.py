@@ -273,14 +273,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        plan = config_mod.load(args.config)  # the config's keys name its run
         if args.command == "validate-config":
-            plan = config_mod.load(args.config)  # run type inferred from the keys
             print(json.dumps(plan.resolved, sort_keys=True, indent=2))
-            return 0
-        plan = config_mod.load(args.config, args.command)
-        if args.command == "pass":
+        elif (args.command == "pass") != (plan.pass_spec is not None):
+            section = "pass" if args.command == "pass" else "sweep"
+            raise ConfigError(f"{args.command} needs a '{section}' section")
+        elif args.command == "pass":
             _run_pass(plan, args.output)
-        else:  # sweep and compare share the grid runner
+        else:  # sweep and compare both run any grid plan
             _run_sweep(plan, args.output)
         return 0
     except ConfigError as exc:

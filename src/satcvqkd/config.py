@@ -25,8 +25,8 @@ from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
 from .gaussian import DAYLIGHT_NOISE, Detection
 from .pass_analysis import circular_pass_arc
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
-from .psk import _MAX_SERIES_TERMS, series_terms
-from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, start_cutoff
+from .psk import _MAX_SERIES_TERMS, correlation_z, series_terms
+from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, build_constellation, start_cutoff
 from .quantities import validating
 
 SCHEMA_VERSION = 1
@@ -74,6 +74,9 @@ class PassSpec(NamedTuple):
     def _check(self) -> None:
         if self.synth_sample_dt_s <= 0.0 or self.bin_width_deg <= 0.0:
             raise ConfigError("pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0")
+        if 90.0 // self.bin_width_deg >= 2.0**63:  # a bin index must fit an int64
+            raise ConfigError(f"pass.bin_width_deg {self.bin_width_deg!r} cuts 90 degrees "
+                              "into 2**63 or more bins")
 
     @property
     def synthesized(self) -> bool:
@@ -137,9 +140,6 @@ _PASS = {
     "keyhole_ceiling_deg": ("keyhole_ceiling_deg", None),
     "bin_width_deg": ("bin_width_deg", None),
 }
-# pass also accepts the station's key, which sets plan.setup and is echoed there.
-_STATION = {"ogs_altitude_km": _GEOMETRY["ogs_altitude_km"]}
-# synthesize also accepts altitude_km; the echo keeps it at pass level.
 _SYNTHESIZE = {
     "max_elevation_deg": ("synth_max_elevation_deg", None),
     "sample_dt_s": ("synth_sample_dt_s", None),
@@ -245,8 +245,10 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
     if kind == "psk":
         spec = ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a,
                             states=states)
+        alpha = math.sqrt(v_a / 2.0)
         _cap(f"the sector-series terms of {states}-PSK at modulation_variance_snu {v_a:g}",
-             series_terms(math.sqrt(v_a / 2.0)), _MAX_SERIES_TERMS)
+             series_terms(alpha), _MAX_SERIES_TERMS)
+        correlation_z(states, alpha)  # refuses a spectral weight that underflows
         return spec
     dist_raw = mapping.get("distribution", "binomial")
     if dist_raw == "binomial":
@@ -266,6 +268,7 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
                         states=states, distribution=distribution)
     _cap(f"the start cutoff of {states}-QAM at modulation_variance_snu {v_a:g}",
          start_cutoff(math.isqrt(states), v_a), _MAX_CUTOFF)
+    build_constellation(math.isqrt(states), math.sqrt(v_a / 2.0), distribution)  # weights checked
     return spec
 
 
@@ -326,12 +329,10 @@ def _parse_pass(raw: Any) -> PassSpec:
     synth = mapping.get("synthesize")
     if (profile_path is None) == (synth is None):
         raise ConfigError("pass needs exactly one of profile_csv or synthesize")
-    own = {k: v for k, v in mapping.items()
-           if k not in ("profile_csv", "synthesize", *_STATION)}
+    own = {k: v for k, v in mapping.items() if k not in ("profile_csv", "synthesize")}
     spec = _section(PassSpec(), own, _PASS, "pass")
     if synth is not None:
-        keys = {**_SYNTHESIZE, "altitude_km": _PASS["altitude_km"]}
-        return _section(spec, _expect_mapping(synth, "pass.synthesize"), keys, "pass.synthesize")
+        return _section(spec, synth, _SYNTHESIZE, "pass.synthesize")
     if "altitude_km" not in mapping:
         raise ConfigError("pass over a measured profile needs pass.altitude_km")
     if not isinstance(profile_path, str):
@@ -342,30 +343,36 @@ def _parse_pass(raw: Any) -> PassSpec:
     return spec._replace(profile_path=profile_path)
 
 
-def _run_type(config: Any) -> str:
-    """The run a config describes: compare, pass or sweep."""
-    if not isinstance(config, dict):
-        raise ConfigError("configuration must be a JSON object")
-    if "pass" in config and "sweep" not in config:
+def _run_type(config: dict[str, Any]) -> str:
+    """The run a config describes, from its keys alone: "sweep" (one protocol),
+    "compare" (a protocols list) or "pass" (one protocol)."""
+    if ("protocol" in config) == ("protocols" in config):
+        raise ConfigError("configuration needs exactly one of 'protocol' or 'protocols'")
+    if ("sweep" in config) == ("pass" in config):
+        raise ConfigError("configuration needs exactly one of 'sweep' or 'pass'")
+    if "pass" in config:
+        if "protocols" in config:
+            raise ConfigError("a pass takes one 'protocol', not a 'protocols' list")
         return "pass"
     return "compare" if "protocols" in config else "sweep"
 
 
-def resolve(config: dict[str, Any], need: str | None = None) -> RunPlan:
+def resolve(config: dict[str, Any]) -> RunPlan:
     """Validate a configuration mapping and fill in all defaults.
 
-    ``need`` is "sweep", "pass" or "compare" and controls which sections are
-    required; ``None`` takes the run type from the keys present.  Every grid
-    corner and pass peak is checked against the link geometry here, so a
-    plan that resolves does not fail on its configuration at run time.
+    The keys present decide the run (``_run_type``).  Every grid corner and
+    pass peak is checked against the link geometry here, so a plan that
+    resolves does not fail on its configuration at run time.
     """
     try:
-        return _resolve(config, need or _run_type(config))
+        return _resolve(config)
     except ValueError as exc:  # a library record or the link geometry refused a value
         raise ConfigError(str(exc)) from None
 
 
-def _resolve(config: dict[str, Any], need: str) -> RunPlan:
+def _resolve(config: dict[str, Any]) -> RunPlan:
+    if not isinstance(config, dict):
+        raise ConfigError("configuration must be a JSON object")
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
@@ -374,15 +381,14 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
         "noise", "geometry", "reconciliation", "finite_size", "sweep", "pass",
     }
     _reject_unknown(config, known, "configuration")
+    run = _run_type(config)
 
-    if need == "compare":
-        raw_protocols = config.get("protocols")
+    if run == "compare":
+        raw_protocols = config["protocols"]
         if not isinstance(raw_protocols, list) or not raw_protocols:
             raise ConfigError("compare needs a non-empty 'protocols' list")
         protocols = tuple(_parse_protocol(p) for p in raw_protocols)
     else:
-        if "protocol" not in config:
-            raise ConfigError("configuration needs a 'protocol'")
         protocols = (_parse_protocol(config["protocol"]),)
 
     link = LinkSetup(
@@ -399,20 +405,8 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
 
     sweep = None
     pass_spec = None
-    if need in ("sweep", "compare"):
-        if "sweep" not in config:
-            raise ConfigError(f"{need} needs a 'sweep' section")
-        sweep = _parse_sweep(config["sweep"])
-        rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
-        _cap(f"{need} rows", rows, _MAX_ROWS)
-        setup.geometry(min(sweep.altitudes_m), np.array(sweep.elevations_deg))
-    if need == "pass":
-        if "pass" not in config:
-            raise ConfigError("pass needs a 'pass' section")
+    if run == "pass":
         pass_spec = _parse_pass(config["pass"])
-        # pass.ogs_altitude_km, when given, overrides the geometry's OGS altitude.
-        station = {k: v for k, v in config["pass"].items() if k in _STATION}
-        setup = _section(setup, station, _STATION, "pass")
         setup.geometry(pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
         if pass_spec.synthesized:
             half_duration_s = circular_pass_arc(
@@ -420,6 +414,11 @@ def _resolve(config: dict[str, Any], need: str) -> RunPlan:
             )[-1]
             steps = np.floor(half_duration_s / pass_spec.synth_sample_dt_s)  # as synthesized
             _cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)
+    else:
+        sweep = _parse_sweep(config["sweep"])
+        rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
+        _cap(f"{run} rows", rows, _MAX_ROWS)
+        setup.geometry(min(sweep.altitudes_m), np.array(sweep.elevations_deg))
 
     return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
 
@@ -476,7 +475,7 @@ def _echo(plan: RunPlan) -> dict[str, Any]:
     return out
 
 
-def load(path: str, need: str | None = None) -> RunPlan:
+def load(path: str) -> RunPlan:
     """Read and resolve a JSON configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -485,4 +484,4 @@ def load(path: str, need: str | None = None) -> RunPlan:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    return resolve(raw, need)
+    return resolve(raw)

@@ -151,10 +151,21 @@ def circular_pass_arc(
     gamma_horizon = math.acos(ratio)
 
     omega = math.sqrt(_MU_EARTH / r_sat**3)
+    if not _elevations_deg(ratio, gamma_min, omega, np.zeros(1))[0] > 0.0:
+        raise ValueError(f"a pass peaking at {max_elevation_deg!r} deg has no sample "
+                         "above the horizon")
     half_arc = math.acos(
         min(1.0, math.cos(gamma_horizon) / math.cos(gamma_min))
     )
     return ratio, gamma_min, omega, half_arc / omega
+
+
+def _elevations_deg(ratio: float, gamma_min: float, omega: float,
+                    offsets_s: np.ndarray) -> np.ndarray:
+    """Elevations of a circular pass at ``offsets_s`` from its peak, in degrees."""
+    # gamma is the station-satellite central angle; ratio is r_ogs / r_sat
+    gamma = np.arccos(np.minimum(1.0, math.cos(gamma_min) * np.cos(omega * offsets_s)))
+    return np.degrees(np.arctan2(np.cos(gamma) - ratio, np.sin(gamma)))
 
 
 def synthesize_circular_pass(
@@ -180,9 +191,7 @@ def synthesize_circular_pass(
     )
     steps = int(math.floor(half_duration / sample_dt_s))
     offsets = np.arange(-steps, steps + 1) * sample_dt_s
-    # gamma is the station-satellite central angle; ratio is r_ogs / r_sat
-    gamma = np.arccos(np.minimum(1.0, math.cos(gamma_min) * np.cos(omega * offsets)))
-    elevations = np.degrees(np.arctan2(np.cos(gamma) - ratio, np.sin(gamma)))
+    elevations = _elevations_deg(ratio, gamma_min, omega, offsets)
     above = elevations > 0.0
     return PassProfile(offsets[above] + half_duration, np.minimum(elevations[above], 90.0))
 

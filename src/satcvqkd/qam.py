@@ -142,6 +142,9 @@ def build_constellation(
         log_weights = [-distribution.nu * (coords[k] ** 2 + coords[l] ** 2) for k, l in grid]
     weights = [math.exp(x) for x in log_weights]
     total = math.fsum(weights)
+    if total == 0.0:
+        raise ValueError(f"every point weight of {side * side}-QAM at {distribution} "
+                         "underflowed to zero")
     probabilities = tuple(w / total for w in weights)
     return Constellation(amplitudes=amplitudes, probabilities=probabilities)
 

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py: its paired-run summary on fixed numbers, and its
-refusal of a checkout with cached bytecode or of fewer than two pairs."""
+"""tools/bench_pairs.py: its paired-run summary on fixed numbers, its per-side
+operation counts over stubbed runs, and its refusal of a checkout with cached
+bytecode or of fewer than two pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,33 @@ def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, capsys, monke
                           "--output", str(tmp_path / "out.json")])
     assert f"--pairs {pairs}: quartiles need at least 2 pairs" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_report_sums_each_sides_attempted_and_failed_operations(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}), encoding="utf-8")
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        failed = int(checkout.name == "change" and workload == "pass_budget")
+        return {"correct": not failed, "attempted": 40, "failed": failed,
+                "metrics": {"run_s": {"value": 0.1 if checkout.name == "parent" else 0.2}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--pairs", "3", "--seeds", "1", "7",
+                             "--output", str(out)]) == 0
+    assert len(calls) == 4 * 2 * 3 * 2  # workloads x seeds x pairs x sides
+    report = json.loads(out.read_text(encoding="utf-8"))
+    for workload in bench_pairs.WORKLOADS:
+        for seed in ("1", "7"):
+            entry = report["workloads"][workload][seed]
+            failing = workload == "pass_budget"
+            assert entry["attempted"] == {"parent": 120, "change": 120}
+            assert entry["failed"] == {"parent": 0, "change": 3 if failing else 0}
+            assert entry["correct"] == {"parent": True, "change": not failing}
+            assert entry["metrics"]["run_s"]["pairs"] == [[0.1, 0.2]] * 3

@@ -192,9 +192,10 @@ def test_pass_summary_contains_both_models(tmp_path):
         "protocol": "gm",
         "terminals": {"receiver_aperture_m": 2.0},
         "reconciliation": {"kind": "md"},
+        "geometry": {"ogs_altitude_km": 1.029},
         "pass": {
-            "synthesize": {"altitude_km": 417.5, "max_elevation_deg": 87.6, "sample_dt_s": 2.0},
-            "ogs_altitude_km": 1.029,
+            "altitude_km": 417.5,
+            "synthesize": {"max_elevation_deg": 87.6, "sample_dt_s": 2.0},
         },
     }
     config = _write_config(tmp_path, "pass.json", payload)
@@ -215,26 +216,24 @@ def test_pass_summary_contains_both_models(tmp_path):
 
 
 def test_pass_flies_from_the_geometry_ogs_altitude(tmp_path):
-    # pass.ogs_altitude_km sets the geometry's station, echo included; without
-    # either key the station is at sea level.
+    # geometry.ogs_altitude_km is a pass's station, echo included; without it
+    # the station is at sea level.
     base = {
         "protocol": "gm",
         "terminals": {"receiver_aperture_m": 2.0},
         "reconciliation": {"kind": "md"},
-        "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 87.6,
-                                "sample_dt_s": 2.0}},
+        "pass": {"altitude_km": 417.5,
+                 "synthesize": {"max_elevation_deg": 87.6, "sample_dt_s": 2.0}},
     }
     outputs = {}
     for name, payload in (
         ("geometry", {**base, "geometry": {"ogs_altitude_km": 1.0}}),
-        ("pass", _replaced(base, ("pass", "ogs_altitude_km"), 1.0)),
         ("sea_level", base),
     ):
         outputs[name] = tmp_path / f"{name}.csv"
         config = _write_config(tmp_path, f"{name}.json", payload)
         assert main(["pass", "--config", config, "--output", str(outputs[name])]) == 0
-    results = {name: out.read_bytes() for name, out in outputs.items()}
-    assert results["geometry"] == results["pass"] != results["sea_level"]
+    assert outputs["geometry"].read_bytes() != outputs["sea_level"].read_bytes()
     _assert_reruns_from_echo(tmp_path, "pass", outputs["geometry"])
 
 
@@ -245,11 +244,8 @@ def test_measured_profile_pass(tmp_path):
         "protocol": "gm",
         "terminals": {"receiver_aperture_m": 2.0},
         "reconciliation": {"kind": "md"},
-        "pass": {
-            "profile_csv": str(profile),
-            "altitude_km": 417.5,
-            "ogs_altitude_km": 1.029,
-        },
+        "geometry": {"ogs_altitude_km": 1.029},
+        "pass": {"profile_csv": str(profile), "altitude_km": 417.5},
     }
     config = _write_config(tmp_path, "pass2.json", payload)
     out = tmp_path / "pass2.csv"
@@ -396,8 +392,8 @@ def test_console_entry_point_runs():
 ONE_POINT = {"protocol": "gm", "sweep": {"altitude_km": [500], "elevation_deg": [90]}}
 SYNTH_PASS = {
     "protocol": "gm",
-    "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 87.6,
-                            "sample_dt_s": 2.0}},
+    "pass": {"altitude_km": 417.5,
+             "synthesize": {"max_elevation_deg": 87.6, "sample_dt_s": 2.0}},
 }
 
 
@@ -476,13 +472,64 @@ MALFORMED = {
     "profile_directory": ("pass", {
         "protocol": "gm", "pass": {"profile_csv": ".", "altitude_km": 417.5},
     }, "pass.profile_csv '.' is not a regular file"),
+    "section_not_an_object": ("sweep", _replaced(
+        ONE_POINT, ("terminals",), [2.0]), "terminals must be an object, got list"),
+    "protocol_kind_unknown": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "fsk"}), "protocol.kind must be gm/psk/qam, got 'fsk'"),
+    "protocol_detection_unknown": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "gm", "detection": "balanced"}),
+        "protocol.detection must be homodyne/heterodyne, got 'balanced'"),
+    "protocol_distribution_unknown": ("sweep", _replaced(
+        ONE_POINT, ("protocol",), {"kind": "qam", "states": 16, "distribution": "uniform"}),
+        "protocol.distribution must be 'binomial' or {kind: discrete_gaussian, nu: ...}, "
+        "got 'uniform'"),
+    "reconciliation_kind_unknown": ("sweep", _replaced(
+        ONE_POINT, ("reconciliation",), {"kind": "ldpc"}),
+        "reconciliation.kind must be asymptotic/md/mlc_msd, got 'ldpc'"),
+    "altitude_a_number": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "altitude_km"), 500),
+        "sweep.altitude_km must be a non-empty list or {start, stop, step}"),
+    "elevation_list_empty": ("sweep", _replaced(
+        ONE_POINT, ("sweep", "elevation_deg"), []), "sweep.elevation_deg must be a non-empty list"),
+    "pass_without_a_profile": ("pass", {"protocol": "gm", "pass": {"altitude_km": 417.5}},
+                               "pass needs exactly one of profile_csv or synthesize"),
+    "pass_with_two_profiles": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "profile_csv"), "profile.csv"),
+        "pass needs exactly one of profile_csv or synthesize"),
+    "measured_pass_without_altitude": ("pass", {
+        "protocol": "gm", "pass": {"profile_csv": "profile.csv"},
+    }, "pass over a measured profile needs pass.altitude_km"),
+    "profile_not_a_string": ("pass", {
+        "protocol": "gm", "pass": {"profile_csv": 5, "altitude_km": 417.5},
+    }, "pass.profile_csv must be a path, got 5"),
+    "pass_station_alias": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "ogs_altitude_km"), 1.029), "unknown keys in pass: ['ogs_altitude_km']"),
+    "synthesize_altitude_alias": ("pass", _replaced(
+        SYNTH_PASS, ("pass", "synthesize", "altitude_km"), 417.5),
+        "unknown keys in pass.synthesize: ['altitude_km']"),
+    "config_not_an_object": ("sweep", [ONE_POINT], "configuration must be a JSON object"),
+    "protocols_empty": ("compare", {"protocols": [], "sweep": ONE_POINT["sweep"]},
+                        "compare needs a non-empty 'protocols' list"),
+    "config_path_unreadable": ("sweep", None, "cannot read config "),  # a directory
+    "config_not_json": ("sweep", '{"protocol": "gm",', "is not valid JSON: "),
 }
+
+
+def _config_file(tmp_path, payload):
+    """A config file holding ``payload`` as JSON, or as text when it is a str;
+    None gives a directory, which cannot be read as one."""
+    if payload is None:
+        return str(tmp_path)
+    if isinstance(payload, str):
+        (tmp_path / "bad.json").write_text(payload, encoding="utf-8")
+        return str(tmp_path / "bad.json")
+    return _write_config(tmp_path, "bad.json", payload)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
     command, payload, message = MALFORMED[case]
-    path = _write_config(tmp_path, "bad.json", payload)
+    path = _config_file(tmp_path, payload)
     for argv in (["validate-config", "--config", path], [command, "--config", path]):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -490,14 +537,64 @@ def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, case):
         assert message in err
 
 
+def test_bad_conditions_preset_is_the_bad_atmosphere():
+    conditions = config_mod.resolve({**ONE_POINT, "conditions": "bad"}).setup.conditions
+    assert conditions == config_mod.BAD_CONDITIONS
+    assert (conditions.visibility_km, conditions.cn2) == (20.0, 1e-13)
+
+
+COMMANDS = ("validate-config", "sweep", "compare", "pass")
+
+
 def test_pass_reads_one_protocol_never_a_list(tmp_path, capsys):
-    # a pass resolves only 'protocol', so a 'protocols' list cannot hand it two;
-    # validate-config reads a 'pass' section without a 'sweep' as a pass too
+    # a pass takes one 'protocol', so a 'protocols' list cannot hand it two
     path = _write_config(tmp_path, "pass.json",
                          {"protocols": ["gm", "psk4"], "pass": SYNTH_PASS["pass"]})
-    for command in ("pass", "validate-config"):
+    for command in COMMANDS:
         assert main([command, "--config", path]) == 1
-        assert capsys.readouterr().err == "config error: configuration needs a 'protocol'\n"
+        assert capsys.readouterr().err == \
+            "config error: a pass takes one 'protocol', not a 'protocols' list\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({**ONE_POINT, "protocols": ["psk4", "qam16"]},
+     "configuration needs exactly one of 'protocol' or 'protocols'"),
+    ({"sweep": ONE_POINT["sweep"]}, "configuration needs exactly one of 'protocol' or 'protocols'"),
+    ({**SYNTH_PASS, "sweep": ONE_POINT["sweep"]},
+     "configuration needs exactly one of 'sweep' or 'pass'"),
+    ({"protocol": "gm"}, "configuration needs exactly one of 'sweep' or 'pass'"),
+    ({"protocols": ["gm", "psk4"], "pass": SYNTH_PASS["pass"]},
+     "a pass takes one 'protocol', not a 'protocols' list"),
+], ids=["protocol_and_protocols", "no_protocol", "sweep_and_pass", "no_sweep_or_pass",
+        "protocols_and_pass"])
+def test_a_config_names_one_run(tmp_path, capsys, payload, message):
+    # the keys alone decide the run, so every command refuses the config alike
+    path = _write_config(tmp_path, "run.json", payload)
+    for command in COMMANDS:
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_command_runs_its_kind_of_plan(tmp_path, capsys):
+    # sweep and compare run any grid plan alike; pass runs only a pass plan
+    grids = {"sweep": ONE_POINT, "compare": {"protocols": ["gm", "psk4"],
+                                             "sweep": ONE_POINT["sweep"]}}
+    for name, payload in grids.items():
+        path = _write_config(tmp_path, f"{name}.json", payload)
+        outputs = []
+        for command in ("sweep", "compare"):
+            out = tmp_path / f"{name}-{command}.csv"
+            assert main([command, "--config", path, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert main(["pass", "--config", path]) == 1
+        assert capsys.readouterr().err == "config error: pass needs a 'pass' section\n"
+    path = _write_config(tmp_path, "pass.json", SYNTH_PASS)
+    for command in ("sweep", "compare"):
+        out = tmp_path / "pass.csv"
+        assert main([command, "--config", path, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {command} needs a 'sweep' section\n"
+        assert not out.exists()
 
 
 def _profile_pass(tmp_path, profile_csv):
@@ -704,6 +801,29 @@ RUN_FAILURES = {
         {**ONE_POINT, "protocol": {"kind": "psk", "states": 2, "modulation_variance_snu": 1e300}},
         1, "config error: the sector-series terms of 2-PSK at modulation_variance_snu 1e+300 "
         "would be 5e+299, over the cap of 1000000"),
+    "psk8_modulation_variance_1e-50": (
+        {**ONE_POINT, "protocol": {"kind": "psk", "states": 8, "modulation_variance_snu": 1e-50}},
+        1, "config error: correlation coefficient undefined: a spectral weight underflowed "
+        "to zero at alpha=7.071067811865476e-26"),
+    "psk4_modulation_variance_1e-250": (
+        {**ONE_POINT, "protocol": {"kind": "psk", "states": 4, "modulation_variance_snu": 1e-250}},
+        1, "config error: correlation coefficient undefined: a spectral weight underflowed "
+        "to zero at alpha=7.071067811865476e-126"),
+    "qam16_nu_1e300": (  # every point weight exp(-nu |alpha|^2) underflows
+        {**ONE_POINT, "protocol": {"kind": "qam", "states": 16, "distribution":
+                                   {"kind": "discrete_gaussian", "nu": 1e300}}},
+        1, "config error: every point weight of 16-QAM at DiscreteGaussian(nu=1e+300) "
+        "underflowed to zero"),
+    "qam9_nu_1e300": (  # only the centre alpha = 0 keeps a weight
+        {**ONE_POINT, "protocol": {"kind": "qam", "states": 9, "distribution":
+                                   {"kind": "discrete_gaussian", "nu": 1e300}}},
+        1, "config error: constellation must carry a positive mean photon number"),
+    "pass_peak_1e-300": (  # the peak rounds to the horizon: no sample is above it
+        _replaced(SYNTH_PASS, ("pass", "synthesize", "max_elevation_deg"), 1e-300), 1,
+        "config error: a pass peaking at 1e-300 deg has no sample above the horizon"),
+    "pass_bin_width_1e-300": (  # a bin index past int64
+        _replaced(SYNTH_PASS, ("pass", "bin_width_deg"), 1e-300), 1,
+        "config error: pass.bin_width_deg 1e-300 cuts 90 degrees into 2**63 or more bins"),
 }
 
 
@@ -712,8 +832,9 @@ def test_a_config_that_fails_ends_in_one_line(tmp_path, capsys, case):
     payload, code, message = RUN_FAILURES[case]
     path = _write_config(tmp_path, "config.json", payload)
     out = tmp_path / "out.csv"
+    command = "pass" if "pass" in payload else "sweep"
     for argv, expected in ((["validate-config", "--config", path], 0 if code == 2 else code),
-                           (["sweep", "--config", path, "--output", str(out)], code)):
+                           ([command, "--config", path, "--output", str(out)], code)):
         start = time.perf_counter()
         assert main(argv) == expected
         assert time.perf_counter() - start < 5.0
@@ -723,9 +844,9 @@ def test_a_config_that_fails_ends_in_one_line(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("payload, run", [
-    ({**ONE_POINT, "protocols": ["gm", "psk8"]}, "compare"),
+    ({"protocols": ["gm", "psk8"], "sweep": ONE_POINT["sweep"]}, "compare"),
     (SYNTH_PASS, "pass"),
-    ({**SYNTH_PASS, "sweep": ONE_POINT["sweep"]}, "sweep"),
+    (ONE_POINT, "sweep"),
 ])
 def test_validate_config_infers_run_type(tmp_path, capsys, payload, run):
     path = _write_config(tmp_path, "run.json", payload)

@@ -90,7 +90,7 @@ def test_grid_csv_matches_per_point_reference(tmp_path, case):
     assert lines[0] == CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
 
-    plan = config_mod.load(config_path, "compare")
+    plan = config_mod.load(config_path)
     expected = [
         [_field(point[column]) for column in COLUMNS]
         for altitude in plan.sweep.altitudes_m
@@ -139,7 +139,7 @@ def test_grid_csv_is_byte_identical_to_the_row_formatter(tmp_path, monkeypatch, 
     echo, header, rows = out.read_bytes().decode("utf-8").split("\n", 2)
     assert echo.startswith("# satcvqkd config ")
     assert header == CSV_HEADER
-    assert rows == grid_csv_rows(_records(config_mod.load(config_path, "compare")))
+    assert rows == grid_csv_rows(_records(config_mod.load(config_path)))
     assert rows.count("\n") == points * len(protocols)
 
 
@@ -188,7 +188,7 @@ def test_each_distinct_number_is_formatted_once_per_block(tmp_path, monkeypatch)
         totals.clear()
         path = _config(tmp_path, protocols, {"kind": "asymptotic", "beta": 0.93})
         assert main(["compare", "--config", path]) == 0
-        return np.diff([0] + totals).tolist(), _records(config_mod.load(path, "compare"))
+        return np.diff([0] + totals).tolist(), _records(config_mod.load(path))
 
     def distinct(records, block, names):
         """Distinct bit patterns of each number column ``names`` holds, over the block's rows."""

@@ -180,8 +180,8 @@ def test_pass_runs_one_link_stage_for_both_models(tmp_path, monkeypatch):
     _run(tmp_path, "pass", {
         "protocol": "gm",
         "reconciliation": {"kind": "md"},
-        "pass": {"synthesize": {"altitude_km": 417.5, "max_elevation_deg": 60.0,
-                                "sample_dt_s": 5.0}},
+        "pass": {"altitude_km": 417.5,
+                 "synthesize": {"max_elevation_deg": 60.0, "sample_dt_s": 5.0}},
     })
     assert len(calls) == 1
 

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from satcvqkd import (
     zeta_weights,
 )
 from satcvqkd import DAYLIGHT_NOISE
+from satcvqkd import qam as qam_module
 from satcvqkd.gaussian import gaussian_correlation
 from satcvqkd.qam import (
     _MAX_CUTOFF,
@@ -423,6 +425,42 @@ def test_cutoff_convergence_gate():
     z2 = _moments(modulation_density_matrix(c, n0 + 10))
     assert abs(z1[0] - z2[0]) < 5e-10
     assert abs(z1[1] - z2[1]) < 5e-10
+
+
+class _ScriptedWorkspace(NamedTuple):
+    """A workspace the gate only reads the cutoff of; ``_moments`` is scripted."""
+
+    cutoff: int
+
+    def rebuilt(self, cutoff: int) -> "_ScriptedWorkspace":
+        return _ScriptedWorkspace(cutoff)
+
+
+def _script_moments(monkeypatch, moments):
+    """Replace ``qam._moments`` by ``moments(cutoff)``; returns the cutoffs asked for."""
+    cutoffs = []
+
+    def scripted(workspace):
+        cutoffs.append(workspace.cutoff)
+        return moments(workspace.cutoff)
+
+    monkeypatch.setattr(qam_module, "_moments", scripted)
+    return cutoffs
+
+
+def test_cutoff_gate_doubles_until_a_step_of_ten_settles(monkeypatch):
+    # Z* moves by 2e-6 over the first step of 10 and by nothing over the second
+    cutoffs = _script_moments(
+        monkeypatch, lambda n: (1.0 + 1e-6 * (n == 110), 0.0) if n < 200 else (2.0, 0.5))
+    assert _converged_moments(_ScriptedWorkspace(100), 0.0) == (2.0, 0.5)
+    assert cutoffs == [100, 110, 200, 210]
+
+
+def test_cutoff_gate_gives_up_past_the_largest_cutoff(monkeypatch):
+    cutoffs = _script_moments(monkeypatch, lambda n: (float(n), 0.0))  # never settles
+    with pytest.raises(ConvergenceError, match=f"below cutoff {_MAX_CUTOFF}"):
+        _converged_moments(_ScriptedWorkspace(1000), 0.0)
+    assert cutoffs == [1000, 1010, 2000, 2010, 4000, 4010]
 
 
 # --- one correlation identity across GM, PSK and QAM ----------------------------

@@ -10,6 +10,8 @@ parent first in even pairs and the change first in odd ones, for every
 workload and seed.  For each end-to-end metric of the parent's
 ``BENCHMARK.json`` the output gives each side's median and quartiles, every
 pair's values, and how many pairs each side won; a tie counts for neither.
+Per side it also gives whether every run was correct and how many operations
+its runs attempted and failed in all, so a growing share of failures shows.
 A gain is claimed only when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
 Neither checkout may hold a ``__pycache__`` under ``src/``.  Only the
@@ -97,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed}: pair {i + 1} of {args.pairs}", file=sys.stderr)
             report["workloads"].setdefault(workload, {})[str(seed)] = {
                 "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+                **{count: {side: sum(r[count] for r in rs) for side, rs in runs.items()}
+                   for count in ("attempted", "failed")},
                 "metrics": {
                     name: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                            **summarize(*([r["metrics"][name]["value"] for r in runs[side]]
