@@ -3,8 +3,8 @@
 from .channel import (
     AtmosphericConditions,
     LinkBudget,
-    LinkGeometry,
     OpticalTerminals,
+    Site,
     SlantPath,
     far_field_bound_m,
     geometric_loss_db,

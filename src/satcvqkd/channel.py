@@ -27,40 +27,22 @@ _ASIN_CLAMP_TOL = 1e-9
 
 
 @validating
-class LinkGeometry(NamedTuple):
-    """Positions defining satellite-to-ground lines of sight.
+class Site(NamedTuple):
+    """Where the ground station sits: its altitude, the atmosphere above it and
+    the Earth it stands on, which fix every slant path seen from it."""
 
-    ``satellite_altitude_m`` is the orbit altitude at zenith; the elevation
-    angle is measured at the ground station from the local horizon.  Both
-    may be arrays that broadcast together, one line of sight per element.
-    """
-
-    satellite_altitude_m: float
-    elevation_deg: float
     ogs_altitude_m: float = 0.0
     atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
     earth_radius_m: float = EARTH_RADIUS_M
 
     def _check(self) -> None:
-        elevation = np.asarray(self.elevation_deg)
-        bad = ~((0.0 < elevation) & (elevation <= 90.0))
-        if np.any(bad):
+        if not self.atmosphere_thickness_m > self.ogs_altitude_m >= 0.0:
             raise GeometryError(
-                f"elevation must be in (0, 90] degrees, got {offending(elevation, bad)}"
-            )
-        satellite = np.asarray(self.satellite_altitude_m)
-        bad = ~(
-            (satellite > self.atmosphere_thickness_m)
-            & (self.atmosphere_thickness_m > self.ogs_altitude_m >= 0.0)
-        )
-        if np.any(bad):
-            raise GeometryError(
-                "altitudes must satisfy satellite > atmosphere thickness "
-                f"> OGS >= 0, got {offending(satellite, bad)}, "
+                "altitudes must satisfy atmosphere thickness > OGS >= 0, got "
                 f"{self.atmosphere_thickness_m}, {self.ogs_altitude_m}"
             )
-        if self.earth_radius_m <= 0.0:
-            raise GeometryError("earth radius must be positive")
+        if not self.earth_radius_m > 0.0:
+            raise GeometryError(f"earth radius must be positive, got {self.earth_radius_m}")
 
 
 class SlantPath(NamedTuple):
@@ -134,18 +116,31 @@ def _oblique_range(r_ogs_m, r_shell_m, elevation_deg):
     )
 
 
-def slant_path(geometry: LinkGeometry) -> SlantPath:
-    """Total link distance and effective atmosphere thickness along the path."""
-    r_ogs = geometry.earth_radius_m + geometry.ogs_altitude_m
-    total = _oblique_range(
-        r_ogs,
-        geometry.earth_radius_m + geometry.satellite_altitude_m,
-        geometry.elevation_deg,
-    )
+def slant_path(site: Site, satellite_altitude_m, elevation_deg) -> SlantPath:
+    """Total link distance and effective atmosphere thickness along the lines of
+    sight from ``site``.
+
+    ``satellite_altitude_m`` is the orbit altitude at zenith; the elevation
+    angle is measured at the ground station from the local horizon.  Both
+    may be arrays that broadcast together, one line of sight per element.
+    """
+    elevation = np.asarray(elevation_deg)
+    bad = ~((0.0 < elevation) & (elevation <= 90.0))
+    if np.any(bad):
+        raise GeometryError(
+            f"elevation must be in (0, 90] degrees, got {offending(elevation, bad)}"
+        )
+    satellite = np.asarray(satellite_altitude_m)
+    bad = ~(satellite > site.atmosphere_thickness_m)
+    if np.any(bad):
+        raise GeometryError(
+            f"satellite altitude must be above the {site.atmosphere_thickness_m} m "
+            f"atmosphere, got {offending(satellite, bad)}"
+        )
+    r_ogs = site.earth_radius_m + site.ogs_altitude_m
+    total = _oblique_range(r_ogs, site.earth_radius_m + satellite_altitude_m, elevation_deg)
     in_atmosphere = _oblique_range(
-        r_ogs,
-        geometry.earth_radius_m + geometry.atmosphere_thickness_m,
-        geometry.elevation_deg,
+        r_ogs, site.earth_radius_m + site.atmosphere_thickness_m, elevation_deg
     )
     return SlantPath(total_distance_m=total, effective_atmosphere_m=in_atmosphere)
 

@@ -211,7 +211,7 @@ def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
             except OSError as exc:  # the file was checked at resolve time; reading it failed
                 raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
         else:
-            profile = synthesize_circular_pass(plan.setup, altitude_m,
+            profile = synthesize_circular_pass(plan.setup.site, altitude_m,
                                                pass_spec.synth_max_elevation_deg,
                                                pass_spec.synth_sample_dt_s)
         result = integrate_key_bits(

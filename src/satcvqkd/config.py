@@ -19,13 +19,13 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .channel import AtmosphericConditions, OpticalTerminals
+from .channel import AtmosphericConditions, OpticalTerminals, Site, slant_path
 from .errors import ConfigError
 from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
 from .gaussian import DAYLIGHT_NOISE, Detection
-from .pass_analysis import circular_pass_arc
+from .pass_analysis import check_bin_width, circular_pass_arc
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
-from .psk import _MAX_SERIES_TERMS, correlation_z, series_terms
+from .psk import correlation_z
 from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, build_constellation, start_cutoff
 from .quantities import validating
 
@@ -72,11 +72,10 @@ class PassSpec(NamedTuple):
     bin_width_deg: float = 1.0
 
     def _check(self) -> None:
-        if self.synth_sample_dt_s <= 0.0 or self.bin_width_deg <= 0.0:
-            raise ConfigError("pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0")
-        if 90.0 // self.bin_width_deg >= 2.0**63:  # a bin index must fit an int64
-            raise ConfigError(f"pass.bin_width_deg {self.bin_width_deg!r} cuts 90 degrees "
-                              "into 2**63 or more bins")
+        if self.synth_sample_dt_s <= 0.0:
+            raise ConfigError(
+                f"pass.synthesize.sample_dt_s must be positive, got {self.synth_sample_dt_s!r}")
+        check_bin_width(self.bin_width_deg, "pass.bin_width_deg")
 
     @property
     def synthesized(self) -> bool:
@@ -129,7 +128,7 @@ _NOISE = _keys(
     ("detector_excess_snu", "detector_excess", None),
 )
 _GEOMETRY = _keys(
-    LinkSetup(OpticalTerminals(), GOOD_CONDITIONS, DAYLIGHT_NOISE),
+    Site(),
     ("ogs_altitude_km", "ogs_altitude_m", _KM),
     ("atmosphere_thickness_km", "atmosphere_thickness_m", _KM),
     ("earth_radius_km", "earth_radius_m", _KM),
@@ -245,10 +244,8 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
     if kind == "psk":
         spec = ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a,
                             states=states)
-        alpha = math.sqrt(v_a / 2.0)
-        _cap(f"the sector-series terms of {states}-PSK at modulation_variance_snu {v_a:g}",
-             series_terms(alpha), _MAX_SERIES_TERMS)
-        correlation_z(states, alpha)  # refuses a spectral weight that underflows
+        # refuses a series over its term cap, or a spectral weight that underflows
+        correlation_z(states, math.sqrt(v_a / 2.0))
         return spec
     dist_raw = mapping.get("distribution", "binomial")
     if dist_raw == "binomial":
@@ -391,12 +388,12 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
     else:
         protocols = (_parse_protocol(config["protocol"]),)
 
-    link = LinkSetup(
+    setup = LinkSetup(
         terminals=_section(OpticalTerminals(), config.get("terminals"), _TERMINALS, "terminals"),
         conditions=_parse_conditions(config.get("conditions")),
         noise=_section(DAYLIGHT_NOISE, config.get("noise"), _NOISE, "noise"),
+        site=_section(Site(), config.get("geometry"), _GEOMETRY, "geometry"),
     )
-    setup = _section(link, config.get("geometry"), _GEOMETRY, "geometry")
     reconciliation = _parse_reconciliation(config.get("reconciliation"))
     finite = _section(FiniteSizeParams(), config.get("finite_size"), _FINITE, "finite_size")
 
@@ -407,10 +404,10 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
     pass_spec = None
     if run == "pass":
         pass_spec = _parse_pass(config["pass"])
-        setup.geometry(pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
+        slant_path(setup.site, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
         if pass_spec.synthesized:
             half_duration_s = circular_pass_arc(
-                setup, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
+                setup.site, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
             )[-1]
             steps = np.floor(half_duration_s / pass_spec.synth_sample_dt_s)  # as synthesized
             _cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)
@@ -418,7 +415,7 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
         sweep = _parse_sweep(config["sweep"])
         rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
         _cap(f"{run} rows", rows, _MAX_ROWS)
-        setup.geometry(min(sweep.altitudes_m), np.array(sweep.elevations_deg))
+        slant_path(setup.site, min(sweep.altitudes_m), np.array(sweep.elevations_deg))
 
     return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
 
@@ -449,7 +446,7 @@ def _echo(plan: RunPlan) -> dict[str, Any]:
         "terminals": _echo_section(setup.terminals, _TERMINALS),
         "conditions": _echo_section(setup.conditions, _CONDITIONS),
         "noise": _echo_section(setup.noise, _NOISE),
-        "geometry": _echo_section(setup, _GEOMETRY),
+        "geometry": _echo_section(setup.site, _GEOMETRY),
         "reconciliation": (
             {"kind": reconciliation.name} if isinstance(reconciliation, ReconciliationModel)
             else {"kind": "asymptotic", "beta": reconciliation}

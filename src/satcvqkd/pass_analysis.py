@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from .channel import Site
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams, ReconciliationModel
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
@@ -30,7 +31,7 @@ class PassProfile(NamedTuple):
 
     Both series are held as read-only float64 arrays.  Profiles compare and
     hash by identity, as tuple equality on arrays raises.  The ground station
-    a profile is seen from is the ``LinkSetup``'s.
+    a profile is seen from is the ``LinkSetup``'s ``site``.
     """
 
     times_s: np.ndarray
@@ -135,12 +136,12 @@ def _scan_profile(source: TextIO) -> PassProfile:
 
 
 def circular_pass_arc(
-    setup: LinkSetup, altitude_m: float, max_elevation_deg: float
+    site: Site, altitude_m: float, max_elevation_deg: float
 ) -> tuple[float, float, float, float]:
     """(r_ogs/r_sat, peak central angle, orbital rate in rad/s, half duration in s) of a
-    pass seen from the ground station of ``setup``."""
-    r_ogs = setup.earth_radius_m + setup.ogs_altitude_m
-    r_sat = setup.earth_radius_m + altitude_m
+    pass seen from ``site``."""
+    r_ogs = site.earth_radius_m + site.ogs_altitude_m
+    r_sat = site.earth_radius_m + altitude_m
     ratio = r_ogs / r_sat
 
     if max_elevation_deg == 90.0:
@@ -169,11 +170,11 @@ def _elevations_deg(ratio: float, gamma_min: float, omega: float,
 
 
 def synthesize_circular_pass(
-    setup: LinkSetup, altitude_m: float, max_elevation_deg: float, sample_dt_s: float
+    site: Site, altitude_m: float, max_elevation_deg: float, sample_dt_s: float
 ) -> PassProfile:
     """Elevation profile of a circular-orbit pass over a spherical Earth.
 
-    The Earth radius and the ground station are those of ``setup``.  The
+    The Earth radius and the ground station are those of ``site``.  The
     orbit plane is chosen so the peak elevation equals ``max_elevation_deg``;
     Earth rotation is ignored, so real pass durations are reproduced only
     approximately.  The samples are computed as numpy arrays: numpy's
@@ -187,13 +188,22 @@ def synthesize_circular_pass(
     if not 0.0 < max_elevation_deg <= 90.0:
         raise ValueError("peak elevation must be in (0, 90] degrees")
     ratio, gamma_min, omega, half_duration = circular_pass_arc(
-        setup, altitude_m, max_elevation_deg
+        site, altitude_m, max_elevation_deg
     )
     steps = int(math.floor(half_duration / sample_dt_s))
     offsets = np.arange(-steps, steps + 1) * sample_dt_s
     elevations = _elevations_deg(ratio, gamma_min, omega, offsets)
     above = elevations > 0.0
     return PassProfile(offsets[above] + half_duration, np.minimum(elevations[above], 90.0))
+
+
+def check_bin_width(bin_width_deg: float, name: str = "bin_width_deg") -> None:
+    """Reject an elevation bin width that is not positive, or so small that a
+    bin index (elevation // width) would not fit an int64."""
+    if not bin_width_deg > 0.0:
+        raise ValueError(f"{name} must be positive, got {bin_width_deg!r}")
+    if 90.0 // bin_width_deg >= 2.0**63:
+        raise ValueError(f"{name} {bin_width_deg!r} cuts 90 degrees into 2**63 or more bins")
 
 
 class ModelPassResult(NamedTuple):
@@ -227,8 +237,7 @@ def integrate_key_bits(
     One link stage covers all occupied bins at their centres, seen from the
     ground station of ``setup``, and each model runs one key stage on it.
     """
-    if bin_width_deg <= 0.0:
-        raise ValueError("bin width must be positive")
+    check_bin_width(bin_width_deg)
     bins, sample_bins = np.unique(
         (profile.elevations_deg // bin_width_deg).astype(int), return_inverse=True
     )

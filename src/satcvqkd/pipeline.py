@@ -15,9 +15,9 @@ from typing import Any, NamedTuple, Union
 import numpy as np
 
 from . import qam
-from .channel import ATMOSPHERE_THICKNESS_M, EARTH_RADIUS_M, AtmosphericConditions, \
-    LinkGeometry, OpticalTerminals, SlantPath, far_field_bound_m, link_budget, slant_path
-from .errors import ConfigError, GeometryError
+from .channel import AtmosphericConditions, OpticalTerminals, Site, SlantPath, \
+    far_field_bound_m, link_budget, slant_path
+from .errors import ConfigError
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
@@ -26,25 +26,13 @@ from .psk import PSK_STATE_COUNTS, psk_security
 from .quantities import validating
 
 
-@validating
 class LinkSetup(NamedTuple):
     """Everything about the link that is not the satellite position."""
 
     terminals: OpticalTerminals
     conditions: AtmosphericConditions
     noise: NoiseBudget
-    ogs_altitude_m: float = 0.0
-    atmosphere_thickness_m: float = ATMOSPHERE_THICKNESS_M
-    earth_radius_m: float = EARTH_RADIUS_M
-
-    def _check(self) -> None:
-        # the one geometry fact that holds whatever the satellite's position
-        if self.earth_radius_m <= 0.0:
-            raise GeometryError("earth radius must be positive")
-
-    def geometry(self, satellite_altitude_m, elevation_deg) -> LinkGeometry:
-        # the last three fields are LinkGeometry's, in its order
-        return LinkGeometry(satellite_altitude_m, elevation_deg, *self[3:])
+    site: Site = Site()
 
 
 @validating
@@ -220,7 +208,7 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
     )
     shape, size = altitudes.shape, altitudes.size
     altitudes, elevations = altitudes.ravel(), elevations.ravel()
-    path = slant_path(setup.geometry(altitudes, elevations))
+    path = slant_path(setup.site, altitudes, elevations)
     far_field_ok = ~(path.total_distance_m < far_field_bound_m(setup.terminals))
     linked = np.flatnonzero(far_field_ok)
     linked_path = path if linked.size == size else \

@@ -336,11 +336,11 @@ def _link_budget(setup, altitude_m, elevation_deg):
 
     from satcvqkd.channel import scattering_coefficient_db_per_km
 
-    tx, cond = setup.terminals, setup.conditions
-    r_ogs = setup.earth_radius_m + setup.ogs_altitude_m
-    total = _oblique_range(r_ogs, setup.earth_radius_m + altitude_m, elevation_deg)
+    tx, cond, site = setup.terminals, setup.conditions, setup.site
+    r_ogs = site.earth_radius_m + site.ogs_altitude_m
+    total = _oblique_range(r_ogs, site.earth_radius_m + altitude_m, elevation_deg)
     l_atm = _oblique_range(
-        r_ogs, setup.earth_radius_m + setup.atmosphere_thickness_m, elevation_deg
+        r_ogs, site.earth_radius_m + site.atmosphere_thickness_m, elevation_deg
     )
     wl = tx.wavelength_m
     if total < tx.receiver_aperture_m * tx.transmitter_aperture_m / wl:
@@ -572,12 +572,12 @@ def reference_profile(source):
     return [t for _, t, _ in samples], [e for _, _, e in samples]
 
 
-def synthesized_pass(setup, altitude_m, max_elevation_deg, sample_dt_s):
+def synthesized_pass(site, altitude_m, max_elevation_deg, sample_dt_s):
     """(times, elevations) of ``synthesize_circular_pass``, one ``math`` sample at a time."""
     from satcvqkd.pass_analysis import circular_pass_arc
 
     ratio, gamma_min, omega, half_duration = circular_pass_arc(
-        setup, altitude_m, max_elevation_deg)
+        site, altitude_m, max_elevation_deg)
     steps = int(math.floor(half_duration / sample_dt_s))
     times, elevations = [], []
     for k in range(-steps, steps + 1):

@@ -119,8 +119,7 @@ def test_criterion_5_channel_oracles():
             expected = rytov_variance_quad(length, cn2, 1550e-9)
             assert s.rytov_variance(length, cn2, 1550e-9) == pytest.approx(expected, rel=1e-12)
         for theta in range(5, 91, 5):
-            geo = s.LinkGeometry(satellite_altitude_m=500e3, elevation_deg=float(theta))
-            path = s.slant_path(geo)
+            path = s.slant_path(s.Site(), 500e3, float(theta))
             assert path.total_distance_m == pytest.approx(
                 slant_range_2d(6_371_000.0, 6_871_000.0, float(theta)), rel=1e-9
             )
@@ -133,8 +132,8 @@ def test_criterion_6_protocol_orderings():
     with _Criterion(6, "protocol ordering at 500 km and 2-PSK futility", 120.0):
         noise = s.DAYLIGHT_NOISE
         eps = noise.channel_excess + noise.detector_excess
-        geo = s.LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-        t = s.link_budget(s.slant_path(geo), s.OpticalTerminals(), GOOD).transmittance
+        path = s.slant_path(s.Site(), 500e3, 90.0)
+        t = s.link_budget(path, s.OpticalTerminals(), GOOD).transmittance
 
         gm = s.gm_security(5.0, t, noise, s.Detection.HOMODYNE, 0.9).skr_asymptotic
         qam256 = s.qam_security(
@@ -153,12 +152,8 @@ def test_criterion_6_protocol_orderings():
 
         for altitude_km in range(200, 1001, 50):
             for elevation in (30.0, 60.0, 90.0):
-                geo = s.LinkGeometry(
-                    satellite_altitude_m=altitude_km * 1000.0,
-                    elevation_deg=elevation,
-                )
-                t_point = s.link_budget(s.slant_path(geo), s.OpticalTerminals(),
-                                        GOOD).transmittance
+                path = s.slant_path(s.Site(), altitude_km * 1000.0, elevation)
+                t_point = s.link_budget(path, s.OpticalTerminals(), GOOD).transmittance
                 rate = s.psk_security(
                     2, 0.5, t_point, noise, s.Detection.HOMODYNE, 0.9
                 ).skr_asymptotic
@@ -196,9 +191,9 @@ def test_criterion_8_iss_pass_budget():
             terminals=s.OpticalTerminals(receiver_aperture_m=2.0),
             conditions=GOOD,
             noise=s.DAYLIGHT_NOISE,
-            ogs_altitude_m=1029.0,
+            site=s.Site(ogs_altitude_m=1029.0),
         )
-        profile = s.synthesize_circular_pass(setup, 417.5e3, 87.6, 1.0)
+        profile = s.synthesize_circular_pass(setup.site, 417.5e3, 87.6, 1.0)
         spec = ProtocolSpec(
             kind="gm", detection=s.Detection.HOMODYNE, modulation_variance=5.0
         )

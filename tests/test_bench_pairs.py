@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py: its paired-run summary on fixed numbers, its per-side
-operation counts over stubbed runs, and its refusal of a checkout with cached
-bytecode or of fewer than two pairs."""
+"""tools/bench_pairs.py: its paired-run summary and bound check on fixed numbers,
+its per-side operation counts and the benchmark file's workloads over stubbed
+runs, and its refusal of a checkout with cached bytecode or of fewer than two
+pairs."""
 
 import importlib.util
 import json
@@ -13,12 +14,13 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
+WORKLOADS = ("gm_md_sweep", "protocol_compare", "qam_shaping", "pass_budget")
 PARENT = [10.0 + i for i in range(10)]
 CHANGE = [5.0 + i for i in range(9)] + [19.0]  # faster in 9 pairs, a tie in the last
 
 
 def test_summary_counts_wins_and_ties_and_gives_quartiles():
-    summary = bench_pairs.summarize(PARENT, CHANGE, "lower")
+    summary = bench_pairs.summarize(PARENT, CHANGE, "lower", 0.25)
     assert (summary["change_wins"], summary["parent_wins"]) == (9, 0)
     assert summary["parent"] == {"q1": 11.75, "median": 14.5, "q3": 17.25}
     assert summary["change"] == {"q1": 6.75, "median": 9.5, "q3": 12.25}
@@ -30,15 +32,62 @@ def test_summary_counts_wins_and_ties_and_gives_quartiles():
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread():
-    assert bench_pairs.summarize(PARENT, [p - 6.0 for p in PARENT], "lower")["gain_claimable"]
+    faster = [p - 6.0 for p in PARENT]
+    assert bench_pairs.summarize(PARENT, faster, "lower", 0.25)["gain_claimable"]
     eight = [p - 6.0 for p in PARENT[:8]] + PARENT[8:]  # two ties
-    assert not bench_pairs.summarize(PARENT, eight, "lower")["gain_claimable"]
+    assert not bench_pairs.summarize(PARENT, eight, "lower", 0.25)["gain_claimable"]
 
 
 def test_higher_is_better_reverses_the_wins():
-    summary = bench_pairs.summarize(PARENT, CHANGE, "higher")
+    summary = bench_pairs.summarize(PARENT, CHANGE, "higher", 0.25)
     assert (summary["change_wins"], summary["parent_wins"]) == (0, 9)
     assert not summary["gain_claimable"]
+
+
+def test_a_median_within_its_bound_is_no_regression():
+    worse = [1.2 * p for p in PARENT]  # 20 % worse in every pair
+    assert bench_pairs.summarize(PARENT, worse, "lower", 0.25)["within_bound"]
+    assert not bench_pairs.summarize(PARENT, worse, "lower", 0.1)["within_bound"]
+    assert bench_pairs.summarize(PARENT, PARENT, "lower", 0.0)["within_bound"]
+    fewer = [0.8 * p for p in PARENT]  # 20 % worse where higher is better
+    assert bench_pairs.summarize(PARENT, fewer, "higher", 0.25)["within_bound"]
+    assert not bench_pairs.summarize(PARENT, fewer, "higher", 0.1)["within_bound"]
+    assert bench_pairs.summarize(PARENT, worse, "higher", 0.0)["within_bound"]
+
+
+def _benchmark_file(tmp_path, workloads, metrics):
+    """The parent's BENCHMARK.json with these workload names and end-to-end metrics."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": name} for name in workloads], "end_to_end": metrics,
+    }), encoding="utf-8")
+
+
+def test_the_report_covers_the_benchmark_files_workloads_and_bounds(tmp_path, monkeypatch):
+    _benchmark_file(tmp_path, ["alpha", "beta"], [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.1}])
+    # the change is 20 % slower: within run_s's bound; and 20 % fewer ops: outside its bound
+    values = {"parent": {"run_s": 1.0, "ops": 100.0}, "change": {"run_s": 1.2, "ops": 80.0}}
+    workloads = []
+
+    def run_once(checkout, workload, seed, seconds):
+        workloads.append(workload)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            name: {"value": value} for name, value in values[checkout.name].items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--pairs", "2",
+                             "--output", str(out)]) == 0
+    assert workloads == ["alpha"] * 4 + ["beta"] * 4  # pairs x sides, in file order
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report["workloads"]) == ["alpha", "beta"]
+    for workload in ("alpha", "beta"):
+        metrics = report["workloads"][workload]["1"]["metrics"]
+        assert metrics["run_s"]["within_bound"] and not metrics["ops"]["within_bound"]
 
 
 def test_a_checkout_with_cached_bytecode_is_refused_before_any_run(tmp_path, capsys):
@@ -66,10 +115,8 @@ def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, capsys, monke
 
 
 def test_report_sums_each_sides_attempted_and_failed_operations(tmp_path, monkeypatch):
-    for side in ("parent", "change"):
-        (tmp_path / side / "src").mkdir(parents=True)
-    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}), encoding="utf-8")
+    _benchmark_file(tmp_path, WORKLOADS, [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}])
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
@@ -85,7 +132,7 @@ def test_report_sums_each_sides_attempted_and_failed_operations(tmp_path, monkey
                              "--output", str(out)]) == 0
     assert len(calls) == 4 * 2 * 3 * 2  # workloads x seeds x pairs x sides
     report = json.loads(out.read_text(encoding="utf-8"))
-    for workload in bench_pairs.WORKLOADS:
+    for workload in WORKLOADS:
         for seed in ("1", "7"):
             entry = report["workloads"][workload][seed]
             failing = workload == "pass_budget"

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import mpmath
@@ -8,8 +9,8 @@ from satcvqkd import (
     AtmosphericConditions,
     FarFieldViolation,
     GeometryError,
-    LinkGeometry,
     OpticalTerminals,
+    Site,
     link_budget,
     slant_path,
 )
@@ -33,16 +34,14 @@ BAD = AtmosphericConditions(visibility_km=20.0, cn2=1e-13)
 
 
 def test_zenith_reduces_to_altitude_difference():
-    geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-    path = slant_path(geo)
+    path = slant_path(Site(), 500e3, 90.0)
     assert path.total_distance_m == 500e3
     assert path.effective_atmosphere_m == 20e3
 
 
 def test_slant_matches_vector_geometry_oracle():
     for theta in range(5, 91, 5):
-        geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=float(theta))
-        path = slant_path(geo)
+        path = slant_path(Site(), 500e3, float(theta))
         expected = slant_range_2d(6_371_000.0, 6_371_000.0 + 500e3, float(theta))
         assert path.total_distance_m == pytest.approx(expected, rel=1e-9)
         expected_atm = slant_range_2d(6_371_000.0, 6_371_000.0 + 20e3, float(theta))
@@ -50,17 +49,14 @@ def test_slant_matches_vector_geometry_oracle():
 
 
 def test_slant_oracle_with_raised_ogs():
-    geo = LinkGeometry(
-        satellite_altitude_m=417.5e3, elevation_deg=37.0, ogs_altitude_m=1029.0
-    )
-    path = slant_path(geo)
+    path = slant_path(Site(ogs_altitude_m=1029.0), 417.5e3, 37.0)
     expected = slant_range_2d(6_371_000.0 + 1029.0, 6_371_000.0 + 417.5e3, 37.0)
     assert path.total_distance_m == pytest.approx(expected, rel=1e-9)
 
 
 def test_total_distance_decreases_with_elevation():
     distances = [
-        slant_path(LinkGeometry(500e3, float(theta))).total_distance_m
+        slant_path(Site(), 500e3, float(theta)).total_distance_m
         for theta in range(5, 91, 5)
     ]
     assert all(d1 > d2 for d1, d2 in zip(distances, distances[1:]))
@@ -68,22 +64,29 @@ def test_total_distance_decreases_with_elevation():
 
 def test_atmosphere_shorter_than_total_path():
     for theta in (5.0, 20.0, 45.0, 77.0, 90.0):
-        path = slant_path(LinkGeometry(300e3, theta))
+        path = slant_path(Site(), 300e3, theta)
         assert path.effective_atmosphere_m <= path.total_distance_m
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(satellite_altitude_m=500e3, elevation_deg=0.0),
-        dict(satellite_altitude_m=500e3, elevation_deg=90.5),
-        dict(satellite_altitude_m=500e3, elevation_deg=45.0, ogs_altitude_m=25e3),
-        dict(satellite_altitude_m=15e3, elevation_deg=45.0),
+        dict(satellite_altitude_m=500e3, elevation_deg=0.0,
+             match="elevation must be in (0, 90] degrees, got 0.0"),
+        dict(satellite_altitude_m=500e3, elevation_deg=90.5,
+             match="elevation must be in (0, 90] degrees, got 90.5"),
+        dict(satellite_altitude_m=500e3, elevation_deg=45.0, ogs_altitude_m=25e3,
+             match="altitudes must satisfy atmosphere thickness > OGS >= 0, got 20000.0, 25000.0"),
+        dict(satellite_altitude_m=15e3, elevation_deg=45.0,
+             match="satellite altitude must be above the 20000.0 m atmosphere, got 15000.0"),
     ],
 )
 def test_invalid_geometry_rejected(kwargs):
-    with pytest.raises(GeometryError):
-        LinkGeometry(**kwargs)
+    kwargs = dict(kwargs)
+    match = f"^{re.escape(kwargs.pop('match'))}$"
+    position = kwargs.pop("satellite_altitude_m"), kwargs.pop("elevation_deg")
+    with pytest.raises(GeometryError, match=match):
+        slant_path(Site(**kwargs), *position)
 
 
 # --- geometric loss ----------------------------------------------------------
@@ -236,8 +239,8 @@ def test_scintillation_loss_outage_domain(p):
 
 
 def test_total_transmittance_is_product_of_mechanisms():
-    geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=60.0)
-    budget = link_budget(slant_path(geo), OpticalTerminals(), GOOD)
+    path = slant_path(Site(), 500e3, 60.0)
+    budget = link_budget(path, OpticalTerminals(), GOOD)
     product = (
         10.0 ** (-budget.geometric_db / 10.0)
         * 10.0 ** (-budget.scattering_db / 10.0)
@@ -247,8 +250,8 @@ def test_total_transmittance_is_product_of_mechanisms():
 
 
 def test_total_db_additivity():
-    geo = LinkGeometry(satellite_altitude_m=700e3, elevation_deg=35.0)
-    budget = link_budget(slant_path(geo), OpticalTerminals(), BAD)
+    path = slant_path(Site(), 700e3, 35.0)
+    budget = link_budget(path, OpticalTerminals(), BAD)
     assert -10 * math.log10(budget.transmittance) == pytest.approx(
         budget.geometric_db + budget.scattering_db + budget.scintillation_db,
         abs=1e-10,
@@ -257,8 +260,8 @@ def test_total_db_additivity():
 
 def test_component_sum_reference():
     # good conditions at zenith, 500 km: the three frozen component values
-    geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-    budget = link_budget(slant_path(geo), OpticalTerminals(), GOOD)
+    path = slant_path(Site(), 500e3, 90.0)
+    budget = link_budget(path, OpticalTerminals(), GOOD)
     assert budget.geometric_db == pytest.approx(9.6165, abs=1e-3)
     assert budget.scattering_db == pytest.approx(0.0161866 * 20.0, abs=1e-4)
     assert budget.scintillation_db == pytest.approx(1.893, abs=2e-3)
@@ -268,13 +271,13 @@ def test_component_sum_reference():
 
 
 def test_bad_conditions_strictly_worse():
-    geo = LinkGeometry(satellite_altitude_m=500e3, elevation_deg=90.0)
-    t_good = link_budget(slant_path(geo), OpticalTerminals(), GOOD).transmittance
-    t_bad = link_budget(slant_path(geo), OpticalTerminals(), BAD).transmittance
+    path = slant_path(Site(), 500e3, 90.0)
+    t_good = link_budget(path, OpticalTerminals(), GOOD).transmittance
+    t_bad = link_budget(path, OpticalTerminals(), BAD).transmittance
     assert t_bad < t_good
 
 
 def test_far_field_propagates_from_budget():
-    geo = LinkGeometry(satellite_altitude_m=300e3, elevation_deg=90.0)
+    path = slant_path(Site(), 300e3, 90.0)
     with pytest.raises(FarFieldViolation):
-        link_budget(slant_path(geo), OpticalTerminals(receiver_aperture_m=2.0), GOOD)
+        link_budget(path, OpticalTerminals(receiver_aperture_m=2.0), GOOD)

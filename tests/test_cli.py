@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import satcvqkd
 from satcvqkd import ConfigError, synthesize_circular_pass
-from satcvqkd import cli, config as config_mod
+from satcvqkd import cli, config as config_mod, psk
 from satcvqkd.cli import main
 from satcvqkd.pass_analysis import circular_pass_arc, integrate_key_bits, load_profile
 from satcvqkd.psk import series_terms
@@ -315,7 +315,7 @@ def test_every_pass_block_is_one_matrix(tmp_path, monkeypatch, synthesized):
     # A synthesized pass has mostly 17-digit times and elevations, a measured
     # profile six decimals: either way each 8192-row block is one uint8 matrix.
     payload = _replaced(SYNTH_PASS, ("pass", "synthesize", "sample_dt_s"), 0.05)
-    profile = synthesize_circular_pass(config_mod.resolve(payload).setup, 417.5e3, 87.6, 0.05)
+    profile = synthesize_circular_pass(config_mod.resolve(payload).setup.site, 417.5e3, 87.6, 0.05)
     if not synthesized:
         rows = zip(profile.times_s.round(6).tolist(), profile.elevations_deg.round(6).tolist())
         path = tmp_path / "profile.csv"
@@ -507,6 +507,19 @@ MALFORMED = {
     "synthesize_altitude_alias": ("pass", _replaced(
         SYNTH_PASS, ("pass", "synthesize", "altitude_km"), 417.5),
         "unknown keys in pass.synthesize: ['altitude_km']"),
+    "station_at_the_atmosphere_top": ("pass", _replaced(
+        SYNTH_PASS, ("geometry",), {"ogs_altitude_km": 25}),
+        "altitudes must satisfy atmosphere thickness > OGS >= 0, got 20000.0, 25000.0"),
+    "earth_radius_zero": ("sweep", _replaced(
+        ONE_POINT, ("geometry",), {"earth_radius_km": 0}),
+        "earth radius must be positive, got 0.0"),
+    "atmosphere_below_the_station": ("sweep", _replaced(
+        ONE_POINT, ("geometry",), {"ogs_altitude_km": 1.029, "atmosphere_thickness_km": 0.5}),
+        "altitudes must satisfy atmosphere thickness > OGS >= 0, got 500.0, 1029.0"),
+    "schema_version_2": ("sweep", {**ONE_POINT, "schema_version": 2},
+                         "unsupported schema_version 2 (expected 1)"),
+    "schema_version_true": ("sweep", {**ONE_POINT, "schema_version": True},
+                            "unsupported schema_version True (expected 1)"),
     "config_not_an_object": ("sweep", [ONE_POINT], "configuration must be a JSON object"),
     "protocols_empty": ("compare", {"protocols": [], "sweep": ONE_POINT["sweep"]},
                         "compare needs a non-empty 'protocols' list"),
@@ -730,10 +743,10 @@ def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):
 
 
 def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
-    setup = config_mod.resolve(SYNTH_PASS).setup
-    arc = circular_pass_arc(setup, 417.5e3, 87.6)
+    site = config_mod.resolve(SYNTH_PASS).setup.site
+    arc = circular_pass_arc(site, 417.5e3, 87.6)
     count = 2 * math.floor(arc[-1] / 2.0) + 1
-    assert len(synthesize_circular_pass(setup, 417.5e3, 87.6, 2.0).times_s) == count
+    assert len(synthesize_circular_pass(site, 417.5e3, 87.6, 2.0).times_s) == count
     monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count)
     config_mod.resolve(SYNTH_PASS)
     monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count - 1)
@@ -744,11 +757,11 @@ def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
 def test_psk_series_cap_counts_the_sector_series_terms(monkeypatch):
     at = {"kind": "psk", "states": 8, "modulation_variance_snu": 2e4}  # alpha^2 = 1e4
     assert series_terms(100.0) == 10900
-    monkeypatch.setattr(config_mod, "_MAX_SERIES_TERMS", 10900)
+    monkeypatch.setattr(psk, "_MAX_SERIES_TERMS", 10900)
     config_mod.resolve({**ONE_POINT, "protocol": at})
-    monkeypatch.setattr(config_mod, "_MAX_SERIES_TERMS", 10899)
-    with pytest.raises(ConfigError, match="8-PSK at modulation_variance_snu 20000 would be "
-                       "10900, over the cap of 10899"):
+    monkeypatch.setattr(psk, "_MAX_SERIES_TERMS", 10899)
+    with pytest.raises(ConfigError, match="^8-PSK at alpha = 100 needs about 10900 "
+                       "sector-series terms, over the cap of 10899$"):
         config_mod.resolve({**ONE_POINT, "protocol": at})
 
 
@@ -795,12 +808,12 @@ RUN_FAILURES = {
         "numerical failure: float division by zero"),
     "psk8_modulation_variance_1e8": (
         {**ONE_POINT, "protocol": {"kind": "psk", "states": 8, "modulation_variance_snu": 1e8}},
-        1, "config error: the sector-series terms of 8-PSK at modulation_variance_snu 1e+08 "
-        "would be 50063640, over the cap of 1000000"),
+        1, "config error: 8-PSK at alpha = 7071.07 needs about 50063640 sector-series terms, "
+        "over the cap of 1000000"),
     "psk2_modulation_variance_1e300": (
         {**ONE_POINT, "protocol": {"kind": "psk", "states": 2, "modulation_variance_snu": 1e300}},
-        1, "config error: the sector-series terms of 2-PSK at modulation_variance_snu 1e+300 "
-        "would be 5e+299, over the cap of 1000000"),
+        1, "config error: 2-PSK at alpha = 7.07107e+149 needs about 5e+299 sector-series "
+        "terms, over the cap of 1000000"),
     "psk8_modulation_variance_1e-50": (
         {**ONE_POINT, "protocol": {"kind": "psk", "states": 8, "modulation_variance_snu": 1e-50}},
         1, "config error: correlation coefficient undefined: a spectral weight underflowed "

@@ -1,5 +1,7 @@
 import io
 import itertools
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from satcvqkd import (
     OpticalTerminals,
     ProfileError,
     PassProfile,
+    Site,
     integrate_key_bits,
     load_profile,
     synthesize_circular_pass,
@@ -31,7 +34,7 @@ SEA_LEVEL = LinkSetup(
     conditions=GOOD,
     noise=DAYLIGHT_NOISE,
 )
-ISS_SETUP = SEA_LEVEL._replace(ogs_altitude_m=1029.0)
+ISS_SETUP = SEA_LEVEL._replace(site=Site(ogs_altitude_m=1029.0))
 GM = ProtocolSpec(kind="gm", detection=Detection.HOMODYNE, modulation_variance=5.0)
 
 
@@ -210,7 +213,7 @@ def test_load_profile_matches_reference_parser(tmp_path_factory, text):
 
 
 def test_overhead_pass_peaks_at_zenith():
-    profile = synthesize_circular_pass(SEA_LEVEL, 500e3, 90.0, 1.0)
+    profile = synthesize_circular_pass(SEA_LEVEL.site, 500e3, 90.0, 1.0)
     assert max(profile.elevations_deg) == pytest.approx(90.0, abs=1e-9)
     n = len(profile.times_s)
     for i in range(n // 2):
@@ -220,12 +223,12 @@ def test_overhead_pass_peaks_at_zenith():
 
 
 def test_peak_matches_requested_elevation():
-    profile = synthesize_circular_pass(SEA_LEVEL, 417.5e3, 60.0, 1.0)
+    profile = synthesize_circular_pass(SEA_LEVEL.site, 417.5e3, 60.0, 1.0)
     assert max(profile.elevations_deg) == pytest.approx(60.0, abs=1e-9)
 
 
 def test_reference_pass_duration():
-    times = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0).times_s
+    times = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0).times_s
     assert times[-1] - times[0] == pytest.approx(663.0, rel=0.25)
 
 
@@ -241,9 +244,9 @@ def test_synthesized_pass_matches_the_per_sample_loop(setup, altitude_m, max_ele
                                                       sample_dt_s):
     # numpy's arccos and arctan2 may move an elevation's last bit, never a time,
     # a sample's presence or its one-degree bin
-    profile = synthesize_circular_pass(setup, altitude_m, max_elevation_deg, sample_dt_s)
-    times, elevations = map(np.array, synthesized_pass(setup, altitude_m, max_elevation_deg,
-                                                        sample_dt_s))
+    profile = synthesize_circular_pass(setup.site, altitude_m, max_elevation_deg, sample_dt_s)
+    times, elevations = map(np.array, synthesized_pass(setup.site, altitude_m,
+                                                        max_elevation_deg, sample_dt_s))
     assert profile.times_s.size == times.size
     assert np.array_equal(profile.times_s, times)
     assert np.all(np.abs(profile.elevations_deg - elevations) <= 1e-14 * elevations)
@@ -297,7 +300,7 @@ def test_zero_rate_pass_accumulates_nothing():
         conditions=AtmosphericConditions(visibility_km=20.0, cn2=1e-13),
         noise=DAYLIGHT_NOISE,
     )
-    profile = synthesize_circular_pass(setup, 1000e3, 10.0, 5.0)
+    profile = synthesize_circular_pass(setup.site, 1000e3, 10.0, 5.0)
     result = integrate_key_bits(
         profile, setup, GM, [MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
     )
@@ -305,7 +308,7 @@ def test_zero_rate_pass_accumulates_nothing():
 
 
 def test_iss_pass_reference_totals():
-    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
+    profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -333,7 +336,7 @@ def test_a_pass_is_seen_from_the_setups_station():
 
 
 def test_md_reaches_lower_elevations_than_mlc_msd():
-    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
+    profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -350,7 +353,7 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
 
 
 def test_symmetric_pass_symmetric_series():
-    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 80.0, 2.0)
+    profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 80.0, 2.0)
     result = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -364,7 +367,7 @@ def test_symmetric_pass_symmetric_series():
 def test_refining_sample_step_changes_little():
     totals = []
     for dt in (2.0, 1.0):
-        profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, dt)
+        profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, dt)
         result = integrate_key_bits(
             profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
             satellite_altitude_m=417.5e3,
@@ -374,7 +377,7 @@ def test_refining_sample_step_changes_little():
 
 
 def test_keyhole_ceiling_reduces_total():
-    profile = synthesize_circular_pass(ISS_SETUP, 417.5e3, 87.6, 1.0)
+    profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     open_sky = integrate_key_bits(
         profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
@@ -387,6 +390,19 @@ def test_keyhole_ceiling_reduces_total():
         restricted.models["MD"].total_key_bits < open_sky.models["MD"].total_key_bits
     )
     assert restricted.excluded_bins_deg
+
+
+@pytest.mark.parametrize("width, message", [
+    (0.0, "bin_width_deg must be positive, got 0.0"),
+    (1e-300, "bin_width_deg 1e-300 cuts 90 degrees into 2**63 or more bins"),
+])
+def test_a_bin_width_that_cannot_index_the_bins_is_refused(width, message):
+    profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast past int64 before the refusal
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_key_bits(profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+                               satellite_altitude_m=417.5e3, bin_width_deg=width)
 
 
 def test_zero_duration_profile_gives_empty_series():

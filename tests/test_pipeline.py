@@ -12,6 +12,7 @@ from satcvqkd import (
     FiniteSizeParams,
     OpticalTerminals,
 )
+import satcvqkd.config as config_mod
 import satcvqkd.pipeline as pipeline
 from satcvqkd.cli import main
 from satcvqkd.finite_size import MD
@@ -146,16 +147,16 @@ def test_asymptotic_rate_scaled_by_repetition_rate():
 # --- stage boundary: one link stage per grid ------------------------------------
 
 
-def _count_calls(monkeypatch, name):
-    """Record each call of ``pipeline.<name>``, which still runs."""
+def _count_calls(monkeypatch, name, module=pipeline):
+    """Record each call of ``<module>.<name>``, which still runs."""
     calls = []
-    original = getattr(pipeline, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -187,24 +188,23 @@ def test_pass_runs_one_link_stage_for_both_models(tmp_path, monkeypatch):
 
 
 def test_link_stage_builds_one_geometry_and_one_slant_path(monkeypatch):
-    geometries = _count_calls(monkeypatch, "LinkGeometry")
     paths = _count_calls(monkeypatch, "slant_path")
     # far-field bound 2 m x 0.3 m / 1550 nm = 387 km: the 300 km points are near field
     setup = SETUP._replace(terminals=OpticalTerminals(receiver_aperture_m=2.0))
     link = link_columns(setup, np.array([300e3, 500e3])[:, None], np.array([60.0, 90.0]))
     assert link.far_field_ok.tolist() == [False, False, True, True]
-    assert len(geometries) == len(paths) == 1
+    assert len(paths) == 1
 
 
 def test_sweep_resolve_builds_one_geometry(tmp_path, monkeypatch):
-    geometries = _count_calls(monkeypatch, "LinkGeometry")
+    paths = _count_calls(monkeypatch, "slant_path", config_mod)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "protocol": "gm",
         "sweep": {"altitude_km": [400, 600], "elevation_deg": [10, 20, 30, 40, 50, 60, 70, 90]},
     }), encoding="utf-8")
     assert main(["validate-config", "--config", str(config)]) == 0
-    assert len(geometries) == 1
+    assert len(paths) == 1
 
 
 # --- physics properties ------------------------------------------------------------

@@ -56,9 +56,9 @@ RESULT_RECORDS = {
 # Each input record: a valid instance, one field with a bad value, and the
 # exception type and message that value raises.
 INPUT_RECORDS = {
-    channel.LinkGeometry: (
-        channel.LinkGeometry(500e3, 45.0), "elevation_deg", 0.0,
-        errors.GeometryError, "elevation must be in (0, 90] degrees, got 0.0"),
+    channel.Site: (
+        channel.Site(), "ogs_altitude_m", 20e3, errors.GeometryError,
+        "altitudes must satisfy atmosphere thickness > OGS >= 0, got 20000.0, 20000.0"),
     channel.OpticalTerminals: (
         channel.OpticalTerminals(), "pointing_loss", 1.5,
         ValueError, "pointing_loss must be in [0, 1), got 1.5"),
@@ -70,10 +70,6 @@ INPUT_RECORDS = {
     finite_size.FiniteSizeParams: (
         finite_size.FiniteSizeParams(), "discretisation", 0,
         ValueError, "discretisation parameter must be positive"),
-    pipeline.LinkSetup: (
-        pipeline.LinkSetup(channel.OpticalTerminals(), config.GOOD_CONDITIONS,
-                           gaussian.DAYLIGHT_NOISE),
-        "earth_radius_m", 0.0, errors.GeometryError, "earth radius must be positive"),
     pipeline.ProtocolSpec: (
         pipeline.ProtocolSpec("gm", gaussian.Detection.HOMODYNE, 5.0), "modulation_variance",
         0.0, errors.ConfigError, "modulation variance must be positive"),
@@ -86,8 +82,8 @@ INPUT_RECORDS = {
         pass_analysis.PassProfile((0.0, 1.0), (45.0, 46.0)), "elevations_deg", (45.0, 91.0),
         pass_analysis._BadSample, "sample 1: elevation 91.0 out of (0, 90]"),
     config.PassSpec: (
-        config.PassSpec(), "bin_width_deg", 0.0,
-        errors.ConfigError, "pass needs synthesize.sample_dt_s > 0 and bin_width_deg > 0"),
+        config.PassSpec(), "synth_sample_dt_s", 0.0,
+        errors.ConfigError, "pass.synthesize.sample_dt_s must be positive, got 0.0"),
 }
 
 
@@ -143,8 +139,8 @@ def test_cli_import_loads_no_dataclasses():
 
 @pytest.mark.parametrize("cls", INPUT_RECORDS, ids=_ids(INPUT_RECORDS))
 def test_input_record_validates_or_feeds_the_config_tables(cls):
-    # every input record validates, LinkSetup (a config key source) included;
-    # config reads them through _fields and rebuilds them with _replace
+    # every input record validates; config reads them through _fields and
+    # rebuilds them with _replace
     good = INPUT_RECORDS[cls][0]
     assert issubclass(cls, tuple) and "_check" in vars(cls)
     assert _same(cls._make(good), good) and _same(good._replace(), good)
@@ -187,14 +183,10 @@ def test_distributions_are_told_apart_by_type():
 
 
 def test_config_key_source_is_read_through_its_fields():
-    assert {name for name, _ in config._GEOMETRY.values()} <= set(pipeline.LinkSetup._fields)
+    assert {name for name, _ in config._GEOMETRY.values()} <= set(channel.Site._fields)
 
 
 def test_fock_workspace_repr_shows_no_arrays():
     workspace = qam.thermal_workspace(1.0, cutoff=30)
     assert repr(workspace) == "FockWorkspace(cutoff=30, sectors=4)"
 
-
-def test_link_setup_ends_with_the_geometry_fields():
-    # LinkSetup.geometry passes its last three fields on by position
-    assert pipeline.LinkSetup._fields[3:] == channel.LinkGeometry._fields[2:]

@@ -7,13 +7,17 @@ Usage (from any directory):
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones, for every
-workload and seed.  For each end-to-end metric of the parent's
-``BENCHMARK.json`` the output gives each side's median and quartiles, every
-pair's values, and how many pairs each side won; a tie counts for neither.
+workload of the parent's ``BENCHMARK.json`` and every seed.  For each
+end-to-end metric of that file the output gives each side's median and
+quartiles, every pair's values, and how many pairs each side won; a tie
+counts for neither.
 Per side it also gives whether every run was correct and how many operations
 its runs attempted and failed in all, so a growing share of failures shows.
 A gain is claimed only when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
+A metric is within its bound when the change's median is no worse than the
+parent's by more than the metric's ``bound``, a fraction of the parent's
+median.
 Neither checkout may hold a ``__pycache__`` under ``src/``.  Only the
 standard library is used.
 """
@@ -27,8 +31,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("gm_md_sweep", "protocol_compare", "qam_shaping", "pass_budget")
-
 
 def quartiles(values: list[float]) -> dict[str, float]:
     """Median and quartiles (``statistics.quantiles``' default exclusive method)."""
@@ -36,21 +38,27 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """One metric over pairs ``zip(parent, change)``; ``better`` is "lower" or "higher"."""
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric over pairs ``zip(parent, change)``; ``better`` is "lower" or
+    "higher", and ``bound`` the fraction of the parent's median by which the
+    change's median may be worse."""
     sign = 1.0 if better == "lower" else -1.0
     change_wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
     parent_wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     sides = {"parent": quartiles(parent), "change": quartiles(change)}
     spread = sides["parent"]["q3"] - sides["parent"]["q1"]
-    gain = sign * (sides["parent"]["median"] - sides["change"]["median"])
+    parent_median, change_median = sides["parent"]["median"], sides["change"]["median"]
+    gain = sign * (parent_median - change_median)
+    within_bound = change_median <= parent_median * (1.0 + bound) if better == "lower" \
+        else change_median >= parent_median * (1.0 - bound)
     return {
         **sides,
         "change_wins": change_wins,
         "parent_wins": parent_wins,
-        "median_change": sides["change"]["median"] - sides["parent"]["median"],
+        "median_change": change_median - parent_median,
         "parent_iqr": spread,
         "gain_claimable": change_wins >= 0.9 * len(parent) and gain > spread,
+        "within_bound": within_bound,
         "pairs": [[p, c] for p, c in zip(parent, change)],
     }
 
@@ -88,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     report = {"labels": dict(zip(("parent", "change"), args.labels)), "pairs": args.pairs,
               "seconds": args.seconds, "workloads": {}}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         for seed in args.seeds:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -104,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {
                     name: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                            **summarize(*([r["metrics"][name]["value"] for r in runs[side]]
-                                         for side in ("parent", "change")), m["better"])}
+                                         for side in ("parent", "change")),
+                                       m["better"], m["bound"])}
                     for name, m in metrics.items()
                 },
             }
