@@ -22,9 +22,6 @@ from .quantities import db_to_transmittance, offending, reject, validating
 EARTH_RADIUS_M = 6_371_000.0
 ATMOSPHERE_THICKNESS_M = 20_000.0
 
-# Tolerated floating-point overshoot of |arcsin argument| beyond 1 (noise at zenith).
-_ASIN_CLAMP_TOL = 1e-9
-
 
 @validating
 class Site(NamedTuple):
@@ -100,17 +97,11 @@ def _oblique_range(r_ogs_m, r_shell_m, elevation_deg):
 
     Triangle (Earth centre, OGS, shell intersection): the angle at the shell
     follows from the sine rule; the central angle closes the triangle and the
-    law of cosines yields the range.
+    law of cosines yields the range.  The sine lies in [0, 1], because
+    r_ogs <= r_shell and the elevation is in (0, 90] degrees.
     """
     theta = np.radians(elevation_deg)
-    arg = np.cos(theta) * r_ogs_m / r_shell_m
-    overshoot = np.abs(arg) - 1.0 > _ASIN_CLAMP_TOL
-    if np.any(overshoot):
-        raise GeometryError(
-            f"arcsin argument {offending(arg, overshoot)} outside [-1, 1]: line of "
-            "sight does not reach the target shell"
-        )
-    central = (np.pi / 2.0 - theta) - np.arcsin(np.clip(arg, -1.0, 1.0))
+    central = (np.pi / 2.0 - theta) - np.arcsin(np.cos(theta) * r_ogs_m / r_shell_m)
     return np.sqrt(
         r_shell_m**2 + r_ogs_m**2 - 2.0 * r_shell_m * r_ogs_m * np.cos(central)
     )
@@ -142,6 +133,11 @@ def slant_path(site: Site, satellite_altitude_m, elevation_deg) -> SlantPath:
     in_atmosphere = _oblique_range(
         r_ogs, site.earth_radius_m + site.atmosphere_thickness_m, elevation_deg
     )
+    bad = ~(in_atmosphere > 0.0)  # a station just below the top can round it to 0
+    if np.any(bad):
+        raise GeometryError(
+            f"path through the atmosphere must be positive, got {offending(in_atmosphere, bad)}"
+        )
     return SlantPath(total_distance_m=total, effective_atmosphere_m=in_atmosphere)
 
 

@@ -30,9 +30,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import config as config_mod
-from .errors import ConfigError, SatCvqkdError
+from .errors import ConfigError, SatCvqkdError, message
 from .finite_size import MD, MLC_MSD, ReconciliationModel
-from .pass_analysis import integrate_key_bits, load_profile, synthesize_circular_pass
+from .pass_analysis import integrate_key_bits
 from .pipeline import PointResult, evaluate_point, link_columns
 
 _CSV_HEADER = ",".join(PointResult._fields)
@@ -198,25 +198,14 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
 
 
 def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
-    spec = plan.protocols[0]
-    pass_spec = plan.pass_spec
-    altitude_m = pass_spec.satellite_altitude_m
+    pass_spec, profile = plan.pass_spec, plan.profile
     # A fitted model always reports both, so the summaries are comparable.
     reconciliations = (MD, MLC_MSD) if isinstance(plan.reconciliation, ReconciliationModel) \
         else (plan.reconciliation,)
     with _evaluating():
-        if pass_spec.profile_path is not None:
-            try:
-                profile = load_profile(pass_spec.profile_path)
-            except OSError as exc:  # the file was checked at resolve time; reading it failed
-                raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
-        else:
-            profile = synthesize_circular_pass(plan.setup.site, altitude_m,
-                                               pass_spec.synth_max_elevation_deg,
-                                               pass_spec.synth_sample_dt_s)
         result = integrate_key_bits(
-            profile, plan.setup, spec, reconciliations, plan.finite,
-            satellite_altitude_m=altitude_m,
+            profile, plan.setup, plan.protocols[0], reconciliations, plan.finite,
+            satellite_altitude_m=pass_spec.satellite_altitude_m,
             bin_width_deg=pass_spec.bin_width_deg,
             keyhole_ceiling_deg=pass_spec.keyhole_ceiling_deg,
         )
@@ -291,9 +280,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (SatCvqkdError, ValueError, ArithmeticError) as exc:
-        # resolve made its ValueErrors ConfigErrors: these are a library check or
-        # float arithmetic failing on a resolved plan
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # resolve made its ValueErrors and ArithmeticErrors ConfigErrors: these are
+        # a library check or float arithmetic failing on a resolved plan
+        print(f"numerical failure: {message(exc)}", file=sys.stderr)
         return 2
 
 

@@ -3,15 +3,16 @@
 A minimal config only picks a protocol and a sweep; every other knob
 defaults to the reference values held by the library's input records (1550
 nm, 0.3 m / 1 m apertures, 0.9 optics efficiencies, 0.1 pointing loss,
-20 km atmosphere, daylight noise budget, 50 MHz repetition rate, N = 1e11,
-good atmosphere).  Each section is read through one key table and echoed
-through the same table, so a default or a unit is written once.
+20 km atmosphere, daylight noise budget, 50 MHz repetition rate, N = 1e11)
+or, where the library has none, here (each protocol's V_A and detection,
+beta 0.9, the good and bad atmospheres, the pass).  Each section is read
+through one key table and echoed through the same table, so a default or a
+unit is written once.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
@@ -20,14 +21,13 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .channel import AtmosphericConditions, OpticalTerminals, Site, slant_path
-from .errors import ConfigError
+from .errors import ConfigError, message
 from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
 from .gaussian import DAYLIGHT_NOISE, Detection
-from .pass_analysis import check_bin_width, circular_pass_arc
+from .pass_analysis import PassProfile, check_bin_width, load_profile, synthesize_circular_pass
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
-from .psk import correlation_z
-from .qam import _MAX_CUTOFF, Binomial, DiscreteGaussian, build_constellation, start_cutoff
-from .quantities import validating
+from .qam import Binomial, DiscreteGaussian
+from .quantities import check_cap, validating
 
 SCHEMA_VERSION = 1
 
@@ -47,14 +47,9 @@ _FITTED_MODELS = {"md": MD, "mlc_msd": MLC_MSD}
 # protocol keys a kind does not use; null passes, as a gm echo writes "states": null
 _KEYS_UNUSED_BY_KIND = {"gm": ("states", "distribution"), "psk": ("distribution",), "qam": ()}
 _ALTITUDE_RANGE = {"start": 200.0, "stop": 1000.0, "step": 50.0}
-# Work caps, checked before anything of that size is built.
+# Checked before the grid is built; the protocol caps are ProtocolSpec's, and
+# the pass sample cap is synthesize_circular_pass's.
 _MAX_ROWS = 1_000_000  # altitudes x elevations x protocols of a sweep or compare
-_MAX_PASS_SAMPLES = 1_000_000
-_MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
-# Largest GM V_A: `holevo_bound` cancels V^2 against Z^2 = V^2 - 1, so its S_BE
-# error grows as about 2e-15 V_A bits.  Measured against 80-digit arithmetic over
-# T from 0.5 down to 1e-153: at most 4.6e-9 bits at 1e6, 0.5 bits at 1e14.
-_MAX_GM_VARIANCE = 1e6
 
 
 class SweepSpec(NamedTuple):
@@ -83,7 +78,8 @@ class PassSpec(NamedTuple):
 
 
 class RunPlan(NamedTuple):
-    """A fully resolved configuration, ready to execute."""
+    """A fully resolved configuration, ready to execute; a pass plan holds its
+    loaded or synthesized ``profile``."""
 
     protocols: tuple[ProtocolSpec, ...]
     setup: LinkSetup
@@ -91,6 +87,7 @@ class RunPlan(NamedTuple):
     finite: FiniteSizeParams
     sweep: SweepSpec | None = None
     pass_spec: PassSpec | None = None
+    profile: PassProfile | None = None
 
     @property
     def resolved(self) -> dict[str, Any]:
@@ -169,12 +166,6 @@ def _number(value: Any, where: str, integer: bool = False) -> float | int:
     return int(value)
 
 
-def _cap(what: str, count: float, cap: int) -> None:
-    """Reject ``count`` rows, samples or Fock levels (inf if it overflowed) over ``cap``."""
-    if count > cap:  # every count is whole; past 1e15 it prints with an exponent
-        raise ConfigError(f"{what} would be {count:.15g}, over the cap of {cap}")
-
-
 def _section(base: Any, raw: Any, keys: dict, where: str) -> Any:
     """``base`` with the values of config section ``raw`` written over it."""
     if raw is None:
@@ -201,6 +192,7 @@ def _echo_section(obj: Any, keys: dict) -> dict[str, Any]:
 
 
 def _parse_protocol(raw: Any) -> ProtocolSpec:
+    """The protocol a config entry names; ``ProtocolSpec`` checks its rules."""
     if isinstance(raw, str):
         token = raw.strip().lower().replace("-", "")
         if not _PROTOCOL_SHORTHAND.match(token):
@@ -234,39 +226,24 @@ def _parse_protocol(raw: Any) -> ProtocolSpec:
         mapping.get("modulation_variance_snu", DEFAULT_MODULATION_VARIANCE[kind]),
         "protocol.modulation_variance_snu",
     )
+    states = distribution = None
+    if kind != "gm":
+        states = _number(mapping.get("states"), "protocol.states", integer=True)
+    if kind == "qam":
+        distribution = _parse_distribution(mapping.get("distribution", "binomial"))
+    return ProtocolSpec(kind, detection, v_a, states, distribution)
 
-    if kind == "gm":
-        if v_a > _MAX_GM_VARIANCE:
-            raise ConfigError(f"gm modulation_variance_snu {v_a!r} is over the cap of "
-                              f"{_MAX_GM_VARIANCE:g}, past which S_BE loses its digits")
-        return ProtocolSpec(kind="gm", detection=detection, modulation_variance=v_a)
-    states = _number(mapping.get("states"), "protocol.states", integer=True)
-    if kind == "psk":
-        spec = ProtocolSpec(kind="psk", detection=detection, modulation_variance=v_a,
-                            states=states)
-        # refuses a series over its term cap, or a spectral weight that underflows
-        correlation_z(states, math.sqrt(v_a / 2.0))
-        return spec
-    dist_raw = mapping.get("distribution", "binomial")
-    if dist_raw == "binomial":
-        distribution: Any = Binomial()
-    elif isinstance(dist_raw, dict) and dist_raw.get("kind") == "discrete_gaussian":
-        _reject_unknown(dist_raw, ("kind", "nu"), "protocol.distribution")
-        distribution = DiscreteGaussian(
-            nu=_number(dist_raw.get("nu", 1.0), "protocol.distribution.nu")
-        )
-    else:
-        raise ConfigError(
-            f"protocol.distribution must be 'binomial' or "
-            f"{{kind: discrete_gaussian, nu: ...}}, got {dist_raw!r}"
-        )
-    _cap("QAM states", states, _MAX_QAM_STATES)
-    spec = ProtocolSpec(kind="qam", detection=detection, modulation_variance=v_a,
-                        states=states, distribution=distribution)
-    _cap(f"the start cutoff of {states}-QAM at modulation_variance_snu {v_a:g}",
-         start_cutoff(math.isqrt(states), v_a), _MAX_CUTOFF)
-    build_constellation(math.isqrt(states), math.sqrt(v_a / 2.0), distribution)  # weights checked
-    return spec
+
+def _parse_distribution(raw: Any) -> Binomial | DiscreteGaussian:
+    if raw == "binomial":
+        return Binomial()
+    if isinstance(raw, dict) and raw.get("kind") == "discrete_gaussian":
+        _reject_unknown(raw, ("kind", "nu"), "protocol.distribution")
+        return DiscreteGaussian(nu=_number(raw.get("nu", 1.0), "protocol.distribution.nu"))
+    raise ConfigError(
+        f"protocol.distribution must be 'binomial' or "
+        f"{{kind: discrete_gaussian, nu: ...}}, got {raw!r}"
+    )
 
 
 def _parse_conditions(raw: Any) -> AtmosphericConditions:
@@ -307,7 +284,7 @@ def _parse_sweep(raw: Any) -> SweepSpec:
         if step <= 0.0 or stop < start:
             raise ConfigError("sweep.altitude_km needs step > 0 and stop >= start")
         span = (stop - start) / step + 1e-9  # inf when the range overflows
-        _cap("sweep.altitude_km count", np.floor(span) + 1, _MAX_ROWS)
+        check_cap("sweep.altitude_km count", np.floor(span) + 1, _MAX_ROWS)
         altitudes_km = [start + i * step for i in range(int(span) + 1)]
     else:
         raise ConfigError("sweep.altitude_km must be a non-empty list or {start, stop, step}")
@@ -358,13 +335,14 @@ def resolve(config: dict[str, Any]) -> RunPlan:
     """Validate a configuration mapping and fill in all defaults.
 
     The keys present decide the run (``_run_type``).  Every grid corner and
-    pass peak is checked against the link geometry here, so a plan that
-    resolves does not fail on its configuration at run time.
+    pass peak is checked against the link geometry here, each protocol by its
+    ``ProtocolSpec``, and a pass's profile is read or synthesized here, so a
+    plan that resolves does not fail on its configuration at run time.
     """
     try:
         return _resolve(config)
-    except ValueError as exc:  # a library record or the link geometry refused a value
-        raise ConfigError(str(exc)) from None
+    except (ValueError, ArithmeticError) as exc:  # a library check refused a value, or overflowed
+        raise ConfigError(message(exc)) from None
 
 
 def _resolve(config: dict[str, Any]) -> RunPlan:
@@ -400,24 +378,26 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
     for protocol in protocols:
         check_reconciliation(protocol, reconciliation)
 
-    sweep = None
-    pass_spec = None
+    sweep = pass_spec = profile = None
     if run == "pass":
         pass_spec = _parse_pass(config["pass"])
         slant_path(setup.site, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg)
         if pass_spec.synthesized:
-            half_duration_s = circular_pass_arc(
-                setup.site, pass_spec.satellite_altitude_m, pass_spec.synth_max_elevation_deg
-            )[-1]
-            steps = np.floor(half_duration_s / pass_spec.synth_sample_dt_s)  # as synthesized
-            _cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)
+            profile = synthesize_circular_pass(setup.site, pass_spec.satellite_altitude_m,
+                                               pass_spec.synth_max_elevation_deg,
+                                               pass_spec.synth_sample_dt_s)
+        else:
+            try:
+                profile = load_profile(pass_spec.profile_path)
+            except OSError as exc:  # _parse_pass found a regular file; reading it failed
+                raise ConfigError(f"cannot read pass.profile_csv: {exc}") from None
     else:
         sweep = _parse_sweep(config["sweep"])
         rows = len(sweep.altitudes_m) * len(sweep.elevations_deg) * len(protocols)
-        _cap(f"{run} rows", rows, _MAX_ROWS)
+        check_cap(f"{run} rows", rows, _MAX_ROWS)
         slant_path(setup.site, min(sweep.altitudes_m), np.array(sweep.elevations_deg))
 
-    return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec)
+    return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec, profile)
 
 
 def _echo_distribution(distribution: Any) -> Any:

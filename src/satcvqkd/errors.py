@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one-line text of an error."""
 
 
 class SatCvqkdError(Exception):
@@ -6,7 +6,7 @@ class SatCvqkdError(Exception):
 
 
 class GeometryError(SatCvqkdError, ValueError):
-    """Link geometry is inconsistent (elevation, altitudes, arcsin domain)."""
+    """Link geometry is inconsistent (elevation, altitudes, path through the atmosphere)."""
 
 
 class FarFieldViolation(SatCvqkdError):
@@ -47,3 +47,11 @@ class ProfileError(SatCvqkdError, ValueError):
 
 class ConfigError(SatCvqkdError, ValueError):
     """A run configuration is invalid."""
+
+
+def message(exc: Exception) -> str:
+    """``exc`` as words: a float ``**`` that overflows raises ``OverflowError(errno,
+    text)``, whose ``str`` is a tuple."""
+    if isinstance(exc, OverflowError) and len(exc.args) == 2:
+        return f"float overflow: {exc.args[1]}"
+    return str(exc)

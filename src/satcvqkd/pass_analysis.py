@@ -20,9 +20,10 @@ from .channel import Site
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams, ReconciliationModel
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
-from .quantities import validating
+from .quantities import check_cap, validating
 
 _MU_EARTH = 3.986004418e14  # m^3/s^2
+_MAX_PASS_SAMPLES = 1_000_000
 
 
 @validating
@@ -181,7 +182,8 @@ def synthesize_circular_pass(
     ``arccos`` and ``arctan2`` can differ from ``math``'s in the last bit, so
     elevations agree with a per-sample ``math`` evaluation (kept as
     ``tests/oracles.synthesized_pass``) within 1e-14 relative, and times
-    exactly.
+    exactly.  More than ``_MAX_PASS_SAMPLES`` samples are refused before any is
+    computed.
     """
     if altitude_m <= 0.0 or sample_dt_s <= 0.0:
         raise ValueError("altitude and sample step must be positive")
@@ -190,8 +192,9 @@ def synthesize_circular_pass(
     ratio, gamma_min, omega, half_duration = circular_pass_arc(
         site, altitude_m, max_elevation_deg
     )
-    steps = int(math.floor(half_duration / sample_dt_s))
-    offsets = np.arange(-steps, steps + 1) * sample_dt_s
+    steps = np.floor(half_duration / sample_dt_s)  # inf when the quotient overflows
+    check_cap("pass samples", 2 * steps + 1, _MAX_PASS_SAMPLES)
+    offsets = np.arange(-int(steps), int(steps) + 1) * sample_dt_s
     elevations = _elevations_deg(ratio, gamma_min, omega, offsets)
     above = elevations > 0.0
     return PassProfile(offsets[above] + half_duration, np.minimum(elevations[above], 90.0))

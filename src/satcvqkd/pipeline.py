@@ -22,8 +22,14 @@ from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
 from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
     gm_security
-from .psk import PSK_STATE_COUNTS, psk_security
-from .quantities import validating
+from .psk import PSK_STATE_COUNTS, correlation_z, psk_security
+from .quantities import check_cap, validating
+
+_MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
+# Largest GM V_A: `holevo_bound` cancels V^2 against Z^2 = V^2 - 1, so its S_BE
+# error grows as about 2e-15 V_A bits.  Measured against 80-digit arithmetic over
+# T from 0.5 down to 1e-153: at most 4.6e-9 bits at 1e6, 0.5 bits at 1e14.
+_MAX_GM_VARIANCE = 1e6
 
 
 class LinkSetup(NamedTuple):
@@ -40,7 +46,9 @@ class ProtocolSpec(NamedTuple):
     """Protocol selection with its modulation settings.
 
     ``states`` is the constellation's point count M, for PSK and QAM; a QAM
-    constellation is a square grid, so M is a square number.
+    constellation is a square grid, so M is a square number.  ``_check`` holds
+    every protocol rule: the caps on GM V_A, PSK series terms, QAM states and
+    start cutoff, and the PSK and QAM weights that must not underflow.
     """
 
     kind: str  # "gm" | "psk" | "qam"
@@ -52,16 +60,26 @@ class ProtocolSpec(NamedTuple):
     def _check(self) -> None:
         if self.kind not in ("gm", "psk", "qam"):
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
-        if self.modulation_variance <= 0.0:
+        v_a = self.modulation_variance
+        if not v_a > 0.0:  # NaN too, which every comparison below would let through
             raise ConfigError("modulation variance must be positive")
-        if self.kind == "psk" and self.states not in PSK_STATE_COUNTS:
-            raise ConfigError(f"psk protocol needs states in {PSK_STATE_COUNTS}")
+        if self.kind == "gm" and v_a > _MAX_GM_VARIANCE:
+            raise ConfigError(f"gm modulation_variance_snu {v_a!r} is over the cap of "
+                              f"{_MAX_GM_VARIANCE:g}, past which S_BE loses its digits")
+        if self.kind == "psk":
+            if self.states not in PSK_STATE_COUNTS:
+                raise ConfigError(f"psk protocol needs states in {PSK_STATE_COUNTS}")
+            correlation_z(self.states, math.sqrt(v_a / 2.0))
         if self.kind == "qam":
             if not isinstance(self.states, int) or self.states < 4 \
                     or math.isqrt(self.states) ** 2 != self.states:
                 raise ConfigError(f"qam protocol needs states a square >= 4, got {self.states!r}")
+            check_cap("QAM states", self.states, _MAX_QAM_STATES)
             if self.distribution is None:
                 raise ConfigError("qam protocol needs a point distribution")
+            side = math.isqrt(self.states)
+            qam.start_cutoff(side, v_a)
+            qam.build_constellation(side, math.sqrt(v_a / 2.0), self.distribution)
 
     @property
     def label(self) -> str:

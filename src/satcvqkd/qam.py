@@ -105,14 +105,19 @@ def _grid_coordinates(side: int, alpha: float) -> list[float]:
     return [spacing * (k - (side - 1) / 2.0) for k in range(side)]
 
 
-def start_cutoff(side: int, modulation_variance: float) -> int | float:
+def start_cutoff(side: int, modulation_variance: float) -> int:
     """``default_cutoff`` of the side x side grid at V_A, without building it: its
-    corners carry the peak |alpha|^2.  inf when that overflows a float."""
+    corners carry the peak |alpha|^2.  A cutoff over ``_MAX_CUTOFF``, where the
+    gate gives up (inf when it overflows a float), is refused."""
     corner = _grid_coordinates(side, math.sqrt(modulation_variance / 2.0))[-1]
     try:
-        return math.ceil(10.0 + 8.0 * abs(complex(corner, corner)) ** 2)
+        cutoff = math.ceil(10.0 + 8.0 * abs(complex(corner, corner)) ** 2)
     except OverflowError:
-        return math.inf
+        cutoff = math.inf
+    if cutoff > _MAX_CUTOFF:
+        raise ValueError(f"{side * side}-QAM at V_A = {modulation_variance:g} needs a start "
+                         f"cutoff of {cutoff:.0f}, over the cap of {_MAX_CUTOFF}")
+    return cutoff
 
 
 def build_constellation(
@@ -429,10 +434,7 @@ def qam_security(
     A negative correlation bound is floored at zero (it carries no
     correlation information and only certifies the absence of key).
     """
-    cutoff = start_cutoff(side, modulation_variance)  # checked before anything is built
-    if cutoff > _MAX_CUTOFF:
-        raise ConvergenceError(f"{side * side}-QAM at V_A = {modulation_variance:g} needs a "
-                               f"start cutoff of {cutoff:.0f}, over the cap of {_MAX_CUTOFF}")
+    cutoff = start_cutoff(side, modulation_variance)  # capped before anything is built
     noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
     constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
     workspace = modulation_density_matrix(constellation, cutoff)

@@ -36,6 +36,12 @@ def check_transmittance(transmittance) -> None:
     reject(t, ~((0.0 < t) & (t <= 1.0)), "transmittance must be in (0, 1]")
 
 
+def check_cap(what: str, count, cap: int) -> None:
+    """Reject ``count`` rows, samples or states (inf if it overflowed) over ``cap``."""
+    if count > cap:  # every count is whole; past 1e15 it prints with an exponent
+        raise ValueError(f"{what} would be {count:.15g}, over the cap of {cap}")
+
+
 def validating(record: type) -> type:
     """Class decorator: each instance of the NamedTuple ``record``, built by the
     constructor, ``_make`` or ``_replace``, passes ``record._check``, which raises on

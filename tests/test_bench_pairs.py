@@ -1,7 +1,7 @@
 """tools/bench_pairs.py: its paired-run summary and bound check on fixed numbers,
-its per-side operation counts and the benchmark file's workloads over stubbed
-runs, and its refusal of a checkout with cached bytecode or of fewer than two
-pairs."""
+its per-side operation counts, traced per-layer numbers and the benchmark file's
+workloads over stubbed runs, and its refusal of a checkout with cached bytecode
+or of fewer than two pairs."""
 
 import importlib.util
 import json
@@ -72,17 +72,18 @@ def test_the_report_covers_the_benchmark_files_workloads_and_bounds(tmp_path, mo
     values = {"parent": {"run_s": 1.0, "ops": 100.0}, "change": {"run_s": 1.2, "ops": 80.0}}
     workloads = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace):
         workloads.append(workload)
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": {
-            name: {"value": value} for name, value in values[checkout.name].items()}}
+            name: {"value": value, "unit": "s"} for name, value in values[checkout.name].items()}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--pairs", "2",
                              "--output", str(out)]) == 0
-    assert workloads == ["alpha"] * 4 + ["beta"] * 4  # pairs x sides, in file order
+    # pairs x sides and a traced run per side, in file order
+    assert workloads == ["alpha"] * 6 + ["beta"] * 6
     report = json.loads(out.read_text(encoding="utf-8"))
     assert list(report["workloads"]) == ["alpha", "beta"]
     for workload in ("alpha", "beta"):
@@ -119,18 +120,18 @@ def test_report_sums_each_sides_attempted_and_failed_operations(tmp_path, monkey
         {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}])
     calls = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace):
         calls.append((checkout.name, workload, seed))
         failed = int(checkout.name == "change" and workload == "pass_budget")
-        return {"correct": not failed, "attempted": 40, "failed": failed,
-                "metrics": {"run_s": {"value": 0.1 if checkout.name == "parent" else 0.2}}}
+        return {"correct": not failed, "attempted": 40, "failed": failed, "metrics": {
+            "run_s": {"value": 0.1 if checkout.name == "parent" else 0.2, "unit": "s"}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--pairs", "3", "--seeds", "1", "7",
                              "--output", str(out)]) == 0
-    assert len(calls) == 4 * 2 * 3 * 2  # workloads x seeds x pairs x sides
+    assert len(calls) == 4 * 2 * (3 + 1) * 2  # workloads x seeds x (pairs + traced) x sides
     report = json.loads(out.read_text(encoding="utf-8"))
     for workload in WORKLOADS:
         for seed in ("1", "7"):
@@ -140,3 +141,36 @@ def test_report_sums_each_sides_attempted_and_failed_operations(tmp_path, monkey
             assert entry["failed"] == {"parent": 0, "change": 3 if failing else 0}
             assert entry["correct"] == {"parent": True, "change": not failing}
             assert entry["metrics"]["run_s"]["pairs"] == [[0.1, 0.2]] * 3
+
+
+def test_one_traced_run_per_side_reports_its_layers_without_bounds(tmp_path, monkeypatch):
+    _benchmark_file(tmp_path, ["alpha"], [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}])
+    traced = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        if not trace:
+            return {"correct": True, "attempted": 4, "failed": 0,
+                    "metrics": {"run_s": {"value": 0.1, "unit": "s"}}}
+        traced.append((checkout.name, workload, seed, seconds))
+        layers = {"config.load.busy_s": 0.002 if checkout.name == "parent" else 0.03}
+        if checkout.name == "change":
+            layers["cli.csv_s"] = 0.01  # a metric the parent does not report
+        return {"correct": checkout.name == "parent", "attempted": 4, "failed": 0,
+                "metrics": {name: {"value": value, "unit": "s"} for name, value in layers.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--pairs", "2", "--seeds", "1", "7",
+                             "--seconds", "4", "--output", str(out)]) == 0
+    assert traced == [(side, "alpha", seed, 4.0) for seed in (1, 7)
+                      for side in ("parent", "change")]
+    entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["alpha"]["7"]
+    assert entry["traced"] == {
+        "correct": {"parent": True, "change": False},
+        "metrics": {"config.load.busy_s": {"unit": "s", "parent": 0.002, "change": 0.03},
+                    "cli.csv_s": {"unit": "s", "parent": None, "change": 0.01}},
+    }
+    assert entry["attempted"] == {"parent": 8, "change": 8}  # the pairs' runs only
+    assert list(entry["metrics"]) == ["run_s"]

@@ -79,6 +79,9 @@ def test_atmosphere_shorter_than_total_path():
              match="altitudes must satisfy atmosphere thickness > OGS >= 0, got 20000.0, 25000.0"),
         dict(satellite_altitude_m=15e3, elevation_deg=45.0,
              match="satellite altitude must be above the 20000.0 m atmosphere, got 15000.0"),
+        # 1 mm below the top: the law of cosines cancels the path to exactly 0
+        dict(satellite_altitude_m=500e3, elevation_deg=30.0, ogs_altitude_m=19_999.999,
+             match="path through the atmosphere must be positive, got 0.0"),
     ],
 )
 def test_invalid_geometry_rejected(kwargs):

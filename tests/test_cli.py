@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import satcvqkd
-from satcvqkd import ConfigError, synthesize_circular_pass
-from satcvqkd import cli, config as config_mod, psk
+from satcvqkd import Binomial, ConfigError, Detection, DiscreteGaussian, ProtocolSpec, \
+    synthesize_circular_pass
+from satcvqkd import cli, config as config_mod, pass_analysis, psk
 from satcvqkd.cli import main
 from satcvqkd.pass_analysis import circular_pass_arc, integrate_key_bits, load_profile
 from satcvqkd.psk import series_terms
@@ -460,12 +461,11 @@ MALFORMED = {
     "qam_start_cutoff_over_cap": ("compare", {
         "protocols": ["gm", {"kind": "qam", "states": 256, "modulation_variance_snu": 200}],
         "sweep": ONE_POINT["sweep"],
-    }, "the start cutoff of 256-QAM at modulation_variance_snu 200 would be 12010, "
-        "over the cap of 4096"),
+    }, "256-QAM at V_A = 200 needs a start cutoff of 12010, over the cap of 4096"),
     "qam_start_cutoff_past_float_range": ("sweep", _replaced(
         ONE_POINT, ("protocol",), {"kind": "qam", "states": 4096,
                                    "modulation_variance_snu": 1e308}),
-        "would be inf, over the cap of 4096"),
+        "4096-QAM at V_A = 1e+308 needs a start cutoff of inf, over the cap of 4096"),
     "profile_missing": ("pass", {
         "protocol": "gm", "pass": {"profile_csv": "no-such-dir/profile.csv", "altitude_km": 417.5},
     }, "pass.profile_csv 'no-such-dir/profile.csv' does not exist"),
@@ -507,6 +507,9 @@ MALFORMED = {
     "synthesize_altitude_alias": ("pass", _replaced(
         SYNTH_PASS, ("pass", "synthesize", "altitude_km"), 417.5),
         "unknown keys in pass.synthesize: ['altitude_km']"),
+    "station_just_below_the_atmosphere_top": ("sweep", _replaced(
+        ONE_POINT, ("geometry",), {"ogs_altitude_km": 19.999999}),
+        "path through the atmosphere must be positive, got 0.0"),
     "station_at_the_atmosphere_top": ("pass", _replaced(
         SYNTH_PASS, ("geometry",), {"ogs_altitude_km": 25}),
         "altitudes must satisfy atmosphere thickness > OGS >= 0, got 20000.0, 25000.0"),
@@ -623,11 +626,13 @@ def test_profile_read_failure_is_one_line(tmp_path, capsys, monkeypatch):
     def failing_read(*args):
         raise OSError(5, "Input/output error")
 
-    monkeypatch.setattr("satcvqkd.cli.load_profile", failing_read)
-    out = tmp_path / "pass.csv"
-    assert main(["pass", "--config", _profile_pass(tmp_path, profile), "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "config error: cannot read pass.profile_csv: [Errno 5] Input/output error\n"
+    monkeypatch.setattr("satcvqkd.config.load_profile", failing_read)
+    config, out = _profile_pass(tmp_path, profile), tmp_path / "pass.csv"
+    for argv in (["validate-config", "--config", config],
+                 ["pass", "--config", config, "--output", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: cannot read pass.profile_csv: [Errno 5] Input/output error\n"
     assert not out.exists()
 
 
@@ -636,12 +641,15 @@ def test_profile_read_failure_is_one_line(tmp_path, capsys, monkeypatch):
     ("time_s,elevation_deg\n0,40\n60,41\ninf,42\n", "line 4: time inf not finite"),
 ])
 def test_non_finite_profile_time_is_one_line_error(tmp_path, capsys, text, message):
-    # A NaN time must not reach the key integration, where it gave total_key_bits=nan.
+    # A NaN time must not reach the key integration, where it gave total_key_bits=nan;
+    # resolve reads the profile, so validate-config finds it too.
     profile = tmp_path / "profile.csv"
     profile.write_text(text, encoding="utf-8")
-    out = tmp_path / "pass.csv"
-    assert main(["pass", "--config", _profile_pass(tmp_path, profile), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    config, out = _profile_pass(tmp_path, profile), tmp_path / "pass.csv"
+    for argv in (["validate-config", "--config", config],
+                 ["pass", "--config", config, "--output", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -729,6 +737,35 @@ def test_gm_modulation_variance_cap(tmp_path, capsys):
         "1e+06, past which S_BE loses its digits\n")
 
 
+# Each protocol rule resolve applies, as a config entry and as ProtocolSpec arguments.
+REFUSED_PROTOCOLS = {
+    "gm_over_the_variance_cap": ({"kind": "gm", "modulation_variance_snu": 1e300},
+                                 ("gm", Detection.HOMODYNE, 1e300)),
+    "psk_over_the_series_cap": ({"kind": "psk", "states": 8, "modulation_variance_snu": 1e8},
+                                ("psk", Detection.HOMODYNE, 1e8, 8)),
+    "psk_weight_underflow": ({"kind": "psk", "states": 8, "modulation_variance_snu": 1e-50},
+                             ("psk", Detection.HOMODYNE, 1e-50, 8)),
+    "qam_over_the_states_cap": ({"kind": "qam", "states": 16384},
+                                ("qam", Detection.HETERODYNE, 2.0, 16384, Binomial())),
+    "qam_over_the_start_cutoff_cap": (
+        {"kind": "qam", "states": 256, "modulation_variance_snu": 200},
+        ("qam", Detection.HETERODYNE, 200.0, 256, Binomial())),
+    "qam_weight_underflow": (
+        {"kind": "qam", "states": 16, "distribution": {"kind": "discrete_gaussian", "nu": 1e300}},
+        ("qam", Detection.HETERODYNE, 2.0, 16, DiscreteGaussian(1e300))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_PROTOCOLS))
+def test_protocol_spec_refuses_what_resolve_refuses(case):
+    entry, args = REFUSED_PROTOCOLS[case]
+    with pytest.raises(ValueError) as library:
+        ProtocolSpec(*args)
+    with pytest.raises(ConfigError) as resolved:
+        config_mod.resolve({**ONE_POINT, "protocol": entry})
+    assert str(resolved.value) == str(library.value)
+
+
 def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):
     monkeypatch.setattr(config_mod, "_MAX_ROWS", 12)
     grid = {"altitude_km": {"start": 500, "stop": 700, "step": 100}, "elevation_deg": [60, 90]}
@@ -747,9 +784,9 @@ def test_pass_sample_cap_counts_the_synthesized_samples(monkeypatch):
     arc = circular_pass_arc(site, 417.5e3, 87.6)
     count = 2 * math.floor(arc[-1] / 2.0) + 1
     assert len(synthesize_circular_pass(site, 417.5e3, 87.6, 2.0).times_s) == count
-    monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count)
+    monkeypatch.setattr(pass_analysis, "_MAX_PASS_SAMPLES", count)
     config_mod.resolve(SYNTH_PASS)
-    monkeypatch.setattr(config_mod, "_MAX_PASS_SAMPLES", count - 1)
+    monkeypatch.setattr(pass_analysis, "_MAX_PASS_SAMPLES", count - 1)
     with pytest.raises(ConfigError, match=f"pass samples would be {count}, over the cap"):
         config_mod.resolve(SYNTH_PASS)
 
@@ -831,6 +868,15 @@ RUN_FAILURES = {
         {**ONE_POINT, "protocol": {"kind": "qam", "states": 9, "distribution":
                                    {"kind": "discrete_gaussian", "nu": 1e300}}},
         1, "config error: constellation must carry a positive mean photon number"),
+    "altitude_1e300_km": (  # resolve's slant path squares a radius past the float range
+        _replaced(ONE_POINT, ("sweep", "altitude_km"), [1e300]), 1,
+        "config error: float overflow: Numerical result out of range"),
+    "md_discretisation_1e300": (  # the privacy penalty's (d + 1)^2
+        {**ONE_POINT, "reconciliation": "md", "finite_size": {"discretisation": 1e300}}, 2,
+        "numerical failure: float overflow: Numerical result out of range"),
+    "wavelength_1e-300_nm": (  # the scattering coefficient's (wavelength / 550 nm)^-p
+        {**ONE_POINT, "terminals": {"wavelength_nm": 1e-300}}, 2,
+        "numerical failure: float overflow: Numerical result out of range"),
     "pass_peak_1e-300": (  # the peak rounds to the horizon: no sample is above it
         _replaced(SYNTH_PASS, ("pass", "synthesize", "max_elevation_deg"), 1e-300), 1,
         "config error: a pass peaking at 1e-300 deg has no sample above the horizon"),

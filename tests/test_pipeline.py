@@ -96,6 +96,14 @@ def test_qam_states_must_be_a_square_of_at_least_four(states):
                      states=states, distribution=Binomial())
 
 
+@pytest.mark.parametrize("kind, states, distribution", [
+    ("gm", None, None), ("psk", 4, None), ("qam", 16, Binomial())])
+def test_a_nan_modulation_variance_is_refused(kind, states, distribution):
+    # NaN passes "<= 0" and every cap; before, a GM key read NaN with S_BE 0
+    with pytest.raises(ConfigError, match="^modulation variance must be positive$"):
+        ProtocolSpec(kind, Detection.HOMODYNE, np.nan, states, distribution)
+
+
 def test_finite_point_carries_fit_diagnostics():
     point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, MD, FiniteSizeParams())
     assert point.snr_db is not None

@@ -16,6 +16,7 @@ from satcvqkd import (
     Detection,
     DiscreteGaussian,
     NoiseBudget,
+    NumericsError,
     build_constellation,
     channel_noise,
     correlation_lower_bound,
@@ -39,6 +40,7 @@ from satcvqkd.qam import (
     _converged_moments,
     _moments,
     _rotation_orbits,
+    _sector_eigensystems,
     annihilation_operator,
     default_cutoff,
     start_cutoff,
@@ -188,6 +190,15 @@ def test_trace_deficit_detected():
         thermal_workspace(5.0, cutoff=10)
 
 
+def test_a_negative_eigenvalue_of_tau_is_a_numerics_error():
+    # a unit-trace block, so only the eigenvalue -1e-9 (below -1e-10) is at fault
+    block = np.diag([1.0 + 1e-9, -1e-9])
+    assert np.trace(block) == 1.0
+    with pytest.raises(NumericsError, match=r"^modulation density matrix has eigenvalue "
+                       r"-1\.000e-09 < 0$"):
+        _sector_eigensystems(1, [block])
+
+
 # --- correlation lower bound ----------------------------------------------------
 
 
@@ -197,6 +208,15 @@ def test_thermal_moment_identity():
         term1, w = _moments(thermal_workspace(nbar))
         assert term1 == pytest.approx(math.sqrt(nbar * (nbar + 1.0)), abs=1e-8)
         assert w == 0.0
+
+
+def test_a_negative_ensemble_variance_is_a_numerics_error():
+    # coherent-state columns of norm 2 make the per-point variance 4 s - 16 |f|^2,
+    # where s - |f|^2 = w >= 0 is small: w turns negative
+    ws = modulation_density_matrix(build_constellation(4, 1.0, Binomial()))
+    assert _moments(ws)[1] >= 0.0
+    with pytest.raises(NumericsError, match=r"^ensemble variance term w = -\S+ < 0$"):
+        _moments(ws._replace(point_vectors=2.0 * ws.point_vectors))
 
 
 @pytest.mark.parametrize("v_a", [0.5, 2.0, 5.0])
@@ -511,14 +531,21 @@ def test_two_state_ring_moment_is_twice_the_psk_correlation(v_a):
 
 @pytest.mark.parametrize("distribution", [Binomial(), DiscreteGaussian(nu=0.37)])
 def test_start_cutoff_is_the_default_cutoff_of_the_grid(distribution):
+    # or, past the cap where the gate gives up, a refusal that names that cutoff
     for side in range(2, 65):
         for v_a in [*np.geomspace(1e-3, 1e3, 5), 0.5, 2.0, 200.0]:
-            grid = build_constellation(side, math.sqrt(v_a / 2.0), distribution)
-            assert start_cutoff(side, v_a) == default_cutoff(grid), (side, v_a)
+            cutoff = default_cutoff(build_constellation(side, math.sqrt(v_a / 2.0), distribution))
+            if cutoff <= _MAX_CUTOFF:
+                assert start_cutoff(side, v_a) == cutoff, (side, v_a)
+            else:
+                with pytest.raises(ValueError, match=f"start cutoff of {cutoff}, over the cap"):
+                    start_cutoff(side, v_a)
 
 
 def test_start_cutoff_past_float_range_is_infinite():
-    assert start_cutoff(64, 1e308) == math.inf
+    with pytest.raises(ValueError, match=r"^4096-QAM at V_A = 1e\+308 needs a start cutoff "
+                       r"of inf, over the cap of 4096$"):
+        start_cutoff(64, 1e308)
 
 
 def test_qam_security_rejects_a_start_cutoff_over_the_cap_before_building(monkeypatch):
@@ -528,15 +555,15 @@ def test_qam_security_rejects_a_start_cutoff_over_the_cap_before_building(monkey
         raise AssertionError("a Fock space was built")
 
     monkeypatch.setattr(qam_mod, "_coherent_columns", no_build)
-    assert start_cutoff(16, 200.0) == 12010 > _MAX_CUTOFF
-    with pytest.raises(ConvergenceError, match=r"^256-QAM at V_A = 200 needs a start cutoff "
+    assert default_cutoff(build_constellation(16, 10.0, Binomial())) == 12010 > _MAX_CUTOFF
+    with pytest.raises(ValueError, match=r"^256-QAM at V_A = 200 needs a start cutoff "
                        r"of 12010, over the cap of 4096$"):
         qam_security(16, 200.0, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
 
 
 def test_qam_security_past_float_range_is_the_cap_error():
     # the grid of this V_A overflows a float: the cap answers before it is built
-    with pytest.raises(ConvergenceError, match=r"^4096-QAM at V_A = 1e\+308 needs a start "
+    with pytest.raises(ValueError, match=r"^4096-QAM at V_A = 1e\+308 needs a start "
                        r"cutoff of inf, over the cap of 4096$"):
         qam_security(64, 1e308, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
 

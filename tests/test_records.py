@@ -48,8 +48,8 @@ RESULT_RECORDS = {
     ),
     config.SweepSpec: (("altitudes_m", "elevations_deg"), {}),
     config.RunPlan: (
-        ("protocols", "setup", "reconciliation", "finite", "sweep", "pass_spec"),
-        {"sweep": None, "pass_spec": None},
+        ("protocols", "setup", "reconciliation", "finite", "sweep", "pass_spec", "profile"),
+        {"sweep": None, "pass_spec": None, "profile": None},
     ),
 }
 

@@ -13,6 +13,9 @@ quartiles, every pair's values, and how many pairs each side won; a tie
 counts for neither.
 Per side it also gives whether every run was correct and how many operations
 its runs attempted and failed in all, so a growing share of failures shows.
+After the pairs, one ``--trace 1`` run per side gives the per-layer metrics
+(``traced``): each side's value, with no bound and no win count, to show
+where a change moved time between layers.
 A gain is claimed only when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
 A metric is within its bound when the change's median is no worse than the
@@ -63,11 +66,21 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one ``perfbench/run.py`` run in ``checkout``."""
+def layers(parent: dict, change: dict) -> dict:
+    """Each per-layer metric of one traced run per side: its unit and each side's
+    value (None on a side that lacks it)."""
+    sides = {"parent": parent["metrics"], "change": change["metrics"]}
+    units = {name: m["unit"] for metrics in sides.values() for name, m in metrics.items()}
+    return {name: {"unit": unit, **{side: metrics.get(name, {}).get("value")
+                                    for side, metrics in sides.items()}}
+            for name, unit in units.items()}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The JSON result line of one ``perfbench/run.py --trace <trace>`` run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -103,8 +116,10 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(getattr(args, side), workload, seed,
-                                               args.seconds))
+                                               args.seconds, 0))
                 print(f"{workload} seed {seed}: pair {i + 1} of {args.pairs}", file=sys.stderr)
+            traced = {side: run_once(getattr(args, side), workload, seed, args.seconds, 1)
+                      for side in ("parent", "change")}
             report["workloads"].setdefault(workload, {})[str(seed)] = {
                 "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
                 **{count: {side: sum(r[count] for r in rs) for side, rs in runs.items()}
@@ -116,6 +131,8 @@ def main(argv: list[str] | None = None) -> int:
                                        m["better"], m["bound"])}
                     for name, m in metrics.items()
                 },
+                "traced": {"correct": {side: r["correct"] for side, r in traced.items()},
+                           "metrics": layers(traced["parent"], traced["change"])},
             }
     args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
