@@ -20,9 +20,10 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .channel import AtmosphericConditions, OpticalTerminals, Site, slant_path
+from .channel import AtmosphericConditions, OpticalTerminals, Site, \
+    scattering_coefficient_db_per_km, slant_path
 from .errors import ConfigError, message
-from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel
+from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel, privacy_penalty
 from .gaussian import DAYLIGHT_NOISE, Detection
 from .pass_analysis import PassProfile, check_bin_width, load_profile, synthesize_circular_pass
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
@@ -336,8 +337,9 @@ def resolve(config: dict[str, Any]) -> RunPlan:
 
     The keys present decide the run (``_run_type``).  Every grid corner and
     pass peak is checked against the link geometry here, each protocol by its
-    ``ProtocolSpec``, and a pass's profile is read or synthesized here, so a
-    plan that resolves does not fail on its configuration at run time.
+    ``ProtocolSpec``, the scattering coefficient and a fitted reconciliation's
+    privacy penalty are evaluated, and a pass's profile is read or synthesized
+    here, so a plan that resolves does not fail on its configuration at run time.
     """
     try:
         return _resolve(config)
@@ -377,6 +379,10 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
 
     for protocol in protocols:
         check_reconciliation(protocol, reconciliation)
+    # the run's per-run constants, so that a float fault in one is a config error
+    scattering_coefficient_db_per_km(setup.terminals.wavelength_m, setup.conditions.visibility_km)
+    if isinstance(reconciliation, ReconciliationModel):
+        privacy_penalty(finite)
 
     sweep = pass_spec = profile = None
     if run == "pass":

@@ -2,12 +2,16 @@
 
 The correlation lower bound Z* requires moments of the modulation density
 matrix tau in a truncated Fock space.  tau is eigendecomposed once per
-constellation; everything else is assembled in its eigenbasis, where the
+cutoff; everything else is assembled in its eigenbasis, where the
 only inverse (tau^(-1/2) acting on the constellation states) is damped by
 the overlap bound |<v_j|alpha_k>|^2 <= d_j / p_k and stays well conditioned.
 Results are accepted only when a cutoff increase of 10 moves Z* by less
 than 1e-9; otherwise the cutoff doubles.  ``correlation_lower_bound`` is the
 gate's one entry: it starts at a workspace's cutoff and rebuilds from its source.
+The two levels of a gate round, c and c + 10, share one orbit search and one
+unnormalized coherent-state expansion up to c + 10 (``_GateRound``); the
+coarse level's columns are its first c + 1 rows, renormalized.  Each level
+makes its own sector choice, its own cutoff checks and its own eigensystems.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
@@ -21,6 +25,7 @@ sector r - 1 (mod s), the moments are sums of s block products.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Union
 
@@ -120,13 +125,17 @@ def start_cutoff(side: int, modulation_variance: float) -> int:
     return cutoff
 
 
+# Resolve builds each QAM protocol's constellation and its run asks again; the
+# bound keeps memory fixed, and an evicted entry is only built a second time.
+@functools.lru_cache(maxsize=64, typed=True)
 def build_constellation(
     side: int, alpha: float, distribution: QamDistribution
 ) -> Constellation:
     """Square m x m grid of equidistant coherent states (M = side^2 points).
 
     ``alpha`` sets the grid extent; with binomial probabilities the ensemble
-    mean photon number is exactly alpha^2.
+    mean photon number is exactly alpha^2.  The result is memoized: a
+    ``Constellation`` is immutable.
     """
     if side < 2:
         raise ValueError(f"grid side must be >= 2, got {side}")
@@ -154,10 +163,8 @@ def build_constellation(
     return Constellation(amplitudes=amplitudes, probabilities=probabilities)
 
 
-def _coherent_columns(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
-    """Truncated, renormalized Fock expansions of |alpha_k>, one column per amplitude."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+def _coherent_expansion(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
+    """Fock expansions <n|alpha_k>, n = 0 ... cutoff, one column per amplitude."""
     mod = np.abs(amplitudes)
     # log |<n|alpha>| from <n|alpha> = <n-1|alpha> * alpha / sqrt(n); a zero
     # amplitude gives log 0 = -inf above n = 0, so its column is exactly |0>
@@ -167,13 +174,27 @@ def _coherent_columns(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
         steps[1:] = np.log(mod) - 0.5 * np.log(np.arange(1, cutoff + 1))[:, None]
     phasors = np.ones((cutoff + 1, mod.size), dtype=complex)
     phasors[1:] = np.divide(amplitudes, mod, out=np.ones_like(phasors[0]), where=mod > 0.0)
-    vectors = np.exp(np.cumsum(steps, axis=0)) * np.cumprod(phasors, axis=0)
+    return np.exp(np.cumsum(steps, axis=0)) * np.cumprod(phasors, axis=0)
+
+
+def _coherent_columns(
+    amplitudes: np.ndarray, cutoff: int, expansion: np.ndarray | None = None
+) -> np.ndarray:
+    """Truncated, renormalized Fock expansions of |alpha_k>, one column per amplitude:
+    the first cutoff + 1 rows of ``expansion``, expanded here when None.  As
+    ``cumsum`` and ``cumprod`` build each row from the ones above it, the rows are
+    the same however far the expansion reaches."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    if expansion is None:
+        expansion = _coherent_expansion(amplitudes, cutoff)
+    vectors = expansion[:cutoff + 1]
     norm_sq = np.sum(vectors.real**2 + vectors.imag**2, axis=0)
     worst = int(np.argmin(norm_sq))
     if norm_sq[worst] < 1.0 - _COHERENT_NORM_TOL:
         raise CutoffTooSmall(
             f"cutoff {cutoff} keeps only {norm_sq[worst]:.15f} of "
-            f"|alpha|^2={mod[worst]**2:.3f}"
+            f"|alpha|^2={abs(amplitudes[worst])**2:.3f}"
         )
     return vectors / np.sqrt(norm_sq)
 
@@ -195,7 +216,8 @@ class FockWorkspace(NamedTuple):
     eigenvectors of tau's block on the levels n = r (mod s).  ``point_vectors``
     holds the coherent-state columns of one representative per rotation orbit of
     a constellation and ``probabilities`` the orbit weights, the summed
-    probabilities of each orbit's points.
+    probabilities of each orbit's points.  ``gate_round`` is the gate round a
+    constellation's workspace was built in.
     """
 
     source: Constellation | float
@@ -203,14 +225,16 @@ class FockWorkspace(NamedTuple):
     sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
     point_vectors: np.ndarray | None = None
     probabilities: np.ndarray | None = None
+    gate_round: _GateRound | None = None
 
     def __repr__(self) -> str:
         return f"FockWorkspace(cutoff={self.cutoff}, sectors={len(self.sectors)})"
 
     def rebuilt(self, cutoff: int) -> FockWorkspace:
-        """The same modulation state at ``cutoff``."""
+        """The same modulation state at ``cutoff``, in this workspace's gate round
+        when its expansion reaches that cutoff."""
         if isinstance(self.source, Constellation):
-            return modulation_density_matrix(self.source, cutoff)
+            return modulation_density_matrix(self.source, cutoff, self.gate_round)
         return thermal_workspace(self.source, cutoff)
 
     @property
@@ -281,27 +305,52 @@ def default_cutoff(constellation: Constellation) -> int:
     return math.ceil(10.0 + 8.0 * peak)
 
 
+class _GateRound(NamedTuple):
+    """What the two levels of a cutoff-gate round share: per sector count s, the
+    rotation orbits of ``constellation`` and the unnormalized expansion of their
+    representatives up to ``top``, the refined level's cutoff, found when a
+    level first tries that s."""
+
+    constellation: Constellation
+    top: int
+    found: dict  # s -> (representatives, weights, bounds, expansion), or None
+
+    def orbits(self, count: int) -> tuple | None:
+        if count not in self.found:
+            amplitudes = np.asarray(self.constellation.amplitudes, dtype=complex)
+            orbits = _rotation_orbits(amplitudes, np.asarray(self.constellation.probabilities),
+                                      np.argsort(amplitudes), count)
+            if orbits is not None:
+                points = amplitudes[orbits[0]]
+                orbits = (points, *orbits[1:], _coherent_expansion(points, self.top))
+            self.found[count] = orbits
+        return self.found[count]
+
+
 def modulation_density_matrix(
-    constellation: Constellation, cutoff: int | None = None
+    constellation: Constellation, cutoff: int | None = None, gate_round: _GateRound | None = None
 ) -> FockWorkspace:
     """Assemble and diagonalize the sector blocks of tau = sum_k p_k |alpha_k><alpha_k|
-    for the most sectors (4, 2 or 1) the constellation allows."""
+    for the most sectors (4, 2 or 1) the constellation allows.
+
+    Without a ``gate_round`` whose expansion reaches ``cutoff``, the build starts
+    one, whose expansion also serves the gate's next level, at cutoff + 10.
+    """
     if cutoff is None:
         cutoff = default_cutoff(constellation)
-    amplitudes = np.asarray(constellation.amplitudes, dtype=complex)
-    probabilities = np.asarray(constellation.probabilities)
-    order = np.argsort(amplitudes)
+    if gate_round is None or cutoff > gate_round.top:
+        gate_round = _GateRound(constellation, cutoff + _CUTOFF_STEP, {})
     for count in (4, 2, 1):  # at s = 1 every point is its own orbit and the bound is 0
-        orbits = _rotation_orbits(amplitudes, probabilities, order, count)
+        orbits = gate_round.orbits(count)
         if orbits is None:
             continue
-        reps, weights, bounds = orbits
-        vectors = _coherent_columns(amplitudes[reps], cutoff)
+        representatives, weights, bounds, expansion = orbits
+        vectors = _coherent_columns(representatives, cutoff, expansion)
         blocks = [(v * weights) @ v.conj().T for v in (vectors[r::count] for r in range(count))]
         sectors = _sector_eigensystems(cutoff, blocks, float(np.linalg.norm(bounds)))
         if sectors is not None:
             break
-    return FockWorkspace(constellation, cutoff, sectors, vectors, weights)
+    return FockWorkspace(constellation, cutoff, sectors, vectors, weights, gate_round)
 
 
 def thermal_workspace(mean_photons: float, cutoff: int | None = None) -> FockWorkspace:
@@ -377,10 +426,10 @@ def _converged_moments(workspace: FockWorkspace, excess_noise: float) -> tuple[f
     T = 1 and holds for every T, since Z*(T) = sqrt(T) Z*(1)."""
     cutoff = workspace.cutoff
     while cutoff <= _MAX_CUTOFF:
-        coarse = _moments(workspace if cutoff == workspace.cutoff else workspace.rebuilt(cutoff))
-        refined = _moments(workspace.rebuilt(cutoff + _CUTOFF_STEP))
-        moved = abs(_z_star(*refined, 1.0, excess_noise) - _z_star(*coarse, 1.0, excess_noise))
-        if moved < _ZSTAR_CONVERGENCE_TOL:
+        coarse = workspace if cutoff == workspace.cutoff else workspace.rebuilt(cutoff)
+        z_coarse = _z_star(*_moments(coarse), 1.0, excess_noise)
+        refined = _moments(coarse.rebuilt(cutoff + _CUTOFF_STEP))  # in the coarse level's round
+        if abs(_z_star(*refined, 1.0, excess_noise) - z_coarse) < _ZSTAR_CONVERGENCE_TOL:
             return refined
         cutoff *= 2
     raise ConvergenceError(f"Z* did not stabilize below cutoff {_MAX_CUTOFF}")

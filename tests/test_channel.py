@@ -238,6 +238,12 @@ def test_scintillation_loss_outage_domain(p):
         scintillation_loss_db(0.1, p)
 
 
+def test_conditions_refuse_an_outage_of_one_half_exactly():
+    assert GOOD._replace(outage_probability=0.4999).outage_probability == 0.4999
+    with pytest.raises(ValueError, match=r"^outage probability must be in \(0, 0.5\), got 0.5$"):
+        GOOD._replace(outage_probability=0.5)
+
+
 # --- total budget ------------------------------------------------------------
 
 

@@ -840,9 +840,9 @@ RUN_FAILURES = {
         {**ONE_POINT, "terminals": {"transmitter_efficiency": 1e-300},
          "reconciliation": {"kind": "asymptotic", "beta": 0.9}},
         2, "numerical failure: divide by zero encountered in log10"),
-    "md_smoothing_1e-320": (
-        {**ONE_POINT, "reconciliation": "md", "finite_size": {"smoothing": 1e-320}}, 2,
-        "numerical failure: float division by zero"),
+    "md_smoothing_1e-320": (  # resolve's privacy penalty divides by eps^2 eps_s = 0
+        {**ONE_POINT, "reconciliation": "md", "finite_size": {"smoothing": 1e-320}}, 1,
+        "config error: float division by zero"),
     "psk8_modulation_variance_1e8": (
         {**ONE_POINT, "protocol": {"kind": "psk", "states": 8, "modulation_variance_snu": 1e8}},
         1, "config error: 8-PSK at alpha = 7071.07 needs about 50063640 sector-series terms, "
@@ -871,12 +871,12 @@ RUN_FAILURES = {
     "altitude_1e300_km": (  # resolve's slant path squares a radius past the float range
         _replaced(ONE_POINT, ("sweep", "altitude_km"), [1e300]), 1,
         "config error: float overflow: Numerical result out of range"),
-    "md_discretisation_1e300": (  # the privacy penalty's (d + 1)^2
-        {**ONE_POINT, "reconciliation": "md", "finite_size": {"discretisation": 1e300}}, 2,
-        "numerical failure: float overflow: Numerical result out of range"),
-    "wavelength_1e-300_nm": (  # the scattering coefficient's (wavelength / 550 nm)^-p
-        {**ONE_POINT, "terminals": {"wavelength_nm": 1e-300}}, 2,
-        "numerical failure: float overflow: Numerical result out of range"),
+    "md_discretisation_1e300": (  # resolve's privacy penalty: (d + 1)^2
+        {**ONE_POINT, "reconciliation": "md", "finite_size": {"discretisation": 1e300}}, 1,
+        "config error: float overflow: Numerical result out of range"),
+    "wavelength_1e-300_nm": (  # resolve's scattering coefficient: (wavelength / 550 nm)^-p
+        {**ONE_POINT, "terminals": {"wavelength_nm": 1e-300}}, 1,
+        "config error: float overflow: Numerical result out of range"),
     "pass_peak_1e-300": (  # the peak rounds to the horizon: no sample is above it
         _replaced(SYNTH_PASS, ("pass", "synthesize", "max_elevation_deg"), 1e-300), 1,
         "config error: a pass peaking at 1e-300 deg has no sample above the horizon"),

@@ -76,6 +76,13 @@ def test_mutual_information_vanishing_modulation():
     )
 
 
+def test_mutual_information_is_zero_without_modulation_and_refuses_a_negative_one():
+    for kind in Detection:
+        assert mutual_information_gm(0.0, 0.8, kind) == 0.0
+    with pytest.raises(ValueError, match=r"^modulation variance must be >= 0, got -1e-300$"):
+        mutual_information_gm(-1e-300, 0.8, Detection.HOMODYNE)
+
+
 def test_heterodyne_doubles_homodyne_at_equal_noise():
     for v_a, chi in ((0.5, 0.3), (5.0, 2.0), (12.0, 27.0)):
         hom = mutual_information_gm(v_a, chi, Detection.HOMODYNE)

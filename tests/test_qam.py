@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import re
 from typing import NamedTuple
@@ -743,9 +744,9 @@ def test_correlation_bound_builds_on_the_given_workspace(monkeypatch):
 
     built = []
 
-    def counting_build(constellation, cutoff=None):
+    def counting_build(constellation, cutoff=None, gate_round=None):
         built.append(cutoff)
-        return modulation_density_matrix(constellation, cutoff)
+        return modulation_density_matrix(constellation, cutoff, gate_round)
 
     monkeypatch.setattr(qam_mod, "modulation_density_matrix", counting_build)
     c = build_constellation(16, 1.0, Binomial())
@@ -774,9 +775,9 @@ def test_a_setting_builds_twice_from_one_column_per_orbit(monkeypatch, side):
 
     columns, builds = [], []
 
-    def counting_columns(amplitudes, cutoff):
+    def counting_columns(amplitudes, cutoff, expansion=None):
         columns.append(amplitudes.size)
-        return _coherent_columns(amplitudes, cutoff)
+        return _coherent_columns(amplitudes, cutoff, expansion)
 
     def counting_build(*args):
         builds.append(args)
@@ -792,3 +793,80 @@ def test_a_setting_builds_twice_from_one_column_per_orbit(monkeypatch, side):
                  Detection.HETERODYNE, 0.9)
     assert len(builds) == 2  # the cutoff gate's two levels
     assert columns == [side**2 // 4] * 2
+
+
+# --- one gate round, two levels ---------------------------------------------------
+
+_ROUND_SETS = {  # sector count -> a constellation that has it
+    4: build_constellation(4, 1.0, DiscreteGaussian(nu=0.6)),  # a square grid
+    2: Constellation((0.7 + 0.2j, -0.7 - 0.2j, 0.3 - 0.9j, -0.3 + 0.9j), (0.3, 0.3, 0.2, 0.2)),
+    1: Constellation((1.0 + 0j, -1.0 + 0j, 0.4 + 0.3j), (0.4, 0.4, 0.2)),  # one off-axis point
+}
+
+
+@pytest.mark.parametrize("sectors", sorted(_ROUND_SETS))
+def test_each_level_of_a_gate_round_is_its_own_build_to_the_bit(sectors):
+    # the coarse level takes the first c + 1 rows of its round's expansion to
+    # c + 10, and the refined level all of them; each equals a build whose
+    # expansion stops at its own cutoff
+    c = _ROUND_SETS[sectors]
+    cutoff = default_cutoff(c)
+    coarse = modulation_density_matrix(c, cutoff)
+    refined = coarse.rebuilt(cutoff + 10)
+    assert refined.gate_round is coarse.gate_round and coarse.gate_round.top == cutoff + 10
+    for level in (coarse, refined):
+        alone = modulation_density_matrix(c, level.cutoff,
+                                          qam_module._GateRound(c, level.cutoff, {}))
+        assert len(level.sectors) == len(alone.sectors) == sectors
+        for (d, v), (d_alone, v_alone) in zip(level.sectors, alone.sectors):
+            assert np.array_equal(d, d_alone) and np.array_equal(v, v_alone)
+        assert np.array_equal(level.point_vectors, alone.point_vectors)
+        assert np.array_equal(level.probabilities, alone.probabilities)
+
+
+def test_a_gate_round_searches_the_orbits_and_expands_once(monkeypatch):
+    calls = {"orbits": [], "expansions": [], "builds": []}
+    real = {name: getattr(qam_module, name) for name in
+            ("_rotation_orbits", "_coherent_expansion", "modulation_density_matrix")}
+
+    def orbits(amplitudes, probabilities, order, count):
+        calls["orbits"].append(count)
+        return real["_rotation_orbits"](amplitudes, probabilities, order, count)
+
+    def expansion(amplitudes, cutoff):
+        calls["expansions"].append(cutoff)
+        return real["_coherent_expansion"](amplitudes, cutoff)
+
+    def build(constellation, cutoff=None, gate_round=None):
+        calls["builds"].append(cutoff)
+        return real["modulation_density_matrix"](constellation, cutoff, gate_round)
+
+    for name, spy in (("_rotation_orbits", orbits), ("_coherent_expansion", expansion),
+                      ("modulation_density_matrix", build)):
+        monkeypatch.setattr(qam_module, name, spy)
+    c = build_constellation(4, 1.0, Binomial())
+    n0 = default_cutoff(c)
+    # Z* moves by 2e-6 over the first step of 10, so the gate runs a second round
+    moments = _script_moments(
+        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10), 0.0) if n < 2 * n0 else (2.0, 0.5))
+    assert _converged_moments(qam_module.modulation_density_matrix(c, n0), 0.0) == (2.0, 0.5)
+    assert moments == calls["builds"] == [n0, n0 + 10, 2 * n0, 2 * n0 + 10]
+    assert calls["orbits"] == [4, 4]  # one search per round, at the sector count both levels keep
+    assert calls["expansions"] == [n0 + 10, 2 * n0 + 10]
+
+
+def test_a_compare_builds_each_qam_constellation_once(tmp_path):
+    # resolve builds each QAM protocol's constellation, and the run reuses it
+    from satcvqkd.cli import main
+
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({
+        "protocols": ["gm", "qam16", "psk4", {"kind": "qam", "states": 64, "distribution":
+                                               {"kind": "discrete_gaussian", "nu": 0.5}}],
+        "sweep": {"altitude_km": [500], "elevation_deg": [60, 90]},
+    }), encoding="utf-8")
+    build_constellation.cache_clear()
+    assert main(["compare", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 0
+    info = build_constellation.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert info.maxsize is not None  # the memo is bounded

@@ -38,8 +38,8 @@ RESULT_RECORDS = {
     pass_analysis.ModelPassResult: (("total_key_bits", "bin_rates"), {}),
     pass_analysis.PassResult: (("sample_bins", "excluded_bins_deg", "models"), {}),
     qam.FockWorkspace: (
-        ("source", "cutoff", "sectors", "point_vectors", "probabilities"),
-        {"point_vectors": None, "probabilities": None},
+        ("source", "cutoff", "sectors", "point_vectors", "probabilities", "gate_round"),
+        {"point_vectors": None, "probabilities": None, "gate_round": None},
     ),
     qam.Binomial: ((), {}),
     finite_size.ReconciliationModel: (
