@@ -33,7 +33,7 @@ from . import config as config_mod
 from .errors import ConfigError, SatCvqkdError, message
 from .finite_size import MD, MLC_MSD, ReconciliationModel
 from .pass_analysis import integrate_key_bits
-from .pipeline import PointResult, evaluate_point, link_columns
+from .pipeline import PointResult, evaluate_protocols, link_columns
 
 _CSV_HEADER = ",".join(PointResult._fields)
 _BLOCK_ROWS = 512  # sweep rows formatted and written at a time
@@ -182,8 +182,7 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     elevations = np.tile(elevations_deg, len(altitudes_m))
     with _evaluating():
         link = link_columns(plan.setup, altitudes, elevations)
-        results = [evaluate_point(link, spec, plan.reconciliation, plan.finite)
-                   for spec in plan.protocols]
+        results = evaluate_protocols(link, plan.protocols, plan.reconciliation, plan.finite)
     columns = list(zip(*results))  # per CSV column, each protocol's value over the grid
 
     points = altitudes.size

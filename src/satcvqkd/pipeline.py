@@ -10,7 +10,7 @@ points) suitable for CSV emission.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -149,8 +149,10 @@ def protocol_security(
     transmittance: float,
     noise: NoiseBudget,
     reconciliation_efficiency: float,
+    gate_rounds: dict | None = None,
 ) -> SecurityResult:
-    """Dispatch to the protocol-specific asymptotic pipeline."""
+    """Dispatch to the protocol-specific asymptotic pipeline; ``gate_rounds`` is
+    the QAM gate rounds of the protocol's group (see ``qam.qam_security``)."""
     if spec.kind == "gm":
         return gm_security(
             spec.modulation_variance, transmittance, noise,
@@ -166,7 +168,7 @@ def protocol_security(
     excess = noise.channel_excess + noise.detector_excess
     return qam.qam_security(
         math.isqrt(spec.states), spec.modulation_variance, spec.distribution,
-        transmittance, excess, spec.detection, reconciliation_efficiency,
+        transmittance, excess, spec.detection, reconciliation_efficiency, gate_rounds,
     )
 
 
@@ -255,13 +257,16 @@ def evaluate_point(
     spec: ProtocolSpec,
     reconciliation: Reconciliation,
     finite_params: FiniteSizeParams,
+    gate_rounds: dict | None = None,
 ) -> PointResult:
     """The key stage: security and finite-size layer on a grid's link.
 
     Each per-point field has the grid's shape: a far-field point has no key,
     and a point whose fitted beta is invalid has no key; those values are
     NaN, or None for a flag.  For one point the fields hold plain values and
-    a missing one is None.
+    a missing one is None.  ``gate_rounds`` is the QAM gate rounds of the
+    protocol's group (see ``evaluate_protocols``); without it the protocol is
+    a group of one.
     """
     check_reconciliation(spec, reconciliation)
     fitted = isinstance(reconciliation, ReconciliationModel)
@@ -284,7 +289,7 @@ def evaluate_point(
 
     if np.any(beta_valid):
         security = protocol_security(
-            spec, transmittance[beta_valid], link.noise, efficiency[beta_valid]
+            spec, transmittance[beta_valid], link.noise, efficiency[beta_valid], gate_rounds
         )
     else:  # no point to secure: no protocol constants are computed either
         security = SecurityResult(*[np.empty(0)] * 3)
@@ -318,3 +323,18 @@ def evaluate_point(
         **{name: link.column(v, linked) for name, v in linked_values.items()},
         **{name: link.column(v, linked[beta_valid]) for name, v in key_values.items()},
     )
+
+
+def evaluate_protocols(
+    link: LinkColumns,
+    specs: Sequence[ProtocolSpec],
+    reconciliation: Reconciliation,
+    finite_params: FiniteSizeParams,
+) -> list[PointResult]:
+    """``evaluate_point`` of each protocol on one link, in order.  The protocols
+    are one group: its QAM protocols of one side and V_A, which differ only in
+    their point probabilities, share each cutoff-gate round's grid-only work,
+    and that work is dropped when the call returns."""
+    gate_rounds: dict = {}
+    return [evaluate_point(link, spec, reconciliation, finite_params, gate_rounds)
+            for spec in specs]

@@ -10,8 +10,14 @@ than 1e-9; otherwise the cutoff doubles.  ``correlation_lower_bound`` is the
 gate's one entry: it starts at a workspace's cutoff and rebuilds from its source.
 The two levels of a gate round, c and c + 10, share one orbit search and one
 unnormalized coherent-state expansion up to c + 10 (``_GateRound``); the
-coarse level's columns are its first c + 1 rows, renormalized.  Each level
-makes its own sector choice, its own cutoff checks and its own eigensystems.
+coarse level's columns are its first c + 1 rows, renormalized.  A round
+belongs to a grid of amplitudes, so the distributions on one grid (one side
+and V_A), evaluated as a group, share its orbit map, its expansion and its
+normalized columns at each level, and share a later round among those that
+need one.  Each distribution forms its own orbit weights and sector-mass
+bound from the shared orbit map, and each level makes its own sector choice,
+its own cutoff checks, its own eigensystems and moments; each distribution
+runs its own gate.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
@@ -231,8 +237,8 @@ class FockWorkspace(NamedTuple):
         return f"FockWorkspace(cutoff={self.cutoff}, sectors={len(self.sectors)})"
 
     def rebuilt(self, cutoff: int) -> FockWorkspace:
-        """The same modulation state at ``cutoff``, in this workspace's gate round
-        when its expansion reaches that cutoff."""
+        """The same modulation state at ``cutoff``, in this workspace's gate round,
+        or in the later round it starts when its expansion stops below ``cutoff``."""
         if isinstance(self.source, Constellation):
             return modulation_density_matrix(self.source, cutoff, self.gate_round)
         return thermal_workspace(self.source, cutoff)
@@ -244,17 +250,14 @@ class FockWorkspace(NamedTuple):
 
 
 def _rotation_orbits(
-    amplitudes: np.ndarray, probabilities: np.ndarray, order: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    amplitudes: np.ndarray, order: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Orbits of the amplitudes under the turn w = i^(4 / count), or None when w
     does not map the set exactly onto itself; ``order`` sorts the amplitudes.
 
-    Returns the index of each orbit's representative (its smallest), the orbit
-    weights (the summed probabilities of its points) and, for each gap g = 1 ...
-    count - 1, the bound sum over orbits of |sum_j p_j w^(jg)| on the Frobenius
-    mass of tau's entries with m - n = g (mod count), p_j being the probability
-    of the representative turned j times.  The vacuum lies in sector 0 and adds
-    nothing to the bound.
+    Returns the index of each orbit's representative (its smallest) and, per
+    point, its slot k count + j: k is its orbit's representative and j the
+    turns that take that representative to the point.
     """
     size = amplitudes.size
     turned = amplitudes * 1j ** (4 // count)  # exact: 1j and -1 only move and flip signs
@@ -271,11 +274,26 @@ def _rotation_orbits(
     steps = chain.argmin(axis=0)
     representative = chain[steps, np.arange(size)]
     reps = np.flatnonzero(representative == np.arange(size))
-    # probability by orbit and by the turns j that take its representative to the point
-    rotations = np.bincount(representative * count + (-1 - steps) % count, probabilities,
-                            count * size).reshape(size, count)[reps]
-    bounds = np.abs(rotations[amplitudes[reps] != 0.0] @ _GAP_PHASES[count]).sum(axis=0)
-    return reps, rotations.sum(axis=1), bounds
+    return reps, representative * count + (-1 - steps) % count
+
+
+def _orbit_weights(
+    orbits: tuple[np.ndarray, np.ndarray], points: np.ndarray, probabilities: np.ndarray,
+    count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One distribution's orbit weights (the summed probabilities of each orbit's
+    points) over the ``orbits`` of ``_rotation_orbits``, whose representatives
+    are ``points``, and, for each gap g = 1 ... count - 1, the bound sum over
+    orbits of |sum_j p_j w^(jg)| on the Frobenius mass of tau's entries with
+    m - n = g (mod count), p_j being the probability of the representative
+    turned j times.  The vacuum lies in sector 0 and adds nothing to the bound.
+    """
+    representatives, slots = orbits
+    size = slots.size
+    rotations = np.bincount(slots, probabilities, count * size).reshape(size, count)
+    rotations = rotations[representatives]
+    bounds = np.abs(rotations[points != 0.0] @ _GAP_PHASES[count]).sum(axis=0)
+    return rotations.sum(axis=1), bounds
 
 
 def _sector_eigensystems(cutoff: int, blocks: list, off_sector: float = 0.0) -> tuple | None:
@@ -306,25 +324,41 @@ def default_cutoff(constellation: Constellation) -> int:
 
 
 class _GateRound(NamedTuple):
-    """What the two levels of a cutoff-gate round share: per sector count s, the
-    rotation orbits of ``constellation`` and the unnormalized expansion of their
-    representatives up to ``top``, the refined level's cutoff, found when a
-    level first tries that s."""
+    """What a cutoff-gate round shares between its two levels and between the
+    distributions on one grid of ``amplitudes``: per sector count s, the
+    rotation orbits and the unnormalized expansion of their representatives up
+    to ``top``, the refined level's cutoff, found when a build first tries that
+    s; the representatives' normalized columns at each cutoff a build asks for;
+    and, by coarse cutoff, the ``later`` rounds that builds past ``top`` start,
+    which every distribution that needs one shares."""
 
-    constellation: Constellation
+    amplitudes: tuple[complex, ...]
     top: int
-    found: dict  # s -> (representatives, weights, bounds, expansion), or None
+    found: dict  # s -> ((representatives, slots), points, expansion), or None
+    columns: dict  # (s, cutoff) -> normalized columns
+    later: dict  # coarse cutoff -> _GateRound
+
+    @classmethod
+    def starting(cls, amplitudes: tuple[complex, ...], cutoff: int) -> _GateRound:
+        """A round whose coarse level is at ``cutoff``."""
+        return cls(amplitudes, cutoff + _CUTOFF_STEP, {}, {}, {})
 
     def orbits(self, count: int) -> tuple | None:
         if count not in self.found:
-            amplitudes = np.asarray(self.constellation.amplitudes, dtype=complex)
-            orbits = _rotation_orbits(amplitudes, np.asarray(self.constellation.probabilities),
-                                      np.argsort(amplitudes), count)
+            amplitudes = np.asarray(self.amplitudes, dtype=complex)
+            orbits = _rotation_orbits(amplitudes, np.argsort(amplitudes), count)
             if orbits is not None:
                 points = amplitudes[orbits[0]]
-                orbits = (points, *orbits[1:], _coherent_expansion(points, self.top))
+                orbits = (orbits, points, _coherent_expansion(points, self.top))
             self.found[count] = orbits
         return self.found[count]
+
+    def vectors(self, count: int, cutoff: int) -> np.ndarray:
+        """The normalized columns at ``cutoff`` of the orbits at ``count``."""
+        if (count, cutoff) not in self.columns:
+            _, points, expansion = self.found[count]
+            self.columns[count, cutoff] = _coherent_columns(points, cutoff, expansion)
+        return self.columns[count, cutoff]
 
 
 def modulation_density_matrix(
@@ -333,19 +367,29 @@ def modulation_density_matrix(
     """Assemble and diagonalize the sector blocks of tau = sum_k p_k |alpha_k><alpha_k|
     for the most sectors (4, 2 or 1) the constellation allows.
 
-    Without a ``gate_round`` whose expansion reaches ``cutoff``, the build starts
-    one, whose expansion also serves the gate's next level, at cutoff + 10.
+    ``gate_round`` is a round on the constellation's grid, whose work the build
+    shares: a round of its own when None, and the round's later round at this
+    cutoff when its expansion stops below it.  Only the orbit weights, the
+    blocks and their eigensystems are the constellation's own.
     """
     if cutoff is None:
         cutoff = default_cutoff(constellation)
-    if gate_round is None or cutoff > gate_round.top:
-        gate_round = _GateRound(constellation, cutoff + _CUTOFF_STEP, {})
+    if gate_round is None:
+        gate_round = _GateRound.starting(constellation.amplitudes, cutoff)
+    elif gate_round.amplitudes is not constellation.amplitudes \
+            and gate_round.amplitudes != constellation.amplitudes:
+        raise ValueError("the gate round is on another grid than the constellation")
+    elif cutoff > gate_round.top:
+        if cutoff not in gate_round.later:
+            gate_round.later[cutoff] = _GateRound.starting(gate_round.amplitudes, cutoff)
+        gate_round = gate_round.later[cutoff]
+    probabilities = np.asarray(constellation.probabilities)
     for count in (4, 2, 1):  # at s = 1 every point is its own orbit and the bound is 0
-        orbits = gate_round.orbits(count)
-        if orbits is None:
+        found = gate_round.orbits(count)
+        if found is None:
             continue
-        representatives, weights, bounds, expansion = orbits
-        vectors = _coherent_columns(representatives, cutoff, expansion)
+        weights, bounds = _orbit_weights(*found[:2], probabilities, count)
+        vectors = gate_round.vectors(count, cutoff)
         blocks = [(v * weights) @ v.conj().T for v in (vectors[r::count] for r in range(count))]
         sectors = _sector_eigensystems(cutoff, blocks, float(np.linalg.norm(bounds)))
         if sectors is not None:
@@ -472,6 +516,7 @@ def qam_security(
     excess_noise: float,
     kind: Detection,
     reconciliation_efficiency,
+    gate_rounds: dict | None = None,
 ) -> SecurityResult:
     """Asymptotic M-QAM key rate (M = side^2) at the given link transmittance(s).
 
@@ -482,11 +527,19 @@ def qam_security(
     Z*(1), since Z*(T) = sqrt(T) Z*(1) is the cross term sqrt(T) Z it takes.
     A negative correlation bound is floored at zero (it carries no
     correlation information and only certifies the absence of key).
+
+    ``gate_rounds`` holds the first gate round of each side and V_A met in a
+    group of calls, so that the group's distributions on one grid share its
+    rounds; a call without it is a group of one.
     """
     cutoff = start_cutoff(side, modulation_variance)  # capped before anything is built
     noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
     constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
-    workspace = modulation_density_matrix(constellation, cutoff)
+    gate_rounds = {} if gate_rounds is None else gate_rounds
+    grid = (side, modulation_variance)
+    if grid not in gate_rounds:
+        gate_rounds[grid] = _GateRound.starting(constellation.amplitudes, cutoff)
+    workspace = modulation_density_matrix(constellation, cutoff, gate_rounds[grid])
     z_star = max(float(correlation_lower_bound(workspace, 1.0, excess_noise)), 0.0)
     v_eff = constellation.modulation_variance
     i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)

@@ -981,3 +981,64 @@ def test_fuzzed_leaves_are_one_line_config_errors(tmp_path_factory, replacements
     assert err.getvalue().startswith("config error: ")
     assert err.getvalue().count("\n") == 1
     assert "Traceback" not in err.getvalue()
+
+
+# --- numeric extremes: a config that resolves also runs -----------------------------
+# Every numeric leaf of FUZZ_BASE and of a GM + MD variant is set to each extreme.
+# validate-config and compare then both exit 0, or both exit 1 with the same
+# line, except for the configs below: they resolve, and their run ends in a
+# numerical failure (exit 2).  README lists the same cases.  The list may only
+# shrink, as resolve learns to refuse them (ROADMAP item 9).
+
+FUZZ_GM_MD = {**FUZZ_BASE, "protocols": FUZZ_BASE["protocols"][:1], "reconciliation": "md"}
+EXTREMES = (0, -1, 5e-324, 1e-300, 1e-30, 1e30, 1e300, 2**63)
+_BOTH = ("base", "gm_md")
+RUN_TIME_FAILURES = {  # (variants, leaf, value): the run's numerical failure
+    (_BOTH, "conditions.cn2", 1e300): "Rytov variance must be finite, got inf",
+    (_BOTH, "conditions.visibility_km", 1e-30): "transmittance must be in (0, 1], got 0.0",
+    (_BOTH, "conditions.visibility_km", 1e-300): "transmittance must be in (0, 1], got 0.0",
+    (_BOTH, "conditions.visibility_km", 5e-324): "attenuation must be finite, got inf",
+    (("gm_md",), "finite_size.total_symbols", 1e-300): "overflow encountered in multiply",
+    (("base",), "noise.channel_excess_snu", 1e300): "overflow encountered in square",
+    (_BOTH, "noise.detector_efficiency", 5e-324): "divide by zero encountered in log10",
+    (("base",), "noise.detector_excess_snu", 1e300): "overflow encountered in square",
+    (_BOTH, "protocols.0.modulation_variance_snu", 5e-324):
+        "signal amplitude must be non-zero",
+    (_BOTH, "terminals.receiver_aperture_m", 1e300):
+        "float overflow: Numerical result out of range",
+    (_BOTH, "terminals.receiver_aperture_m", 1e-300): "overflow encountered in square",
+    (_BOTH, "terminals.receiver_aperture_m", 5e-324): "divide by zero encountered in divide",
+    (_BOTH, "terminals.receiver_efficiency", 1e-300): "divide by zero encountered in log10",
+    (_BOTH, "terminals.receiver_efficiency", 5e-324): "overflow encountered in divide",
+    (_BOTH, "terminals.transmitter_aperture_m", 1e-300): "overflow encountered in square",
+    (_BOTH, "terminals.transmitter_aperture_m", 5e-324): "overflow encountered in divide",
+    (_BOTH, "terminals.transmitter_efficiency", 1e-300): "divide by zero encountered in log10",
+    (_BOTH, "terminals.transmitter_efficiency", 5e-324): "overflow encountered in divide",
+    (_BOTH, "terminals.wavelength_nm", 1e300): "overflow encountered in square",
+}
+
+
+def _quiet_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_numeric_extremes_fail_at_resolve_or_not_at_all(tmp_path):
+    path, out = tmp_path / "config.json", str(tmp_path / "out.csv")
+    failures = {}
+    for variant, base in zip(_BOTH, (FUZZ_BASE, FUZZ_GM_MD)):
+        for leaf in sorted(_numeric_leaves(base), key=str):
+            for value in EXTREMES:
+                case = (variant, ".".join(map(str, leaf)), value)
+                path.write_text(json.dumps(_replaced(base, leaf, value)), encoding="utf-8")
+                check = _quiet_main(["validate-config", "--config", str(path)])
+                run = _quiet_main(["compare", "--config", str(path), "--output", out])
+                if check == (0, "") and run[0] == 2:
+                    failures[case] = run[1]
+                else:
+                    assert check == run and run[0] in (0, 1), case
+    assert failures == {(variant, leaf, value): f"numerical failure: {message}\n"
+                        for (variants, leaf, value), message in RUN_TIME_FAILURES.items()
+                        for variant in variants}

@@ -40,6 +40,7 @@ from satcvqkd.qam import (
     _coherent_columns,
     _converged_moments,
     _moments,
+    _orbit_weights,
     _rotation_orbits,
     _sector_eigensystems,
     annihilation_operator,
@@ -350,7 +351,8 @@ def test_orbit_bound_holds_and_sets_the_sector_count(c):
     _, tau = dense_tau(c, cutoff)
     expected = None  # the first count whose bound passes, as the build tries them
     for count in (4, 2):
-        _, _, bounds = _rotation_orbits(amplitudes, probabilities, np.argsort(amplitudes), count)
+        orbits = _rotation_orbits(amplitudes, np.argsort(amplitudes), count)
+        _, bounds = _orbit_weights(orbits, amplitudes[orbits[0]], probabilities, count)
         masses = _gap_masses(tau, count)
         # the dense product itself rounds each entry by about 1e-16 of ||tau||
         assert all(mass <= bound + 1e-15 * masses[0] for mass, bound in zip(masses[1:], bounds))
@@ -815,8 +817,8 @@ def test_each_level_of_a_gate_round_is_its_own_build_to_the_bit(sectors):
     refined = coarse.rebuilt(cutoff + 10)
     assert refined.gate_round is coarse.gate_round and coarse.gate_round.top == cutoff + 10
     for level in (coarse, refined):
-        alone = modulation_density_matrix(c, level.cutoff,
-                                          qam_module._GateRound(c, level.cutoff, {}))
+        alone = modulation_density_matrix(
+            c, level.cutoff, qam_module._GateRound(c.amplitudes, level.cutoff, {}, {}, {}))
         assert len(level.sectors) == len(alone.sectors) == sectors
         for (d, v), (d_alone, v_alone) in zip(level.sectors, alone.sectors):
             assert np.array_equal(d, d_alone) and np.array_equal(v, v_alone)
@@ -829,9 +831,9 @@ def test_a_gate_round_searches_the_orbits_and_expands_once(monkeypatch):
     real = {name: getattr(qam_module, name) for name in
             ("_rotation_orbits", "_coherent_expansion", "modulation_density_matrix")}
 
-    def orbits(amplitudes, probabilities, order, count):
+    def orbits(amplitudes, order, count):
         calls["orbits"].append(count)
-        return real["_rotation_orbits"](amplitudes, probabilities, order, count)
+        return real["_rotation_orbits"](amplitudes, order, count)
 
     def expansion(amplitudes, cutoff):
         calls["expansions"].append(cutoff)
@@ -870,3 +872,171 @@ def test_a_compare_builds_each_qam_constellation_once(tmp_path):
     info = build_constellation.cache_info()
     assert (info.misses, info.hits) == (2, 2)
     assert info.maxsize is not None  # the memo is bounded
+
+
+# --- one grid, many distributions: the group shares each gate round's grid work -------
+
+_GROUP = (Binomial(), DiscreteGaussian(nu=0.3), DiscreteGaussian(nu=0.8))  # 16-QAM at V_A = 2
+
+
+def _compare_config(tmp_path, protocols):
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({
+        "protocols": protocols, "sweep": {"altitude_km": [500], "elevation_deg": [60, 90]},
+    }), encoding="utf-8")
+    return ["compare", "--config", str(config), "--output", str(tmp_path / "out.csv")]
+
+
+def _qam16(distribution):
+    shape = "binomial" if isinstance(distribution, Binomial) \
+        else {"kind": "discrete_gaussian", "nu": distribution.nu}
+    return {"kind": "qam", "states": 16, "modulation_variance_snu": 2.0, "distribution": shape}
+
+
+def _spy_grid_work(monkeypatch):
+    """Record the sector count of each orbit search and the top of each expansion."""
+    calls = {"orbits": [], "expansions": []}
+    real = {name: getattr(qam_module, name) for name in ("_rotation_orbits", "_coherent_expansion")}
+
+    def orbits(amplitudes, order, count):
+        calls["orbits"].append(count)
+        return real["_rotation_orbits"](amplitudes, order, count)
+
+    def expansion(amplitudes, cutoff):
+        calls["expansions"].append(cutoff)
+        return real["_coherent_expansion"](amplitudes, cutoff)
+
+    monkeypatch.setattr(qam_module, "_rotation_orbits", orbits)
+    monkeypatch.setattr(qam_module, "_coherent_expansion", expansion)
+    return calls
+
+
+def test_each_distribution_of_a_grid_group_is_its_own_build_to_the_bit():
+    # the later distributions take the orbits, expansion and columns the first
+    # one built; every level still equals a build of its own
+    constellations = [build_constellation(4, 1.0, d) for d in _GROUP]
+    cutoff = default_cutoff(constellations[0])
+    shared = qam_module._GateRound.starting(constellations[0].amplitudes, cutoff)
+    for c in constellations:
+        coarse = modulation_density_matrix(c, cutoff, shared)
+        alone = modulation_density_matrix(c, cutoff)
+        assert coarse.gate_round is shared and alone.gate_round is not shared
+        for level, own in ((coarse, alone), (coarse.rebuilt(cutoff + 10), alone.rebuilt(cutoff + 10))):
+            assert len(level.sectors) == len(own.sectors) == 4
+            for (d, v), (d_own, v_own) in zip(level.sectors, own.sectors):
+                assert np.array_equal(d, d_own) and np.array_equal(v, v_own)
+            assert np.array_equal(level.point_vectors, own.point_vectors)
+            assert np.array_equal(level.probabilities, own.probabilities)
+
+    transmittance = np.array([0.132, 0.0284])
+    gate_rounds = {}
+    for distribution in _GROUP:
+        grouped = qam_security(4, 2.0, distribution, transmittance, QAM_EXCESS,
+                               Detection.HETERODYNE, 0.9, gate_rounds)
+        alone = qam_security(4, 2.0, distribution, transmittance, QAM_EXCESS,
+                             Detection.HETERODYNE, 0.9)
+        assert all(np.array_equal(a, b) for a, b in zip(grouped, alone))
+    assert list(gate_rounds) == [(4, 2.0)]
+
+
+def test_a_compare_of_one_grid_searches_the_orbits_and_expands_once_per_round(
+    monkeypatch, tmp_path
+):
+    from satcvqkd.cli import main
+
+    calls = _spy_grid_work(monkeypatch)
+    builds = []
+    real_build = qam_module.modulation_density_matrix
+
+    def build(constellation, cutoff=None, gate_round=None):
+        builds.append(cutoff)
+        return real_build(constellation, cutoff, gate_round)
+
+    monkeypatch.setattr(qam_module, "modulation_density_matrix", build)
+    assert main(_compare_config(tmp_path, [_qam16(d) for d in _GROUP])) == 0
+    n0 = start_cutoff(4, 2.0)
+    assert builds == [n0, n0 + 10] * 3  # each distribution runs its own gate
+    assert calls["orbits"] == [4]  # not three: one round, shared
+    assert calls["expansions"] == [n0 + 10]
+
+
+def test_the_distributions_that_need_a_second_round_share_its_expansion(monkeypatch):
+    # the binomial shape settles in round 1; the two others need round 2
+    calls = _spy_grid_work(monkeypatch)
+    n0 = start_cutoff(4, 2.0)
+    settles = {Binomial(): True}
+    evaluating = []
+    moments = _script_moments(
+        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10 and not settles.get(evaluating[-1])),
+                                0.0))
+    gate_rounds = {}
+    for distribution in _GROUP:
+        evaluating.append(distribution)
+        qam_security(4, 2.0, distribution, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
+                     gate_rounds)
+    assert moments == [n0, n0 + 10] + [n0, n0 + 10, 2 * n0, 2 * n0 + 10] * 2
+    assert calls["orbits"] == [4, 4]  # once in each round
+    assert calls["expansions"] == [n0 + 10, 2 * n0 + 10]
+
+
+def test_protocols_of_another_side_or_modulation_variance_share_nothing(monkeypatch):
+    calls = _spy_grid_work(monkeypatch)
+    gate_rounds = {}
+    grids = [(4, 2.0), (4, 3.0), (8, 2.0)]
+    for side, v_a in grids:
+        grouped = qam_security(side, v_a, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
+                               gate_rounds)
+        alone = qam_security(side, v_a, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+        assert grouped == alone
+    assert list(gate_rounds) == grids
+    assert len({id(r) for r in gate_rounds.values()}) == 3
+    grouped_expansions = calls["expansions"][0::2]  # each setting's lone call expands again
+    assert grouped_expansions == [start_cutoff(s, v) + 10 for s, v in grids]
+    with pytest.raises(ValueError, match="another grid"):
+        modulation_density_matrix(build_constellation(8, 1.0, Binomial()), None,
+                                  gate_rounds[4, 2.0])
+
+
+def test_no_expansion_of_a_compare_outlives_the_run(monkeypatch, tmp_path):
+    # reference counting alone frees the group's rounds: they hold no cycle
+    import weakref
+    from satcvqkd.cli import main
+
+    alive = []
+    real = qam_module._coherent_expansion
+
+    def expansion(amplitudes, cutoff):
+        result = real(amplitudes, cutoff)
+        alive.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(qam_module, "_coherent_expansion", expansion)
+    protocols = [_qam16(d) for d in _GROUP] + ["gm", "qam64"]
+    assert main(_compare_config(tmp_path, protocols)) == 0
+    assert len(alive) == 2  # one per grid
+    assert [ref() for ref in alive] == [None, None]
+
+
+def test_a_group_of_large_shapes_peaks_as_one_shape_alone():
+    import tracemalloc
+
+    # start cutoff 235: the Fock work dominates the peak, and a group that kept
+    # each shape's workspaces would peak 1.7 times as high
+    side, v_a = 8, 8.0
+    shapes = [DiscreteGaussian(nu=nu) for nu in (0.05, 0.1, 0.2, 0.4)]
+    for shape in shapes:  # memoized before the measurement
+        build_constellation(side, math.sqrt(v_a / 2.0), shape)
+
+    def peak(group):
+        gate_rounds = {}
+        tracemalloc.start()
+        try:
+            for shape in group:
+                qam_security(side, v_a, shape, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
+                             gate_rounds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak([shape]) for shape in shapes)
+    assert peak(shapes) <= 1.1 * alone

@@ -1,4 +1,5 @@
-"""The README's Python examples run as written, and its JSON configs resolve."""
+"""The README's Python examples run as written, its JSON configs resolve, and its
+list of run-time failures is the CLI tests' list."""
 
 import json
 import re
@@ -35,3 +36,14 @@ def test_readme_has_config_examples():
 @pytest.mark.parametrize("index", range(len(CONFIGS)))
 def test_readme_config_resolves(index):
     config.resolve(json.loads(CONFIGS[index]))
+
+
+def test_readme_lists_every_known_run_time_failure():
+    # README's exit-2 list and the test's list of run-time failures are the same cases
+    from test_cli import RUN_TIME_FAILURES
+
+    known = TEXT[TEXT.index("These are the known cases"):TEXT.index("The evaluation runs under")]
+    words = " ".join(known.split())
+    for (_, leaf, _), message in RUN_TIME_FAILURES.items():
+        assert f"`{leaf}`" in words or f"`{leaf.split('.')[-1]}`" in words, leaf
+        assert f"`{message}`" in words, message
