@@ -921,7 +921,8 @@ def test_each_distribution_of_a_grid_group_is_its_own_build_to_the_bit():
         coarse = modulation_density_matrix(c, cutoff, shared)
         alone = modulation_density_matrix(c, cutoff)
         assert coarse.gate_round is shared and alone.gate_round is not shared
-        for level, own in ((coarse, alone), (coarse.rebuilt(cutoff + 10), alone.rebuilt(cutoff + 10))):
+        refined = (coarse.rebuilt(cutoff + 10), alone.rebuilt(cutoff + 10))
+        for level, own in ((coarse, alone), refined):
             assert len(level.sectors) == len(own.sectors) == 4
             for (d, v), (d_own, v_own) in zip(level.sectors, own.sectors):
                 assert np.array_equal(d, d_own) and np.array_equal(v, v_own)
