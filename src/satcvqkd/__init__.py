@@ -57,7 +57,7 @@ from .pass_analysis import (
     synthesize_circular_pass,
 )
 from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, \
-    evaluate_protocols, link_columns
+    link_columns
 from .psk import correlation_z, psk_security, zeta_weights
 from .qam import (
     Binomial,

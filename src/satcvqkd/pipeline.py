@@ -265,8 +265,8 @@ def evaluate_point(
     and a point whose fitted beta is invalid has no key; those values are
     NaN, or None for a flag.  For one point the fields hold plain values and
     a missing one is None.  ``gate_rounds`` is the QAM gate rounds of the
-    protocol's group (see ``evaluate_protocols``); without it the protocol is
-    a group of one.
+    protocol's group (see ``qam.qam_security``); without it the protocol is a
+    group of one.
     """
     check_reconciliation(spec, reconciliation)
     fitted = isinstance(reconciliation, ReconciliationModel)
@@ -332,9 +332,16 @@ def evaluate_protocols(
     finite_params: FiniteSizeParams,
 ) -> list[PointResult]:
     """``evaluate_point`` of each protocol on one link, in order.  The protocols
-    are one group: its QAM protocols of one side and V_A, which differ only in
-    their point probabilities, share each cutoff-gate round's grid-only work,
-    and that work is dropped when the call returns."""
-    gate_rounds: dict = {}
-    return [evaluate_point(link, spec, reconciliation, finite_params, gate_rounds)
-            for spec in specs]
+    of one point count and V_A are a group: its QAM protocols, which differ only
+    in their point probabilities, share the grid-only work of the first
+    cutoff-gate round, which is dropped after the group's last protocol."""
+    grids = [(spec.states, spec.modulation_variance) for spec in specs]
+    last = {grid: index for index, grid in enumerate(grids)}
+    groups: dict = {}  # grid -> the gate rounds its protocols share
+    results = []
+    for index, (spec, grid) in enumerate(zip(specs, grids)):
+        results.append(evaluate_point(link, spec, reconciliation, finite_params,
+                                      groups.setdefault(grid, {})))
+        if last[grid] == index:
+            del groups[grid]
+    return results

@@ -13,11 +13,11 @@ unnormalized coherent-state expansion up to c + 10 (``_GateRound``); the
 coarse level's columns are its first c + 1 rows, renormalized.  A round
 belongs to a grid of amplitudes, so the distributions on one grid (one side
 and V_A), evaluated as a group, share its orbit map, its expansion and its
-normalized columns at each level, and share a later round among those that
-need one.  Each distribution forms its own orbit weights and sector-mass
-bound from the shared orbit map, and each level makes its own sector choice,
-its own cutoff checks, its own eigensystems and moments; each distribution
-runs its own gate.
+normalized columns at each level.  Each distribution forms its own orbit
+weights and sector-mass bound from the shared orbit map, and each level makes
+its own sector choice, its own cutoff checks, its own eigensystems and
+moments; each distribution runs its own gate, and a distribution whose gate
+needs a later round starts that round alone.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
@@ -237,8 +237,8 @@ class FockWorkspace(NamedTuple):
         return f"FockWorkspace(cutoff={self.cutoff}, sectors={len(self.sectors)})"
 
     def rebuilt(self, cutoff: int) -> FockWorkspace:
-        """The same modulation state at ``cutoff``, in this workspace's gate round,
-        or in the later round it starts when its expansion stops below ``cutoff``."""
+        """The same modulation state at ``cutoff``, in this workspace's gate round
+        when its expansion reaches that cutoff."""
         if isinstance(self.source, Constellation):
             return modulation_density_matrix(self.source, cutoff, self.gate_round)
         return thermal_workspace(self.source, cutoff)
@@ -328,20 +328,18 @@ class _GateRound(NamedTuple):
     distributions on one grid of ``amplitudes``: per sector count s, the
     rotation orbits and the unnormalized expansion of their representatives up
     to ``top``, the refined level's cutoff, found when a build first tries that
-    s; the representatives' normalized columns at each cutoff a build asks for;
-    and, by coarse cutoff, the ``later`` rounds that builds past ``top`` start,
-    which every distribution that needs one shares."""
+    s; and the representatives' normalized columns at each cutoff a build asks
+    for."""
 
     amplitudes: tuple[complex, ...]
     top: int
     found: dict  # s -> ((representatives, slots), points, expansion), or None
     columns: dict  # (s, cutoff) -> normalized columns
-    later: dict  # coarse cutoff -> _GateRound
 
     @classmethod
     def starting(cls, amplitudes: tuple[complex, ...], cutoff: int) -> _GateRound:
         """A round whose coarse level is at ``cutoff``."""
-        return cls(amplitudes, cutoff + _CUTOFF_STEP, {}, {}, {})
+        return cls(amplitudes, cutoff + _CUTOFF_STEP, {}, {})
 
     def orbits(self, count: int) -> tuple | None:
         if count not in self.found:
@@ -368,21 +366,18 @@ def modulation_density_matrix(
     for the most sectors (4, 2 or 1) the constellation allows.
 
     ``gate_round`` is a round on the constellation's grid, whose work the build
-    shares: a round of its own when None, and the round's later round at this
-    cutoff when its expansion stops below it.  Only the orbit weights, the
-    blocks and their eigensystems are the constellation's own.
+    shares; without a round whose expansion reaches ``cutoff`` the build starts
+    one, whose expansion also serves the gate's next level, at cutoff + 10.
+    Only the orbit weights, the blocks and their eigensystems are the
+    constellation's own.
     """
     if cutoff is None:
         cutoff = default_cutoff(constellation)
-    if gate_round is None:
-        gate_round = _GateRound.starting(constellation.amplitudes, cutoff)
-    elif gate_round.amplitudes is not constellation.amplitudes \
+    if gate_round is not None and gate_round.amplitudes is not constellation.amplitudes \
             and gate_round.amplitudes != constellation.amplitudes:
         raise ValueError("the gate round is on another grid than the constellation")
-    elif cutoff > gate_round.top:
-        if cutoff not in gate_round.later:
-            gate_round.later[cutoff] = _GateRound.starting(gate_round.amplitudes, cutoff)
-        gate_round = gate_round.later[cutoff]
+    if gate_round is None or cutoff > gate_round.top:
+        gate_round = _GateRound.starting(constellation.amplitudes, cutoff)
     probabilities = np.asarray(constellation.probabilities)
     for count in (4, 2, 1):  # at s = 1 every point is its own orbit and the bound is 0
         found = gate_round.orbits(count)
@@ -529,8 +524,8 @@ def qam_security(
     correlation information and only certifies the absence of key).
 
     ``gate_rounds`` holds the first gate round of each side and V_A met in a
-    group of calls, so that the group's distributions on one grid share its
-    rounds; a call without it is a group of one.
+    group of calls, so that the group's distributions on one grid share it; a
+    call without it is a group of one.
     """
     cutoff = start_cutoff(side, modulation_variance)  # capped before anything is built
     noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)

@@ -818,7 +818,7 @@ def test_each_level_of_a_gate_round_is_its_own_build_to_the_bit(sectors):
     assert refined.gate_round is coarse.gate_round and coarse.gate_round.top == cutoff + 10
     for level in (coarse, refined):
         alone = modulation_density_matrix(
-            c, level.cutoff, qam_module._GateRound(c.amplitudes, level.cutoff, {}, {}, {}))
+            c, level.cutoff, qam_module._GateRound(c.amplitudes, level.cutoff, {}, {}))
         assert len(level.sectors) == len(alone.sectors) == sectors
         for (d, v), (d_alone, v_alone) in zip(level.sectors, alone.sectors):
             assert np.array_equal(d, d_alone) and np.array_equal(v, v_alone)
@@ -961,21 +961,20 @@ def test_a_compare_of_one_grid_searches_the_orbits_and_expands_once_per_round(
     assert calls["expansions"] == [n0 + 10]
 
 
-def test_the_distributions_that_need_a_second_round_share_its_expansion(monkeypatch):
-    # the binomial shape settles in round 1; the two others need round 2
+def test_a_distribution_that_needs_a_second_round_expands_it_once(monkeypatch):
+    # nu = 0.3 needs round 2; the binomial shape and nu = 0.8 settle in round 1
     calls = _spy_grid_work(monkeypatch)
     n0 = start_cutoff(4, 2.0)
-    settles = {Binomial(): True}
     evaluating = []
     moments = _script_moments(
-        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10 and not settles.get(evaluating[-1])),
+        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10 and evaluating[-1] == _GROUP[1]),
                                 0.0))
     gate_rounds = {}
     for distribution in _GROUP:
         evaluating.append(distribution)
         qam_security(4, 2.0, distribution, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
                      gate_rounds)
-    assert moments == [n0, n0 + 10] + [n0, n0 + 10, 2 * n0, 2 * n0 + 10] * 2
+    assert moments == [n0, n0 + 10] + [n0, n0 + 10, 2 * n0, 2 * n0 + 10] + [n0, n0 + 10]
     assert calls["orbits"] == [4, 4]  # once in each round
     assert calls["expansions"] == [n0 + 10, 2 * n0 + 10]
 
@@ -1041,3 +1040,79 @@ def test_a_group_of_large_shapes_peaks_as_one_shape_alone():
 
     alone = max(peak([shape]) for shape in shapes)
     assert peak(shapes) <= 1.1 * alone
+
+
+def _two_grids_of_256_qam():
+    """Two 256-QAM shapes at each of V_A = 2 and 1.5, the first of each needing
+    a second gate round, with a link of one point; the moments are scripted."""
+    from satcvqkd import AtmosphericConditions, FiniteSizeParams, OpticalTerminals
+    from satcvqkd.pipeline import LinkSetup, ProtocolSpec, link_columns
+
+    link = link_columns(LinkSetup(OpticalTerminals(), AtmosphericConditions(200.0, 1e-16),
+                                  DAYLIGHT_NOISE), 500e3, 90.0)
+    specs = [ProtocolSpec("qam", Detection.HETERODYNE, v_a, 256, DiscreteGaussian(nu=nu))
+             for v_a in (2.0, 1.5) for nu in (0.05, 0.2)]
+    return link, specs, FiniteSizeParams()
+
+
+def _force_a_second_round(monkeypatch, specs):
+    first = {build_constellation(16, math.sqrt(spec.modulation_variance / 2.0),
+                                 spec.distribution) for spec in specs[::2]}
+    tops = {start_cutoff(16, spec.modulation_variance) + 10 for spec in specs}
+    monkeypatch.setattr(qam_module, "_moments", lambda workspace: (
+        1.0 + 1e-6 * (workspace.source in first and workspace.cutoff in tops), 0.0))
+
+
+def test_a_run_drops_each_grid_s_rounds_after_its_last_protocol(monkeypatch):
+    import weakref
+    from satcvqkd import pipeline
+
+    link, specs, finite = _two_grids_of_256_qam()
+    _force_a_second_round(monkeypatch, specs)
+    expansions = []
+    real_expansion = qam_module._coherent_expansion
+
+    def expansion(amplitudes, cutoff):
+        result = real_expansion(amplitudes, cutoff)
+        expansions.append((cutoff, weakref.ref(result)))
+        return result
+
+    alive_at_start = []  # per protocol, the tops of the expansions still alive
+    real_evaluate = pipeline.evaluate_point
+
+    def evaluate(link, spec, reconciliation, finite_params, gate_rounds):
+        alive_at_start.append([top for top, ref in expansions if ref() is not None])
+        return real_evaluate(link, spec, reconciliation, finite_params, gate_rounds)
+
+    monkeypatch.setattr(qam_module, "_coherent_expansion", expansion)
+    monkeypatch.setattr(pipeline, "evaluate_point", evaluate)
+    pipeline.evaluate_protocols(link, specs, 0.9, finite)
+    first, second = (start_cutoff(16, v_a) + 10 for v_a in (2.0, 1.5))
+    # each grid expands once for its shared first round and once for the second
+    # round of its first shape, which ends with that shape's gate
+    assert [top for top, _ in expansions] == [first, 2 * first - 10, second, 2 * second - 10]
+    assert alive_at_start == [[], [first], [], [second]]
+    assert all(ref() is None for _, ref in expansions)
+
+
+def test_a_run_of_two_grids_with_second_rounds_peaks_as_its_largest_protocol(monkeypatch):
+    import tracemalloc
+
+    # each protocol evaluated alone bounds what a run of them needs at once; a
+    # run that kept every grid's rounds, and their later rounds, to its end
+    # peaked 1.4 times as high
+    from satcvqkd.pipeline import evaluate_point, evaluate_protocols
+
+    link, specs, finite = _two_grids_of_256_qam()
+    _force_a_second_round(monkeypatch, specs)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak(lambda: evaluate_point(link, spec, 0.9, finite)) for spec in specs)
+    assert peak(lambda: evaluate_protocols(link, specs, 0.9, finite)) <= 1.1 * alone

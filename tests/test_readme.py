@@ -39,11 +39,19 @@ def test_readme_config_resolves(index):
 
 
 def test_readme_lists_every_known_run_time_failure():
-    # README's exit-2 list and the test's list of run-time failures are the same cases
+    # each case's leaf (or its last segment), its value as README writes it and
+    # its message stand in one bullet of the exit-2 list, the message being the
+    # first quoted text after the value
     from test_cli import RUN_TIME_FAILURES
 
-    known = TEXT[TEXT.index("These are the known cases"):TEXT.index("The evaluation runs under")]
-    words = " ".join(known.split())
-    for (_, leaf, _), message in RUN_TIME_FAILURES.items():
-        assert f"`{leaf}`" in words or f"`{leaf.split('.')[-1]}`" in words, leaf
-        assert f"`{message}`" in words, message
+    known = TEXT[TEXT.index("These are the known cases"):TEXT.index("Two more are pinned")]
+    bullets = [" ".join(bullet.split()) for bullet in known.split("\n* ")[1:]]
+
+    def listed(bullet, leaf, value, message):
+        written = re.escape(repr(value).replace("e+", "e"))
+        quoted = re.search(rf"(?<![\d.]){written}(?!\d)[^`]*`([^`]*)`", bullet)
+        return (f"`{leaf}`" in bullet or f"`{leaf.split('.')[-1]}`" in bullet) \
+            and quoted is not None and quoted.group(1) == message
+
+    for (_, leaf, value), message in RUN_TIME_FAILURES.items():
+        assert any(listed(bullet, leaf, value, message) for bullet in bullets), (leaf, value)
