@@ -40,13 +40,16 @@ from .finite_size import (
 from .gaussian import (
     DAYLIGHT_NOISE,
     Detection,
+    KeyConstants,
     NoiseBudget,
     SecurityResult,
     channel_noise,
+    covariance_security,
     g_function,
     gm_security,
     holevo_bound,
     mutual_information_gm,
+    mutual_information_qam,
     skr_asymptotic,
 )
 from .pass_analysis import (
@@ -57,7 +60,7 @@ from .pass_analysis import (
     synthesize_circular_pass,
 )
 from .pipeline import LinkColumns, LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, \
-    link_columns
+    key_constants, link_columns
 from .psk import correlation_z, psk_security, zeta_weights
 from .qam import (
     Binomial,
@@ -67,7 +70,6 @@ from .qam import (
     build_constellation,
     correlation_lower_bound,
     modulation_density_matrix,
-    mutual_information_qam,
     qam_security,
     thermal_workspace,
 )

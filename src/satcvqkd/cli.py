@@ -30,10 +30,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import config as config_mod
-from .errors import ConfigError, SatCvqkdError, message
+from .errors import ConfigError, SatCvqkdError, evaluating, message
 from .finite_size import MD, MLC_MSD, ReconciliationModel
 from .pass_analysis import integrate_key_bits
-from .pipeline import PointResult, evaluate_protocols, link_columns
+from .pipeline import PointResult, evaluate_point, link_columns
 
 _CSV_HEADER = ",".join(PointResult._fields)
 _BLOCK_ROWS = 512  # sweep rows formatted and written at a time
@@ -42,12 +42,6 @@ _FLAG_TEXT = {True: "true", False: "false", None: ""}
 _POW10 = 10.0 ** np.arange(19)  # exact doubles
 _TO_18_DIGITS = 10 ** (18 - np.arange(19))  # int64: d fraction digits scaled to 18
 _ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
-
-
-def _evaluating() -> np.errstate:
-    """numpy's float faults as ``FloatingPointError``: a run's evaluation stage
-    ends in one ``numerical failure`` line instead of a warning and a bad row."""
-    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _texts(values: Sequence, block: slice) -> list[str]:
@@ -180,9 +174,10 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     # Row order is deterministic: altitude major, elevation minor, protocol last.
     altitudes = np.repeat(altitudes_m, len(elevations_deg))
     elevations = np.tile(elevations_deg, len(altitudes_m))
-    with _evaluating():
+    with evaluating():
         link = link_columns(plan.setup, altitudes, elevations)
-        results = evaluate_protocols(link, plan.protocols, plan.reconciliation, plan.finite)
+        results = [evaluate_point(link, spec, plan.key_constants[spec], plan.reconciliation,
+                                  plan.finite) for spec in plan.protocols]
     columns = list(zip(*results))  # per CSV column, each protocol's value over the grid
 
     points = altitudes.size
@@ -197,13 +192,13 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
 
 
 def _run_pass(plan: config_mod.RunPlan, output: str | None) -> None:
-    pass_spec, profile = plan.pass_spec, plan.profile
+    pass_spec, profile, spec = plan.pass_spec, plan.profile, plan.protocols[0]
     # A fitted model always reports both, so the summaries are comparable.
     reconciliations = (MD, MLC_MSD) if isinstance(plan.reconciliation, ReconciliationModel) \
         else (plan.reconciliation,)
-    with _evaluating():
+    with evaluating():
         result = integrate_key_bits(
-            profile, plan.setup, plan.protocols[0], reconciliations, plan.finite,
+            profile, plan.setup, spec, plan.key_constants[spec], reconciliations, plan.finite,
             satellite_altitude_m=pass_spec.satellite_altitude_m,
             bin_width_deg=pass_spec.bin_width_deg,
             keyhole_ceiling_deg=pass_spec.keyhole_ceiling_deg,
@@ -279,8 +274,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (SatCvqkdError, ValueError, ArithmeticError) as exc:
-        # resolve made its ValueErrors and ArithmeticErrors ConfigErrors: these are
-        # a library check or float arithmetic failing on a resolved plan
+        # resolve reports these kinds as ConfigErrors; here they are a library
+        # check or float arithmetic failing on a resolved plan
         print(f"numerical failure: {message(exc)}", file=sys.stderr)
         return 2
 

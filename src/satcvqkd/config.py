@@ -22,11 +22,12 @@ import numpy as np
 
 from .channel import AtmosphericConditions, OpticalTerminals, Site, \
     scattering_coefficient_db_per_km, slant_path
-from .errors import ConfigError, message
+from .errors import ConfigError, SatCvqkdError, evaluating, message
 from .finite_size import MD, MLC_MSD, FiniteSizeParams, ReconciliationModel, privacy_penalty
-from .gaussian import DAYLIGHT_NOISE, Detection
+from .gaussian import DAYLIGHT_NOISE, Detection, KeyConstants
 from .pass_analysis import PassProfile, check_bin_width, load_profile, synthesize_circular_pass
-from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation
+from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, check_reconciliation, \
+    key_constants
 from .qam import Binomial, DiscreteGaussian
 from .quantities import check_cap, validating
 
@@ -79,13 +80,15 @@ class PassSpec(NamedTuple):
 
 
 class RunPlan(NamedTuple):
-    """A fully resolved configuration, ready to execute; a pass plan holds its
-    loaded or synthesized ``profile``."""
+    """A fully resolved configuration, ready to execute: each protocol's key
+    constants are built, and a pass plan holds its loaded or synthesized
+    ``profile``."""
 
     protocols: tuple[ProtocolSpec, ...]
     setup: LinkSetup
     reconciliation: Reconciliation
     finite: FiniteSizeParams
+    key_constants: dict[ProtocolSpec, KeyConstants]
     sweep: SweepSpec | None = None
     pass_spec: PassSpec | None = None
     profile: PassProfile | None = None
@@ -339,11 +342,15 @@ def resolve(config: dict[str, Any]) -> RunPlan:
     pass peak is checked against the link geometry here, each protocol by its
     ``ProtocolSpec``, the scattering coefficient and a fitted reconciliation's
     privacy penalty are evaluated, and a pass's profile is read or synthesized
-    here, so a plan that resolves does not fail on its configuration at run time.
+    here.  Last, with numpy's float faults raised, each protocol's key
+    constants are built (``pipeline.key_constants``), the QAM cutoff gate
+    included, so a plan that resolves does not fail on its configuration at
+    run time.
     """
     try:
         return _resolve(config)
-    except (ValueError, ArithmeticError) as exc:  # a library check refused a value, or overflowed
+    except (ValueError, ArithmeticError, SatCvqkdError) as exc:
+        # a library check refused a value, a float overflowed or the QAM gate failed
         raise ConfigError(message(exc)) from None
 
 
@@ -403,7 +410,9 @@ def _resolve(config: dict[str, Any]) -> RunPlan:
         check_cap(f"{run} rows", rows, _MAX_ROWS)
         slant_path(setup.site, min(sweep.altitudes_m), np.array(sweep.elevations_deg))
 
-    return RunPlan(protocols, setup, reconciliation, finite, sweep, pass_spec, profile)
+    with evaluating():
+        constants = key_constants(protocols, setup.noise)
+    return RunPlan(protocols, setup, reconciliation, finite, constants, sweep, pass_spec, profile)
 
 
 def _echo_distribution(distribution: Any) -> Any:

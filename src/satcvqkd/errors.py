@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one-line text of an error."""
+"""Exception types shared across the package, the one-line text of an error, and
+numpy's float faults raised as errors."""
+
+import numpy as np
 
 
 class SatCvqkdError(Exception):
@@ -55,3 +58,10 @@ def message(exc: Exception) -> str:
     if isinstance(exc, OverflowError) and len(exc.args) == 2:
         return f"float overflow: {exc.args[1]}"
     return str(exc)
+
+
+def evaluating() -> np.errstate:
+    """numpy's overflow, division by zero and invalid operations as
+    ``FloatingPointError``: resolve's key constants and a run's evaluation end
+    in one line instead of a warning and a bad value."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")

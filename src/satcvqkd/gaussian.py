@@ -4,6 +4,10 @@ Mutual information and the Holevo bound are evaluated from the two-mode
 covariance matrix in closed form; the symplectic eigenvalues come out of
 the usual quadratic in A, B (channel) and C, D (after Bob's measurement).
 Transmittances (and the quantities derived from them) may be arrays.
+
+Every protocol's key rate is this matrix's, given its ``KeyConstants``: GM's
+from ``gm_security``, PSK's and QAM's from ``psk.psk_security`` and
+``qam.qam_security``; ``covariance_security`` evaluates them at a transmittance.
 """
 
 from __future__ import annotations
@@ -203,33 +207,58 @@ class SecurityResult(NamedTuple):
     skr_asymptotic: float | np.ndarray  # bits/pulse, negative means no key
 
 
-def covariance_security(
+class KeyConstants(NamedTuple):
+    """What a protocol's covariance-matrix key rate takes that no transmittance
+    enters: the ensemble's variance V and correlation Z, the noise budget and
+    detection of the matrix, and whether I_AB is ``mutual_information_qam``."""
+
+    modulation_variance: float
+    correlation: float
+    budget: NoiseBudget
+    detection: Detection
+    qam_information: bool = False
+
+
+def mutual_information_qam(
     modulation_variance: float,
-    correlation: float,
     transmittance,
-    budget: NoiseBudget,
+    excess_noise: float,
     kind: Detection,
-    reconciliation_efficiency,
+):
+    """Alice-Bob mutual information of the arbitrary-modulation bound.
+
+    It is GM's information with an ideal heterodyne detector, but not to the
+    last bit, and it takes the heterodyne SNR for either detection.
+    """
+    if modulation_variance < 0.0 or excess_noise < 0.0:
+        raise ValueError("modulation variance and excess noise must be >= 0")
+    check_transmittance(transmittance)
+    half = 0.5 * np.log2(
+        1.0
+        + transmittance * modulation_variance / (2.0 + transmittance * excess_noise)
+    )
+    return half if kind is Detection.HOMODYNE else 2.0 * half
+
+
+def covariance_security(
+    constants: KeyConstants, transmittance, reconciliation_efficiency
 ) -> SecurityResult:
-    """Key rate of an ensemble of variance V_A and correlation Z at the given
-    transmittance(s), through the two-mode covariance matrix."""
-    noise = channel_noise(transmittance, budget, kind)
-    i_ab = mutual_information_gm(modulation_variance, noise.chi_total, kind)
+    """Key rate of a protocol's ``constants`` at the given transmittance(s), through
+    the two-mode covariance matrix: the one key stage of every protocol."""
+    v, kind = constants.modulation_variance, constants.detection
+    noise = channel_noise(transmittance, constants.budget, kind)
+    if constants.qam_information:
+        i_ab = mutual_information_qam(v, transmittance, constants.budget.channel_excess, kind)
+    else:
+        i_ab = mutual_information_gm(v, noise.chi_total, kind)
     s_be, _ = holevo_bound(
-        modulation_variance, transmittance, noise.chi_line, noise.chi_detector, correlation, kind
+        v, transmittance, noise.chi_line, noise.chi_detector, constants.correlation, kind
     )
     return SecurityResult(i_ab, s_be, skr_asymptotic(reconciliation_efficiency, i_ab, s_be))
 
 
-def gm_security(
-    modulation_variance: float,
-    transmittance,
-    budget: NoiseBudget,
-    kind: Detection,
-    reconciliation_efficiency,
-) -> SecurityResult:
-    """Full Gaussian-modulation pipeline at the given link transmittance(s)."""
-    return covariance_security(
-        modulation_variance, gaussian_correlation(modulation_variance), transmittance,
-        budget, kind, reconciliation_efficiency,
+def gm_security(modulation_variance: float, budget: NoiseBudget, kind: Detection) -> KeyConstants:
+    """The key constants of Gaussian modulation: V_A and the Gaussian Z."""
+    return KeyConstants(
+        modulation_variance, gaussian_correlation(modulation_variance), budget, kind
     )

@@ -19,6 +19,7 @@ import numpy as np
 from .channel import Site
 from .errors import ProfileError
 from .finite_size import FiniteSizeParams, ReconciliationModel
+from .gaussian import KeyConstants
 from .pipeline import LinkSetup, ProtocolSpec, Reconciliation, evaluate_point, link_columns
 from .quantities import check_cap, validating
 
@@ -228,6 +229,7 @@ def integrate_key_bits(
     profile: PassProfile,
     setup: LinkSetup,
     spec: ProtocolSpec,
+    constants: KeyConstants,
     reconciliations: Sequence[Reconciliation],
     finite_params: FiniteSizeParams,
     satellite_altitude_m: float,
@@ -238,7 +240,8 @@ def integrate_key_bits(
 
     A sample's dwell (the time to the next sample) goes to its elevation bin.
     One link stage covers all occupied bins at their centres, seen from the
-    ground station of ``setup``, and each model runs one key stage on it.
+    ground station of ``setup``, and each model runs one key stage on it with
+    ``spec``'s key ``constants``.
     """
     check_bin_width(bin_width_deg)
     bins, sample_bins = np.unique(
@@ -262,7 +265,7 @@ def integrate_key_bits(
     for reconciliation in reconciliations:
         name = reconciliation.name if isinstance(reconciliation, ReconciliationModel) \
             else f"asymptotic(beta={reconciliation:g})"
-        point = evaluate_point(link, spec, reconciliation, finite_params)
+        point = evaluate_point(link, spec, constants, reconciliation, finite_params)
         rates = np.asarray(point.skr_bits_per_second, dtype=float)  # NaN: no key (invalid beta)
         bin_rates = np.zeros(bins.size)
         bin_rates[evaluated] = np.where(link.far_field_ok & ~np.isnan(rates), rates, 0.0)

@@ -1,8 +1,10 @@
-"""End-to-end evaluation of link configurations, in two stages.
+"""End-to-end evaluation of link configurations.
 
-The link stage (``link_columns``) runs the channel model once per grid of
-points; the key stage (``evaluate_point``) runs the protocol security
-calculations and the finite-size layer on it once per protocol and
+``key_constants`` builds each protocol's transmittance-free key constants
+once, when a configuration is resolved.  A run then has two stages: the
+link stage (``link_columns``) runs the channel model once per grid of
+points, and the key stage (``evaluate_point``) evaluates each protocol's
+constants and the finite-size layer on it once per protocol and
 reconciliation, producing flat records (or columns of them, for a grid of
 points) suitable for CSV emission.
 """
@@ -20,9 +22,9 @@ from .channel import AtmosphericConditions, OpticalTerminals, Site, SlantPath, \
 from .errors import ConfigError
 from .finite_size import FiniteSizeParams, ReconciliationModel, beta, fer, \
     privacy_penalty, skr_finite, snr_db
-from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, \
+from .gaussian import Detection, KeyConstants, NoiseBudget, channel_noise, covariance_security, \
     gm_security
-from .psk import PSK_STATE_COUNTS, correlation_z, psk_security
+from .psk import PSK_STATE_COUNTS, psk_security
 from .quantities import check_cap, validating
 
 _MAX_QAM_STATES = 4096  # side 64, 16x the paper's 256-QAM; builds grow steeply past it
@@ -47,8 +49,10 @@ class ProtocolSpec(NamedTuple):
 
     ``states`` is the constellation's point count M, for PSK and QAM; a QAM
     constellation is a square grid, so M is a square number.  ``_check`` holds
-    every protocol rule: the caps on GM V_A, PSK series terms, QAM states and
-    start cutoff, and the PSK and QAM weights that must not underflow.
+    the protocol rules that need no modulation state built: the caps on GM V_A
+    and QAM states.  The rules that do (the caps on PSK series terms and QAM
+    start cutoff, and the PSK and QAM weights that must not underflow) are
+    ``key_constants``'s.
     """
 
     kind: str  # "gm" | "psk" | "qam"
@@ -69,7 +73,6 @@ class ProtocolSpec(NamedTuple):
         if self.kind == "psk":
             if self.states not in PSK_STATE_COUNTS:
                 raise ConfigError(f"psk protocol needs states in {PSK_STATE_COUNTS}")
-            correlation_z(self.states, math.sqrt(v_a / 2.0))
         if self.kind == "qam":
             if not isinstance(self.states, int) or self.states < 4 \
                     or math.isqrt(self.states) ** 2 != self.states:
@@ -77,9 +80,6 @@ class ProtocolSpec(NamedTuple):
             check_cap("QAM states", self.states, _MAX_QAM_STATES)
             if self.distribution is None:
                 raise ConfigError("qam protocol needs a point distribution")
-            side = math.isqrt(self.states)
-            qam.start_cutoff(side, v_a)
-            qam.build_constellation(side, math.sqrt(v_a / 2.0), self.distribution)
 
     @property
     def label(self) -> str:
@@ -144,32 +144,33 @@ def check_reconciliation(spec: ProtocolSpec, reconciliation: Reconciliation) -> 
         )
 
 
-def protocol_security(
-    spec: ProtocolSpec,
-    transmittance: float,
-    noise: NoiseBudget,
-    reconciliation_efficiency: float,
-    gate_rounds: dict | None = None,
-) -> SecurityResult:
-    """Dispatch to the protocol-specific asymptotic pipeline; ``gate_rounds`` is
-    the QAM gate rounds of the protocol's group (see ``qam.qam_security``)."""
-    if spec.kind == "gm":
-        return gm_security(
-            spec.modulation_variance, transmittance, noise,
-            spec.detection, reconciliation_efficiency,
-        )
-    if spec.kind == "psk":
-        return psk_security(
-            spec.states, spec.modulation_variance, transmittance, noise,
-            spec.detection, reconciliation_efficiency,
-        )
-    # The arbitrary-modulation proof has no detector model; detection noise
-    # is folded into the channel term with an ideal detector.
-    excess = noise.channel_excess + noise.detector_excess
-    return qam.qam_security(
-        math.isqrt(spec.states), spec.modulation_variance, spec.distribution,
-        transmittance, excess, spec.detection, reconciliation_efficiency, gate_rounds,
-    )
+def key_constants(
+    specs: Sequence[ProtocolSpec], noise: NoiseBudget
+) -> dict[ProtocolSpec, KeyConstants]:
+    """Each protocol's key constants under the setup's ``noise``, keyed by its spec.
+
+    The protocols of one point count and V_A are a grid: its QAM protocols,
+    which differ only in their point probabilities, share the grid-only work
+    of the first cutoff-gate round (see ``qam.qam_security``), which is
+    dropped after the grid's last protocol.  A protocol listed twice is built once.
+    """
+    specs = list(dict.fromkeys(specs))
+    grids = [(spec.states, spec.modulation_variance) for spec in specs]
+    last = {grid: index for index, grid in enumerate(grids)}
+    shared: dict = {}  # grid -> the gate rounds its QAM protocols share
+    constants = {}
+    for index, spec in enumerate(specs):
+        v_a, kind = spec.modulation_variance, spec.detection
+        if spec.kind == "gm":
+            constants[spec] = gm_security(v_a, noise, kind)
+        elif spec.kind == "psk":
+            constants[spec] = psk_security(spec.states, v_a, noise, kind)
+        else:
+            constants[spec] = qam.qam_security(math.isqrt(spec.states), v_a, spec.distribution,
+                                               noise, kind, shared.setdefault(grids[index], {}))
+        if last[grids[index]] == index:
+            shared.pop(grids[index], None)
+    return constants
 
 
 def _column(values, rows: np.ndarray | None, size: int, shape: tuple[int, ...]):
@@ -205,7 +206,6 @@ class LinkColumns(NamedTuple):
     ``linked`` (far-field) points only, the ones with a link budget.
     """
 
-    noise: NoiseBudget
     shape: tuple[int, ...]
     far_field_ok: np.ndarray
     linked: np.ndarray
@@ -249,24 +249,23 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
     for value in columns.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    return LinkColumns(setup.noise, shape, far_field_ok, linked, transmittance, columns)
+    return LinkColumns(shape, far_field_ok, linked, transmittance, columns)
 
 
 def evaluate_point(
     link: LinkColumns,
     spec: ProtocolSpec,
+    constants: KeyConstants,
     reconciliation: Reconciliation,
     finite_params: FiniteSizeParams,
-    gate_rounds: dict | None = None,
 ) -> PointResult:
-    """The key stage: security and finite-size layer on a grid's link.
+    """The key stage: ``spec``'s key ``constants`` and the finite-size layer on a
+    grid's link.
 
     Each per-point field has the grid's shape: a far-field point has no key,
     and a point whose fitted beta is invalid has no key; those values are
     NaN, or None for a flag.  For one point the fields hold plain values and
-    a missing one is None.  ``gate_rounds`` is the QAM gate rounds of the
-    protocol's group (see ``qam.qam_security``); without it the protocol is a
-    group of one.
+    a missing one is None.
     """
     check_reconciliation(spec, reconciliation)
     fitted = isinstance(reconciliation, ReconciliationModel)
@@ -274,7 +273,7 @@ def evaluate_point(
     transmittance, linked = link.transmittance, link.linked
     snr = fer_value = fer_raw = privacy = None
     if spec.kind != "qam":
-        noise_state = channel_noise(transmittance, link.noise, spec.detection)
+        noise_state = channel_noise(transmittance, constants.budget, spec.detection)
         snr = snr_db(
             math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
         )
@@ -287,12 +286,7 @@ def evaluate_point(
         efficiency = np.full(linked.size, reconciliation)
         beta_valid = np.full(linked.size, True)
 
-    if np.any(beta_valid):
-        security = protocol_security(
-            spec, transmittance[beta_valid], link.noise, efficiency[beta_valid], gate_rounds
-        )
-    else:  # no point to secure: no protocol constants are computed either
-        security = SecurityResult(*[np.empty(0)] * 3)
+    security = covariance_security(constants, transmittance[beta_valid], efficiency[beta_valid])
     if fitted:
         skr_per_second = skr_finite(
             finite_params.repetition_rate_hz,
@@ -323,25 +317,3 @@ def evaluate_point(
         **{name: link.column(v, linked) for name, v in linked_values.items()},
         **{name: link.column(v, linked[beta_valid]) for name, v in key_values.items()},
     )
-
-
-def evaluate_protocols(
-    link: LinkColumns,
-    specs: Sequence[ProtocolSpec],
-    reconciliation: Reconciliation,
-    finite_params: FiniteSizeParams,
-) -> list[PointResult]:
-    """``evaluate_point`` of each protocol on one link, in order.  The protocols
-    of one point count and V_A are a group: its QAM protocols, which differ only
-    in their point probabilities, share the grid-only work of the first
-    cutoff-gate round, which is dropped after the group's last protocol."""
-    grids = [(spec.states, spec.modulation_variance) for spec in specs]
-    last = {grid: index for index, grid in enumerate(grids)}
-    groups: dict = {}  # grid -> the gate rounds its protocols share
-    results = []
-    for index, (spec, grid) in enumerate(zip(specs, grids)):
-        results.append(evaluate_point(link, spec, reconciliation, finite_params,
-                                      groups.setdefault(grid, {})))
-        if last[grid] == index:
-            del groups[grid]
-    return results

@@ -2,9 +2,9 @@
 
 The modulation density matrix of an equal-probability PSK ring is diagonal
 in photon-number sectors mod M; its spectral weights are the Poisson sums
-over each sector, summed term by term.  The secret key rate reuses the
-Gaussian covariance pipeline with the ring correlation Z_M in place of the
-Gaussian Z.
+over each sector, summed term by term.  The secret key rate is the
+Gaussian covariance-matrix rate with the ring correlation Z_M in place of
+the Gaussian Z.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .gaussian import Detection, NoiseBudget, SecurityResult, covariance_security
+from .gaussian import Detection, KeyConstants, NoiseBudget
 
 PSK_STATE_COUNTS = (2, 4, 8)
 _MAX_SERIES_TERMS = 1_000_000  # about 0.7 s of sector sums
@@ -85,20 +85,9 @@ def correlation_z(states: int, alpha: float) -> float:
 
 
 def psk_security(
-    states: int,
-    modulation_variance: float,
-    transmittance,
-    budget: NoiseBudget,
-    kind: Detection,
-    reconciliation_efficiency,
-) -> SecurityResult:
-    """Asymptotic M-PSK key rate via the shared covariance pipeline.
-
-    The ring of ``states`` points has amplitude alpha = sqrt(V_A/2).  Z_M
-    depends on the ring alone, so one call over an array of transmittances
-    computes it once.
-    """
+    states: int, modulation_variance: float, budget: NoiseBudget, kind: Detection
+) -> KeyConstants:
+    """The key constants of an M-PSK ring of ``states`` points at amplitude
+    alpha = sqrt(V_A/2): V_A and the ring correlation Z_M."""
     z = correlation_z(states, math.sqrt(modulation_variance / 2.0))
-    return covariance_security(
-        modulation_variance, z, transmittance, budget, kind, reconciliation_efficiency,
-    )
+    return KeyConstants(modulation_variance, z, budget, kind)

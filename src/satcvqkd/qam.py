@@ -12,12 +12,13 @@ The two levels of a gate round, c and c + 10, share one orbit search and one
 unnormalized coherent-state expansion up to c + 10 (``_GateRound``); the
 coarse level's columns are its first c + 1 rows, renormalized.  A round
 belongs to a grid of amplitudes, so the distributions on one grid (one side
-and V_A), evaluated as a group, share its orbit map, its expansion and its
-normalized columns at each level.  Each distribution forms its own orbit
-weights and sector-mass bound from the shared orbit map, and each level makes
-its own sector choice, its own cutoff checks, its own eigensystems and
-moments; each distribution runs its own gate, and a distribution whose gate
-needs a later round starts that round alone.
+and V_A), whose key constants ``pipeline.key_constants`` builds as a group,
+share its orbit map, its expansion and its normalized columns at each level.
+Each distribution forms its own orbit weights and sector-mass bound from the
+shared orbit map, and each level makes its own sector choice, its own cutoff
+checks, its own eigensystems and moments; each distribution runs its own
+gate, and a distribution whose gate needs a later round starts that round
+alone.
 
 A constellation unchanged by a rotation through 2 pi / s has <m|tau|n> = 0
 unless m = n (mod s): s = 4 for a square grid (with real blocks, as the grid
@@ -31,15 +32,13 @@ sector r - 1 (mod s), the moments are sums of s block products.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, CutoffTooSmall, NumericsError
-from .gaussian import Detection, NoiseBudget, SecurityResult, channel_noise, holevo_bound, \
-    skr_asymptotic
+from .gaussian import Detection, KeyConstants, NoiseBudget
 from .quantities import check_transmittance, validating
 
 # Eigenvalues of tau below this fraction of the largest one are treated as
@@ -116,32 +115,34 @@ def _grid_coordinates(side: int, alpha: float) -> list[float]:
     return [spacing * (k - (side - 1) / 2.0) for k in range(side)]
 
 
+def _first_cutoff(peak: float) -> int | float:
+    """The gate's first Fock cutoff for a largest amplitude |alpha| of ``peak``,
+    generous against coherent-state Poisson tails; inf when it overflows a float."""
+    try:
+        return math.ceil(10.0 + 8.0 * peak**2)
+    except OverflowError:
+        return math.inf
+
+
 def start_cutoff(side: int, modulation_variance: float) -> int:
     """``default_cutoff`` of the side x side grid at V_A, without building it: its
-    corners carry the peak |alpha|^2.  A cutoff over ``_MAX_CUTOFF``, where the
-    gate gives up (inf when it overflows a float), is refused."""
+    corners carry the peak |alpha|.  A cutoff over ``_MAX_CUTOFF``, where the
+    gate gives up, is refused."""
     corner = _grid_coordinates(side, math.sqrt(modulation_variance / 2.0))[-1]
-    try:
-        cutoff = math.ceil(10.0 + 8.0 * abs(complex(corner, corner)) ** 2)
-    except OverflowError:
-        cutoff = math.inf
+    cutoff = _first_cutoff(abs(complex(corner, corner)))
     if cutoff > _MAX_CUTOFF:
         raise ValueError(f"{side * side}-QAM at V_A = {modulation_variance:g} needs a start "
                          f"cutoff of {cutoff:.0f}, over the cap of {_MAX_CUTOFF}")
     return cutoff
 
 
-# Resolve builds each QAM protocol's constellation and its run asks again; the
-# bound keeps memory fixed, and an evicted entry is only built a second time.
-@functools.lru_cache(maxsize=64, typed=True)
 def build_constellation(
     side: int, alpha: float, distribution: QamDistribution
 ) -> Constellation:
     """Square m x m grid of equidistant coherent states (M = side^2 points).
 
     ``alpha`` sets the grid extent; with binomial probabilities the ensemble
-    mean photon number is exactly alpha^2.  The result is memoized: a
-    ``Constellation`` is immutable.
+    mean photon number is exactly alpha^2.
     """
     if side < 2:
         raise ValueError(f"grid side must be >= 2, got {side}")
@@ -318,9 +319,8 @@ def _sector_eigensystems(cutoff: int, blocks: list, off_sector: float = 0.0) -> 
 
 
 def default_cutoff(constellation: Constellation) -> int:
-    """Initial Fock cutoff, generous against coherent-state Poisson tails."""
-    peak = max(abs(a) ** 2 for a in constellation.amplitudes)
-    return math.ceil(10.0 + 8.0 * peak)
+    """Initial Fock cutoff of a constellation (see ``_first_cutoff``)."""
+    return _first_cutoff(max(abs(a) for a in constellation.amplitudes))
 
 
 class _GateRound(NamedTuple):
@@ -486,57 +486,38 @@ def correlation_lower_bound(workspace: FockWorkspace, transmittance, excess_nois
     return _z_star(*_converged_moments(workspace, excess_noise), transmittance, excess_noise)
 
 
-def mutual_information_qam(
-    modulation_variance: float,
-    transmittance,
-    excess_noise: float,
-    kind: Detection,
-):
-    """Alice-Bob mutual information of the arbitrary-modulation bound."""
-    if modulation_variance < 0.0 or excess_noise < 0.0:
-        raise ValueError("modulation variance and excess noise must be >= 0")
-    check_transmittance(transmittance)
-    half = 0.5 * np.log2(
-        1.0
-        + transmittance * modulation_variance / (2.0 + transmittance * excess_noise)
-    )
-    return half if kind is Detection.HOMODYNE else 2.0 * half
-
-
 def qam_security(
     side: int,
     modulation_variance: float,
     distribution: QamDistribution,
-    transmittance,
-    excess_noise: float,
+    budget: NoiseBudget,
     kind: Detection,
-    reconciliation_efficiency,
     gate_rounds: dict | None = None,
-) -> SecurityResult:
-    """Asymptotic M-QAM key rate (M = side^2) at the given link transmittance(s).
+) -> KeyConstants:
+    """The key constants of M-QAM (M = side^2) under the arbitrary-modulation bound.
 
-    The grid extent follows alpha = sqrt(V_A/2); the security formulas use
-    the realized ensemble variance, which equals V_A exactly for binomial
-    probabilities and tracks nu for the discrete Gaussian.  S_BE is the
-    shared covariance-matrix bound with an ideal detector and the correlation
-    Z*(1), since Z*(T) = sqrt(T) Z*(1) is the cross term sqrt(T) Z it takes.
-    A negative correlation bound is floored at zero (it carries no
-    correlation information and only certifies the absence of key).
+    The grid extent follows alpha = sqrt(V_A/2); the key rate takes the
+    realized ensemble variance, which equals V_A exactly for binomial
+    probabilities and tracks nu for the discrete Gaussian, and the correlation
+    Z*(1), since Z*(T) = sqrt(T) Z*(1) is the cross term sqrt(T) Z of the
+    covariance matrix.  A negative correlation bound is floored at zero (it
+    carries no correlation information and only certifies the absence of
+    key).  The proof has no detector model: the matrix has an ideal detector,
+    with the detector excess noise folded into the channel's, and I_AB is
+    ``mutual_information_qam``.
 
     ``gate_rounds`` holds the first gate round of each side and V_A met in a
     group of calls, so that the group's distributions on one grid share it; a
     call without it is a group of one.
     """
     cutoff = start_cutoff(side, modulation_variance)  # capped before anything is built
-    noise = channel_noise(transmittance, NoiseBudget(channel_excess=excess_noise), kind)
     constellation = build_constellation(side, math.sqrt(modulation_variance / 2.0), distribution)
+    excess = budget.channel_excess + budget.detector_excess
     gate_rounds = {} if gate_rounds is None else gate_rounds
     grid = (side, modulation_variance)
     if grid not in gate_rounds:
         gate_rounds[grid] = _GateRound.starting(constellation.amplitudes, cutoff)
     workspace = modulation_density_matrix(constellation, cutoff, gate_rounds[grid])
-    z_star = max(float(correlation_lower_bound(workspace, 1.0, excess_noise)), 0.0)
-    v_eff = constellation.modulation_variance
-    i_ab = mutual_information_qam(v_eff, transmittance, excess_noise, kind)
-    s_be, _ = holevo_bound(v_eff, transmittance, noise.chi_line, noise.chi_detector, z_star, kind)
-    return SecurityResult(i_ab, s_be, skr_asymptotic(reconciliation_efficiency, i_ab, s_be))
+    z_star = max(float(correlation_lower_bound(workspace, 1.0, excess)), 0.0)
+    return KeyConstants(constellation.modulation_variance, z_star,
+                        NoiseBudget(channel_excess=excess), kind, qam_information=True)

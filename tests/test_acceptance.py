@@ -47,9 +47,8 @@ def test_criterion_1_lossless_noiseless_null():
         beta = 0.9
         for v_a in (0.5, 2.0, 5.0):
             for kind in s.Detection:
-                result = s.gm_security(
-                    v_a, 1.0, s.NoiseBudget(0.0, 0.0, 1.0), kind, beta
-                )
+                constants = s.gm_security(v_a, s.NoiseBudget(0.0, 0.0, 1.0), kind)
+                result = s.covariance_security(constants, 1.0, beta)
                 assert result.holevo <= 1e-9
                 assert result.skr_asymptotic == pytest.approx(
                     beta * result.mutual_information, abs=1e-9
@@ -131,33 +130,25 @@ def test_criterion_5_channel_oracles():
 def test_criterion_6_protocol_orderings():
     with _Criterion(6, "protocol ordering at 500 km and 2-PSK futility", 120.0):
         noise = s.DAYLIGHT_NOISE
-        eps = noise.channel_excess + noise.detector_excess
         path = s.slant_path(s.Site(), 500e3, 90.0)
         t = s.link_budget(path, s.OpticalTerminals(), GOOD).transmittance
 
-        gm = s.gm_security(5.0, t, noise, s.Detection.HOMODYNE, 0.9).skr_asymptotic
-        qam256 = s.qam_security(
-            16, 2.0, Binomial(), t, eps, s.Detection.HETERODYNE, 0.9
-        ).skr_asymptotic
-        qam64 = s.qam_security(
-            8, 2.0, Binomial(), t, eps, s.Detection.HETERODYNE, 0.9
-        ).skr_asymptotic
-        psk8 = s.psk_security(
-            8, 0.5, t, noise, s.Detection.HOMODYNE, 0.9,
-        ).skr_asymptotic
-        psk4 = s.psk_security(
-            4, 0.5, t, noise, s.Detection.HOMODYNE, 0.9,
-        ).skr_asymptotic
+        def rate(constants):
+            return s.covariance_security(constants, t, 0.9).skr_asymptotic
+
+        gm = rate(s.gm_security(5.0, noise, s.Detection.HOMODYNE))
+        qam256 = rate(s.qam_security(16, 2.0, Binomial(), noise, s.Detection.HETERODYNE))
+        qam64 = rate(s.qam_security(8, 2.0, Binomial(), noise, s.Detection.HETERODYNE))
+        psk8 = rate(s.psk_security(8, 0.5, noise, s.Detection.HOMODYNE))
+        psk4 = rate(s.psk_security(4, 0.5, noise, s.Detection.HOMODYNE))
         assert gm > qam256 > qam64 > psk8 > psk4
 
         for altitude_km in range(200, 1001, 50):
             for elevation in (30.0, 60.0, 90.0):
                 path = s.slant_path(s.Site(), altitude_km * 1000.0, elevation)
                 t_point = s.link_budget(path, s.OpticalTerminals(), GOOD).transmittance
-                rate = s.psk_security(
-                    2, 0.5, t_point, noise, s.Detection.HOMODYNE, 0.9
-                ).skr_asymptotic
-                assert rate <= 0.0
+                psk2 = s.psk_security(2, 0.5, noise, s.Detection.HOMODYNE)
+                assert s.covariance_security(psk2, t_point, 0.9).skr_asymptotic <= 0.0
 
 
 def _largest_positive_altitude(receiver_aperture_m: float) -> float:
@@ -167,10 +158,12 @@ def _largest_positive_altitude(receiver_aperture_m: float) -> float:
         noise=s.DAYLIGHT_NOISE,
     )
     spec = ProtocolSpec(kind="gm", detection=s.Detection.HOMODYNE, modulation_variance=5.0)
+    constants = s.gm_security(5.0, setup.noise, s.Detection.HOMODYNE)
     best = 0.0
     for altitude_km in np.arange(200.0, 1400.1, 5.0):
         point = evaluate_point(
-            link_columns(setup, altitude_km * 1000.0, 90.0), spec, MD, s.FiniteSizeParams()
+            link_columns(setup, altitude_km * 1000.0, 90.0), spec, constants, MD,
+            s.FiniteSizeParams(),
         )
         if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0.0:
             best = altitude_km
@@ -198,7 +191,7 @@ def test_criterion_8_iss_pass_budget():
             kind="gm", detection=s.Detection.HOMODYNE, modulation_variance=5.0
         )
         result = s.integrate_key_bits(
-            profile, setup, spec,
+            profile, setup, spec, s.gm_security(5.0, setup.noise, s.Detection.HOMODYNE),
             [MD, MLC_MSD],
             s.FiniteSizeParams(), satellite_altitude_m=417.5e3,
         )

@@ -8,13 +8,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import satcvqkd
-from satcvqkd import Binomial, ConfigError, Detection, DiscreteGaussian, ProtocolSpec, \
-    synthesize_circular_pass
-from satcvqkd import cli, config as config_mod, pass_analysis, psk
+from satcvqkd import DAYLIGHT_NOISE, Binomial, ConfigError, Detection, DiscreteGaussian, \
+    ProtocolSpec, key_constants, synthesize_circular_pass
+from satcvqkd import cli, config as config_mod, pass_analysis, psk, qam
 from satcvqkd.cli import main
 from satcvqkd.pass_analysis import circular_pass_arc, integrate_key_bits, load_profile
 from satcvqkd.psk import series_terms
@@ -738,6 +739,10 @@ def test_gm_modulation_variance_cap(tmp_path, capsys):
 
 
 # Each protocol rule resolve applies, as a config entry and as ProtocolSpec arguments.
+# The rules that need a modulation state built are applied by key_constants, which
+# resolve calls last; ProtocolSpec applies the others.
+BUILDER_RULES = ("psk_over_the_series_cap", "psk_weight_underflow",
+                 "qam_over_the_start_cutoff_cap", "qam_weight_underflow")
 REFUSED_PROTOCOLS = {
     "gm_over_the_variance_cap": ({"kind": "gm", "modulation_variance_snu": 1e300},
                                  ("gm", Detection.HOMODYNE, 1e300)),
@@ -760,10 +765,70 @@ REFUSED_PROTOCOLS = {
 def test_protocol_spec_refuses_what_resolve_refuses(case):
     entry, args = REFUSED_PROTOCOLS[case]
     with pytest.raises(ValueError) as library:
-        ProtocolSpec(*args)
+        if case in BUILDER_RULES:
+            spec = ProtocolSpec(*args)  # builds nothing, so it cannot apply the rule
+            key_constants([spec], DAYLIGHT_NOISE)
+        else:
+            ProtocolSpec(*args)
     with pytest.raises(ConfigError) as resolved:
         config_mod.resolve({**ONE_POINT, "protocol": entry})
     assert str(resolved.value) == str(library.value)
+
+
+# --- resolve builds the key constants: the QAM gate's failures are config errors ----
+
+
+def _refused_by_resolve(tmp_path, capsys, payload):
+    """validate-config and compare of ``payload`` both print the one line they
+    print, and compare writes nothing; returns that line."""
+    path = _write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "out.csv"
+    errs = []
+    for argv in (["validate-config", "--config", path],
+                 ["compare", "--config", path, "--output", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert not out.exists()
+    assert errs[0] == errs[1] and errs[0].startswith("config error: ")
+    assert errs[0].count("\n") == 1
+    return errs[0]
+
+
+# 4-QAM at V_A = 80: the gate starts at cutoff 331 and settles only at 2648
+GATE_QAM = {"protocols": ["gm", {"kind": "qam", "states": 4, "modulation_variance_snu": 80}],
+            "sweep": {"altitude_km": [500], "elevation_deg": [90]}}
+
+
+def test_a_qam_gate_that_does_not_settle_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qam, "_MAX_CUTOFF", 331)
+    err = _refused_by_resolve(tmp_path, capsys, GATE_QAM)
+    assert err == "config error: Z* did not stabilize below cutoff 331\n"
+
+
+def test_a_float_overflow_in_the_qam_gate_is_a_config_error(tmp_path, capsys, monkeypatch):
+    real = qam._moments
+
+    def overflowing(workspace):  # w overflows to inf
+        term1, w = real(workspace)
+        return term1, np.float64(1e308) * (w + 10.0)
+
+    monkeypatch.setattr(qam, "_moments", overflowing)
+    err = _refused_by_resolve(tmp_path, capsys, GATE_QAM)
+    assert err.startswith("config error: overflow encountered in ")
+
+
+def test_a_compare_over_the_row_cap_builds_no_fock_space(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a Fock space was built")
+
+    monkeypatch.setattr(qam, "modulation_density_matrix", no_build)
+    monkeypatch.setattr(config_mod, "_MAX_ROWS", 1)
+    payload = {"protocols": [{"kind": "qam", "states": 4096}],
+               "sweep": {"altitude_km": [500], "elevation_deg": [60, 90]}}
+    err = _refused_by_resolve(tmp_path, capsys, payload)
+    assert err == "config error: compare rows would be 2, over the cap of 1\n"
 
 
 def test_row_cap_counts_altitudes_elevations_and_protocols(monkeypatch):

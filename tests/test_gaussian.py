@@ -9,6 +9,7 @@ from satcvqkd import (
     NoiseBudget,
     UnphysicalCovariance,
     channel_noise,
+    covariance_security,
     g_function,
     gm_security,
     holevo_bound,
@@ -199,14 +200,14 @@ def test_skr_break_even():
 def test_skr_monotone_in_channel_excess():
     rates = []
     for eps_ch in np.linspace(0.0, 0.1, 11):
-        result = gm_security(
-            5.0, 0.1, NoiseBudget(eps_ch, 0.0135, 1.0), Detection.HOMODYNE, 0.9
-        )
+        constants = gm_security(5.0, NoiseBudget(eps_ch, 0.0135, 1.0), Detection.HOMODYNE)
+        result = covariance_security(constants, 0.1, 0.9)
         rates.append(result.skr_asymptotic)
     assert all(r1 >= r2 for r1, r2 in zip(rates, rates[1:]))
 
 
 def test_positive_key_at_reference_link():
     # good conditions, 500 km zenith: T ~ 0.0656
-    result = gm_security(5.0, 0.0656, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
+    constants = gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE)
+    result = covariance_security(constants, 0.0656, 0.9)
     assert result.skr_asymptotic > 0.0

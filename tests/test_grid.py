@@ -121,7 +121,7 @@ def _records(plan):
     altitudes_m, elevations_deg = plan.sweep.altitudes_m, plan.sweep.elevations_deg
     link = link_columns(plan.setup, np.repeat(altitudes_m, len(elevations_deg)),
                         np.tile(elevations_deg, len(altitudes_m)))
-    return [evaluate_point(link, spec, plan.reconciliation, plan.finite)
+    return [evaluate_point(link, spec, plan.key_constants[spec], plan.reconciliation, plan.finite)
             for spec in plan.protocols]
 
 
@@ -219,7 +219,7 @@ def test_numerical_failure_writes_no_output(tmp_path, monkeypatch, capsys):
     def unphysical(*args):
         raise UnphysicalCovariance("injected")
 
-    monkeypatch.setattr(pipeline, "gm_security", unphysical)
+    monkeypatch.setattr(pipeline, "covariance_security", unphysical)
     protocols, reconciliation = CASES["md"]
     out = tmp_path / "out.csv"
     code = main(["compare", "--config", _config(tmp_path, protocols, reconciliation),

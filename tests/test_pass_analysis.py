@@ -18,6 +18,7 @@ from satcvqkd import (
     ProfileError,
     PassProfile,
     Site,
+    gm_security,
     integrate_key_bits,
     load_profile,
     synthesize_circular_pass,
@@ -36,6 +37,7 @@ SEA_LEVEL = LinkSetup(
 )
 ISS_SETUP = SEA_LEVEL._replace(site=Site(ogs_altitude_m=1029.0))
 GM = ProtocolSpec(kind="gm", detection=Detection.HOMODYNE, modulation_variance=5.0)
+GM_CONSTANTS = gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE)
 
 
 # --- profile parsing ----------------------------------------------------------
@@ -259,7 +261,7 @@ def test_synthesized_pass_matches_the_per_sample_loop(setup, altitude_m, max_ele
 def test_single_bin_total_is_rate_times_dwell(monkeypatch):
     profile = PassProfile(times_s=(0.0, 4.0, 10.0), elevations_deg=(45.2, 45.4, 45.7))
 
-    def fake_evaluate(link, spec, recon, params):
+    def fake_evaluate(link, spec, constants, recon, params):
         return PointResult(
             protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
             altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
@@ -268,7 +270,7 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == pytest.approx(1e7, rel=1e-12)
@@ -277,7 +279,7 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
     profile = PassProfile(times_s=(0.0, 10.0), elevations_deg=(40.0, 40.5))
 
-    def fake_evaluate(link, spec, recon, params):
+    def fake_evaluate(link, spec, constants, recon, params):
         return PointResult(
             protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
             altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
@@ -286,7 +288,7 @@ def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
@@ -302,7 +304,8 @@ def test_zero_rate_pass_accumulates_nothing():
     )
     profile = synthesize_circular_pass(setup.site, 1000e3, 10.0, 5.0)
     result = integrate_key_bits(
-        profile, setup, GM, [MD], FiniteSizeParams(), satellite_altitude_m=1000e3,
+        profile, setup, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
+        satellite_altitude_m=1000e3,
     )
     assert result.models["MD"].total_key_bits == 0.0
 
@@ -310,7 +313,7 @@ def test_zero_rate_pass_accumulates_nothing():
 def test_iss_pass_reference_totals():
     profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     md = result.models["MD"].total_key_bits
@@ -327,8 +330,8 @@ def test_a_pass_is_seen_from_the_setups_station():
     totals = []
     for setup in (SEA_LEVEL, ISS_SETUP):
         link = link_columns(setup, 417.5e3, 40.5)
-        rate = evaluate_point(link, GM, MD, FiniteSizeParams()).skr_bits_per_second
-        result = integrate_key_bits(profile, setup, GM, [MD], FiniteSizeParams(),
+        rate = evaluate_point(link, GM, GM_CONSTANTS, MD, FiniteSizeParams()).skr_bits_per_second
+        result = integrate_key_bits(profile, setup, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
                                     satellite_altitude_m=417.5e3)
         totals.append(result.models["MD"].total_key_bits)
         assert totals[-1] == pytest.approx(10.0 * rate, rel=1e-12)
@@ -338,7 +341,7 @@ def test_a_pass_is_seen_from_the_setups_station():
 def test_md_reaches_lower_elevations_than_mlc_msd():
     profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD, MLC_MSD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD, MLC_MSD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
 
@@ -355,7 +358,7 @@ def test_md_reaches_lower_elevations_than_mlc_msd():
 def test_symmetric_pass_symmetric_series():
     profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 80.0, 2.0)
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     series = result.models["MD"].bin_rates[result.sample_bins]
@@ -369,7 +372,7 @@ def test_refining_sample_step_changes_little():
     for dt in (2.0, 1.0):
         profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, dt)
         result = integrate_key_bits(
-            profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+            profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
             satellite_altitude_m=417.5e3,
         )
         totals.append(result.models["MD"].total_key_bits)
@@ -379,11 +382,11 @@ def test_refining_sample_step_changes_little():
 def test_keyhole_ceiling_reduces_total():
     profile = synthesize_circular_pass(ISS_SETUP.site, 417.5e3, 87.6, 1.0)
     open_sky = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     restricted = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3, keyhole_ceiling_deg=85.0,
     )
     assert (
@@ -401,14 +404,14 @@ def test_a_bin_width_that_cannot_index_the_bins_is_refused(width, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no cast past int64 before the refusal
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            integrate_key_bits(profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+            integrate_key_bits(profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
                                satellite_altitude_m=417.5e3, bin_width_deg=width)
 
 
 def test_zero_duration_profile_gives_empty_series():
     profile = PassProfile(times_s=(0.0,), elevations_deg=(45.0,))
     result = integrate_key_bits(
-        profile, ISS_SETUP, GM, [MD], FiniteSizeParams(),
+        profile, ISS_SETUP, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
         satellite_altitude_m=417.5e3,
     )
     assert result.models["MD"].total_key_bits == 0.0

@@ -16,7 +16,8 @@ import satcvqkd.config as config_mod
 import satcvqkd.pipeline as pipeline
 from satcvqkd.cli import main
 from satcvqkd.finite_size import MD
-from satcvqkd.pipeline import LinkSetup, ProtocolSpec, evaluate_point, link_columns
+from satcvqkd.pipeline import LinkSetup, ProtocolSpec, evaluate_point, key_constants, \
+    link_columns
 from satcvqkd.qam import Binomial
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
@@ -34,9 +35,15 @@ QAM256 = ProtocolSpec(
 )
 
 
+def _evaluate(link, spec, reconciliation, finite_params):
+    """``evaluate_point`` with the key constants of ``spec`` under daylight noise."""
+    constants = key_constants([spec], DAYLIGHT_NOISE)[spec]
+    return evaluate_point(link, spec, constants, reconciliation, finite_params)
+
+
 def test_channel_columns_identical_across_protocols():
     points = [
-        evaluate_point(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
+        _evaluate(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
         for spec in (GM, PSK8, QAM256)
     ]
     t_values = {p.transmittance for p in points}
@@ -46,7 +53,7 @@ def test_channel_columns_identical_across_protocols():
 
 def test_reference_ordering_at_500km():
     gm, psk8, qam256 = (
-        evaluate_point(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
+        _evaluate(link_columns(SETUP, 500e3, 90.0), spec, ASY, FiniteSizeParams())
         for spec in (GM, PSK8, QAM256)
     )
     assert (
@@ -59,7 +66,7 @@ def test_reference_ordering_at_500km():
 def test_bad_conditions_kill_psk():
     setup = LinkSetup(terminals=OpticalTerminals(), conditions=BAD, noise=DAYLIGHT_NOISE)
     for altitude in (200e3, 400e3, 800e3):
-        point = evaluate_point(link_columns(setup, altitude, 90.0), PSK8, ASY, FiniteSizeParams())
+        point = _evaluate(link_columns(setup, altitude, 90.0), PSK8, ASY, FiniteSizeParams())
         assert point.skr_bits_per_pulse <= 0.0
 
 
@@ -69,7 +76,7 @@ def test_far_field_exclusion_flagged():
         conditions=GOOD,
         noise=DAYLIGHT_NOISE,
     )
-    point = evaluate_point(link_columns(setup, 300e3, 90.0), GM, ASY, FiniteSizeParams())
+    point = _evaluate(link_columns(setup, 300e3, 90.0), GM, ASY, FiniteSizeParams())
     assert not point.far_field_ok
     assert point.status == "far_field_excluded"
     assert point.transmittance is None
@@ -78,15 +85,15 @@ def test_far_field_exclusion_flagged():
 
 def test_finite_size_restricted_to_gaussian_modulation():
     with pytest.raises(ConfigError):
-        evaluate_point(link_columns(SETUP, 400e3, 90.0), PSK8, MD, FiniteSizeParams())
+        _evaluate(link_columns(SETUP, 400e3, 90.0), PSK8, MD, FiniteSizeParams())
     with pytest.raises(ConfigError):
-        evaluate_point(link_columns(SETUP, 400e3, 90.0), QAM256, MD, FiniteSizeParams())
+        _evaluate(link_columns(SETUP, 400e3, 90.0), QAM256, MD, FiniteSizeParams())
 
 
 @pytest.mark.parametrize("value", [1.5, -0.1])
 def test_asymptotic_beta_outside_unit_interval_rejected(value):
     with pytest.raises(ValueError, match=f"got {value}$"):
-        evaluate_point(link_columns(SETUP, 400e3, 90.0), GM, value, FiniteSizeParams())
+        _evaluate(link_columns(SETUP, 400e3, 90.0), GM, value, FiniteSizeParams())
 
 
 @pytest.mark.parametrize("states", [None, 1, 8, 15])
@@ -105,7 +112,7 @@ def test_a_nan_modulation_variance_is_refused(kind, states, distribution):
 
 
 def test_finite_point_carries_fit_diagnostics():
-    point = evaluate_point(link_columns(SETUP, 300e3, 90.0), GM, MD, FiniteSizeParams())
+    point = _evaluate(link_columns(SETUP, 300e3, 90.0), GM, MD, FiniteSizeParams())
     assert point.snr_db is not None
     assert point.beta_valid
     assert 0.0 <= point.fer <= 1.0
@@ -120,7 +127,7 @@ def test_invalid_beta_reports_no_key():
         conditions=GOOD,
         noise=DAYLIGHT_NOISE,
     )
-    point = evaluate_point(link_columns(setup, 390e3, 90.0), GM, MD, FiniteSizeParams())
+    point = _evaluate(link_columns(setup, 390e3, 90.0), GM, MD, FiniteSizeParams())
     if not point.beta_valid:  # depends on where the fit leaves [0, 1]
         assert point.status == "no_key_beta_invalid"
         assert point.skr_bits_per_second is None
@@ -132,7 +139,7 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
     def positive_altitudes(model):
         out = set()
         for altitude_km in range(200, 1001, 25):
-            point = evaluate_point(
+            point = _evaluate(
                 link_columns(SETUP, altitude_km * 1000.0, 90.0), GM, model, FiniteSizeParams()
             )
             if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0:
@@ -146,7 +153,7 @@ def test_md_positive_altitudes_contain_mlc_msd_set():
 
 
 def test_asymptotic_rate_scaled_by_repetition_rate():
-    point = evaluate_point(link_columns(SETUP, 500e3, 90.0), GM, ASY, FiniteSizeParams())
+    point = _evaluate(link_columns(SETUP, 500e3, 90.0), GM, ASY, FiniteSizeParams())
     assert point.skr_bits_per_second == pytest.approx(
         50e6 * point.skr_bits_per_pulse, rel=1e-12
     )
@@ -204,6 +211,43 @@ def test_link_stage_builds_one_geometry_and_one_slant_path(monkeypatch):
     assert len(paths) == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"protocols": ["gm", "psk8", "qam16"],
+     "sweep": {"altitude_km": [400, 600], "elevation_deg": [30, 90]}},
+    {"protocol": "gm", "reconciliation": {"kind": "md"},
+     "pass": {"altitude_km": 417.5, "synthesize": {"max_elevation_deg": 60.0, "sample_dt_s": 5.0}}},
+], ids=["compare", "pass"])
+def test_the_run_builds_no_key_constants(tmp_path, monkeypatch, payload):
+    # resolve builds every protocol's key constants; the run only evaluates them
+    import satcvqkd.gaussian as gaussian
+    import satcvqkd.psk as psk
+    import satcvqkd.qam as qam
+    from satcvqkd import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    plan = config_mod.load(str(config))
+
+    def built(*args, **kwargs):
+        raise AssertionError("the run built a key constant")
+
+    for module, name in ((qam, "build_constellation"), (qam, "modulation_density_matrix"),
+                         (psk, "correlation_z"), (gaussian, "gaussian_correlation")):
+        monkeypatch.setattr(module, name, built)
+    run = cli._run_pass if "pass" in payload else cli._run_sweep
+    run(plan, str(tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+def test_a_protocol_listed_twice_is_built_once(monkeypatch):
+    import satcvqkd.qam as qam
+
+    builds = _count_calls(monkeypatch, "qam_security", qam)
+    constants = key_constants([QAM256, GM, QAM256], DAYLIGHT_NOISE)
+    assert list(constants) == [QAM256, GM]
+    assert len(builds) == 1
+
+
 def test_sweep_resolve_builds_one_geometry(tmp_path, monkeypatch):
     paths = _count_calls(monkeypatch, "slant_path", config_mod)
     config = tmp_path / "config.json"
@@ -230,7 +274,7 @@ def test_gm_asymptotic_rate_does_not_increase_with_altitude(low_km, rise_km, ele
     # a rise of at least 1 km keeps the change far above float rounding
     high_km = min(low_km + rise_km, 2000.0)
     low, high = (
-        evaluate_point(
+        _evaluate(
             link_columns(SETUP, km * 1e3, elevation), GM, BETA_95, FiniteSizeParams()
         ).skr_bits_per_pulse
         for km in (low_km, high_km)

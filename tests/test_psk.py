@@ -9,13 +9,15 @@ from satcvqkd import (
     DAYLIGHT_NOISE,
     Constellation,
     Detection,
+    KeyConstants,
     correlation_z,
+    covariance_security,
     gm_security,
     modulation_density_matrix,
     psk_security,
     zeta_weights,
 )
-from satcvqkd.gaussian import covariance_security, gaussian_correlation
+from satcvqkd.gaussian import gaussian_correlation
 from satcvqkd.psk import series_terms
 
 from oracles import psk_weights_dft, sector_eigenvectors
@@ -127,14 +129,14 @@ def test_correlation_below_gaussian_ceiling(states):
 
 def test_zero_amplitude_rejected():
     for reject in (lambda: zeta_weights(4, 0.0), lambda: correlation_z(4, 0.0),
-                   lambda: psk_security(4, 0.0, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)):
+                   lambda: psk_security(4, 0.0, DAYLIGHT_NOISE, Detection.HOMODYNE)):
         with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
             reject()
 
 
 def test_state_count_outside_the_rings_rejected():
     for reject in (lambda: zeta_weights(3, 0.5), lambda: correlation_z(16, 0.5),
-                   lambda: psk_security(6, 0.5, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)):
+                   lambda: psk_security(6, 0.5, DAYLIGHT_NOISE, Detection.HOMODYNE)):
         with pytest.raises(ValueError, match=r"^states must be one of \(2, 4, 8\), got \d+$"):
             reject()
 
@@ -151,8 +153,7 @@ def test_a_series_over_the_cap_is_refused_before_it_is_summed(monkeypatch):
     monkeypatch.setattr(math, "lgamma", lambda n: pytest.fail("a term was summed"))
     for reject, alpha, terms in (
         (lambda: zeta_weights(8, 1e200), "1e+200", "inf"),  # alpha^2 overflows
-        (lambda: psk_security(8, 2e300, 0.1, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
-         "1e+150", "1e+300"),
+        (lambda: psk_security(8, 2e300, DAYLIGHT_NOISE, Detection.HOMODYNE), "1e+150", "1e+300"),
     ):
         with pytest.raises(ValueError, match=re.escape(
                 f"8-PSK at alpha = {alpha} needs about {terms} sector-series terms, "
@@ -163,12 +164,9 @@ def test_a_series_over_the_cap_is_refused_before_it_is_summed(monkeypatch):
 def test_from_modulation_variance_mapping():
     # the ring has alpha = sqrt(V_A / 2); the covariance matrix takes V_A itself
     for states, v_a in ((4, 0.5), (8, 0.3), (2, 7.0)):
-        t = np.array([0.01, 0.1])
-        ring = psk_security(states, v_a, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
-        direct = covariance_security(v_a, correlation_z(states, math.sqrt(v_a / 2.0)), t,
-                                     DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
-        for got, expected in zip(ring, direct):
-            np.testing.assert_array_equal(got, expected)
+        ring = psk_security(states, v_a, DAYLIGHT_NOISE, Detection.HOMODYNE)
+        z = correlation_z(states, math.sqrt(v_a / 2.0))
+        assert ring == KeyConstants(v_a, z, DAYLIGHT_NOISE, Detection.HOMODYNE)
 
 
 # --- key rates ----------------------------------------------------------------
@@ -181,17 +179,16 @@ def _table_transmittances():
 
 def test_two_state_never_positive_on_leo_grid():
     for t in _table_transmittances():
-        result = psk_security(
-            2, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
-        )
+        constants = psk_security(2, 0.5, DAYLIGHT_NOISE, Detection.HOMODYNE)
+        result = covariance_security(constants, t, 0.9)
         assert result.skr_asymptotic <= 0.0
 
 
 def test_more_states_give_higher_rates():
     t = 0.132  # ~300 km zenith, good conditions
     rates = [
-        psk_security(
-            m, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
+        covariance_security(
+            psk_security(m, 0.5, DAYLIGHT_NOISE, Detection.HOMODYNE), t, 0.9
         ).skr_asymptotic
         for m in (2, 4, 8)
     ]
@@ -200,9 +197,8 @@ def test_more_states_give_higher_rates():
 
 def test_psk_never_beats_gaussian_modulation():
     for t in _table_transmittances():
-        gm = gm_security(5.0, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
+        gm = covariance_security(gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE), t, 0.9)
         for m in (2, 4, 8):
-            psk = psk_security(
-                m, 0.5, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9,
-            )
+            constants = psk_security(m, 0.5, DAYLIGHT_NOISE, Detection.HOMODYNE)
+            psk = covariance_security(constants, t, 0.9)
             assert psk.skr_asymptotic <= gm.skr_asymptotic

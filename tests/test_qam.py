@@ -22,6 +22,7 @@ from satcvqkd import (
     channel_noise,
     correlation_lower_bound,
     correlation_z,
+    covariance_security,
     gm_security,
     holevo_bound,
     modulation_density_matrix,
@@ -34,6 +35,7 @@ from satcvqkd import (
 from satcvqkd import DAYLIGHT_NOISE
 from satcvqkd import qam as qam_module
 from satcvqkd.gaussian import gaussian_correlation
+from satcvqkd.pipeline import ProtocolSpec, key_constants
 from satcvqkd.qam import (
     _MAX_CUTOFF,
     _SECTOR_RTOL,
@@ -561,14 +563,14 @@ def test_qam_security_rejects_a_start_cutoff_over_the_cap_before_building(monkey
     assert default_cutoff(build_constellation(16, 10.0, Binomial())) == 12010 > _MAX_CUTOFF
     with pytest.raises(ValueError, match=r"^256-QAM at V_A = 200 needs a start cutoff "
                        r"of 12010, over the cap of 4096$"):
-        qam_security(16, 200.0, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+        qam_security(16, 200.0, Binomial(), DAYLIGHT_NOISE, Detection.HETERODYNE)
 
 
 def test_qam_security_past_float_range_is_the_cap_error():
     # the grid of this V_A overflows a float: the cap answers before it is built
     with pytest.raises(ValueError, match=r"^4096-QAM at V_A = 1e\+308 needs a start "
                        r"cutoff of inf, over the cap of 4096$"):
-        qam_security(64, 1e308, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
+        qam_security(64, 1e308, Binomial(), DAYLIGHT_NOISE, Detection.HETERODYNE)
 
 
 # --- mutual information and Holevo bound ----------------------------------------
@@ -645,43 +647,38 @@ def test_qam_holevo_purity_limit(kind):
 # --- key rates -------------------------------------------------------------------
 
 
+def _qam_rate(side, distribution, transmittance):
+    """The asymptotic M-QAM key rate at V_A = 2 and beta = 0.9, daylight noise."""
+    constants = qam_security(side, 2.0, distribution, DAYLIGHT_NOISE, Detection.HETERODYNE)
+    return covariance_security(constants, transmittance, 0.9).skr_asymptotic
+
+
 def test_qam_rate_ordering_in_constellation_size():
     t = 0.0656  # ~500 km zenith, good conditions
-    rates = [
-        qam_security(
-            side, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9
-        ).skr_asymptotic
-        for side in (4, 8, 16)
-    ]
+    rates = [_qam_rate(side, Binomial(), t) for side in (4, 8, 16)]
     assert rates[2] >= rates[1] >= rates[0]
 
 
 def test_qam_positive_at_reference_link():
-    result = qam_security(
-        8, 2.0, Binomial(), 0.0656, QAM_EXCESS, Detection.HETERODYNE, 0.9
-    )
-    assert result.skr_asymptotic > 0.0
+    assert _qam_rate(8, Binomial(), 0.0656) > 0.0
 
 
 def test_qam_below_gaussian_modulation():
     for t in (0.132, 0.0656, 0.0284):
-        gm = gm_security(5.0, t, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9)
+        gm = covariance_security(gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE), t, 0.9)
         for side in (8, 16):
-            q = qam_security(
-                side, 2.0, Binomial(), t, QAM_EXCESS, Detection.HETERODYNE, 0.9
-            )
-            assert q.skr_asymptotic <= gm.skr_asymptotic
+            assert _qam_rate(side, Binomial(), t) <= gm.skr_asymptotic
 
 
 def test_every_protocol_rejects_a_blocked_channel_alike():
     messages = set()
-    for call in (
-        lambda: gm_security(5.0, 0.0, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
-        lambda: psk_security(4, 0.5, 0.0, DAYLIGHT_NOISE, Detection.HOMODYNE, 0.9),
-        lambda: qam_security(4, 2.0, Binomial(), 0.0, QAM_EXCESS, Detection.HETERODYNE, 0.9),
+    for constants in (
+        gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE),
+        psk_security(4, 0.5, DAYLIGHT_NOISE, Detection.HOMODYNE),
+        qam_security(4, 2.0, Binomial(), DAYLIGHT_NOISE, Detection.HETERODYNE),
     ):
         with pytest.raises(ValueError) as caught:
-            call()
+            covariance_security(constants, 0.0, 0.9)
         messages.add(str(caught.value))
     assert messages == {"transmittance must be in (0, 1], got 0.0"}
 
@@ -691,11 +688,7 @@ def test_every_protocol_rejects_a_blocked_channel_alike():
 
 def test_overconcentrated_shape_kills_the_key():
     # very large nu collapses the ensemble onto the innermost points
-    rate = qam_security(
-        8, 2.0, DiscreteGaussian(nu=50.0), 0.0656, QAM_EXCESS,
-        Detection.HETERODYNE, 0.9,
-    ).skr_asymptotic
-    assert rate <= 0.0
+    assert _qam_rate(8, DiscreteGaussian(nu=50.0), 0.0656) <= 0.0
 
 
 # --- one constellation per setting ---------------------------------------------------
@@ -711,8 +704,7 @@ def test_one_constellation_build_serves_every_transmittance(monkeypatch):
         return build_constellation(*args)
 
     monkeypatch.setattr(qam_mod, "build_constellation", counting_build)
-    qam_security(4, 2.0, Binomial(), np.array([0.132, 0.0284]), QAM_EXCESS,
-                 Detection.HETERODYNE, 0.9)
+    _qam_rate(4, Binomial(), np.array([0.132, 0.0284]))
     assert len(built) == 1
 
 
@@ -723,7 +715,7 @@ def test_one_constellation_build_serves_every_transmittance(monkeypatch):
 def test_correlation_bound_is_the_key_rate_correlation(
     monkeypatch, side, distribution, transmittance
 ):
-    import satcvqkd.qam as qam_mod
+    import satcvqkd.gaussian as gaussian_mod
 
     used = []
 
@@ -731,9 +723,8 @@ def test_correlation_bound_is_the_key_rate_correlation(
         used.append(correlation)
         return holevo_bound(v_a, t, chi_line, chi_detector, correlation, kind)
 
-    monkeypatch.setattr(qam_mod, "holevo_bound", spy)
-    qam_security(side, 2.0, distribution, transmittance, QAM_EXCESS,
-                 Detection.HETERODYNE, 0.9)
+    monkeypatch.setattr(gaussian_mod, "holevo_bound", spy)
+    _qam_rate(side, distribution, transmittance)
     c = build_constellation(side, 1.0, distribution)  # alpha = sqrt(V_A / 2)
     z = correlation_lower_bound(modulation_density_matrix(c), 1.0, QAM_EXCESS)
     assert used[0] > 0.0
@@ -791,8 +782,7 @@ def test_a_setting_builds_twice_from_one_column_per_orbit(monkeypatch, side):
 
     columns.clear()
     monkeypatch.setattr(qam_mod, "modulation_density_matrix", counting_build)
-    qam_security(side, 2.0, DiscreteGaussian(nu=0.5), 0.0656, QAM_EXCESS,
-                 Detection.HETERODYNE, 0.9)
+    qam_security(side, 2.0, DiscreteGaussian(nu=0.5), DAYLIGHT_NOISE, Detection.HETERODYNE)
     assert len(builds) == 2  # the cutoff gate's two levels
     assert columns == [side**2 // 4] * 2
 
@@ -857,8 +847,9 @@ def test_a_gate_round_searches_the_orbits_and_expands_once(monkeypatch):
     assert calls["expansions"] == [n0 + 10, 2 * n0 + 10]
 
 
-def test_a_compare_builds_each_qam_constellation_once(tmp_path):
-    # resolve builds each QAM protocol's constellation, and the run reuses it
+def test_a_compare_builds_each_qam_constellation_once(monkeypatch, tmp_path):
+    # resolve builds each QAM protocol's constellation into its key constants,
+    # and the run builds none
     from satcvqkd.cli import main
 
     config = tmp_path / "compare.json"
@@ -867,11 +858,15 @@ def test_a_compare_builds_each_qam_constellation_once(tmp_path):
                                                {"kind": "discrete_gaussian", "nu": 0.5}}],
         "sweep": {"altitude_km": [500], "elevation_deg": [60, 90]},
     }), encoding="utf-8")
-    build_constellation.cache_clear()
+    built = []
+
+    def counting_build(*args):
+        built.append(args[0] ** 2)
+        return build_constellation(*args)
+
+    monkeypatch.setattr(qam_module, "build_constellation", counting_build)
     assert main(["compare", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 0
-    info = build_constellation.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    assert info.maxsize is not None  # the memo is bounded
+    assert built == [16, 64]
 
 
 # --- one grid, many distributions: the group shares each gate round's grid work -------
@@ -893,6 +888,23 @@ def _qam16(distribution):
     return {"kind": "qam", "states": 16, "modulation_variance_snu": 2.0, "distribution": shape}
 
 
+def _qam_spec(side, v_a, distribution):
+    return ProtocolSpec("qam", Detection.HETERODYNE, v_a, side * side, distribution)
+
+
+def _spy_gate_rounds(monkeypatch):
+    """Record, per ``qam_security`` call, its distribution and the gate rounds it got."""
+    calls = []
+    real = qam_module.qam_security
+
+    def spy(side, v_a, distribution, budget, kind, gate_rounds=None):
+        calls.append((distribution, gate_rounds))
+        return real(side, v_a, distribution, budget, kind, gate_rounds)
+
+    monkeypatch.setattr(qam_module, "qam_security", spy)
+    return calls
+
+
 def _spy_grid_work(monkeypatch):
     """Record the sector count of each orbit search and the top of each expansion."""
     calls = {"orbits": [], "expansions": []}
@@ -911,7 +923,7 @@ def _spy_grid_work(monkeypatch):
     return calls
 
 
-def test_each_distribution_of_a_grid_group_is_its_own_build_to_the_bit():
+def test_each_distribution_of_a_grid_group_is_its_own_build_to_the_bit(monkeypatch):
     # the later distributions take the orbits, expansion and columns the first
     # one built; every level still equals a build of its own
     constellations = [build_constellation(4, 1.0, d) for d in _GROUP]
@@ -930,13 +942,16 @@ def test_each_distribution_of_a_grid_group_is_its_own_build_to_the_bit():
             assert np.array_equal(level.probabilities, own.probabilities)
 
     transmittance = np.array([0.132, 0.0284])
-    gate_rounds = {}
-    for distribution in _GROUP:
-        grouped = qam_security(4, 2.0, distribution, transmittance, QAM_EXCESS,
-                               Detection.HETERODYNE, 0.9, gate_rounds)
-        alone = qam_security(4, 2.0, distribution, transmittance, QAM_EXCESS,
-                             Detection.HETERODYNE, 0.9)
-        assert all(np.array_equal(a, b) for a, b in zip(grouped, alone))
+    specs = [_qam_spec(4, 2.0, d) for d in _GROUP]
+    calls = _spy_gate_rounds(monkeypatch)
+    grouped = key_constants(specs, DAYLIGHT_NOISE)
+    (gate_rounds,) = {id(rounds): rounds for _, rounds in calls}.values()
+    for spec in specs:
+        alone = key_constants([spec], DAYLIGHT_NOISE)[spec]
+        assert grouped[spec] == alone
+        assert all(np.array_equal(a, b) for a, b in zip(
+            covariance_security(grouped[spec], transmittance, 0.9),
+            covariance_security(alone, transmittance, 0.9)))
     assert list(gate_rounds) == [(4, 2.0)]
 
 
@@ -965,15 +980,11 @@ def test_a_distribution_that_needs_a_second_round_expands_it_once(monkeypatch):
     # nu = 0.3 needs round 2; the binomial shape and nu = 0.8 settle in round 1
     calls = _spy_grid_work(monkeypatch)
     n0 = start_cutoff(4, 2.0)
-    evaluating = []
+    evaluating = _spy_gate_rounds(monkeypatch)
     moments = _script_moments(
-        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10 and evaluating[-1] == _GROUP[1]),
+        monkeypatch, lambda n: (1.0 + 1e-6 * (n == n0 + 10 and evaluating[-1][0] == _GROUP[1]),
                                 0.0))
-    gate_rounds = {}
-    for distribution in _GROUP:
-        evaluating.append(distribution)
-        qam_security(4, 2.0, distribution, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
-                     gate_rounds)
+    key_constants([_qam_spec(4, 2.0, d) for d in _GROUP], DAYLIGHT_NOISE)
     assert moments == [n0, n0 + 10] + [n0, n0 + 10, 2 * n0, 2 * n0 + 10] + [n0, n0 + 10]
     assert calls["orbits"] == [4, 4]  # once in each round
     assert calls["expansions"] == [n0 + 10, 2 * n0 + 10]
@@ -981,16 +992,16 @@ def test_a_distribution_that_needs_a_second_round_expands_it_once(monkeypatch):
 
 def test_protocols_of_another_side_or_modulation_variance_share_nothing(monkeypatch):
     calls = _spy_grid_work(monkeypatch)
-    gate_rounds = {}
+    rounds = _spy_gate_rounds(monkeypatch)
     grids = [(4, 2.0), (4, 3.0), (8, 2.0)]
-    for side, v_a in grids:
-        grouped = qam_security(side, v_a, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
-                               gate_rounds)
-        alone = qam_security(side, v_a, Binomial(), 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9)
-        assert grouped == alone
+    specs = [_qam_spec(side, v_a, Binomial()) for side, v_a in grids]
+    grouped = key_constants(specs, DAYLIGHT_NOISE)
+    grouped_expansions = list(calls["expansions"])  # each setting's lone call expands again
+    for spec in specs:
+        assert grouped[spec] == key_constants([spec], DAYLIGHT_NOISE)[spec]
+    gate_rounds = {grid: r for _, shared in rounds[:3] for grid, r in shared.items()}
     assert list(gate_rounds) == grids
     assert len({id(r) for r in gate_rounds.values()}) == 3
-    grouped_expansions = calls["expansions"][0::2]  # each setting's lone call expands again
     assert grouped_expansions == [start_cutoff(s, v) + 10 for s, v in grids]
     with pytest.raises(ValueError, match="another grid"):
         modulation_density_matrix(build_constellation(8, 1.0, Binomial()), None,
@@ -1022,18 +1033,12 @@ def test_a_group_of_large_shapes_peaks_as_one_shape_alone():
 
     # start cutoff 235: the Fock work dominates the peak, and a group that kept
     # each shape's workspaces would peak 1.7 times as high
-    side, v_a = 8, 8.0
-    shapes = [DiscreteGaussian(nu=nu) for nu in (0.05, 0.1, 0.2, 0.4)]
-    for shape in shapes:  # memoized before the measurement
-        build_constellation(side, math.sqrt(v_a / 2.0), shape)
+    shapes = [_qam_spec(8, 8.0, DiscreteGaussian(nu=nu)) for nu in (0.05, 0.1, 0.2, 0.4)]
 
     def peak(group):
-        gate_rounds = {}
         tracemalloc.start()
         try:
-            for shape in group:
-                qam_security(side, v_a, shape, 0.1, QAM_EXCESS, Detection.HETERODYNE, 0.9,
-                             gate_rounds)
+            key_constants(group, DAYLIGHT_NOISE)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1044,15 +1049,8 @@ def test_a_group_of_large_shapes_peaks_as_one_shape_alone():
 
 def _two_grids_of_256_qam():
     """Two 256-QAM shapes at each of V_A = 2 and 1.5, the first of each needing
-    a second gate round, with a link of one point; the moments are scripted."""
-    from satcvqkd import AtmosphericConditions, FiniteSizeParams, OpticalTerminals
-    from satcvqkd.pipeline import LinkSetup, ProtocolSpec, link_columns
-
-    link = link_columns(LinkSetup(OpticalTerminals(), AtmosphericConditions(200.0, 1e-16),
-                                  DAYLIGHT_NOISE), 500e3, 90.0)
-    specs = [ProtocolSpec("qam", Detection.HETERODYNE, v_a, 256, DiscreteGaussian(nu=nu))
-             for v_a in (2.0, 1.5) for nu in (0.05, 0.2)]
-    return link, specs, FiniteSizeParams()
+    a second gate round; the moments are scripted."""
+    return [_qam_spec(16, v_a, DiscreteGaussian(nu=nu)) for v_a in (2.0, 1.5) for nu in (0.05, 0.2)]
 
 
 def _force_a_second_round(monkeypatch, specs):
@@ -1065,9 +1063,8 @@ def _force_a_second_round(monkeypatch, specs):
 
 def test_a_run_drops_each_grid_s_rounds_after_its_last_protocol(monkeypatch):
     import weakref
-    from satcvqkd import pipeline
 
-    link, specs, finite = _two_grids_of_256_qam()
+    specs = _two_grids_of_256_qam()
     _force_a_second_round(monkeypatch, specs)
     expansions = []
     real_expansion = qam_module._coherent_expansion
@@ -1078,15 +1075,15 @@ def test_a_run_drops_each_grid_s_rounds_after_its_last_protocol(monkeypatch):
         return result
 
     alive_at_start = []  # per protocol, the tops of the expansions still alive
-    real_evaluate = pipeline.evaluate_point
+    real_security = qam_module.qam_security
 
-    def evaluate(link, spec, reconciliation, finite_params, gate_rounds):
+    def security(*args):
         alive_at_start.append([top for top, ref in expansions if ref() is not None])
-        return real_evaluate(link, spec, reconciliation, finite_params, gate_rounds)
+        return real_security(*args)
 
     monkeypatch.setattr(qam_module, "_coherent_expansion", expansion)
-    monkeypatch.setattr(pipeline, "evaluate_point", evaluate)
-    pipeline.evaluate_protocols(link, specs, 0.9, finite)
+    monkeypatch.setattr(qam_module, "qam_security", security)
+    key_constants(specs, DAYLIGHT_NOISE)
     first, second = (start_cutoff(16, v_a) + 10 for v_a in (2.0, 1.5))
     # each grid expands once for its shared first round and once for the second
     # round of its first shape, which ends with that shape's gate
@@ -1098,12 +1095,10 @@ def test_a_run_drops_each_grid_s_rounds_after_its_last_protocol(monkeypatch):
 def test_a_run_of_two_grids_with_second_rounds_peaks_as_its_largest_protocol(monkeypatch):
     import tracemalloc
 
-    # each protocol evaluated alone bounds what a run of them needs at once; a
-    # run that kept every grid's rounds, and their later rounds, to its end
+    # each protocol built alone bounds what a build of them needs at once; a
+    # build that kept every grid's rounds, and their later rounds, to its end
     # peaked 1.4 times as high
-    from satcvqkd.pipeline import evaluate_point, evaluate_protocols
-
-    link, specs, finite = _two_grids_of_256_qam()
+    specs = _two_grids_of_256_qam()
     _force_a_second_round(monkeypatch, specs)
 
     def peak(run):
@@ -1114,5 +1109,5 @@ def test_a_run_of_two_grids_with_second_rounds_peaks_as_its_largest_protocol(mon
         finally:
             tracemalloc.stop()
 
-    alone = max(peak(lambda: evaluate_point(link, spec, 0.9, finite)) for spec in specs)
-    assert peak(lambda: evaluate_protocols(link, specs, 0.9, finite)) <= 1.1 * alone
+    alone = max(peak(lambda: key_constants([spec], DAYLIGHT_NOISE)) for spec in specs)
+    assert peak(lambda: key_constants(specs, DAYLIGHT_NOISE)) <= 1.1 * alone

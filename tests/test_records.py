@@ -26,6 +26,10 @@ RESULT_RECORDS = {
     channel.LinkBudget: (("geometric_db", "scattering_db", "scintillation_db"), {}),
     gaussian.ChannelNoiseState: (("chi_line", "chi_detector", "chi_total"), {}),
     gaussian.SecurityResult: (("mutual_information", "holevo", "skr_asymptotic"), {}),
+    gaussian.KeyConstants: (
+        ("modulation_variance", "correlation", "budget", "detection", "qam_information"),
+        {"qam_information": False},
+    ),
     # the CSV row: test_grid pins its fields against the literal header; the
     # five leading fields are required and every key or link value is optional
     pipeline.PointResult: (
@@ -34,7 +38,7 @@ RESULT_RECORDS = {
          "status": "ok"},
     ),
     pipeline.LinkColumns: (
-        ("noise", "shape", "far_field_ok", "linked", "transmittance", "columns"), {}),
+        ("shape", "far_field_ok", "linked", "transmittance", "columns"), {}),
     pass_analysis.ModelPassResult: (("total_key_bits", "bin_rates"), {}),
     pass_analysis.PassResult: (("sample_bins", "excluded_bins_deg", "models"), {}),
     qam.FockWorkspace: (
@@ -48,7 +52,8 @@ RESULT_RECORDS = {
     ),
     config.SweepSpec: (("altitudes_m", "elevations_deg"), {}),
     config.RunPlan: (
-        ("protocols", "setup", "reconciliation", "finite", "sweep", "pass_spec", "profile"),
+        ("protocols", "setup", "reconciliation", "finite", "key_constants", "sweep",
+         "pass_spec", "profile"),
         {"sweep": None, "pass_spec": None, "profile": None},
     ),
 }

@@ -42,3 +42,36 @@ def test_same_trees_pass_and_a_doctored_output_is_named(tmp_path, monkeypatch, c
     assert same_outputs.main(argv) == 1
     assert capsys.readouterr().out == "outputs differ: tiny/compare.csv: line 1 differs\n"
     assert not list((parent / "src").rglob("__pycache__"))  # no bytecode left behind
+
+
+def test_the_refused_configs_are_the_builder_rules_of_the_cli_tests():
+    from test_cli import BUILDER_RULES, ONE_POINT, REFUSED_PROTOCOLS
+
+    configs = same_outputs.refused(_PATH.parents[1])
+    assert list(configs) == list(BUILDER_RULES)
+    assert configs == {rule: {**ONE_POINT, "protocol": REFUSED_PROTOCOLS[rule][0]}
+                       for rule in BUILDER_RULES}
+
+
+def test_a_refused_config_compares_its_message_and_exit_code(tmp_path, monkeypatch, capsys):
+    parent, change = _tree(tmp_path / "parent"), _tree(tmp_path / "change")
+    rule = "psk_over_the_series_cap"
+    config = same_outputs.refused(_PATH.parents[1])[rule]
+
+    def refused_case(tree, directory):
+        (directory / rule).mkdir(parents=True)
+        path = directory / rule / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return [path]
+
+    monkeypatch.setattr(same_outputs, "cases", refused_case)
+    argv = ["--parent", str(parent), "--change", str(change)]
+    assert same_outputs.main(argv) == 0
+    capsys.readouterr()
+
+    psk = change / "src" / "satcvqkd" / "psk.py"
+    psk.write_text(psk.read_text(encoding="utf-8").replace(
+        "over the cap of", "over the limit of"), encoding="utf-8")
+    assert same_outputs.main(argv) == 1
+    assert capsys.readouterr().out == \
+        f"outputs differ: {rule}/compare.stderr: line 1 differs\n"

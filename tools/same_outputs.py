@@ -6,8 +6,11 @@ Usage (from any directory):
     python3 tools/same_outputs.py --parent PARENT_DIR --change CHANGE_DIR
 
 The inputs are the four benchmark workloads at seeds 1 and 20221130, written by
-the change's ``perfbench/inputs.py``, and the change's
-``tests/data/{minimal_sweep,shaped_compare,full_pass}.json``.  For each config
+the change's ``perfbench/inputs.py``, the change's
+``tests/data/{minimal_sweep,shaped_compare,full_pass}.json``, and one refused
+config per protocol rule that ``pipeline.key_constants`` applies: the one-point
+sweep of each ``BUILDER_RULES`` entry of the change's ``tests/test_cli.py``
+``REFUSED_PROTOCOLS``, read from its source.  For each config
 a checkout runs ``validate-config`` and the config's own command (``pass`` for
 a pass, else ``compare``), with ``src/`` of that checkout on ``PYTHONPATH``;
 stdout, stderr, the exit code and the CSV are kept.  The exit status is 0 when
@@ -18,6 +21,7 @@ and line that differ are printed.  Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -29,6 +33,21 @@ from pathlib import Path
 
 SEEDS = (1, 20221130)
 DATA = ("minimal_sweep", "shaped_compare", "full_pass")
+
+
+def refused(change: Path) -> dict[str, dict]:
+    """The refused config of each protocol rule in ``BUILDER_RULES`` of the change's
+    ``tests/test_cli.py``: its ``REFUSED_PROTOCOLS`` entry as the protocol of
+    ``ONE_POINT``.  The literals are read with ``ast``; the module is not imported."""
+    tree = ast.parse((change / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    values = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    table = values["REFUSED_PROTOCOLS"]
+    entries = {ast.literal_eval(key): ast.literal_eval(value.elts[0])
+               for key, value in zip(table.keys, table.values)}
+    one_point = ast.literal_eval(values["ONE_POINT"])
+    return {rule: {**one_point, "protocol": entries[rule]}
+            for rule in ast.literal_eval(values["BUILDER_RULES"])}
 
 
 def cases(change: Path, directory: Path) -> list[Path]:
@@ -47,6 +66,11 @@ def cases(change: Path, directory: Path) -> list[Path]:
         case = directory / name
         case.mkdir(parents=True)
         configs.append(Path(shutil.copy(change / "tests" / "data" / f"{name}.json", case)))
+    for rule, config in refused(change).items():
+        case = directory / f"refused-{rule}"
+        case.mkdir(parents=True)
+        configs.append(case / "config.json")
+        configs[-1].write_text(json.dumps(config), encoding="utf-8")
     return configs
 
 
