@@ -176,8 +176,8 @@ def _run_sweep(plan: config_mod.RunPlan, output: str | None) -> None:
     elevations = np.tile(elevations_deg, len(altitudes_m))
     with evaluating():
         link = link_columns(plan.setup, altitudes, elevations)
-        results = [evaluate_point(link, spec, plan.key_constants[spec], plan.reconciliation,
-                                  plan.finite) for spec in plan.protocols]
+        results = evaluate_point(link, plan.protocols, plan.key_constants, plan.reconciliation,
+                                 plan.finite)
     columns = list(zip(*results))  # per CSV column, each protocol's value over the grid
 
     points = altitudes.size

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantities import check_transmittance, reject, validating
+from .quantities import check_transmittance, reject, square, validating
 
 
 class ReconciliationModel(NamedTuple):
@@ -55,8 +55,8 @@ class FiniteSizeParams(NamedTuple):
 
 def snr_db(alpha: float, transmittance, chi_total):
     """Signal-to-noise ratio in dB for coherent amplitude ``alpha``."""
-    photons = abs(alpha) ** 2
-    if photons <= 0.0:
+    photons = square(abs(alpha))
+    if np.any(photons <= 0.0):
         raise ValueError("signal amplitude must be non-zero")
     check_transmittance(transmittance)
     reject(chi_total, chi_total < 0.0, "noise must be >= 0")

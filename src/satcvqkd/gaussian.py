@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnphysicalCovariance
-from .quantities import check_transmittance, offending, reject, validating
+from .quantities import check_transmittance, offending, reject, square, validating
 
 # Eigenvalues may undershoot 1, and an eigenvalue quadratic's discriminant 0, by
 # this much before the state is called unphysical; up to _PURE_TOL above 1 a mode
@@ -102,8 +102,7 @@ def g_function(x):
 
 def mutual_information_gm(modulation_variance: float, chi_total, kind: Detection):
     """Alice-Bob mutual information in bits per pulse."""
-    if modulation_variance < 0.0:
-        raise ValueError(f"modulation variance must be >= 0, got {modulation_variance}")
+    reject(modulation_variance, modulation_variance < 0.0, "modulation variance must be >= 0")
     reject(chi_total, chi_total < 0.0, "total noise must be >= 0")
     half = 0.5 * np.log2(
         (modulation_variance + 1.0 + chi_total) / (1.0 + chi_total)
@@ -164,11 +163,11 @@ def holevo_bound(
     """
     v = modulation_variance + 1.0
     t = transmittance
-    z_sq = correlation**2
+    v_sq, z_sq = square(v), square(correlation)
     chi_tot = chi_line + chi_detector / t
 
-    a_term = v**2 + t**2 * (v + chi_line) ** 2 - 2.0 * t * z_sq
-    sqrt_b = abs(t * v**2 + t * v * chi_line - t * z_sq)
+    a_term = v_sq + t**2 * (v + chi_line) ** 2 - 2.0 * t * z_sq
+    sqrt_b = abs(t * v_sq + t * v * chi_line - t * z_sq)
     b_term = sqrt_b**2
     lam1, lam2 = _sqrt_eigenvalue(a_term, sqrt_b, "channel")
 
@@ -230,7 +229,7 @@ def mutual_information_qam(
     It is GM's information with an ideal heterodyne detector, but not to the
     last bit, and it takes the heterodyne SNR for either detection.
     """
-    if modulation_variance < 0.0 or excess_noise < 0.0:
+    if np.any(modulation_variance < 0.0) or excess_noise < 0.0:
         raise ValueError("modulation variance and excess noise must be >= 0")
     check_transmittance(transmittance)
     half = 0.5 * np.log2(
@@ -244,7 +243,12 @@ def covariance_security(
     constants: KeyConstants, transmittance, reconciliation_efficiency
 ) -> SecurityResult:
     """Key rate of a protocol's ``constants`` at the given transmittance(s), through
-    the two-mode covariance matrix: the one key stage of every protocol."""
+    the two-mode covariance matrix: the one key stage of every protocol.
+
+    For a group of protocols that share the budget, detection and I_AB flag,
+    V and Z may be column arrays, one row per protocol, broadcast against the
+    transmittances into one (protocols x points) result.
+    """
     v, kind = constants.modulation_variance, constants.detection
     noise = channel_noise(transmittance, constants.budget, kind)
     if constants.qam_information:

@@ -265,7 +265,7 @@ def integrate_key_bits(
     for reconciliation in reconciliations:
         name = reconciliation.name if isinstance(reconciliation, ReconciliationModel) \
             else f"asymptotic(beta={reconciliation:g})"
-        point = evaluate_point(link, spec, constants, reconciliation, finite_params)
+        point, = evaluate_point(link, [spec], {spec: constants}, reconciliation, finite_params)
         rates = np.asarray(point.skr_bits_per_second, dtype=float)  # NaN: no key (invalid beta)
         bin_rates = np.zeros(bins.size)
         bin_rates[evaluated] = np.where(link.far_field_ok & ~np.isnan(rates), rates, 0.0)

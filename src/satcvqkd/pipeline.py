@@ -3,16 +3,17 @@
 ``key_constants`` builds each protocol's transmittance-free key constants
 once, when a configuration is resolved.  A run then has two stages: the
 link stage (``link_columns``) runs the channel model once per grid of
-points, and the key stage (``evaluate_point``) evaluates each protocol's
-constants and the finite-size layer on it once per protocol and
-reconciliation, producing flat records (or columns of them, for a grid of
-points) suitable for CSV emission.
+points, and the key stage (``evaluate_point``) evaluates the protocols'
+constants and the finite-size layer on it once per group of protocols and
+reconciliation, each group as one (protocols x points) array, producing
+flat records (or columns of them, for a grid of points) suitable for CSV
+emission.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -196,6 +197,15 @@ def _column(values, rows: np.ndarray | None, size: int, shape: tuple[int, ...]):
     return None if value != value else value  # NaN marks a missing number
 
 
+def _read_only(columns: dict[str, Any]) -> dict[str, Any]:
+    """``columns`` with their arrays made read-only, as the results that share them
+    must not change one another's."""
+    for value in columns.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return columns
+
+
 class LinkColumns(NamedTuple):
     """The link stage of a grid: everything that depends on position alone.
 
@@ -246,47 +256,79 @@ def link_columns(setup: LinkSetup, altitude_m, elevation_deg) -> LinkColumns:
     )
     columns = {name: _column(v, None, size, shape) for name, v in every_point.items()}
     columns.update({name: _column(v, linked, size, shape) for name, v in linked_points.items()})
-    for value in columns.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return LinkColumns(shape, far_field_ok, linked, transmittance, columns)
+    return LinkColumns(shape, far_field_ok, linked, transmittance, _read_only(columns))
 
 
 def evaluate_point(
     link: LinkColumns,
-    spec: ProtocolSpec,
-    constants: KeyConstants,
+    specs: Sequence[ProtocolSpec],
+    constants: Mapping[ProtocolSpec, KeyConstants],
     reconciliation: Reconciliation,
     finite_params: FiniteSizeParams,
-) -> PointResult:
-    """The key stage: ``spec``'s key ``constants`` and the finite-size layer on a
-    grid's link.
+) -> list[PointResult]:
+    """The key stage: the key ``constants`` of each of ``specs`` and the
+    finite-size layer on a grid's link, one ``PointResult`` per spec, in order.
 
-    Each per-point field has the grid's shape: a far-field point has no key,
-    and a point whose fitted beta is invalid has no key; those values are
-    NaN, or None for a flag.  For one point the fields hold plain values and
-    a missing one is None.
+    The protocols that share a noise budget, a detection and an I_AB formula
+    are a group, evaluated as one (protocols x points) array by one
+    ``covariance_security`` call.  Under a fitted reconciliation each protocol
+    is a group of one, because its beta-valid points are its own.  Each
+    per-point field has the grid's shape: a far-field point has no key, and a
+    point whose fitted beta is invalid has no key; those values are NaN, or
+    None for a flag.  For one point the fields hold plain values and a missing
+    one is None.
     """
-    check_reconciliation(spec, reconciliation)
+    for spec in specs:
+        check_reconciliation(spec, reconciliation)
     fitted = isinstance(reconciliation, ReconciliationModel)
+    groups: dict = {}  # group key -> the indices of its specs
+    for index, spec in enumerate(specs):
+        c = constants[spec]
+        key = index if fitted else (c.budget, c.detection, c.qam_information)
+        groups.setdefault(key, []).append(index)
+    results: list = [None] * len(specs)
+    for members in groups.values():
+        points = _group_key_stage(link, [specs[index] for index in members], constants,
+                                  reconciliation, finite_params)
+        for index, point in zip(members, points):
+            results[index] = point
+    return results
 
+
+def _group_key_stage(
+    link: LinkColumns,
+    specs: list[ProtocolSpec],
+    constants: Mapping[ProtocolSpec, KeyConstants],
+    reconciliation: Reconciliation,
+    finite_params: FiniteSizeParams,
+) -> list[PointResult]:
+    """``evaluate_point`` for one group: V, Z and V_A are column arrays, one row
+    per protocol, broadcast against the grid's transmittances."""
+    fitted = isinstance(reconciliation, ReconciliationModel)
+    group = [constants[spec] for spec in specs]
+
+    def stack(values) -> np.ndarray:  # a column array, one row per protocol
+        return np.array(list(values), dtype=float)[:, None]
+
+    stacked = group[0]._replace(modulation_variance=stack(c.modulation_variance for c in group),
+                                correlation=stack(c.correlation for c in group))
     transmittance, linked = link.transmittance, link.linked
     snr = fer_value = fer_raw = privacy = None
-    if spec.kind != "qam":
-        noise_state = channel_noise(transmittance, constants.budget, spec.detection)
-        snr = snr_db(
-            math.sqrt(spec.modulation_variance / 2.0), transmittance, noise_state.chi_total
-        )
+    if not stacked.qam_information:
+        noise_state = channel_noise(transmittance, stacked.budget, stacked.detection)
+        amplitudes = np.sqrt(stack(spec.modulation_variance for spec in specs) / 2.0)
+        snr = snr_db(amplitudes, transmittance, noise_state.chi_total)
     if fitted:
-        # Finite-size: the fitted efficiency replaces the configured beta.
-        efficiency, beta_valid = beta(snr, reconciliation)
-        fer_value, fer_raw, _ = fer(snr, reconciliation)
+        # Finite-size: the fitted efficiency of the group's one protocol
+        # replaces the configured beta.
+        efficiency, beta_valid = beta(snr[0], reconciliation)
+        fer_value, fer_raw, _ = fer(snr[0], reconciliation)
         privacy = privacy_penalty(finite_params)
     else:
         efficiency = np.full(linked.size, reconciliation)
         beta_valid = np.full(linked.size, True)
 
-    security = covariance_security(constants, transmittance[beta_valid], efficiency[beta_valid])
+    security = covariance_security(stacked, transmittance[beta_valid], efficiency[beta_valid])
     if fitted:
         skr_per_second = skr_finite(
             finite_params.repetition_rate_hz,
@@ -302,18 +344,24 @@ def evaluate_point(
     status = np.full(link.far_field_ok.size, "far_field_excluded", dtype=object)
     status[linked] = "ok"
     status[linked[~beta_valid]] = "no_key_beta_invalid"
-    linked_values = dict(snr_db=snr, beta=efficiency, beta_valid=beta_valid, fer=fer_value,
+    linked_values = dict(beta=efficiency, beta_valid=beta_valid, fer=fer_value,
                          fer_raw=fer_raw, privacy_bits_per_pulse=privacy)
+    shared = _read_only({"status": link.column(status),
+                         **{name: link.column(v, linked) for name, v in linked_values.items()}})
+    keyed = linked[beta_valid]
     key_values = dict(
         i_ab_bits_per_pulse=security.mutual_information, s_be_bits_per_pulse=security.holevo,
         skr_bits_per_pulse=security.skr_asymptotic, skr_bits_per_second=skr_per_second,
     )
-    return PointResult(
-        protocol=spec.label,
-        detection=spec.detection.value,
-        modulation_variance_snu=spec.modulation_variance,
-        status=link.column(status),
-        **link.columns,
-        **{name: link.column(v, linked) for name, v in linked_values.items()},
-        **{name: link.column(v, linked[beta_valid]) for name, v in key_values.items()},
-    )
+    return [
+        PointResult(
+            protocol=spec.label,
+            detection=spec.detection.value,
+            modulation_variance_snu=spec.modulation_variance,
+            snr_db=link.column(None if snr is None else snr[row], linked),
+            **link.columns,
+            **shared,
+            **{name: link.column(v[row], keyed) for name, v in key_values.items()},
+        )
+        for row, spec in enumerate(specs)
+    ]

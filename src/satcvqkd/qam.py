@@ -305,10 +305,13 @@ def _sector_eigensystems(cutoff: int, blocks: list, off_sector: float = 0.0) -> 
         raise CutoffTooSmall(
             f"cutoff {cutoff} loses trace {1.0 - trace:.3e} of the modulation state"
         )
-    limit = _SECTOR_RTOL**2 * sum(float(np.sum(np.abs(b) ** 2)) for b in blocks)
+    # each mass is one BLAS dot; the imaginary parts are a strided view, not a copy
+    limit = _SECTOR_RTOL**2 * sum(float(np.vdot(b, b).real) for b in blocks)
     if off_sector**2 > limit:
         return None
-    systems = [np.linalg.eigh(b.real if np.sum(b.imag**2) <= limit else b) for b in blocks]
+    imaginary = [b.imag.reshape(-1) for b in blocks]
+    systems = [np.linalg.eigh(b.real if np.dot(i, i) <= limit else b)
+               for b, i in zip(blocks, imaginary)]
     values = np.concatenate([d for d, _ in systems])
     if values.min() < _NEGATIVE_EIGENVALUE_TOL:
         raise NumericsError(

@@ -161,8 +161,8 @@ def _largest_positive_altitude(receiver_aperture_m: float) -> float:
     constants = s.gm_security(5.0, setup.noise, s.Detection.HOMODYNE)
     best = 0.0
     for altitude_km in np.arange(200.0, 1400.1, 5.0):
-        point = evaluate_point(
-            link_columns(setup, altitude_km * 1000.0, 90.0), spec, constants, MD,
+        point, = evaluate_point(
+            link_columns(setup, altitude_km * 1000.0, 90.0), [spec], {spec: constants}, MD,
             s.FiniteSizeParams(),
         )
         if point.skr_bits_per_second is not None and point.skr_bits_per_second > 0.0:

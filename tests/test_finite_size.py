@@ -157,3 +157,13 @@ def test_md_usable_wherever_mlc_msd_is():
     for snr in np.linspace(-20.0, 5.0, 251):
         if beta(snr, MLC_MSD).valid:
             assert beta(snr, MD).valid
+
+
+def test_a_column_of_amplitudes_gives_each_amplitudes_float_snr_bit_for_bit():
+    # the first amplitude's float square, C pow's, is one bit off numpy's x * x
+    alphas = [math.sqrt(1.074 / 2.0), math.sqrt(2.5), 0.7]
+    t = np.geomspace(1e-3, 0.5, 40)  # some SNRs carry that bit to the result
+    chi = 1.0 / t - 1.0 + 0.05
+    stacked = snr_db(np.array(alphas)[:, None], t, chi)
+    for row, alpha in enumerate(alphas):
+        assert np.array_equal(stacked[row], snr_db(alpha, t, chi))

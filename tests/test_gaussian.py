@@ -211,3 +211,29 @@ def test_positive_key_at_reference_link():
     constants = gm_security(5.0, DAYLIGHT_NOISE, Detection.HOMODYNE)
     result = covariance_security(constants, 0.0656, 0.9)
     assert result.skr_asymptotic > 0.0
+
+
+# --- a group of protocols as column arrays ------------------------------------------
+
+# V_A values whose float squares, C pow's, differ from numpy's x * x in the last
+# bit: (V_A + 1)^2 at 1.759 and 3.536, Z^2 at 2.184; the PSK Z_M of the ring
+# differs from the Gaussian Z, so it tries other squares again
+_POW_SENSITIVE = (1.759, 2.184, 3.536, 5.0)
+
+
+@pytest.mark.parametrize("kind", list(Detection))
+def test_stacked_constants_give_each_protocols_float_key_rate_bit_for_bit(kind):
+    from satcvqkd.psk import psk_security
+
+    group = [gm_security(v, DAYLIGHT_NOISE, kind) for v in _POW_SENSITIVE] + \
+        [psk_security(m, 0.5, DAYLIGHT_NOISE, kind) for m in (2, 4, 8)]
+    stacked = group[0]._replace(
+        modulation_variance=np.array([[c.modulation_variance] for c in group]),
+        correlation=np.array([[c.correlation] for c in group]))
+    t = np.array([0.5, 0.0656, 1e-3, 1e-12])
+    rows = covariance_security(stacked, t, 0.95)
+    for row, constants in enumerate(group):
+        alone = covariance_security(constants, t, 0.95)
+        for got, want in zip(rows, alone):
+            assert got.shape == (len(group), t.size)
+            assert np.array_equal(got[row], want)

@@ -121,8 +121,8 @@ def _records(plan):
     altitudes_m, elevations_deg = plan.sweep.altitudes_m, plan.sweep.elevations_deg
     link = link_columns(plan.setup, np.repeat(altitudes_m, len(elevations_deg)),
                         np.tile(elevations_deg, len(altitudes_m)))
-    return [evaluate_point(link, spec, plan.key_constants[spec], plan.reconciliation, plan.finite)
-            for spec in plan.protocols]
+    return evaluate_point(link, plan.protocols, plan.key_constants, plan.reconciliation,
+                          plan.finite)
 
 
 @pytest.mark.parametrize("blocks", ["default", "short_last"])

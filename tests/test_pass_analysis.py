@@ -261,12 +261,12 @@ def test_synthesized_pass_matches_the_per_sample_loop(setup, altitude_m, max_ele
 def test_single_bin_total_is_rate_times_dwell(monkeypatch):
     profile = PassProfile(times_s=(0.0, 4.0, 10.0), elevations_deg=(45.2, 45.4, 45.7))
 
-    def fake_evaluate(link, spec, constants, recon, params):
-        return PointResult(
+    def fake_evaluate(link, specs, constants, recon, params):
+        return [PointResult(
             protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
             altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
             skr_bits_per_second=1e6,
-        )
+        )]
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
@@ -279,12 +279,12 @@ def test_single_bin_total_is_rate_times_dwell(monkeypatch):
 def test_negative_rates_clamped_in_accumulation_only(monkeypatch):
     profile = PassProfile(times_s=(0.0, 10.0), elevations_deg=(40.0, 40.5))
 
-    def fake_evaluate(link, spec, constants, recon, params):
-        return PointResult(
+    def fake_evaluate(link, specs, constants, recon, params):
+        return [PointResult(
             protocol="GM", detection="homodyne", modulation_variance_snu=5.0,
             altitude_km=link.columns["altitude_km"], elevation_deg=link.columns["elevation_deg"],
             skr_bits_per_second=-5.0,
-        )
+        )]
 
     monkeypatch.setattr(pass_analysis, "evaluate_point", fake_evaluate)
     result = integrate_key_bits(
@@ -330,7 +330,8 @@ def test_a_pass_is_seen_from_the_setups_station():
     totals = []
     for setup in (SEA_LEVEL, ISS_SETUP):
         link = link_columns(setup, 417.5e3, 40.5)
-        rate = evaluate_point(link, GM, GM_CONSTANTS, MD, FiniteSizeParams()).skr_bits_per_second
+        point, = evaluate_point(link, [GM], {GM: GM_CONSTANTS}, MD, FiniteSizeParams())
+        rate = point.skr_bits_per_second
         result = integrate_key_bits(profile, setup, GM, GM_CONSTANTS, [MD], FiniteSizeParams(),
                                     satellite_altitude_m=417.5e3)
         totals.append(result.models["MD"].total_key_bits)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ import satcvqkd.config as config_mod
 import satcvqkd.pipeline as pipeline
 from satcvqkd.cli import main
 from satcvqkd.finite_size import MD
-from satcvqkd.pipeline import LinkSetup, ProtocolSpec, evaluate_point, key_constants, \
-    link_columns
+from satcvqkd.errors import evaluating
+from satcvqkd.pipeline import LinkSetup, PointResult, ProtocolSpec, evaluate_point, \
+    key_constants, link_columns
 from satcvqkd.qam import Binomial
 
 GOOD = AtmosphericConditions(visibility_km=200.0, cn2=1e-16)
@@ -37,8 +40,9 @@ QAM256 = ProtocolSpec(
 
 def _evaluate(link, spec, reconciliation, finite_params):
     """``evaluate_point`` with the key constants of ``spec`` under daylight noise."""
-    constants = key_constants([spec], DAYLIGHT_NOISE)[spec]
-    return evaluate_point(link, spec, constants, reconciliation, finite_params)
+    point, = evaluate_point(link, [spec], key_constants([spec], DAYLIGHT_NOISE), reconciliation,
+                            finite_params)
+    return point
 
 
 def test_channel_columns_identical_across_protocols():
@@ -257,6 +261,90 @@ def test_sweep_resolve_builds_one_geometry(tmp_path, monkeypatch):
     }), encoding="utf-8")
     assert main(["validate-config", "--config", str(config)]) == 0
     assert len(paths) == 1
+
+
+# --- the key stage of a group of protocols ------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _plan_link(name, altitude_m=None, elevation_deg=None):
+    """The plan of ``tests/data/<name>.json`` and the link of its grid, or of the
+    given point of its setup."""
+    plan = config_mod.load(str(DATA / f"{name}.json"))
+    if altitude_m is None:
+        altitude_m = np.repeat(plan.sweep.altitudes_m, len(plan.sweep.elevations_deg))
+        elevation_deg = np.tile(plan.sweep.elevations_deg, len(plan.sweep.altitudes_m))
+    return plan, link_columns(plan.setup, altitude_m, elevation_deg)
+
+
+def _assert_identical(grouped, alone):
+    """Every field of two ``PointResult``s holds the same bits, and the same
+    NaN and None marks, in the same shape and kind of value."""
+    for name, a, b in zip(PointResult._fields, grouped, alone):
+        assert type(a) is type(b), name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize("name, point, groups", [
+    ("mixed_compare", None, 4),  # GM/PSK under each detection, QAM under each
+    ("mixed_compare", (500e3, 90.0), 4),  # one point: plain values
+    ("md_gm_pair", None, 2),  # fitted: each protocol is a group of one
+], ids=["mixed", "one_point", "md_pair"])
+def test_the_grouped_key_stage_is_groups_of_one_bit_for_bit(monkeypatch, name, point, groups):
+    plan, link = _plan_link(name, *(point or ()))
+    calls = _count_calls(monkeypatch, "covariance_security")
+    with evaluating():
+        grouped = evaluate_point(link, plan.protocols, plan.key_constants, plan.reconciliation,
+                                 plan.finite)
+        assert len(calls) == groups
+        alone = [evaluate_point(link, [spec], plan.key_constants, plan.reconciliation,
+                                plan.finite)[0] for spec in plan.protocols]
+    assert [p.protocol for p in grouped] == [spec.label for spec in plan.protocols]
+    for a, b in zip(grouped, alone):
+        _assert_identical(a, b)
+
+
+def test_the_data_configs_reach_each_kind_of_group():
+    plan, link = _plan_link("mixed_compare")
+    assert {(spec.kind, spec.detection) for spec in plan.protocols} == \
+        {(k, d) for k in ("gm", "psk", "qam") for d in Detection}
+    assert not link.far_field_ok.all() and link.far_field_ok.any()
+    # the MD pair's beta is valid at different points, so a shared mask would fail
+    plan, link = _plan_link("md_gm_pair")
+    first, second = evaluate_point(link, plan.protocols, plan.key_constants,
+                                   plan.reconciliation, plan.finite)
+    assert (first.status != second.status).any()
+    assert "no_key_beta_invalid" in set(first.status) & set(second.status)
+
+
+def _key_stage_peak(specs, points):
+    """Traced peak bytes of the key stage of ``specs`` on a grid of ``points``."""
+    link = link_columns(SETUP, np.linspace(300e3, 1000e3, points), 60.0)
+    constants = key_constants(specs, DAYLIGHT_NOISE)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with evaluating():
+            evaluate_point(link, specs, constants, ASY, FiniteSizeParams())
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_stacked_group_at_the_row_cap_needs_no_more_memory_than_one_sweep():
+    # the row cap counts protocols too, so a group of eight on an eighth of
+    # the points stacks (8, N/8) arrays: no larger than one sweep's (N,) ones
+    group = [GM._replace(modulation_variance=v) for v in (1.0, 2.0, 5.0, 10.0, 20.0)] + \
+        [PSK8._replace(states=m) for m in (2, 4, 8)]
+    rows = config_mod._MAX_ROWS
+    sweep = _key_stage_peak([GM], rows)
+    compare = _key_stage_peak(group, rows // len(group))
+    assert compare <= 1.1 * sweep
 
 
 # --- physics properties ------------------------------------------------------------

@@ -74,3 +74,13 @@ OFFENDING_CASES = {
 def test_check_names_the_offending_value(call, bad):
     with pytest.raises(ValueError, match=f"got {re.escape(str(bad))}$"):
         call(bad)
+
+
+def test_square_rounds_as_a_floats_power_does():
+    from satcvqkd.quantities import square
+
+    # each x * x is one bit off x ** 2, as numpy's ** rounds an array's squares
+    values = [2.759, 4.536, math.sqrt(2.184**2 + 2.0 * 2.184), math.sqrt(1.074 / 2.0)]
+    assert all(x * x != x**2 for x in values)
+    assert square(np.array(values)).tolist() == [x**2 for x in values]
+    assert [float(square(x)) for x in values] == [x**2 for x in values]

@@ -7,7 +7,10 @@ Usage (from any directory):
 
 The inputs are the four benchmark workloads at seeds 1 and 20221130, written by
 the change's ``perfbench/inputs.py``, the change's
-``tests/data/{minimal_sweep,shaped_compare,full_pass}.json``, and one refused
+``tests/data/{minimal_sweep,shaped_compare,full_pass,mixed_compare,md_gm_pair}.json``
+(the last two: a compare of all three kinds under both detections with some
+far-field points, and two GM V_A under MD whose beta is valid at different
+points, so that each way of grouping protocols in the key stage runs), and one refused
 config per protocol rule that ``pipeline.key_constants`` applies: the one-point
 sweep of each ``BUILDER_RULES`` entry of the change's ``tests/test_cli.py``
 ``REFUSED_PROTOCOLS``, read from its source.  For each config
@@ -32,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 20221130)
-DATA = ("minimal_sweep", "shaped_compare", "full_pass")
+DATA = ("minimal_sweep", "shaped_compare", "full_pass", "mixed_compare", "md_gm_pair")
 
 
 def refused(change: Path) -> dict[str, dict]:
